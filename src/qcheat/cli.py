@@ -3,9 +3,10 @@
 Data goes to stdout (or --out), logs to stderr.  Every output embeds the
 fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
-reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage/parse
-errors, 3 numeric failure, 4 invariant violation.  QCHEAT_THREADS caps
-worker parallelism in the simulation layer.
+reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
+error (bad arguments such as --n 0, input files that do not parse, a
+spectrum too short for the time grid), 3 numeric failure, 4 invariant
+violation (a failed reduction or route check, a non-antisymmetric frame).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class InputFormatError(ValueError):
 
 def _run_config(args, subcommand):
     cfg = {"subcommand": subcommand, "version": __version__}
-    for key in ("n", "tol", "t", "seed", "paths", "steps", "samples", "rule", "format"):
+    for key in ("n", "tol", "t", "seed", "paths", "steps", "samples", "rule"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
@@ -208,11 +209,27 @@ def _cmd_spectrum(args):
             sp = SpectrumFile.parse(fh.read(), label=args.input)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
-    t_grid = [float(v) for v in args.t.split(",")]
-    result = spectral_extract(sp, t_grid, n=args.n)
+    try:
+        t_grid = [float(v) for v in args.t.split(",")]
+        result = spectral_extract(sp, t_grid, n=args.n)
+    except ValueError as exc:  # bad grid, or a spectrum too short for it
+        raise InputFormatError(str(exc)) from exc
     result["config"] = _run_config(args, "spectrum")
     _emit(_json_payload(result), args.out)
     return EXIT_OK
+
+
+def _positive(kind):
+    """argparse type: a number of the given kind that must be > 0."""
+
+    def parse(text):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError("must be positive, got %s" % text)
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the kind in its messages
+    return parse
 
 
 def build_parser():
@@ -222,24 +239,23 @@ def build_parser():
 
     def common(sp, n_required=True):
         if n_required:
-            sp.add_argument("--n", type=int, required=True, help="quaternionic level (>= 1)")
+            sp.add_argument("--n", type=_positive(int), required=True, help="quaternionic level (>= 1)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), default=None)
 
     sp = sub.add_parser("c0", help="first heat invariant")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_positive(float), default=1e-10)
     sp.set_defaults(fn=_cmd_c0)
 
     sp = sub.add_parser("cn", help="universal constant Cn and sphere check")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--tol", type=_positive(float), default=1e-10)
     sp.set_defaults(fn=_cmd_cn)
 
     sp = sub.add_parser("kernel", help="batch heat-kernel evaluation from CSV")
     common(sp)
     sp.add_argument("--input", required=True, help="CSV rows: t x1..x4n z1 z2 z3")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=_positive(float), default=1e-8)
     sp.set_defaults(fn=_cmd_kernel)
 
     sp = sub.add_parser("reduce-c1", help="structural reduction of the second invariant")
@@ -253,19 +269,18 @@ def build_parser():
 
     sp = sub.add_parser("mc", help="diffusion simulation / moment checks")
     common(sp)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--t", type=_positive(float), default=1.0)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--paths", type=int, default=10000)
-    sp.add_argument("--steps", type=int, default=300)
+    sp.add_argument("--paths", type=_positive(int), default=10000)
+    sp.add_argument("--steps", type=_positive(int), default=300)
     sp.add_argument("--rule", type=int, default=None, choices=(1, 2, 3, 4))
     sp.add_argument("--indices", default=None, help="comma-separated rule indices")
-    sp.add_argument("--samples", type=int, default=2000)
+    sp.add_argument("--samples", type=_positive(int), default=2000)
     sp.set_defaults(fn=_cmd_mc)
 
     sp = sub.add_parser("spectrum", help="fit (Q, A, B) from an eigenvalue file")
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=_positive(int), default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--format", choices=("json",), default=None)
     sp.add_argument("--input", required=True)
     sp.add_argument("--t", required=True, help="comma-separated time grid")
     sp.set_defaults(fn=_cmd_spectrum)

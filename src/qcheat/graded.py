@@ -27,7 +27,6 @@ __all__ = [
     "homogeneous_orders",
     "lie_bracket",
     "pair",
-    "lie_derivative_poly",
     "lie_derivative_form",
     "frame_inversion",
     "format_poly",
@@ -137,25 +136,6 @@ class Poly:
                 t[tuple(e2)] = c * k
         out = Poly(self.nvars)
         out.terms = t
-        return out
-
-    def subs_values(self, values):
-        """Evaluate at a point (list of ring elements), staying in the ring."""
-        total = None
-        for e, c in self.terms.items():
-            v = c
-            for a, k in enumerate(e):
-                for _ in range(k):
-                    v = v * values[a]
-            total = v if total is None else total + v
-        return total
-
-    def map_coeffs(self, fn):
-        out = Poly(self.nvars)
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not _is_zero(v):
-                out.terms[e] = v
         return out
 
 
@@ -329,10 +309,6 @@ def pair(omega, X):
         if not (wa.is_zero() or xa.is_zero()):
             out = out + wa * xa
     return out
-
-
-def lie_derivative_poly(X, f):
-    return X.apply(f)
 
 
 def lie_derivative_form(X, omega):

@@ -167,12 +167,11 @@ def make_quaternionic_spec(n):
         rows = []
         for a in range(m):
             row = [Fraction(0)] * m
-            if True:
-                k, a4 = divmod(a, 4)
-                for b4 in range(4):
-                    v = block[a4][b4]
-                    if v:
-                        row[4 * k + b4] = Fraction(v)
+            k, a4 = divmod(a, 4)
+            for b4 in range(4):
+                v = block[a4][b4]
+                if v:
+                    row[4 * k + b4] = Fraction(v)
             rows.append(tuple(row))
         J.append(tuple(rows))
     return GroupSpec(m=m, r=3, J=tuple(J), n=n, quaternionic=True)

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gammaincc, gammaln
 
-from .quadrature import ToleranceError, adaptive_gk
+from .quadrature import adaptive_gk
 
 __all__ = [
     "InvariantReport",

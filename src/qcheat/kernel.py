@@ -25,7 +25,7 @@ Gauss-Kronrod panels with an explicit incomplete-gamma tail bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
@@ -58,17 +58,13 @@ BROWNIAN_VARIANCE_FACTOR = 2.0
 class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    radial_truncation: float | None = None
     max_evals: int = 400_000
-    parallel_chunks: int = 1
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.radial_truncation is not None and self.radial_truncation <= 0:
-            raise ValueError("radial truncation must be positive")
-        if self.max_evals < 15 or self.parallel_chunks < 1:
-            raise ValueError("max_evals and parallel_chunks must be positive")
+        if self.max_evals < 15:
+            raise ValueError("max_evals must be at least 15")
 
 
 @dataclass(frozen=True)
@@ -356,11 +352,7 @@ def heat_kernel(spec, query, cfg=None):
     if not folded:
         return KernelValue(0.0, 0.0, 0)
     f, u = _make_integrand(spec, t, x, z, folded)
-    tail_target = cfg.abs_tol / 10.0
-    if cfg.radial_truncation is not None:
-        R = cfg.radial_truncation
-    else:
-        R = _auto_truncation(spec, t, u, folded, tail_target)
+    R = _auto_truncation(spec, t, u, folded, cfg.abs_tol / 10.0)
     tail = _tail_bound(spec, t, u, folded, R)
 
     zc = float(np.linalg.norm(z)) / (4.0 * t)
@@ -390,7 +382,7 @@ def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
     return heat_kernel(spec, q, cfg)
 
 
-def _kernel_grid(spec, t, rx, rz, n_rho_panels=None):
+def _kernel_grid(spec, t, rx, rz):
     """Plain-kernel values on a radial grid, vectorized: P[i, j] = p(t, rx_i, rz_j).
 
     Returns (values, errors); errors combine the embedded-Gauss difference of
@@ -404,8 +396,7 @@ def _kernel_grid(spec, t, rx, rz, n_rho_panels=None):
     folded = {(0, (0, 0, 0)): 1.0 + 0.0j}
     R = _auto_truncation(spec, t, 0.0, folded, 1e-14)
     kmax = R * float(zc.max(initial=0.0))
-    if n_rho_panels is None:
-        n_rho_panels = max(16, int(math.ceil(kmax / (2.0 * math.pi) / 2.0)))
+    n_rho_panels = max(16, int(math.ceil(kmax / (2.0 * math.pi) / 2.0)))
     rho, wk, wg = composite_gk_nodes(0.0, R, n_rho_panels)
     q = _rho_over_sinh_pow(rho, 2 * n)
     a = _rho_coth(rho)
@@ -442,19 +433,17 @@ def _radial_expectation_once(spec, t, weight, n_rx, n_rz, rx_max, rz_max):
     return val, inner
 
 
-def radial_expectation(spec, t, weight, n_rx=18, n_rz=26, rx_max=None, rz_max=None):
+def radial_expectation(spec, t, weight):
     """Integral of p(t,0,.) * weight(rx, rz) against the Haar measure.
 
     weight is vectorized over meshgrid arrays (rx[:, None], rz[None, :]).
     The error estimate compares two grid resolutions (a posteriori) and adds
     the propagated radial-quadrature errors.  Returns (value, error_estimate).
     """
-    n = spec.n
-    if rx_max is None:
-        rx_max = 14.0 * math.sqrt(t) + 2.0
-    if rz_max is None:
-        sigma_z = math.sqrt(32.0 * n) * t
-        rz_max = 12.0 * sigma_z + 40.0 * t
+    n_rx, n_rz = 18, 26
+    rx_max = 14.0 * math.sqrt(t) + 2.0
+    sigma_z = math.sqrt(32.0 * spec.n) * t
+    rz_max = 12.0 * sigma_z + 40.0 * t
     fine, inner_fine = _radial_expectation_once(spec, t, weight, n_rx, n_rz, rx_max, rz_max)
     coarse, _ = _radial_expectation_once(
         spec, t, weight, max(6, (2 * n_rx) // 3), max(6, (2 * n_rz) // 3), rx_max, rz_max
@@ -463,19 +452,19 @@ def radial_expectation(spec, t, weight, n_rx=18, n_rz=26, rx_max=None, rz_max=No
     return fine, err
 
 
-def normalization_integral(spec, t, cfg=None):
+def normalization_integral(spec, t):
     """Total mass of p(t, 0, .) against the Haar measure (should be 1)."""
     return radial_expectation(spec, t, lambda rx, rz: np.ones_like(rx * rz))
 
 
-def kernel_marginal_moments(spec, t, cfg=None):
+def kernel_marginal_moments(spec, t):
     """First and second marginal moments of p(t, 0, .) d(haar).
 
     Odd moments vanish exactly in the radial reduction (parity); the diagonal
     second moments come from the radial quadrature.  For reference the flat
     x-marginal gives E[x_a^2] = 2t and the vertical variance is 32 n t^2.
     """
-    mass, mass_err = normalization_integral(spec, t, cfg)
+    mass, mass_err = normalization_integral(spec, t)
     ex2, ex2_err = radial_expectation(spec, t, lambda rx, rz: rx * rx / spec.m)
     ez2, ez2_err = radial_expectation(spec, t, lambda rx, rz: rz * rz / 3.0)
     return {

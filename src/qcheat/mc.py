@@ -12,20 +12,19 @@ I^i_{aa}).  Euler-Maruyama with exact Gaussian x-increments is therefore
 unbiased in x and weakly biased O(dt) in z only.
 
 Randomness is counter-based: each path draws from Philox keyed by
-(seed, path index), with steps consumed in order inside the path, so runs
-are reproducible and parallelizable without shared state; the uniform time
-draws of the convolution estimators use a reserved stream key.  Antithetic
-pairing is deliberately not used for the vanishing-rule estimators: those
-integrands are odd under the path sign flip, and pairing would force the
-estimate to exactly zero, making the null check vacuous.
+(seed, path index), with steps consumed in order inside the path, so a
+path's samples do not depend on which other paths are drawn or in what
+order they are evaluated; the uniform time draws of the convolution
+estimators use a reserved stream key.  Antithetic pairing is deliberately
+not used for the vanishing-rule estimators: those integrands are odd under
+the path sign flip, and pairing would force the estimate to exactly zero,
+making the null check vacuous.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,18 +41,9 @@ __all__ = [
     "semigroup_convolution_check",
     "check_moment_vanishing",
     "rule_pattern",
-    "max_workers",
 ]
 
 _TIME_STREAM = 0x5EED_71AE_0000_0000  # reserved key offset for s-draws
-
-
-def max_workers():
-    """Parallelism cap from QCHEAT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("QCHEAT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -63,7 +53,6 @@ class SimConfig:
     n_paths: int
     n_steps: int
     seed: int
-    estimator: str = "moments"
     budget: int = 200_000_000  # n_paths * n_steps ceiling
 
     def __post_init__(self):
@@ -113,20 +102,8 @@ def simulate_paths(cfg):
     n = cfg.n_paths
     x_out = np.empty((n, spec.m))
     z_out = np.empty((n, 3))
-
-    def run_chunk(bounds):
-        lo, hi = bounds
-        for p in range(lo, hi):
-            x_out[p], z_out[p] = _simulate_one(spec, J, cfg.t, cfg.n_steps, cfg.seed, p)
-
-    workers = max_workers()
-    if workers == 1:
-        run_chunk((0, n))
-    else:
-        chunk = max(1, (n + workers - 1) // workers)
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, bounds))
+    for p in range(n):
+        x_out[p], z_out[p] = _simulate_one(spec, J, cfg.t, cfg.n_steps, cfg.seed, p)
     return TerminalSamples(x=x_out, z=z_out, config=cfg)
 
 
@@ -163,13 +140,13 @@ def expectation_of(samples, fn):
     return _mean_stderr(vals)
 
 
-def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=20240801, cfg=None):
+def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=20240801):
     """Convolution identity at the origin: p(t+s,0,0) = E_{xi~p(t)}[p(s,xi,0)].
 
     Returns (mc_estimate, mc_stderr, direct_value, direct_err).
     """
     sim = simulate_paths(SimConfig(spec=spec, t=t, n_paths=n_paths, n_steps=n_steps, seed=seed))
-    qcfg = cfg or QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
+    qcfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
     vals = np.empty(n_paths)
     for p in range(n_paths):
         # p(s, xi, 0) = p(s, 0, xi^{-1}) = p(s, 0, (-x, -z))
@@ -228,11 +205,6 @@ class MomentCheckReport:
     inconclusive: bool
     label: str
 
-    def rows(self):
-        return [
-            (self.label, self.estimate, self.stderr, self.n_samples),
-        ]
-
 
 def _leibniz_splits(deriv):
     """All ways to split a derivative multi-index across a product, with
@@ -270,9 +242,7 @@ def _monomial_derivative(mono, d):
     return coeff, tuple(rest)
 
 
-def check_moment_vanishing(
-    cfg, rule_id, indices=None, n_samples=4000, stderr_ceiling=None, qcfg=None
-):
+def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ceiling=None):
     """Estimate a convolution moment of the second-invariant integral.
 
     The target is
@@ -301,7 +271,7 @@ def check_moment_vanishing(
     order = sum(deriv)
     sign = (-1.0) ** order
     inv_haar = 1.0 / spec.haar_factor
-    qcfg = qcfg or QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
+    qcfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
     J = spec.J_float()
     splits = _leibniz_splits(deriv)
 

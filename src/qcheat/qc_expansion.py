@@ -18,7 +18,7 @@ A surviving non-kappa symbol is a hard failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graded import (
@@ -46,7 +46,6 @@ __all__ = [
     "CoframeExpansion",
     "ExpansionCoefficients",
     "PerturbationOperator",
-    "MomentSymbol",
     "C1Reduction",
     "UnclassifiedMomentError",
     "RouteMismatchError",
@@ -54,7 +53,6 @@ __all__ = [
     "expansion_coefficients",
     "divergence_coefficient",
     "divergence_bracket_route",
-    "build_P1",
     "build_P2",
     "reduce_c1",
     "MOMENT_LABELS",
@@ -77,17 +75,6 @@ class UnclassifiedMomentError(ValueError):
 
 class RouteMismatchError(ValueError):
     """Closed-form coefficients disagree with the coframe-inversion route."""
-
-
-@dataclass(frozen=True)
-class MomentSymbol:
-    """Canonical label of a nonvanishing convolution-moment class."""
-
-    label: str
-    value: float | None = None  # optionally attached by simulation/quadrature
-
-    def atom(self):
-        return ("M", self.label)
 
 
 def moment_exemplar(label, m):
@@ -557,17 +544,6 @@ class PerturbationOperator:
             if poly_part(poly, self.m, self.r, want) != poly:
                 raise ValueError("first-order term %s is not weight-%d homogeneous" % (lbl, want))
         return True
-
-
-def build_P1(spec, symbols=None):
-    """Order -1 perturbation: identically zero in qc normal coordinates.
-
-    The order-zero frame terms vanish (X^(0) = 0) and the divergence starts
-    at the second order, so P1 = 0; it is constructed for completeness and
-    not reduced.
-    """
-    m, r = spec.m, spec.r
-    return PerturbationOperator(m=m, r=r, second={}, first={})
 
 
 def build_P2(spec, symbols=None, coeffs=None, div=None):

@@ -128,24 +128,6 @@ class Sym:
             out.update(mono)
         return out
 
-    def subs(self, mapping):
-        """Substitute atoms via {atom: Sym | Fraction | int}; others kept."""
-        out = Sym()
-        for mono, c in self.terms.items():
-            term = Sym.rational(c)
-            for atom in mono:
-                v = mapping.get(atom)
-                if v is None:
-                    term = term * Sym.symbol(atom)
-                elif isinstance(v, Sym):
-                    term = term * v
-                else:
-                    term = term * Fraction(v)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
-
     def coefficient_split(self, kind):
         """Split into {atom-of-kind-monomial-part: Sym-cofactor}.
 
@@ -198,9 +180,6 @@ class TensorSymbols:
         self.zero_torsion = zero_torsion
         self.zero_curvature = zero_curvature
 
-    def is_vertical(self, a):
-        return a >= self.spec.m
-
     def T(self, c, a, b):
         """Torsion component T^c_{ab}; antisymmetric in (a, b)."""
         if self.zero_torsion:
@@ -225,10 +204,6 @@ class TensorSymbols:
         if self.zero_curvature:
             return Sym.zero()
         return Sym.symbol(KAPPA)
-
-    def I(self, i, a, b):
-        """Numeric structure constant I^i_{ab} as an exact rational."""
-        return self.spec.J[i][a][b]
 
 
 def identity_relations(symbols):

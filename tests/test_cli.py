@@ -23,7 +23,28 @@ def test_c0_subcommand(capsys):
 
 
 def test_c0_usage_error_on_bad_level():
-    assert main(["c0", "--n", "0"]) == 4  # invariant violation: n must be >= 1
+    with pytest.raises(SystemExit) as exc:
+        main(["c0", "--n", "0"])  # usage error: n must be >= 1
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cn", "--n", "-1"],
+        ["c0", "--n", "1", "--tol", "0"],
+        ["mc", "--n", "1", "--seed", "1", "--t", "0"],
+        ["mc", "--n", "1", "--seed", "1", "--paths", "0"],
+        ["mc", "--n", "1", "--seed", "1", "--steps", "-3"],
+        ["mc", "--n", "1", "--seed", "1", "--rule", "3", "--samples", "0"],
+        ["spectrum", "--n", "0", "--input", "eigs.txt", "--t", "1"],
+        ["c0", "--n", "1", "--format", "json"],  # no such flag
+    ],
+)
+def test_bad_arguments_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_c0_tight_tolerance(capsys):
@@ -158,3 +179,12 @@ def test_spectrum_parse_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["spectrum", "--input", str(inp), "--t", "0.5,1.0"])
     assert code == 2
     assert "line 1" in err
+
+
+def test_spectrum_too_short_exits_2(tmp_path, capsys):
+    inp = tmp_path / "short.txt"
+    inp.write_text("0 1\n1 3\n2 5\n")
+    code, out, err = run_cli(capsys, ["spectrum", "--input", str(inp), "--t", "0.1,0.2,0.3"])
+    assert code == 2
+    assert out == ""
+    assert "too short" in err

@@ -1,5 +1,7 @@
 """Diffusion simulation: moments, determinism, and vanishing-rule machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,36 @@ def test_seeded_determinism():
     assert np.array_equal(s1.x, s2.x) and np.array_equal(s1.z, s2.z)
     s3 = simulate_paths(small_cfg(seed=8, n_paths=500))
     assert not np.array_equal(s1.x, s3.x)
+
+
+def _reference_path(cfg, p):
+    """Terminal (x, z) of path p rebuilt from its own Philox stream by a plain Euler loop."""
+    m = cfg.spec.m
+    J = [[[float(v) for v in row] for row in Ji] for Ji in cfg.spec.J]
+    key = np.array([cfg.seed, p], dtype=np.uint64)
+    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((cfg.n_steps, m))
+    scale = math.sqrt(2.0 * cfg.t / cfg.n_steps)
+    x = [0.0] * m
+    z = [0.0] * 3
+    for k in range(cfg.n_steps):
+        dx = [scale * float(v) for v in xi[k]]
+        for i in range(3):
+            z[i] += 2.0 * sum(x[b] * J[i][b][a] * dx[a] for a in range(m) for b in range(m))
+        x = [x[a] + dx[a] for a in range(m)]
+    return np.array(x), np.array(z)
+
+
+def test_stream_layout_per_path_keys():
+    """Path p draws its (n_steps, m) normals from Philox(key=[seed, p]), nothing else."""
+    cfg = small_cfg(seed=31, n_paths=12, n_steps=40, t=0.7)
+    samples = simulate_paths(cfg)
+    for p in (0, 1, 5, 11):
+        x, z = _reference_path(cfg, p)
+        np.testing.assert_allclose(samples.x[p], x, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(samples.z[p], z, rtol=1e-12, atol=1e-15)
+    # a path's samples do not depend on how many other paths are drawn
+    prefix = simulate_paths(small_cfg(seed=31, n_paths=3, n_steps=40, t=0.7))
+    assert np.array_equal(prefix.x, samples.x[:3]) and np.array_equal(prefix.z, samples.z[:3])
 
 
 def test_first_and_second_moments():

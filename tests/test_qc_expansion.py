@@ -18,7 +18,6 @@ from qcheat.qc_expansion import (
     UnclassifiedMomentError,
     _coordinate_terms,
     _moment_decomposition,
-    build_P1,
     build_P2,
     build_coframe,
     divergence_bracket_route,
@@ -90,7 +89,6 @@ def test_divergence_bracket_cross_check():
 
 
 def test_p1_is_zero_and_p2_structure():
-    assert build_P1(SPEC).is_zero()
     op = build_P2(SPEC, SYM)
     assert op.check_order_zero()
     assert all(not (a[0] == "V" and b[0] == "V") for a, b in op.second)
