@@ -4,9 +4,10 @@ Data goes to stdout (or --out), logs to stderr.  Every output embeds the
 fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
-error (bad arguments such as --n 0, input files that do not parse, a
-spectrum too short for the time grid), 3 numeric failure, 4 invariant
-violation (a failed reduction or route check, a non-antisymmetric frame).
+error (bad arguments such as --n 0 or an out-of-range mc --indices, input
+files that do not parse or lack required keys, a spectrum too short for the
+time grid), 3 numeric failure, 4 invariant violation (a failed reduction or
+route check, a non-antisymmetric frame).
 """
 
 from __future__ import annotations
@@ -150,6 +151,12 @@ def _cmd_popp(args):
     except (OSError, json.JSONDecodeError) as exc:
         raise InputFormatError(str(exc)) from exc
 
+    if not isinstance(doc, dict):
+        raise InputFormatError("frame file must hold a JSON object")
+    missing = [key for key in ("m", "k", "b") if key not in doc]
+    if missing:
+        raise InputFormatError("frame file lacks key(s): %s" % ", ".join(missing))
+
     def lift(rows):
         return tuple(tuple(Fraction(v) if isinstance(v, str) else v for v in row) for row in rows)
 
@@ -172,7 +179,7 @@ def _cmd_popp(args):
 
 def _cmd_mc(args):
     from .group import make_quaternionic_spec
-    from .mc import SimConfig, check_moment_vanishing, moment_report, simulate_paths
+    from .mc import SimConfig, check_moment_vanishing, moment_report, rule_pattern, simulate_paths
 
     spec = make_quaternionic_spec(args.n)
     cfg = SimConfig(spec=spec, t=args.t, n_paths=args.paths, n_steps=args.steps, seed=args.seed)
@@ -184,7 +191,11 @@ def _cmd_mc(args):
         for name, est, se in moment_report(samples):
             buf.write("%s,%.12g,%.4g,%d,%d,%d\n" % (name, est, se, args.paths, args.steps, args.seed))
     else:
-        indices = tuple(int(v) for v in args.indices.split(",")) if args.indices else None
+        try:
+            indices = tuple(int(v) for v in args.indices.split(",")) if args.indices else None
+            rule_pattern(spec, args.rule, indices)
+        except ValueError as exc:
+            raise InputFormatError("--indices: %s" % exc) from exc
         rep = check_moment_vanishing(cfg, args.rule, indices=indices, n_samples=args.samples)
         buf.write(
             "%s,%.12g,%.4g,%d,%d,%d\n"

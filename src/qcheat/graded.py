@@ -8,12 +8,13 @@ along the grading generator P = sum x_a d/dx_a + 2 sum z_i d/dz_i.
 
 Coefficients live in a pluggable commutative ring: exact rationals for
 group-level identities, the free tensor-symbol ring for the curvature layer.
-Equality is syntactic after dropping zero terms, so all identity checks are
-exact.
+A ring element is zero exactly when it is falsy.  Equality is syntactic
+after dropping zero terms, so all identity checks are exact.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,10 +34,6 @@ __all__ = [
 ]
 
 
-def _is_zero(c):
-    return c == 0
-
-
 class Poly:
     """Sparse polynomial: dict of exponent tuples to ring coefficients."""
 
@@ -47,7 +44,7 @@ class Poly:
         t = {}
         if terms:
             for e, c in terms.items():
-                if not _is_zero(c):
+                if c:
                     t[e] = c
         self.terms = t
 
@@ -81,7 +78,7 @@ class Poly:
         for e, c in other.terms.items():
             s = t.get(e)
             s = c if s is None else s + c
-            if _is_zero(s):
+            if not s:
                 t.pop(e, None)
             else:
                 t[e] = s
@@ -103,11 +100,11 @@ class Poly:
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 s = t.get(e)
                 s = c if s is None else s + c
-                if _is_zero(s):
+                if not s:
                     t.pop(e, None)
                 else:
                     t[e] = s
@@ -116,13 +113,13 @@ class Poly:
         return out
 
     def scale(self, c):
-        if _is_zero(c):
+        if not c:
             return Poly(self.nvars)
         out = Poly(self.nvars)
         out.terms = {}
         for e, v in self.terms.items():
             s = v * c
-            if not _is_zero(s):
+            if s:
                 out.terms[e] = s
         return out
 
@@ -393,9 +390,15 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order, one=Fractio
 
         E = sum_g s[g, l] Xtilde_g + sum_j r[j, l] Vtilde_j
 
-    as dicts {(g, l): Poly} / {(j, l): Poly} with l = 0..max_order, following
-    the duality recursion order by order (r first, then s, at each l).
-    Requires the coframe and frame to be dual at lowest order.
+    as dicts {(g, l): Poly} / {(j, l): Poly}, following the duality recursion
+    order by order (r first, then s, at each l).  The truncation is graded
+    by the target's weight: a horizontal target (order -1) runs
+    l = 0..max_order, a vertical target (order -2) stops one order lower, at
+    l = 0..max_order - 1.  Both tables then reach max_order orders above
+    their target, since s[g, l] Xtilde_g has order l - 1 either way.  Order
+    l only reads orders below l (and r at l), so the truncation leaves every
+    computed entry unchanged.  Requires the coframe and frame to be dual at
+    lowest order.
     """
     m, r = len(frame_x), len(frame_v)
     nv = frame_x[0].nvars
@@ -423,6 +426,7 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order, one=Fractio
 
     results = []
     for target in range(m + r):
+        top = max_order if target < m else max_order - 1
         s = {}
         rr = {}
         for g in range(m):
@@ -435,7 +439,7 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order, one=Fractio
                 if (target >= m and j == target - m)
                 else Poly.zero(nv)
             )
-        for l in range(1, max_order + 1):
+        for l in range(1, top + 1):
             for i in range(r):
                 acc = Poly.zero(nv)
                 for mm in range(l):

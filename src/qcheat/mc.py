@@ -163,9 +163,26 @@ def rule_pattern(spec, rule_id, indices=None):
     rule 2: x_a x_b dx_g dx_d   (defaults 1,2,3,4: off-pattern)
     rule 3: dz_i                (default 1)
     rule 4: x_a x_b x_g x_d dz_i dz_j (defaults 1,2,3,4,1,2: off-pattern)
+
+    Raises ValueError for an unknown rule, a wrong number of indices, or an
+    index outside 1..4n (x) or 1..3 (z).
     """
     m = spec.m
     nv = m + 3
+    kinds = {1: "xxz", 2: "xxxx", 3: "z", 4: "xxxxzz"}.get(rule_id)
+    if kinds is None:
+        raise ValueError("rule_id must be in {1,2,3,4}")
+    if indices:
+        if len(indices) != len(kinds):
+            raise ValueError(
+                "rule %d takes %d indices, got %d" % (rule_id, len(kinds), len(indices))
+            )
+        for kind, idx in zip(kinds, indices):
+            top = m if kind == "x" else 3
+            if not 1 <= idx <= top:
+                raise ValueError(
+                    "rule %d: %s index %d is outside 1..%d" % (rule_id, kind, idx, top)
+                )
     mono = [0] * nv
     deriv = [0] * nv
     if rule_id == 1:
@@ -182,14 +199,12 @@ def rule_pattern(spec, rule_id, indices=None):
     elif rule_id == 3:
         (i,) = indices or (1,)
         deriv[m + i - 1] += 1
-    elif rule_id == 4:
+    else:
         a, b, g, d, i, j = indices or (1, 2, 3, 4, 1, 2)
         for idx in (a, b, g, d):
             mono[idx - 1] += 1
         deriv[m + i - 1] += 1
         deriv[m + j - 1] += 1
-    else:
-        raise ValueError("rule_id must be in {1,2,3,4}")
     return tuple(mono), tuple(deriv)
 
 
@@ -275,9 +290,9 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ce
     J = spec.J_float()
     splits = _leibniz_splits(deriv)
 
-    srng = np.random.Generator(
-        np.random.Philox(key=np.array([cfg.seed, _TIME_STREAM], dtype=np.uint64))
-    )
+    # masked like _path_rng, so a negative seed names the same streams as seed mod 2^64
+    time_key = np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, _TIME_STREAM], dtype=np.uint64)
+    srng = np.random.Generator(np.random.Philox(key=time_key))
     svals = srng.uniform(0.0, 1.0, size=n_samples)
     vals = np.empty(n_samples)
     for p in range(n_samples):

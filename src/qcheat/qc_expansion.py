@@ -18,6 +18,7 @@ A surviving non-kappa symbol is a hard failure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -208,7 +209,7 @@ def build_coframe(spec, symbols=None):
             for g in range(m):
                 sym = symbols.T(a, m + i, g)
                 if sym:
-                    acc = acc - eta[i][2].mul_poly(_x_var(nv, g).scale(sym))
+                    acc = acc + eta[i][2].mul_poly(_x_var(nv, g).scale(-sym))
         for i in range(r):
             for b in range(m):
                 sym = symbols.T(a, m + i, b)
@@ -234,7 +235,7 @@ def build_coframe(spec, symbols=None):
             for b in range(m):
                 v = spec.J[i][a][b]
                 if v and 3 in theta[b]:
-                    acc = acc - theta[b][3].mul_poly(_x_var(nv, a).scale(Sym.rational(2 * v)))
+                    acc = acc + theta[b][3].mul_poly(_x_var(nv, a).scale(Sym.rational(-2 * v)))
         acc = acc.scale(quarter)
         if not acc.is_zero():
             eta[i][4] = acc
@@ -264,89 +265,65 @@ class ExpansionCoefficients:
 def _closed_form_coefficients(spec, symbols):
     m, r = spec.m, spec.r
     nv = m + r
+    R, T = symbols.R, symbols.T
+
+    def bump(terms, coords, sym):
+        """terms[x^coords] += sym, for the multiset of coordinates coords."""
+        if sym:
+            e = [0] * nv
+            for c in coords:
+                e[c] += 1
+            e = tuple(e)
+            prev = terms.get(e)
+            terms[e] = sym if prev is None else prev + sym
+
     s_x, r_x, s_v, r_v = {}, {}, {}, {}
     for alpha in range(m):
         for beta in range(m):
             terms = {}
             for g in range(m):
                 for d in range(m):
-                    sym = symbols.R(beta, g, alpha, d) * Fraction(-1, 6)
-                    if sym:
-                        e = [0] * nv
-                        e[g] += 1
-                        e[d] += 1
-                        terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                    bump(terms, (g, d), R(beta, g, alpha, d) * Fraction(-1, 6))
             for i in range(r):
-                sym = symbols.T(beta, m + i, alpha) * Fraction(-1, 3)
-                if sym:
-                    e = [0] * nv
-                    e[m + i] = 1
-                    terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                bump(terms, (m + i,), T(beta, m + i, alpha) * Fraction(-1, 3))
             s_x[(alpha, beta)] = _sym_poly(nv, terms)
     for alpha in range(m):
         for j in range(r):
             terms = {}
             for g in range(m):
                 for i in range(r):
-                    sym = symbols.R(m + j, g, alpha, m + i) * Fraction(-1, 8)
-                    if sym:
-                        e = [0] * nv
-                        e[g] += 1
-                        e[m + i] += 1
-                        terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                    bump(terms, (g, m + i), R(m + j, g, alpha, m + i) * Fraction(-1, 8))
             for gp in range(m):
                 for dp in range(m):
                     v = spec.J[j][gp][dp]
                     if not v:
                         continue
+                    w12, w6 = Fraction(v, 12), Fraction(v, 6)
                     for g in range(m):
                         for d in range(m):
-                            sym = symbols.R(dp, d, alpha, g) * (Fraction(1, 12) * v)
-                            if sym:
-                                e = [0] * nv
-                                e[gp] += 1
-                                e[g] += 1
-                                e[d] += 1
-                                terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                            bump(terms, (gp, g, d), R(dp, d, alpha, g) * w12)
                     for k in range(r):
-                        sym = symbols.T(dp, m + k, alpha) * (Fraction(1, 6) * v)
-                        if sym:
-                            e = [0] * nv
-                            e[gp] += 1
-                            e[m + k] += 1
-                            terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                        bump(terms, (gp, m + k), T(dp, m + k, alpha) * w6)
             r_x[(alpha, j)] = _sym_poly(nv, terms)
     for i in range(r):
         for beta in range(m):
             terms = {}
             for g in range(m):
-                sym = symbols.T(beta, m + i, g) * Fraction(1, 3)
-                if sym:
-                    e = [0] * nv
-                    e[g] = 1
-                    terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                bump(terms, (g,), T(beta, m + i, g) * Fraction(1, 3))
             s_v[(i, beta)] = _sym_poly(nv, terms)
     for i in range(r):
         for j in range(r):
             terms = {}
             for k in range(r):
-                sym = symbols.T(m + j, m + k, m + i) * Fraction(-1, 4)
-                if sym:
-                    e = [0] * nv
-                    e[m + k] = 1
-                    terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                bump(terms, (m + k,), T(m + j, m + k, m + i) * Fraction(-1, 4))
             for g in range(m):
                 for d in range(m):
                     v = spec.J[j][g][d]
                     if not v:
                         continue
+                    w = Fraction(-v, 6)
                     for dp in range(m):
-                        sym = symbols.T(d, m + i, dp) * (Fraction(-1, 6) * v)
-                        if sym:
-                            e = [0] * nv
-                            e[g] += 1
-                            e[dp] += 1
-                            terms[tuple(e)] = terms.get(tuple(e), Sym.zero()) + sym
+                        bump(terms, (g, dp), T(d, m + i, dp) * w)
             r_v[(i, j)] = _sym_poly(nv, terms)
     return ExpansionCoefficients(m=m, s_x=s_x, r_x=r_x, s_v=s_v, r_v=r_v)
 
@@ -595,55 +572,86 @@ def build_P2(spec, symbols=None, coeffs=None, div=None):
     return PerturbationOperator(m=m, r=r, second=second, first=first)
 
 
-def _coordinate_terms(spec, op):
-    """Expand a frame-form operator into coordinate terms.
+def _parity(e):
+    """Bit mask of the coordinates carrying an odd exponent."""
+    mask = 0
+    for c, k in enumerate(e):
+        if k & 1:
+            mask |= 1 << c
+    return mask
 
-    Yields (derivative multi-index tuple, coefficient Poly) pairs, combining
-    duplicates; derivative indices are global coordinates.
+
+def _coordinate_terms(spec, op):
+    """Expand a frame-form operator into parity-surviving coordinate terms.
+
+    Returns ({derivative multi-index tuple: coefficient Poly}, killed), with
+    duplicates combined and derivative indices global coordinates.  A
+    monomial whose per-coordinate parity differs from its derivative's is a
+    moment the flat kernel's invariance kills (the first test of
+    _moment_decomposition), so it is dropped before its coefficient is
+    multiplied out; killed counts the distinct (derivative, monomial)
+    patterns dropped that way.
     """
     m, r = spec.m, spec.r
     nv = m + r
     Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
+    fields = {("X", a): X for a, X in enumerate(Xs)}
+    fields.update({("V", i): V for i, V in enumerate(Vs)})
 
-    def frame(lbl):
-        return Xs[lbl[1]] if lbl[0] == "X" else Vs[lbl[1]]
+    def split(poly):
+        """The terms of poly as (exponents, coefficient, parity mask) triples."""
+        return [(e, c, _parity(e)) for e, c in poly.terms.items()]
 
+    split_comps = {lbl: [split(p) for p in F.comps] for lbl, F in fields.items()}
     acc = {}
+    killed = set()
 
-    def add(deriv, poly):
+    def add(deriv, left, right):
+        """Accumulate left * right (split polys) under deriv, multiplying survivors only."""
+        want = _parity(deriv)
+        terms = {}
+        for e1, c1, p1 in left:
+            for e2, c2, p2 in right:
+                e = tuple(map(operator.add, e1, e2))
+                if p1 ^ p2 != want:
+                    killed.add((deriv, e))
+                    continue
+                c = c1 * c2
+                prev = terms.get(e)
+                terms[e] = c if prev is None else prev + c
+        poly = Poly(nv, terms)
         if poly.is_zero():
             return
         cur = acc.get(deriv)
         acc[deriv] = poly if cur is None else cur + poly
 
+    def unit(*coords):
+        deriv = [0] * nv
+        for a in coords:
+            deriv[a] += 1
+        return tuple(deriv)
+
     for (la, lb), coeff in op.second.items():
-        A, B = frame(la), frame(lb)
+        A, B = fields[la], fields[lb]
         for a in range(nv):
             if A.comps[a].is_zero():
                 continue
-            for b in range(nv):
-                if B.comps[b].is_zero():
-                    continue
-                deriv = [0] * nv
-                deriv[a] += 1
-                deriv[b] += 1
-                add(tuple(deriv), coeff * A.comps[a] * B.comps[b])
-            # A acting on B's coefficients: first-order remainder
+            coeff_a = split(coeff * A.comps[a])
+            for b, right in enumerate(split_comps[lb]):
+                if right:
+                    add(unit(a, b), coeff_a, right)
+        # A acting on B's coefficients: first-order remainder
+        left = split(coeff)
         for b in range(nv):
             inner = A.apply(B.comps[b])
             if not inner.is_zero():
-                deriv = [0] * nv
-                deriv[b] = 1
-                add(tuple(deriv), coeff * inner)
+                add(unit(b), left, split(inner))
     for lbl, coeff in op.first.items():
-        A = frame(lbl)
-        for a in range(nv):
-            if A.comps[a].is_zero():
-                continue
-            deriv = [0] * nv
-            deriv[a] = 1
-            add(tuple(deriv), coeff * A.comps[a])
-    return {k: v for k, v in acc.items() if not v.is_zero()}
+        left = split(coeff)
+        for a, right in enumerate(split_comps[lbl]):
+            if right:
+                add(unit(a), left, right)
+    return {k: v for k, v in acc.items() if not v.is_zero()}, len(killed)
 
 
 def _moment_decomposition(mono, deriv, m):
@@ -739,12 +747,11 @@ def reduce_c1(spec, symbols=None, check_routes=True):
     coeffs = expansion_coefficients(spec, symbols, check_routes=check_routes)
     div = divergence_coefficient(spec, symbols, coeffs)
     op = build_P2(spec, symbols, coeffs, div)
-    coord = _coordinate_terms(spec, op)
+    coord, killed = _coordinate_terms(spec, op)
 
     log = []
     acc = Sym.zero()
     classified = 0
-    killed = 0
     per_class_counts = {}
     for deriv, poly in sorted(coord.items()):
         for mono in sorted(poly.terms):

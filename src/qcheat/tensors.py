@@ -17,6 +17,7 @@ exercise explicitly.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -37,13 +38,47 @@ def _atom_key(atom):
     return (_KIND_RANK[atom[0]], atom)
 
 
-class Sym:
-    """Polynomial in free tensor symbols with Fraction coefficients."""
+def _sym(nums, den):
+    """Sym with nonzero integer numerators over den > 0, put in lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {mono: n // g for mono, n in nums.items()}
+            den //= g
+    out = object.__new__(Sym)
+    out._nums = nums
+    out._den = den
+    return out
 
-    __slots__ = ("terms",)
+
+def _ratio(q):
+    """(numerator, denominator) of a rational number."""
+    if isinstance(q, int):
+        return q, 1
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.numerator, q.denominator
+
+
+class Sym:
+    """Polynomial in free tensor symbols with exact rational coefficients.
+
+    The coefficients are held as integer numerators over one positive common
+    denominator, in lowest terms, so each value has a single representation
+    and the ring arithmetic is integer work.  `terms` gives them as
+    Fractions.
+    """
+
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, terms=None):
-        self.terms = terms or {}
+        """From a dict {monomial: rational}; zero coefficients are dropped."""
+        self._nums, self._den = {}, 1
+        if terms:
+            ratios = {mono: _ratio(q) for mono, q in terms.items() if q}
+            den = math.lcm(1, *(d for _, d in ratios.values()))
+            self._nums = {mono: p * (den // d) for mono, (p, d) in ratios.items()}
+            self._den = den
 
     @classmethod
     def zero(cls):
@@ -51,80 +86,100 @@ class Sym:
 
     @classmethod
     def rational(cls, q):
-        q = Fraction(q)
-        return cls({(): q}) if q else cls()
+        p, d = _ratio(q)
+        return _sym({(): p} if p else {}, d)
 
     @classmethod
-    def symbol(cls, atom, coeff=Fraction(1)):
-        coeff = Fraction(coeff)
-        return cls({(atom,): coeff}) if coeff else cls()
+    def symbol(cls, atom, coeff=1):
+        p, d = _ratio(coeff)
+        return _sym({(atom,): p} if p else {}, d)
+
+    @property
+    def terms(self):
+        """The coefficients as a dict {monomial: Fraction}."""
+        return {mono: Fraction(n, self._den) for mono, n in self._nums.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self._nums
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     def __eq__(self, other):
-        if isinstance(other, Sym):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == Sym.rational(other).terms
-        return NotImplemented
+        if not isinstance(other, Sym):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Sym.rational(other)
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._nums.items()), self._den))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Sym):
             other = Sym.rational(other)
-        t = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = t.get(mono)
-            s = c if s is None else s + c
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        t = {mono: n * f1 for mono, n in self._nums.items()} if f1 != 1 else dict(self._nums)
+        for mono, n in other._nums.items():
+            s = t.get(mono, 0) + n * f2
             if s:
                 t[mono] = s
             else:
                 t.pop(mono, None)
-        return Sym(t)
+        return _sym(t, d1 * f1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Sym({m: -c for m, c in self.terms.items()})
+        return _sym({mono: -n for mono, n in self._nums.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Sym):
             other = Sym.rational(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scaled(self, p, d):
+        """self * p / d for a nonzero integer p and d > 0."""
+        if p == 1 and d == 1:
+            return self
+        return _sym({mono: n * p for mono, n in self._nums.items()}, self._den * d)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return Sym()
-            return Sym({m: c * q for m, c in self.terms.items()})
+        if not isinstance(other, Sym):
+            p, d = _ratio(other)
+            return self._scaled(p, d) if p else Sym()
+        if not (self._nums and other._nums):
+            return Sym()
+        # a pure rational factor {(): q} only scales the other one
+        if len(other._nums) == 1 and () in other._nums:
+            return self._scaled(other._nums[()], other._den)
+        if len(self._nums) == 1 and () in self._nums:
+            return other._scaled(self._nums[()], self._den)
         t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2, key=_atom_key))
-                c = c1 * c2
-                s = t.get(mono)
-                s = c if s is None else s + c
+        for m1, c1 in self._nums.items():
+            for m2, c2 in other._nums.items():
+                mono = tuple(sorted(m1 + m2, key=_atom_key)) if m1 and m2 else m1 + m2
+                s = t.get(mono, 0) + c1 * c2
                 if s:
                     t[mono] = s
                 else:
                     t.pop(mono, None)
-        return Sym(t)
+        return _sym(t, self._den * other._den)
 
     __rmul__ = __mul__
 
     def atoms(self):
         out = set()
-        for mono in self.terms:
+        for mono in self._nums:
             out.update(mono)
         return out
 
@@ -135,21 +190,21 @@ class Sym:
         () collects the part free of them.
         """
         out = {}
-        for mono, c in self.terms.items():
+        for mono, n in self._nums.items():
             hits = tuple(a for a in mono if a[0] == kind)
             if len(hits) > 1:
                 raise ValueError("monomial is nonlinear in kind %r" % kind)
             rest = tuple(a for a in mono if a[0] != kind)
-            bucket = out.setdefault(hits, Sym())
-            out[hits] = bucket + Sym({rest: c})
-        return {k: v for k, v in out.items() if not v.is_zero()}
+            out.setdefault(hits, {})[rest] = n  # mono <-> (hits, rest) is one to one
+        return {hits: _sym(nums, self._den) for hits, nums in out.items()}
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
+        terms = self.terms
         parts = []
-        for mono in sorted(self.terms, key=lambda m: tuple(_atom_key(a) for a in m)):
-            c = self.terms[mono]
+        for mono in sorted(terms, key=lambda m: tuple(_atom_key(a) for a in m)):
+            c = terms[mono]
             if mono:
                 parts.append("(%s)*%s" % (c, "*".join(atom_str(a) for a in mono)))
             else:
@@ -187,7 +242,7 @@ class TensorSymbols:
         if a == b:
             return Sym.zero()
         if a > b:
-            return Sym.symbol(("T", c, b, a), Fraction(-1))
+            return Sym.symbol(("T", c, b, a), -1)
         return Sym.symbol(("T", c, a, b))
 
     def R(self, d, a, b, c):
@@ -197,7 +252,7 @@ class TensorSymbols:
         if a == b:
             return Sym.zero()
         if a > b:
-            return Sym.symbol(("R", d, b, a, c), Fraction(-1))
+            return Sym.symbol(("R", d, b, a, c), -1)
         return Sym.symbol(("R", d, a, b, c))
 
     def kappa(self):

@@ -120,6 +120,31 @@ def test_popp_invariant_violation(tmp_path, capsys):
     assert "antisymmetric" in err
 
 
+def test_popp_missing_keys_exit_2(tmp_path, capsys):
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps({"m": 2}))
+    code, out, err = run_cli(capsys, ["popp", "--input", str(inp)])
+    assert code == 2
+    assert out == ""
+    assert "k, b" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("indices", ["9,9,9", "1,2", "1,x,1"])
+def test_mc_bad_indices_exit_2(capsys, indices):
+    argv = ["mc", "--n", "1", "--seed", "1", "--rule", "1", "--indices", indices]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: --indices")
+
+
+def test_mc_rule_negative_seed(capsys):
+    argv = ["mc", "--n", "1", "--paths", "20", "--steps", "20", "--rule", "3", "--samples", "8"]
+    code, out, _ = run_cli(capsys, argv + ["--seed", "-1"])
+    assert code == 0
+    assert "vanishing_expected=True" in out
+
+
 def test_mc_moments_csv(capsys):
     code, out, _ = run_cli(
         capsys, ["mc", "--n", "1", "--seed", "3", "--paths", "500", "--steps", "50"]

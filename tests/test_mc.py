@@ -121,6 +121,31 @@ def test_rule_patterns_and_expected_vanishing():
         rule_pattern(SPEC, 5)
 
 
+@pytest.mark.parametrize(
+    "rule_id, indices",
+    [
+        (1, (9, 9, 9)),  # x index past 4n = 4
+        (1, (1, 2, 4)),  # z index past 3
+        (2, (0, 1, 2, 3)),  # indices are 1-based
+        (3, (1, 1)),  # too many
+        (1, (1, 2)),  # too few
+        (4, (1, 1, 2, 2, 1)),
+    ],
+)
+def test_rule_pattern_rejects_bad_indices(rule_id, indices):
+    with pytest.raises(ValueError):
+        rule_pattern(SPEC, rule_id, indices)
+
+
+def test_negative_seed_time_stream_wraps_mod_2_64():
+    # the s-draws are keyed like the paths: seed -1 is seed 2^64 - 1
+    neg = check_moment_vanishing(small_cfg(seed=-1, n_paths=50, n_steps=40), 3, n_samples=12)
+    wrapped = check_moment_vanishing(
+        small_cfg(seed=2**64 - 1, n_paths=50, n_steps=40), 3, n_samples=12
+    )
+    assert neg.estimate == wrapped.estimate and neg.stderr == wrapped.stderr
+
+
 def test_vanishing_rule_small_run():
     cfg = small_cfg(seed=42, n_paths=1000, n_steps=200)
     rep = check_moment_vanishing(cfg, 3, n_samples=300)

@@ -1,9 +1,10 @@
-"""Property tests: the group law on exact points and the kernel's inversion symmetries."""
+"""Property tests: exact group law, the kernel's inversion symmetries, spectrum file round trip."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcheat.group import GroupPoint, group_inverse, group_mul, identity_point, make_quaternionic_spec
+from qcheat.invariants import SpectrumFile
 from qcheat.kernel import KernelQuery, heat_kernel, heat_kernel_point
 
 SPECS = {n: make_quaternionic_spec(n) for n in (1, 2)}
@@ -75,3 +76,26 @@ def test_kernel_swap_symmetry(t, h, hp):
     forward = heat_kernel(spec, KernelQuery(t=t, base=h, target=hp))
     backward = heat_kernel(spec, KernelQuery(t=t, base=hp, target=h))
     assert _agree(forward, backward)
+
+
+@st.composite
+def spectra(draw):
+    eigenvalues = draw(
+        st.lists(st.floats(min_value=0.0, max_value=1e12, allow_nan=False), min_size=1, max_size=30)
+    )
+    multiplicities = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=10**6),
+            min_size=len(eigenvalues),
+            max_size=len(eigenvalues),
+        )
+    )
+    label = draw(st.sampled_from(["", "fixture"]))
+    return SpectrumFile(tuple(sorted(eigenvalues)), tuple(multiplicities), label=label)
+
+
+@FAST
+@given(spectra())
+def test_spectrum_file_round_trip(sp):
+    """SpectrumFile.parse(f.dump()) reproduces f: every float and count survives the text form."""
+    assert SpectrumFile.parse(sp.dump(), label=sp.label) == sp

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qcheat.graded import homogeneous_orders, poly_part
+from qcheat import qc_expansion
+from qcheat.graded import Poly, frame_inversion, homogeneous_orders, left_invariant_frame, poly_part
 from qcheat.group import make_quaternionic_spec
 from qcheat.qc_expansion import (
     M_X4DZDZ,
@@ -15,6 +16,7 @@ from qcheat.qc_expansion import (
     M_XZDXDZ,
     M_ZDZ,
     MOMENT_LABELS,
+    RouteMismatchError,
     UnclassifiedMomentError,
     _coordinate_terms,
     _moment_decomposition,
@@ -26,7 +28,7 @@ from qcheat.qc_expansion import (
     moment_exemplar,
     reduce_c1,
 )
-from qcheat.tensors import LinearReducer, TensorSymbols, identity_relations
+from qcheat.tensors import LinearReducer, Sym, TensorSymbols, identity_relations
 
 SPEC = make_quaternionic_spec(1)
 SYM = TensorSymbols(SPEC)
@@ -63,6 +65,43 @@ def test_expansion_routes_agree_n1():
     for poly in coeffs.r_v.values():
         for c in poly.terms.values():
             assert all(atom[0] != "R" for atom in c.atoms())
+
+
+def test_frame_inversion_graded_truncation():
+    # vertical targets stop one order below horizontal ones, and truncating
+    # changes no entry: every table is a prefix of the deeper run's
+    cof = build_coframe(SPEC, SYM)
+    Xs, Vs = left_invariant_frame(SPEC, scalar=Sym.rational)
+    args = (list(cof.theta), list(cof.eta), Xs, Vs)
+    out3 = frame_inversion(*args, max_order=3, one=Sym.rational(1))
+    out4 = frame_inversion(*args, max_order=4, one=Sym.rational(1))
+    r = SPEC.r
+    for target, (tab3, tab4) in enumerate(zip(out3, out4)):
+        top = 3 if target < M else 2
+        assert set(tab3["s"]) == {(g, l) for g in range(M) for l in range(top + 1)}
+        assert set(tab3["r"]) == {(j, l) for j in range(r) for l in range(top + 1)}
+        assert max(l for _, l in tab4["s"]) == top + 1
+        for part in ("s", "r"):
+            assert all(tab4[part][key] == poly for key, poly in tab3[part].items())
+    # the orders the closed-form cross-check reads are nonzero in the curved case
+    assert any(not out3[M]["s"][(b, 1)].is_zero() for b in range(M))
+    assert any(not out3[0]["r"][(j, 3)].is_zero() for j in range(r))
+
+
+@pytest.mark.parametrize("table", ["s_x", "r_x", "s_v", "r_v"])
+def test_route_check_catches_planted_mismatch(monkeypatch, table):
+    # every table the recursion yields, vertical targets included, is compared
+    real = qc_expansion._closed_form_coefficients
+
+    def planted(spec, symbols):
+        coeffs = real(spec, symbols)
+        tab = getattr(coeffs, table)
+        tab[(0, 0)] = tab[(0, 0)] + Poly.variable(spec.m + spec.r, 0, Sym.rational(1))
+        return coeffs
+
+    monkeypatch.setattr(qc_expansion, "_closed_form_coefficients", planted)
+    with pytest.raises(RouteMismatchError, match=table):
+        expansion_coefficients(SPEC, SYM, check_routes=True)
 
 
 def test_expansion_zero_symbols():
@@ -155,9 +194,24 @@ def test_reduce_c1_n1_golden():
         M_X4DZDZ: Fraction(4),
     }
     assert set(red.kappa_coefficients) <= set(MOMENT_LABELS)
-    assert red.classified_terms > 0 and red.parity_killed_terms > 0
+    # parity is applied before the coefficients are multiplied out; the
+    # counts stay those of the full expansion
+    assert (red.classified_terms, red.parity_killed_terms) == (67, 888)
     assert any("[rewrite" in line for line in red.log)
     assert red.final_line().endswith("* kappa")
+
+
+def test_reduce_c1_n2_golden_with_route_check():
+    red = reduce_c1(make_quaternionic_spec(2), check_routes=True)
+    assert red.final_line() == (
+        "c1 = ((-2/3)*M[x.dx] + (1/3)*M[xx.dxdx;pp] + (-1/3)*M[xx.dxdx;cross]"
+        " + (5)*M[xxxx.dzdz]) * kappa"
+    )
+    assert (red.classified_terms, red.parity_killed_terms) == (227, 7434)
+    assert red.log[0] == (
+        "[moments] 227 terms survive parity, 7434 killed; classes: M[x.dx] x8, "
+        "M[xx.dxdx;cross] x28, M[xx.dxdx;pp] x56, M[xxxx.dzdz] x108, M[xz.dx.dz] x24, M[z.dz] x3"
+    )
 
 
 def test_reduce_c1_torsion_only_is_zero():
@@ -167,14 +221,52 @@ def test_reduce_c1_torsion_only_is_zero():
     assert red.final_line() == "c1 = 0"
 
 
+def test_coordinate_terms_match_unpruned_expansion():
+    # reference: multiply every coordinate term out, then classify; parity-first
+    # expansion must keep exactly the survivors and count exactly the killed
+    op = build_P2(SPEC, SYM)
+    Xs, Vs = left_invariant_frame(SPEC, scalar=Sym.rational)
+    fields = {("X", a): X for a, X in enumerate(Xs)}
+    fields.update({("V", i): V for i, V in enumerate(Vs)})
+    nv = SPEC.m + SPEC.r
+    full = {}
+
+    def add(coords, poly):
+        deriv = [0] * nv
+        for a in coords:
+            deriv[a] += 1
+        deriv = tuple(deriv)
+        full[deriv] = full.get(deriv, Poly.zero(nv)) + poly
+
+    for (la, lb), coeff in op.second.items():
+        A, B = fields[la], fields[lb]
+        for a in range(nv):
+            for b in range(nv):
+                add((a, b), coeff * A.comps[a] * B.comps[b])
+        for b in range(nv):
+            add((b,), coeff * A.apply(B.comps[b]))
+    for lbl, coeff in op.first.items():
+        for a in range(nv):
+            add((a,), coeff * fields[lbl].comps[a])
+    survivors, killed = {}, 0
+    for deriv, poly in full.items():
+        for mono, c in poly.terms.items():
+            if _moment_decomposition(mono, deriv, M):
+                survivors.setdefault(deriv, {})[mono] = c
+            else:
+                killed += 1
+    coord, pruned = _coordinate_terms(SPEC, op)
+    assert {d: p.terms for d, p in coord.items()} == survivors
+    assert pruned == killed == 888
+
+
 def test_reduce_c1_rewrite_order_independent():
     # the per-moment tensor coefficients reduce to the same normal form under
     # random relation orderings
     coeffs = expansion_coefficients(SPEC, SYM, check_routes=False)
     div = divergence_coefficient(SPEC, SYM, coeffs)
     op = build_P2(SPEC, SYM, coeffs, div)
-    coord = _coordinate_terms(SPEC, op)
-    from qcheat.tensors import Sym
+    coord, _ = _coordinate_terms(SPEC, op)
 
     acc = Sym.zero()
     for deriv, poly in coord.items():

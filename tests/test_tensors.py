@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcheat.group import make_quaternionic_spec
 from qcheat.tensors import LinearReducer, Sym, TensorSymbols, identity_relations
@@ -128,3 +130,61 @@ def test_derivation_log_mentions_rules():
     log = []
     red.reduce(iir_sum(SYM, 0, "abg"), log=log)
     assert log and any("curvature-trace" in line for line in log)
+
+
+# Reference ring: the same polynomials as plain {monomial: Fraction} dicts.
+ATOMS = [
+    ("R", 0, 0, 1, 2),
+    ("R", 1, 0, 2, 3),
+    ("T", 4, 0, 1),
+    ("T", 0, 4, 1),
+    ("kap",),
+    ("M", "M[x.dx]"),
+]
+
+
+def _ref_monomial(atoms):
+    """Atoms in the documented order: curvature, torsion, kappa, moments."""
+    return tuple(sorted(atoms, key=lambda atom: (["R", "T", "kap", "M"].index(atom[0]), atom)))
+
+
+def _ref_clean(t):
+    return {mono: c for mono, c in t.items() if c}
+
+
+def _ref_add(a, b):
+    out = dict(a)
+    for mono, c in b.items():
+        out[mono] = out.get(mono, 0) + c
+    return _ref_clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = _ref_monomial(m1 + m2)
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return _ref_clean(out)
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+monomials = st.lists(st.sampled_from(ATOMS), max_size=2).map(_ref_monomial)
+ref_polys = st.dictionaries(monomials, rationals, max_size=5).map(_ref_clean)
+SYM_PROPS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+@SYM_PROPS
+@given(ref_polys, ref_polys, rationals)
+def test_sym_arithmetic_matches_fraction_reference(a, b, q):
+    sa, sb = Sym(a), Sym(b)
+    assert sa.terms == a
+    assert (sa + sb).terms == _ref_add(a, b)
+    assert (sa - sb).terms == _ref_add(a, {mono: -c for mono, c in b.items()})
+    assert (sa * sb).terms == _ref_mul(a, b)
+    assert (sa * q).terms == (q * sa).terms == _ref_clean({mono: c * q for mono, c in a.items()})
+    assert (sa * Sym.rational(q)).terms == (sa * q).terms
+    # one representation per value: equality and hashing follow the value
+    assert (sa + sb == Sym(_ref_add(a, b))) and hash(sa + sb) == hash(Sym(_ref_add(a, b)))
+    assert (sa == sb) == (a == b)
+    assert bool(sa) == bool(a)
