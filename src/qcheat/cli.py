@@ -5,9 +5,10 @@ fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
 error (bad arguments such as --n 0 or an out-of-range mc --indices, input
-files that do not parse or lack required keys, a spectrum too short for the
-time grid), 3 numeric failure, 4 invariant violation (a failed reduction or
-route check, a non-antisymmetric frame).
+files that do not parse or lack required keys, a frame file whose b has the
+wrong count or shape or a non-numeric entry, a non-finite eigenvalue, a
+spectrum too short for the time grid), 3 numeric failure, 4 invariant
+violation (a failed reduction or route check, a non-antisymmetric frame).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import io
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .quadrature import ToleranceError
@@ -140,9 +142,23 @@ def _cmd_reduce_c1(args):
     return EXIT_OK
 
 
-def _cmd_popp(args):
-    from fractions import Fraction
+def _frame_b(doc):
+    """The frame file's b as k matrices of m x m numbers; strings such as "1/2" are exact."""
+    import numpy as np
 
+    m, k, b = doc["m"], doc["k"], doc["b"]
+    try:
+        if type(m) is int and type(k) is int and np.shape(b) == (k, m, m):
+            lift = lambda v: Fraction(v) if isinstance(v, str) else v
+            b = tuple(tuple(tuple(lift(v) for v in row) for row in bi) for bi in b)
+            if all(type(v) in (int, float, Fraction) for bi in b for row in bi for v in row):
+                return b
+    except (ValueError, ZeroDivisionError):  # ragged nesting, or a string that is no number
+        pass
+    raise InputFormatError("b must hold k = %s matrices of m x m numbers, m = %s" % (k, m))
+
+
+def _cmd_popp(args):
     from .popp import AdaptedFrameData, divergence_terms, popp_B_matrix, popp_density
 
     try:
@@ -157,13 +173,10 @@ def _cmd_popp(args):
     if missing:
         raise InputFormatError("frame file lacks key(s): %s" % ", ".join(missing))
 
-    def lift(rows):
-        return tuple(tuple(Fraction(v) if isinstance(v, str) else v for v in row) for row in rows)
-
     data = AdaptedFrameData(
         m=doc["m"],
         k=doc["k"],
-        b=tuple(lift(bi) for bi in doc["b"]),
+        b=_frame_b(doc),
         c=tuple(tuple(tuple(row) for row in ca) for ca in doc["c"]) if "c" in doc else None,
     )
     payload = {

@@ -32,8 +32,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy.optimize import minimize_scalar
-from scipy.special import gammaincc, gammaln
 
+from .kernel import _exp_tail, _rho_over_sinh_pow, _truncation_radius
 from .quadrature import adaptive_gk
 
 __all__ = [
@@ -49,6 +49,11 @@ __all__ = [
     "spectral_extract",
     "fit_heat_trace",
 ]
+
+_MAX_EVALS = 200_000  # evaluation cap of the c0 and sphere-integral quadratures
+_ZETA_DPS = 50  # mpmath working precision of the zeta-series oracles
+_Q_MIN, _Q_MAX = 0.2, 60.0  # search range of the heat-trace exponent Q
+_TAIL_CEILING = 1e-6  # largest tail fraction spectral_extract accepts
 
 
 def _poly_mul(p, q):
@@ -67,17 +72,19 @@ def _poly_from_linear_factors(shifts, denom):
     return [c / denom for c in p]
 
 
-def _zeta_sum(coeffs_by_power, n, dps=50):
-    """sum over u >= n of sum_j c_j u^{-j} via Hurwitz zeta, exact coefficients."""
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        for j, c in sorted(coeffs_by_power.items()):
-            if c == 0:
-                continue
-            if j < 2:
-                raise ArithmeticError("divergent zeta power %d; cancellation failed" % j)
-            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(j, n)
-        return total
+def _zeta_sum(coeffs_by_power, n):
+    """sum over u >= n of sum_j c_j u^{-j} via Hurwitz zeta, exact coefficients.
+
+    Runs at the caller's working precision (the oracles set _ZETA_DPS).
+    """
+    total = mpmath.mpf(0)
+    for j, c in sorted(coeffs_by_power.items()):
+        if c == 0:
+            continue
+        if j < 2:
+            raise ArithmeticError("divergent zeta power %d; cancellation failed" % j)
+        total += mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(j, n)
+    return total
 
 
 def _series_powers(poly_u, mpow, scale):
@@ -90,7 +97,7 @@ def _series_powers(poly_u, mpow, scale):
     return out
 
 
-def c0_zeta_series(n, dps=50):
+def c0_zeta_series(n):
     """Exact series evaluation of c0(n); for n=1 this is the zeta(4) value."""
     # integral_0^inf rho^{2n+2} / sinh^{2n} rho = 2^{2n} (2n+2)! sum_k C(2n-1+k,k) (2(n+k))^{-(2n+3)}
     fact = Fraction(math.factorial(2 * n + 2))
@@ -99,41 +106,28 @@ def c0_zeta_series(n, dps=50):
     )
     scale = Fraction(2) ** (2 * n) * fact / Fraction(2) ** (2 * n + 3)
     powers = _series_powers(a_poly, 2 * n + 3, scale)
-    with mpmath.workdps(dps):
-        integral = _zeta_sum(powers, n, dps)
+    with mpmath.workdps(_ZETA_DPS):
+        integral = _zeta_sum(powers, n)
         pref = (16 * n) ** mpmath.mpf("1.5") * 4 * mpmath.pi / (4 * mpmath.pi) ** (2 * n + 3)
         return float(pref * integral)
 
 
-def _c0_integrand(n):
-    def f(rho):
-        rho = np.asarray(rho, dtype=float)
-        safe = np.where(rho < 1e-8, 1.0, rho)
-        ratio = np.where(rho < 1e-8, 1.0, safe / np.sinh(safe))
-        return rho * rho * ratio ** (2 * n)
-
-    return f
+def _radial_integral(f, tail_const, n, rel_tol, abs_tol):
+    """(Integral_0^inf f, error) for |f| <= tail_const rho^{2n+2} e^{-2n rho} far out."""
+    bound = lambda R: _exp_tail(tail_const, 2 * n + 2, 2.0 * n, R)
+    R, tail = _truncation_radius(bound, 8.0, abs_tol / 10.0, 300.0)
+    val, err, _ = adaptive_gk(f, 0.0, R, rel_tol=rel_tol, abs_tol=abs_tol, max_evals=_MAX_EVALS)
+    return val, err + tail
 
 
-def _exp_tail(const, mpow, rate, R):
-    """const * integral_R^inf rho^mpow exp(-rate rho) drho."""
-    logtail = gammaln(mpow + 1) - (mpow + 1) * math.log(rate)
-    return const * gammaincc(mpow + 1, rate * R) * math.exp(logtail)
-
-
-def compute_c0(n, rel_tol=1e-11, abs_tol=1e-14, max_evals=200_000):
+def compute_c0(n, rel_tol=1e-11, abs_tol=1e-14):
     """First heat invariant c0(n) by radial quadrature; returns (value, error)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    R = 8.0
-    bound = lambda RR: _exp_tail(2.02 ** (2 * n), 2 * n + 2, 2.0 * n, RR)
-    while bound(R) > abs_tol / 10.0 and R < 300.0:
-        R += 4.0
-    val, err, _ = adaptive_gk(
-        _c0_integrand(n), 0.0, R, rel_tol=rel_tol, abs_tol=abs_tol, max_evals=max_evals
-    )
+    integrand = lambda rho: rho * rho * _rho_over_sinh_pow(rho, 2 * n)
+    val, err = _radial_integral(integrand, 2.02 ** (2 * n), n, rel_tol, abs_tol)
     pref = (16.0 * n) ** 1.5 * 4.0 * math.pi / (4.0 * math.pi) ** (2 * n + 3)
-    return pref * val, pref * (err + bound(R))
+    return pref * val, pref * err
 
 
 def _cn_bracket(y, n):
@@ -156,35 +150,20 @@ def _cn_bracket(y, n):
     return (2 * n + 1) ** 2 - 2 * n * (2 * n + 1) * ratio
 
 
-def _cn_integrand(n):
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        safe = np.where(y < 1e-8, 1.0, y)
-        ratio = np.where(y < 1e-8, 1.0, safe / np.sinh(safe))
-        return y * y * ratio ** (2 * n) * _cn_bracket(y, n)
-
-    return f
-
-
-def bw_sphere_c1_integral(n, rel_tol=1e-11, abs_tol=1e-14, max_evals=200_000):
+def bw_sphere_c1_integral(n, rel_tol=1e-11, abs_tol=1e-14):
     """The sphere's c1: integral/(4 pi)^{2n+2}; returns (value, error)."""
-    R = 8.0
     const = 2.02 ** (2 * n) * ((2 * n + 1) ** 2 + 2 * n * (2 * n + 1) * 1.1)
-    bound = lambda RR: _exp_tail(const, 2 * n + 2, 2.0 * n, RR)
-    while bound(R) > abs_tol / 10.0 and R < 300.0:
-        R += 4.0
-    val, err, _ = adaptive_gk(
-        _cn_integrand(n), 0.0, R, rel_tol=rel_tol, abs_tol=abs_tol, max_evals=max_evals
-    )
+    integrand = lambda y: y * y * _rho_over_sinh_pow(y, 2 * n) * _cn_bracket(y, n)
+    val, err = _radial_integral(integrand, const, n, rel_tol, abs_tol)
     pref = 1.0 / (4.0 * math.pi) ** (2 * n + 2)
-    return pref * val, pref * (err + bound(R))
+    return pref * val, pref * err
 
 
-def compute_Cn(n, rel_tol=1e-11, abs_tol=1e-14, max_evals=200_000):
+def compute_Cn(n, rel_tol=1e-11, abs_tol=1e-14):
     """Universal second-invariant constant Cn; returns (value, error)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c1, err = bw_sphere_c1_integral(n, rel_tol, abs_tol, max_evals)
+    c1, err = bw_sphere_c1_integral(n, rel_tol, abs_tol)
     denom = 16.0 * (n * n + 2.0 * n)
     return c1 / denom, err / denom
 
@@ -194,7 +173,7 @@ def sphere_kappa(n):
     return 16.0 * n * (n + 2.0)
 
 
-def Cn_zeta_series(n, dps=50):
+def Cn_zeta_series(n):
     """Exact zeta-series evaluation of Cn (independent of the quadrature path).
 
     Expanding sinh^{-p} into exponentials makes every term a Gamma integral;
@@ -215,29 +194,18 @@ def Cn_zeta_series(n, dps=50):
     )
     b_sum = [x + y for x, y in zip(b_poly, b_prev)]
     powers = {}
-    for d, c in _series_powers(
-        a_poly,
-        two_n + 3,
-        Fraction((two_n + 1) ** 2) * Fraction(2) ** two_n * fac(two_n + 2) / Fraction(2) ** (two_n + 3),
-    ).items():
-        powers[d] = powers.get(d, Fraction(0)) + c
-    for d, c in _series_powers(
-        a_poly,
-        two_n + 1,
-        -Fraction(2 * n * (two_n + 1)) * Fraction(2) ** two_n * fac(two_n) / Fraction(2) ** (two_n + 1),
-    ).items():
-        powers[d] = powers.get(d, Fraction(0)) + c
-    for d, c in _series_powers(
-        b_sum,
-        two_n + 2,
-        Fraction(2 * n * (two_n + 1)) * Fraction(2) ** two_n * fac(two_n + 1) / Fraction(2) ** (two_n + 2),
-    ).items():
-        powers[d] = powers.get(d, Fraction(0)) + c
+    for poly, mpow, coeff in (
+        (a_poly, two_n + 3, (two_n + 1) ** 2 * fac(two_n + 2)),
+        (a_poly, two_n + 1, -2 * n * (two_n + 1) * fac(two_n)),
+        (b_sum, two_n + 2, 2 * n * (two_n + 1) * fac(two_n + 1)),
+    ):
+        for d, c in _series_powers(poly, mpow, Fraction(coeff * 2**two_n, 2**mpow)).items():
+            powers[d] = powers.get(d, Fraction(0)) + c
     for j in list(powers):
         if j < 2 and powers[j] != 0:
             raise ArithmeticError("zeta power %d survived; series derivation broken" % j)
-    with mpmath.workdps(dps):
-        integral = _zeta_sum({j: c for j, c in powers.items() if j >= 2}, n, dps)
+    with mpmath.workdps(_ZETA_DPS):
+        integral = _zeta_sum({j: c for j, c in powers.items() if j >= 2}, n)
         denom = 16 * (n * n + 2 * n) * (4 * mpmath.pi) ** (two_n + 2)
         return float(integral / denom)
 
@@ -323,6 +291,8 @@ class SpectrumFile:
         if len(self.eigenvalues) == 0:
             raise ValueError("empty spectrum")
         ev = self.eigenvalues
+        if not all(math.isfinite(l) for l in ev):
+            raise ValueError("non-finite eigenvalue")
         if any(l < 0 for l in ev):
             raise ValueError("negative eigenvalue")
         if any(a > b for a, b in zip(ev, ev[1:])):
@@ -364,7 +334,7 @@ class SpectrumFile:
         return float(np.max(last / tr))
 
 
-def fit_heat_trace(t_grid, trace_values, q_bounds=(0.2, 60.0)):
+def fit_heat_trace(t_grid, trace_values):
     """Fit trace ~ t^{-Q/2} (A + B t) in log space with weights 1/t.
 
     For fixed Q the amplitudes (A, B) solve a weighted linear least-squares
@@ -402,10 +372,10 @@ def fit_heat_trace(t_grid, trace_values, q_bounds=(0.2, 60.0)):
         return float(np.sum(w * resid * resid))
 
     # coarse scan first: the log objective can have flat infeasible plateaus
-    qs = np.arange(q_bounds[0], q_bounds[1] + 0.25, 0.25)
+    qs = np.arange(_Q_MIN, _Q_MAX + 0.25, 0.25)
     best = min(qs, key=objective)
-    lo = max(q_bounds[0], best - 0.5)
-    hi = min(q_bounds[1], best + 0.5)
+    lo = max(_Q_MIN, best - 0.5)
+    hi = min(_Q_MAX, best + 0.5)
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     Q = float(res.x)
     A, B, cond = amplitudes(Q)
@@ -415,7 +385,7 @@ def fit_heat_trace(t_grid, trace_values, q_bounds=(0.2, 60.0)):
     return Q, float(A), float(B), diagnostics
 
 
-def spectral_extract(spectrum, t_grid, n=None, tail_ceiling=1e-6):
+def spectral_extract(spectrum, t_grid, n=None):
     """Extract (Q, A, B) from a truncated spectrum on a time grid.
 
     A ~ c0 * Vol and B ~ Cn * kappa * Vol for a qc-Einstein manifold; with n
@@ -426,9 +396,9 @@ def spectral_extract(spectrum, t_grid, n=None, tail_ceiling=1e-6):
     if np.any(t <= 0):
         raise ValueError("time grid must be positive")
     tail = spectrum.tail_fraction(t)
-    if tail > tail_ceiling:
+    if tail > _TAIL_CEILING:
         raise ValueError(
-            "spectrum too short for this grid: tail fraction %.3e > %.3e" % (tail, tail_ceiling)
+            "spectrum too short for this grid: tail fraction %.3e > %.3e" % (tail, _TAIL_CEILING)
         )
     tr = spectrum.trace(t)
     Q, A, B, diag = fit_heat_trace(t, tr)

@@ -37,23 +37,24 @@ __all__ = [
     "MomentCheckReport",
     "simulate_paths",
     "moment_report",
-    "expectation_of",
     "semigroup_convolution_check",
     "check_moment_vanishing",
     "rule_pattern",
 ]
 
-_TIME_STREAM = 0x5EED_71AE_0000_0000  # reserved key offset for s-draws
+_TIME_STREAM = 0x5EED_71AE_0000_0000  # reserved path index of the s-draw stream
+_PATH_STEP_BUDGET = 200_000_000  # ceiling on n_paths * n_steps
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One seeded simulation; n_paths * n_steps is capped at 2e8 path-steps."""
+
     spec: object
     t: float
     n_paths: int
     n_steps: int
     seed: int
-    budget: int = 200_000_000  # n_paths * n_steps ceiling
 
     def __post_init__(self):
         if self.t <= 0:
@@ -62,10 +63,10 @@ class SimConfig:
             raise ValueError("need positive path/step counts")
         if self.seed is None:
             raise ValueError("seed is mandatory for reproducibility")
-        if self.n_paths * self.n_steps > self.budget:
+        if self.n_paths * self.n_steps > _PATH_STEP_BUDGET:
             raise ValueError(
                 "simulation budget exceeded: %d * %d > %d"
-                % (self.n_paths, self.n_steps, self.budget)
+                % (self.n_paths, self.n_steps, _PATH_STEP_BUDGET)
             )
 
 
@@ -132,12 +133,6 @@ def moment_report(samples):
         est, se = _mean_stderr(samples.z[:, i] ** 2)
         rows.append(("E[z_%d^2]" % (i + 1), est, se))
     return rows
-
-
-def expectation_of(samples, fn):
-    """Monte Carlo expectation of fn(x, z) over the terminal samples."""
-    vals = np.array([fn(samples.x[p], samples.z[p]) for p in range(len(samples.x))])
-    return _mean_stderr(vals)
 
 
 def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=20240801):
@@ -257,6 +252,15 @@ def _monomial_derivative(mono, d):
     return coeff, tuple(rest)
 
 
+def _monomial_value(exps, x, z):
+    """x^exps[:m] * z^exps[m:] at one point, m = len(x)."""
+    value = 1.0
+    for coord, e in zip(np.concatenate([x, z]), exps):
+        if e:
+            value *= coord**e
+    return value
+
+
 def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ceiling=None):
     """Estimate a convolution moment of the second-invariant integral.
 
@@ -290,9 +294,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ce
     J = spec.J_float()
     splits = _leibniz_splits(deriv)
 
-    # masked like _path_rng, so a negative seed names the same streams as seed mod 2^64
-    time_key = np.array([cfg.seed & 0xFFFFFFFFFFFFFFFF, _TIME_STREAM], dtype=np.uint64)
-    srng = np.random.Generator(np.random.Philox(key=time_key))
+    srng = _path_rng(cfg.seed, _TIME_STREAM)
     svals = srng.uniform(0.0, 1.0, size=n_samples)
     vals = np.empty(n_samples)
     for p in range(n_samples):
@@ -302,13 +304,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ce
             t_sim = 1.0 - s
             steps = max(8, int(math.ceil(cfg.n_steps * t_sim)))
             x, z = _simulate_one(spec, J, t_sim, steps, cfg.seed, p)
-            phi = 1.0
-            for a in range(m):
-                if mono[a]:
-                    phi *= x[a] ** mono[a]
-            for i in range(3):
-                if mono[m + i]:
-                    phi *= z[i] ** mono[m + i]
+            phi = _monomial_value(mono, x, z)
             dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, cfg=qcfg).value
             vals[p] = inv_haar * phi * sign * dp
         else:
@@ -323,13 +319,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ce
                 if md is None:
                     continue
                 coeff, rest = md
-                phi = 1.0
-                for a in range(m):
-                    if rest[a]:
-                        phi *= xi_x[a] ** rest[a]
-                for i in range(3):
-                    if rest[m + i]:
-                        phi *= xi_z[i] ** rest[m + i]
+                phi = _monomial_value(rest, xi_x, xi_z)
                 gk = heat_kernel_point(
                     spec, 1.0 - s, xi_x, xi_z, derivative=tuple(onto_kernel), cfg=qcfg
                 ).value

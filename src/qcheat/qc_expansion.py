@@ -328,9 +328,8 @@ def _closed_form_coefficients(spec, symbols):
     return ExpansionCoefficients(m=m, s_x=s_x, r_x=r_x, s_v=s_v, r_v=r_v)
 
 
-def _recursion_coefficients(spec, symbols, coframe=None):
-    if coframe is None:
-        coframe = build_coframe(spec, symbols)
+def _recursion_coefficients(spec, symbols):
+    coframe = build_coframe(spec, symbols)
     Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
     out = frame_inversion(
         list(coframe.theta), list(coframe.eta), Xs, Vs, max_order=3, one=Sym.rational(1)

@@ -129,6 +129,26 @@ def test_popp_missing_keys_exit_2(tmp_path, capsys):
     assert "k, b" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": 2, "k": 1, "b": []},  # no matrix for k = 1
+        {"m": 2, "k": 1, "b": [[[0, 1]]]},  # 1 x 2, not 2 x 2
+        {"m": 2, "k": 1, "b": [[0, 1]]},  # rows are not lists
+        {"m": 2, "k": 1, "b": [[["0", "abc"], ["-1", "0"]]]},
+        {"m": 2, "k": 1, "b": [[[0, None], [-1, 0]]]},
+        {"m": "2", "k": 1, "b": [[[0, 1], [-1, 0]]]},
+    ],
+)
+def test_popp_malformed_frame_exits_2(tmp_path, capsys, doc):
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["popp", "--input", str(inp)])
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("indices", ["9,9,9", "1,2", "1,x,1"])
 def test_mc_bad_indices_exit_2(capsys, indices):
     argv = ["mc", "--n", "1", "--seed", "1", "--rule", "1", "--indices", indices]
@@ -204,6 +224,15 @@ def test_spectrum_parse_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["spectrum", "--input", str(inp), "--t", "0.5,1.0"])
     assert code == 2
     assert "line 1" in err
+
+
+def test_spectrum_nan_eigenvalue_exits_2(tmp_path, capsys):
+    inp = tmp_path / "nan.txt"
+    inp.write_text("0 1\nnan 1\n")
+    code, out, err = run_cli(capsys, ["spectrum", "--input", str(inp), "--t", "0.1,0.2,0.3"])
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
 
 
 def test_spectrum_too_short_exits_2(tmp_path, capsys):

@@ -140,6 +140,9 @@ def test_spectrum_errors():
         SpectrumFile(eigenvalues=(1.0, 0.5), multiplicities=(1, 1))
     with pytest.raises(ValueError):
         SpectrumFile(eigenvalues=(-1.0,), multiplicities=(1,))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectrumFile(eigenvalues=(0.0, bad), multiplicities=(1, 1))
     sp = SpectrumFile(eigenvalues=(0.0, 1.0), multiplicities=(1, 2))
     with pytest.raises(ValueError):
         spectral_extract(sp, [0.1, 0.2, 0.4])  # truncated tail far too large

@@ -16,7 +16,10 @@ from qcheat.kernel import (
     heat_kernel,
     heat_kernel_point,
     kernel_marginal_moments,
+    _exp_tail,
+    _truncation_radius,
     normalization_integral,
+    radial_expectation,
     volume_element,
     volume_element_matrix,
 )
@@ -152,6 +155,45 @@ def test_marginal_moments_against_closed_forms():
         assert ex2 == pytest.approx(2.0 * t, rel=1e-6)
         # vertical variance of the horizontal diffusion: 32 n t^2
         assert ez2 == pytest.approx(32.0 * spec.n * t * t, rel=1e-5)
+
+
+def test_moment_grids_built_once(monkeypatch):
+    """One fine and one coarse kernel table serve all three moment weights,
+    and sharing them changes no bit of any weight's result."""
+    import qcheat.kernel as kernel_mod
+
+    calls = []
+    real_grid = kernel_mod._kernel_grid
+
+    def counting_grid(*args):
+        calls.append(args)
+        return real_grid(*args)
+
+    monkeypatch.setattr(kernel_mod, "_kernel_grid", counting_grid)
+    mom = kernel_marginal_moments(SPEC1, 1.0)
+    assert len(calls) == 2
+    weights = [
+        lambda rx, rz: np.ones_like(rx * rz),
+        lambda rx, rz: rx * rx / SPEC1.m,
+        lambda rx, rz: rz * rz / 3.0,
+    ]
+    together = radial_expectation(SPEC1, 1.0, weights)
+    alone = [radial_expectation(SPEC1, 1.0, [w])[0] for w in weights]
+    assert together == alone
+    assert [mom["mass"], mom["Exx_diag"], mom["Ezz_diag"]] == together
+    assert normalization_integral(SPEC1, 1.0) == together[0]
+
+
+def test_exp_tail_and_truncation_radius():
+    for const, mpow, rate, R in ((1.0, 4, 2.0, 8.0), (3.5, 6, 1.3, 20.0)):
+        ref, _ = quad(lambda r: r**mpow * math.exp(-rate * r), R, math.inf)
+        assert _exp_tail(const, mpow, rate, R) == pytest.approx(const * ref, rel=1e-10)
+    bound = lambda R: _exp_tail(1.0, 4, 2.0, R)
+    R, tail = _truncation_radius(bound, 8.0, 1e-12, 300.0)
+    assert tail == bound(R) <= 1e-12 < bound(R - 4.0)
+    assert (R - 8.0) % 4.0 == 0.0
+    # the cap stops the walk even when the tolerance is out of reach
+    assert _truncation_radius(bound, 8.0, 0.0, 20.0) == (20.0, bound(20.0))
 
 
 def test_derivatives_match_finite_differences():
