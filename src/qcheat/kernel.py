@@ -20,6 +20,13 @@ Angular integration is analytic (spherical Bessel factors up to order two,
 covering derivative queries of weighted order <= 4); the remaining radial
 integral has an exponentially decaying integrand and is handled by adaptive
 Gauss-Kronrod panels with an explicit incomplete-gamma tail bound.
+
+Every pointwise query goes through one row-batched path, _kernel_rows: a row
+is (t, x, z) plus its coefficients on a shared list of integrand terms, and
+all rows are refined together by quadrature.gk_rows.  batch_evaluate (CLI
+`kernel`) sends its plain rows through in blocks of _ROW_BLOCK rows;
+heat_kernel (derivatives, off-identity bases) is a one-row call.  A row's
+value and error are the same bits whichever rows share its block.
 """
 
 from __future__ import annotations
@@ -28,10 +35,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .group import GroupPoint, group_inverse, group_mul, identity_point
-from .quadrature import ToleranceError, adaptive_gk, composite_gk_nodes
+from .quadrature import ToleranceError, composite_gk_nodes, gk_rows
 
 __all__ = [
     "KernelQuery",
@@ -52,6 +58,12 @@ __all__ = [
 # e^{-t Delta_sub} with Delta_sub = -sum X^2 drives Brownian motion of
 # variance 2t per horizontal coordinate; shared with the simulation layer.
 BROWNIAN_VARIANCE_FACTOR = 2.0
+
+# rows per quadrature batch in batch_evaluate; bounds the node arrays
+_ROW_BLOCK = 64
+
+# the plain kernel's integrand terms: a(rho)^0 times the tau-monomial 1
+_PLAIN = [(0, (0, 0, 0))]
 
 
 @dataclass(frozen=True)
@@ -75,8 +87,16 @@ class KernelQuery:
     derivative: tuple = ()
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("time must be positive")
+        base = self.base.x + self.base.z if self.base is not None else ()
+        _check_point(self.t, self.target.x + self.target.z + base)
+
+
+def _check_point(t, coords):
+    """ValueError unless t > 0 and t and every coordinate are finite."""
+    if not t > 0:
+        raise ValueError("time must be positive")
+    if not all(map(math.isfinite, (t, *coords))):
+        raise ValueError("time and coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -104,19 +124,43 @@ def _rho_over_sinh_pow(rho, two_n):
 
 
 def _exp_tail(const, mpow, rate, R):
-    """const * integral_R^inf rho^mpow exp(-rate rho) drho (incomplete gamma)."""
-    logtail = gammaln(mpow + 1) - (mpow + 1) * math.log(rate)
-    return const * gammaincc(mpow + 1, rate * R) * math.exp(logtail)
+    """const * integral_R^inf rho^mpow exp(-rate rho) drho, elementwise; mpow an integer >= 0.
+
+    At integer order the upper incomplete gamma function is a finite sum:
+    the integral is sum_k mpow!/k! R^k rate^(k - mpow - 1) e^(-rate R).  The
+    terms are summed from their logarithms, so no power overflows.
+    """
+    k = np.arange(mpow + 1)
+    log_fact = np.cumsum(np.log(np.maximum(k, 1)))  # log k!
+    rate = np.asarray(rate, dtype=float)[..., None]
+    x = rate * np.asarray(R, dtype=float)[..., None]
+    log_terms = log_fact[-1] - log_fact + k * np.log(x) - x - (mpow + 1) * np.log(rate)
+    return const * np.exp(log_terms).sum(axis=-1)
 
 
 def _truncation_radius(bound, R0, tol, R_max):
-    """First R = R0, R0 + 4, ... with tail bound(R) <= tol or R >= R_max: (R, bound(R))."""
-    R = R0
-    tail = bound(R)
-    while tail > tol and R < R_max:
-        R += 4.0
-        tail = bound(R)
-    return R, tail
+    """First R of R0, R0 + 4, ... with bound(R) <= tol, else the first R >= R_max: (R, bound(R)).
+
+    bound maps radii of shape (K, 1) to tails of shape (K, N), one column per
+    row (N = 1 for a scalar bound); R and the tail come back with shape (N,).
+    The radii are tried eight at a time, so a typical row costs one call.
+    """
+    # R0 + 4 + 4 + ..., summed step by step, up to the first radius >= R_max
+    steps = np.full(max(0, int((R_max - R0) // 4.0)) + 3, 4.0)
+    steps[0] = R0
+    radii = np.cumsum(steps)
+    radii = radii[: int(np.argmax(radii >= R_max)) + 1]
+    tails, open_rows = [], True
+    for c in range(0, len(radii), 8):
+        tails.append(np.asarray(bound(radii[c : c + 8, None]), dtype=float))
+        open_rows = open_rows & (tails[-1] > tol).all(axis=0)
+        if not np.any(open_rows):
+            break
+    tails = np.concatenate(tails)
+    stop = ~(tails > tol)
+    stop[-1] = True  # the first radius >= R_max ends the walk; rows that stopped earlier keep that
+    first = stop.argmax(axis=0)
+    return radii[first], tails[first, np.arange(tails.shape[1])]
 
 
 def _j0(k):
@@ -250,24 +294,26 @@ def _derivative_terms(spec, deriv, t):
 
 
 def _angular(lam, k, uvec, cache):
-    """Integral of omega^lam exp(-i k <omega, u>) over the unit sphere."""
-    key = lam
-    if key in cache:
-        return cache[key]
+    """Real factor A of the integral of omega^lam exp(-i k <omega, u>) over the unit sphere.
+
+    The integral is A for even |lam| and -i A for odd |lam|.  uvec holds one
+    unit vector u per row of k.
+    """
+    if lam in cache:
+        return cache[lam]
     total = sum(lam)
     if total == 0:
-        out = 4.0 * math.pi * _j0(k) + 0.0j
+        out = 4.0 * math.pi * _j0(k)
     elif total == 1:
-        i = lam.index(1)
-        out = -4.0j * math.pi * _j1(k) * uvec[i]
+        out = 4.0 * math.pi * _j1(k) * uvec[:, lam.index(1), None]
     else:
-        idx = [i for i in range(3) for _ in range(lam[i])]
-        i, j = idx
+        i, j = [i for i in range(3) for _ in range(lam[i])]
+        ui, uj = uvec[:, i, None], uvec[:, j, None]
         if i == j:
-            out = 4.0 * math.pi * (_j1_over_k(k) - _j2(k) * uvec[i] * uvec[i]) + 0.0j
+            out = 4.0 * math.pi * (_j1_over_k(k) - _j2(k) * ui * ui)
         else:
-            out = -4.0 * math.pi * _j2(k) * uvec[i] * uvec[j] + 0.0j
-    cache[key] = out
+            out = -4.0 * math.pi * _j2(k) * ui * uj
+    cache[lam] = out
     return out
 
 
@@ -286,59 +332,87 @@ def _collapse_terms(terms, x):
     return out
 
 
-def _tail_bound(spec, t, u, folded, R):
-    """Incomplete-gamma bound on the dropped radial tail [R, inf)."""
+def _tail_bound(spec, u, keys, coeffs):
+    """R -> incomplete-gamma bound on the dropped radial tail [R, inf), per row."""
     n = spec.n
-    c = 2 * n + u
-    total = 0.0
-    for (na, lam), coeff in folded.items():
-        slam = sum(lam)
-        mpow = 2 + 2 * n + na + slam
-        const = (
-            abs(coeff)
-            * 0.5**slam
-            * 1.02**na
-            * 8.0
-            * math.pi
-            * (2.02**(2 * n))
-            / 8.0
-        )
-        total += _exp_tail(const, mpow, c, R)
-    return total
+    rate = 2 * n + u
+    # for rho >= 3: rho/sinh rho <= 2.02 rho e^-rho, a(rho) <= 1.02 rho and
+    # |angular| <= 4 pi, so with the rho^2/8 factor a term is at most
+    # |coeff| (pi/2) 2^-|lam| 1.02^na 2.02^2n rho^mpow e^{-rate rho}; pi keeps a factor 2 spare
+    consts = [
+        (np.abs(coeffs[:, j]) * (math.pi * 0.5 ** sum(lam) * 1.02**na * 2.02 ** (2 * n)), 2 + 2 * n + na + sum(lam))
+        for j, (na, lam) in enumerate(keys)
+    ]
+    return lambda R: sum(_exp_tail(const, mpow, rate, R) for const, mpow in consts)
 
 
-def _make_integrand(spec, t, x, z, folded):
-    n = spec.n
-    u = float(np.dot(x, x)) / (4.0 * t)
-    znorm = float(np.linalg.norm(z))
-    zc = znorm / (4.0 * t)
-    uvec = z / znorm if znorm > 0 else np.zeros(3)
+def _make_integrand(spec, u, zc, uvec, keys, coeffs):
+    """Radial integrand f(rows, rho) of the kernel rows, rho of shape (P, 15).
 
-    def f(rho):
-        rho = np.asarray(rho, dtype=float)
-        q = _rho_over_sinh_pow(rho, 2 * n)
+    Row r has u_r = |x|^2 / 4t, zc_r = |z| / 4t, the unit vector uvec_r of z,
+    and the complex coefficient coeffs[r, j] of each shared term
+    keys[j] = (power of a(rho), tau-monomial exponents).
+    """
+    two_n = 2 * spec.n
+    # the real part of coeff * angular integral: Re coeff * A for even
+    # tau-monomials, Im coeff * A for odd ones (see _angular)
+    odd = np.array([sum(lam) % 2 == 1 for _, lam in keys])
+    wts = np.where(odd, coeffs.imag, coeffs.real)
+
+    def f(rows, rho):
+        q = _rho_over_sinh_pow(rho, two_n)
         a = _rho_coth(rho)
-        base = (rho * rho / 8.0) * q * np.exp(-a * u)
-        k = zc * rho
+        base = (rho * rho / 8.0) * q * np.exp(-a * u[rows, None])
+        k = zc[rows, None] * rho
+        uv, w = uvec[rows], wts[rows]
         cache = {}
-        acc = np.zeros(rho.shape, dtype=complex)
-        for (na, lam), coeff in folded.items():
-            term = coeff * _angular(lam, k, uvec, cache)
+        acc = 0.0
+        for j, (na, lam) in enumerate(keys):
+            term = w[:, j, None] * _angular(lam, k, uv, cache)
             if na:
                 term = term * a**na
             slam = sum(lam)
             if slam:
                 term = term * (0.5 * rho) ** slam
             acc = acc + term
-        return base * np.real(acc)
+        return base * acc
 
-    return f, u
+    return f
 
 
-def _auto_truncation(spec, t, u, folded, tol):
-    """(R, tail bound at R) for the kernel's radial integral."""
-    bound = lambda R: _tail_bound(spec, t, u, folded, R)
-    return _truncation_radius(bound, 6.0 + 2.0 / max(spec.n, 1), tol, 400.0)
+def _auto_truncation(spec, u, keys, coeffs, tol):
+    """(R, tail bound at R) per row for the kernel's radial integral."""
+    return _truncation_radius(_tail_bound(spec, u, keys, coeffs), 6.0 + 2.0 / max(spec.n, 1), tol, 400.0)
+
+
+def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
+    """KernelValue, or ToleranceError, of p(t_r, 0, (x_r, z_r)) for each row r.
+
+    t (N,), x (N, m) and z (N, 3) are float arrays; coeffs[r, j] is row r's
+    coefficient of the shared term keys[j] (see _make_integrand).
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    z = np.ascontiguousarray(z, dtype=float)
+    u = np.einsum("ij,ij->i", x, x) / (4.0 * t)
+    znorm = np.sqrt(np.einsum("ij,ij->i", z, z))
+    zc = znorm / (4.0 * t)
+    uvec = z / np.where(znorm > 0.0, znorm, 1.0)[:, None]
+    R, tail = _auto_truncation(spec, u, keys, coeffs, cfg.abs_tol / 10.0)
+    n_osc = R * zc / (2.0 * math.pi)
+    min_panels = np.maximum(4, np.maximum(np.ceil(R / 5.0), np.ceil(1.5 * n_osc))).astype(int)
+    pre = _prefactor(spec, t)
+    f = _make_integrand(spec, u, zc, uvec, keys, coeffs)
+    results = gk_rows(
+        f, np.zeros_like(R), R, cfg.rel_tol, cfg.abs_tol / np.maximum(pre, 1.0), cfg.max_evals, min_panels
+    )
+    out = []
+    for res, p, tl in zip(results, pre.tolist(), tail.tolist()):
+        if isinstance(res, ToleranceError):
+            out.append(ToleranceError(str(res), value=p * res.value, err=p * res.err + p * tl))
+        else:
+            val, err, n_evals = res
+            out.append(KernelValue(p * val, p * (err + tl), n_evals))
+    return out
 
 
 def heat_kernel(spec, query, cfg=None):
@@ -361,31 +435,15 @@ def heat_kernel(spec, query, cfg=None):
     h = query.target if base_is_identity else group_mul(spec, group_inverse(base), query.target)
     x, z = h.as_floats()
 
-    terms = _derivative_terms(spec, query.derivative, t)
-    folded = _collapse_terms(terms, x)
+    folded = _collapse_terms(_derivative_terms(spec, query.derivative, t), x)
     if not folded:
         return KernelValue(0.0, 0.0, 0)
-    f, u = _make_integrand(spec, t, x, z, folded)
-    R, tail = _auto_truncation(spec, t, u, folded, cfg.abs_tol / 10.0)
-
-    zc = float(np.linalg.norm(z)) / (4.0 * t)
-    n_osc = R * zc / (2.0 * math.pi)
-    min_panels = max(4, int(math.ceil(R / 5.0)), int(math.ceil(1.5 * n_osc)))
-    pre = _prefactor(spec, t)
-    try:
-        val, err, n_evals = adaptive_gk(
-            f,
-            0.0,
-            R,
-            rel_tol=cfg.rel_tol,
-            abs_tol=cfg.abs_tol / max(pre, 1.0),
-            max_evals=cfg.max_evals,
-            min_panels=min_panels,
-        )
-    except ToleranceError as exc:
-        best = pre * exc.value if exc.value is not None else None
-        raise ToleranceError(str(exc), value=best, err=pre * exc.err + pre * tail) from exc
-    return KernelValue(pre * val, pre * (err + tail), n_evals)
+    keys = list(folded)
+    coeffs = np.array([[folded[key] for key in keys]])
+    (res,) = _kernel_rows(spec, np.array([float(t)]), x[None], z[None], keys, coeffs, cfg)
+    if isinstance(res, ToleranceError):
+        raise res
+    return res
 
 
 def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
@@ -406,8 +464,8 @@ def _kernel_grid(spec, t, rx, rz):
     rz = np.asarray(rz, dtype=float)
     u = rx * rx / (4.0 * t)
     zc = rz / (4.0 * t)
-    folded = {(0, (0, 0, 0)): 1.0 + 0.0j}
-    R, _ = _auto_truncation(spec, t, 0.0, folded, 1e-14)
+    ones = np.ones((len(u), 1))
+    R = float(_auto_truncation(spec, np.zeros(1), _PLAIN, ones[:1], 1e-14)[0][0])
     kmax = R * float(zc.max(initial=0.0))
     n_rho_panels = max(16, int(math.ceil(kmax / (2.0 * math.pi) / 2.0)))
     rho, wk, wg = composite_gk_nodes(0.0, R, n_rho_panels)
@@ -419,7 +477,7 @@ def _kernel_grid(spec, t, rx, rz):
     pre = _prefactor(spec, t)
     vals_k = pre * (E * (base * wk)) @ J.T
     vals_g = pre * (E * (base * wg)) @ J.T
-    tails = np.array([pre * _tail_bound(spec, t, float(ui), folded, R) for ui in u])
+    tails = pre * _tail_bound(spec, u, _PLAIN, ones)(R)
     errs = np.abs(vals_k - vals_g) + tails[:, None]
     return vals_k, errs
 
@@ -503,20 +561,37 @@ def kernel_marginal_moments(spec, t):
 
 
 def batch_evaluate(spec, rows, cfg=None):
-    """Evaluate kernel queries (t, x..., z...) per row; never raises per row.
+    """Evaluate plain kernel rows (t, x_1..x_m, z_1..z_3); never raises per row.
 
-    Returns a list of dicts with value/err or an error message per row.
+    Each row is checked on its own; the valid rows go through the row-batched
+    quadrature _ROW_BLOCK rows at a time, and each gets the same bits as
+    heat_kernel_point on it.  Returns one dict per row with value/err or an
+    error message.
     """
-    out = []
-    for row in rows:
+    if cfg is None:
+        cfg = QuadratureConfig()
+    m = spec.m
+    out = [None] * len(rows)
+    valid, points = [], []
+    for i, row in enumerate(rows):
         try:
-            t = float(row[0])
-            x = [float(v) for v in row[1 : 1 + spec.m]]
-            z = [float(v) for v in row[1 + spec.m : 1 + spec.m + 3]]
-            if len(x) != spec.m or len(z) != 3:
-                raise ValueError("expected %d coordinates" % (spec.m + 3))
-            kv = heat_kernel_point(spec, t, x, z, cfg=cfg)
-            out.append({"ok": True, "value": kv.value, "err": kv.err_estimate})
-        except (ValueError, ToleranceError) as exc:
-            out.append({"ok": False, "error": str(exc)})
+            vals = [float(v) for v in row[: m + 4]]
+            if len(vals) != m + 4:
+                raise ValueError("expected %d coordinates" % (m + 3))
+            _check_point(vals[0], vals[1:])
+        except ValueError as exc:
+            out[i] = {"ok": False, "error": str(exc)}
+            continue
+        valid.append(i)
+        points.append(vals)
+    pts = np.array(points).reshape(-1, m + 4)
+    for s in range(0, len(valid), _ROW_BLOCK):
+        blk = pts[s : s + _ROW_BLOCK]
+        coeffs = np.ones((len(blk), 1), dtype=complex)
+        results = _kernel_rows(spec, blk[:, 0], blk[:, 1 : m + 1], blk[:, m + 1 :], _PLAIN, coeffs, cfg)
+        for i, res in zip(valid[s : s + _ROW_BLOCK], results):
+            if isinstance(res, ToleranceError):
+                out[i] = {"ok": False, "error": str(res)}
+            else:
+                out[i] = {"ok": True, "value": res.value, "err": res.err_estimate}
     return out

@@ -212,7 +212,6 @@ class MomentCheckReport:
     n_samples: int
     vanishing_expected: bool
     passed: bool
-    inconclusive: bool
     label: str
 
 
@@ -261,7 +260,7 @@ def _monomial_value(exps, x, z):
     return value
 
 
-def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ceiling=None):
+def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     """Estimate a convolution moment of the second-invariant integral.
 
     The target is
@@ -326,9 +325,6 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ce
                 total += w * coeff * phi * gk
             vals[p] = inv_haar * sign * total
     est, se = _mean_stderr(vals)
-    if stderr_ceiling is None:
-        stderr_ceiling = float("inf")
-    inconclusive = se > stderr_ceiling
     if vanishing:
         passed = abs(est) < 3.0 * se
     else:
@@ -342,6 +338,5 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000, stderr_ce
         n_samples=n_samples,
         vanishing_expected=vanishing,
         passed=passed,
-        inconclusive=inconclusive,
         label=label,
     )

@@ -435,7 +435,7 @@ def _frame_field(spec, coeffs_x, coeffs_v):
     return total
 
 
-def divergence_bracket_route(spec, symbols=None, coeffs=None, coframe=None):
+def divergence_bracket_route(spec, symbols=None, coeffs=None):
     """The same divergence coefficients from the structure-function brackets.
 
     Recomputes the order-two part of sum_a theta_a^eps([X_a^eps, X_alpha^eps])
@@ -446,8 +446,7 @@ def divergence_bracket_route(spec, symbols=None, coeffs=None, coframe=None):
         symbols = TensorSymbols(spec)
     if coeffs is None:
         coeffs = expansion_coefficients(spec, symbols, check_routes=False)
-    if coframe is None:
-        coframe = build_coframe(spec, symbols)
+    coframe = build_coframe(spec, symbols)
     m, r = spec.m, spec.r
     nv = m + r
     Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)

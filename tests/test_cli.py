@@ -138,6 +138,8 @@ def test_popp_missing_keys_exit_2(tmp_path, capsys):
         {"m": 2, "k": 1, "b": [[["0", "abc"], ["-1", "0"]]]},
         {"m": 2, "k": 1, "b": [[[0, None], [-1, 0]]]},
         {"m": "2", "k": 1, "b": [[[0, 1], [-1, 0]]]},
+        {"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [1]},  # c not nested
+        {"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [[[1]]]},  # c not 3 x 3 x 2
     ],
 )
 def test_popp_malformed_frame_exits_2(tmp_path, capsys, doc):
@@ -242,3 +244,14 @@ def test_spectrum_too_short_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "too short" in err
+
+
+def test_popp_accepts_exact_c(tmp_path, capsys):
+    c = [[[0, 0] for _ in range(3)] for _ in range(3)]
+    c[0][0] = ["1/2", 0]
+    c[1][1] = [0.25, 1]
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps({"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": c}))
+    code, out, _ = run_cli(capsys, ["popp", "--input", str(inp)])
+    assert code == 0
+    assert json.loads(out)["divergence"] == [0.75, 1.0]

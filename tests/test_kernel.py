@@ -196,6 +196,20 @@ def test_exp_tail_and_truncation_radius():
     assert _truncation_radius(bound, 8.0, 0.0, 20.0) == (20.0, bound(20.0))
 
 
+def test_truncation_radius_per_row_matches_the_walk():
+    # small rates need radii past the first eight candidates; 0.05 hits the cap
+    rates = np.array([0.05, 0.3, 2.0, 9.0])
+    R, tail = _truncation_radius(lambda R: _exp_tail(1.0, 4, rates, R), 8.0, 1e-12, 300.0)
+    for i, rate in enumerate(rates):
+        bound = lambda R: _exp_tail(1.0, 4, rate, R)
+        walk = 8.0
+        while bound(walk) > 1e-12 and walk < 300.0:
+            walk += 4.0
+        assert R[i] == walk
+        assert (R[i], tail[i]) == tuple(v[0] for v in _truncation_radius(bound, 8.0, 1e-12, 300.0))
+    assert R[0] == 300.0 and R[1] > 8.0 + 7 * 4.0
+
+
 def test_derivatives_match_finite_differences():
     x0 = np.array([0.3, -0.2, 0.1, 0.4])
     z0 = np.array([0.5, -0.3, 0.2])
@@ -343,3 +357,89 @@ def test_batch_evaluate_row_errors():
     assert out[0]["ok"] and out[0]["value"] == pytest.approx(1 / 120, abs=1e-10)
     assert not out[1]["ok"]
     assert not out[2]["ok"]
+
+
+# (spec, t, x, z, derivative) -> n_evals of the adaptive policy; these counts
+# predate the row-batched engine, which must refine every row the same way
+POLICY_CASES = [
+    (SPEC1, 1.0, [0.0] * 4, [0.0] * 3, (), 135),  # diagonal, n = 1
+    (SPEC2, 0.5, [0.0] * 8, [0.0] * 3, (), 120),  # diagonal, n = 2
+    (SPEC1, 0.7, [0.4, -1.1, 0.3, 0.8], [0.9, -2.0, 1.4], (), 150),  # bulk
+    (SPEC1, 0.1, [0.0] * 4, [0.0, 0.0, 30.0], (), 7050),  # far: |z| / t = 300
+    (SPEC2, 1.0, [6.0] + [0.0] * 7, [0.5, 0.0, -0.5], (), 90),  # |x| = 6
+    (SPEC1, 1.0, [0.3, -0.2, 0.5, 0.1], [0.4, 0.2, -0.3], (1, 0, 1, 0, 0, 0, 1), 105),
+]
+
+
+@pytest.mark.parametrize("spec, t, x, z, deriv, n_evals", POLICY_CASES)
+def test_adaptive_policy_eval_counts_pinned(spec, t, x, z, deriv, n_evals):
+    assert heat_kernel_point(spec, t, x, z, derivative=deriv).n_evals == n_evals
+
+
+def _mixed_rows(spec):
+    """Diagonal, bulk, far (t = 0.1, |z| = 30) and |x| = 6 rows, plus two bad rows."""
+    m = spec.m
+    rng = np.random.default_rng(11)
+    rows = [[t] + [0.0] * (m + 3) for t in (0.3, 1.0, 2.5)]
+    for t in (0.4, 0.9, 1.7):
+        rows.append([t, *rng.normal(0.0, math.sqrt(2 * t), m), *rng.normal(0.0, 2 * t, 3)])
+    rows.append([0.1] + [0.0] * m + [0.0, 30.0, 0.0])
+    rows.append([0.1, *rng.normal(0.0, 0.3, m), 18.0, -24.0, 0.0])
+    rows.append([1.0, 6.0] + [0.0] * (m - 1) + [0.5, 0.0, -0.5])
+    rows.append([0.8] + [0.0] * (m - 1) + [-6.0, 0.0, 1.0, 2.0])
+    rows.append([0.0] + [0.1] * (m + 3))  # t <= 0
+    rows.append([1.0, 0.1])  # too short
+    return rows
+
+
+def _single(spec, row, cfg=None):
+    m = spec.m
+    kv = heat_kernel_point(spec, row[0], row[1 : m + 1], row[m + 1 : m + 4], cfg=cfg)
+    return {"ok": True, "value": kv.value, "err": kv.err_estimate}
+
+
+@pytest.mark.parametrize("spec", [SPEC1, SPEC2])
+def test_batch_rows_match_single_queries_bit_for_bit(spec):
+    rows = _mixed_rows(spec)
+    out = batch_evaluate(spec, rows)
+    for row, res in zip(rows[:-2], out):
+        assert res == _single(spec, row)
+    assert out[-2] == {"ok": False, "error": "time must be positive"}
+    assert out[-1] == {"ok": False, "error": "expected %d coordinates" % (spec.m + 3)}
+
+
+def test_batch_rows_independent_of_order_and_blocks(monkeypatch):
+    import qcheat.kernel as kernel_mod
+
+    rows = _mixed_rows(SPEC1)
+    ref = batch_evaluate(SPEC1, rows)
+    order = np.random.default_rng(5).permutation(len(rows))
+    for block in (1, 3, 4):
+        monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", block)
+        out = batch_evaluate(SPEC1, [rows[i] for i in order])
+        assert [out[j] for j in np.argsort(order)] == ref
+
+
+def test_batch_failing_row_leaves_neighbours_unchanged():
+    # 600 evaluations: the far row's oscillation alone needs more panels
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, max_evals=600)
+    rows = _mixed_rows(SPEC1)[:7]
+    far = 6
+    out = batch_evaluate(SPEC1, rows, cfg)
+    assert not out[far]["ok"] and "evaluations" in out[far]["error"]
+    with pytest.raises(ToleranceError):
+        _single(SPEC1, rows[far], cfg)
+    for i, row in enumerate(rows):
+        if i != far:
+            assert out[i] == _single(SPEC1, row, cfg)
+    alone = batch_evaluate(SPEC1, rows[:far], cfg)
+    assert out[:far] == alone
+
+
+def test_batch_rejects_non_finite_rows():
+    rows = [[1.0] + [0.0] * 7, [float("nan")] + [0.0] * 7, [1.0, 0.0, 0.0, float("inf")] + [0.0] * 4]
+    out = batch_evaluate(SPEC1, rows)
+    assert out[0]["ok"]
+    assert [r["ok"] for r in out[1:]] == [False, False]
+    with pytest.raises(ValueError):
+        heat_kernel_point(SPEC1, 1.0, [0.0] * 4, [0.0, float("inf"), 0.0])

@@ -160,8 +160,3 @@ def test_vanishing_rule_small_run():
     rep2 = check_moment_vanishing(cfg, 3, n_samples=300)
     assert rep2.estimate == rep.estimate and rep2.stderr == rep.stderr
 
-
-def test_inconclusive_flag():
-    cfg = small_cfg(seed=42, n_paths=100, n_steps=100)
-    rep = check_moment_vanishing(cfg, 3, n_samples=50, stderr_ceiling=1e-12)
-    assert rep.inconclusive
