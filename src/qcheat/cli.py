@@ -245,7 +245,7 @@ def _cmd_spectrum(args):
 
     try:
         with open(args.input) as fh:
-            sp = SpectrumFile.parse(fh.read(), label=args.input)
+            sp = SpectrumFile.parse(fh.read())
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     try:

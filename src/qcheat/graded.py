@@ -30,7 +30,6 @@ __all__ = [
     "pair",
     "lie_derivative_form",
     "frame_inversion",
-    "format_poly",
 ]
 
 
@@ -464,23 +463,3 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order, one=Fractio
         results.append({"s": s, "r": rr})
     return results
 
-
-def format_poly(p, m, r):
-    """Deterministic text rendering for golden tests."""
-    if p.is_zero():
-        return "0"
-    names = ["x%d" % (a + 1) for a in range(m)] + ["z%d" % (i + 1) for i in range(r)]
-    weights = _weights(m, r)
-    keys = sorted(p.terms, key=lambda e: (monomial_weight(e, weights), e))
-    parts = []
-    for e in keys:
-        c = p.terms[e]
-        factors = []
-        for a, k in enumerate(e):
-            if k == 1:
-                factors.append(names[a])
-            elif k > 1:
-                factors.append("%s^%d" % (names[a], k))
-        mono = "*".join(factors) if factors else "1"
-        parts.append("(%s)*%s" % (c, mono))
-    return " + ".join(parts)

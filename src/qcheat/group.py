@@ -6,16 +6,14 @@ I^i_{ab} = <I_i e_a, e_b> of the almost complex structures.  Structure
 constants are exact fractions so group-law and bracket identities can be
 asserted without floating-point noise; numeric code pulls a float view.
 
-Group law, dilations and measure normalization:
+Group law and measure normalization:
 
     (x, z) * (x', z') = (x + x', z_i + z'_i + 2 sum_{ab} J^i_{ab} x_a x'_b)
-    delta_lam(x, z)   = (lam x, lam^2 z)
     haar density      = 1 / (8 (16n)^{3/2})   against Lebesgue dx dz
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,17 +23,9 @@ __all__ = [
     "GroupSpec",
     "GroupPoint",
     "make_quaternionic_spec",
-    "make_step_two_spec",
     "group_mul",
     "group_inverse",
-    "dilate",
-    "spec_to_json",
-    "spec_from_json",
 ]
-
-
-def _as_fraction_matrix(rows):
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
 def _mat_mul(a, b):
@@ -136,9 +126,6 @@ class GroupPoint:
     x: tuple
     z: tuple
 
-    def as_floats(self):
-        return np.array([float(v) for v in self.x]), np.array([float(v) for v in self.z])
-
 
 def identity_point(spec):
     return GroupPoint(x=(0,) * spec.m, z=(0,) * spec.r)
@@ -177,14 +164,6 @@ def make_quaternionic_spec(n):
     return GroupSpec(m=m, r=3, J=tuple(J), n=n, quaternionic=True)
 
 
-def make_step_two_spec(J):
-    """Generic step-two spec from a list of skew rational matrices."""
-    J = tuple(_as_fraction_matrix(Ji) for Ji in J)
-    if not J:
-        raise ValueError("need at least one bracket matrix")
-    return GroupSpec(m=len(J[0]), r=len(J), J=J)
-
-
 def group_mul(spec, h, hp):
     """Group product h * hp; exact when the coordinates are exact."""
     if len(h.x) != spec.m or len(hp.x) != spec.m or len(h.z) != spec.r or len(hp.z) != spec.r:
@@ -206,34 +185,3 @@ def group_mul(spec, h, hp):
 def group_inverse(h):
     return GroupPoint(x=tuple(-v for v in h.x), z=tuple(-v for v in h.z))
 
-
-def dilate(spec, lam, h):
-    """Anisotropic dilation delta_lam(x, z) = (lam x, lam^2 z), lam > 0."""
-    if not lam > 0:
-        raise ValueError("dilation parameter must be positive")
-    return GroupPoint(x=tuple(lam * v for v in h.x), z=tuple(lam * lam * v for v in h.z))
-
-
-def spec_to_json(spec):
-    """Serialize a spec to a JSON document with rationals as "p/q" strings."""
-    doc = {
-        "n": spec.n,
-        "m": spec.m,
-        "r": spec.r,
-        "quaternionic": spec.quaternionic,
-        "J": [
-            [[("%d/%d" % (v.numerator, v.denominator)) for v in row] for row in Ji]
-            for Ji in spec.J
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def spec_from_json(text):
-    doc = json.loads(text)
-    J = tuple(
-        tuple(tuple(Fraction(v) for v in row) for row in Ji) for Ji in doc["J"]
-    )
-    return GroupSpec(
-        m=doc["m"], r=doc["r"], J=J, n=doc.get("n"), quaternionic=doc.get("quaternionic", False)
-    )

@@ -24,9 +24,8 @@ untested.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -36,7 +35,6 @@ from .kernel import _exp_tail, _rho_over_sinh_pow, _truncation_radius
 from .quadrature import adaptive_gk
 
 __all__ = [
-    "InvariantReport",
     "SpectrumFile",
     "compute_c0",
     "c0_zeta_series",
@@ -44,7 +42,6 @@ __all__ = [
     "Cn_zeta_series",
     "bw_sphere_c1_integral",
     "sphere_kappa",
-    "asymptotic_report",
     "spectral_extract",
     "fit_heat_trace",
 ]
@@ -210,79 +207,11 @@ def Cn_zeta_series(n):
 
 
 @dataclass(frozen=True)
-class InvariantReport:
-    """Computed invariants with error bounds and provenance."""
-
-    n: int
-    Q: int
-    c0: float
-    c0_err: float
-    Cn: float
-    Cn_err: float
-    kappa: float
-    c1: float
-    c1_err: float
-    provenance: dict = field(default_factory=dict)
-
-    def to_json(self):
-        doc = {
-            "n": self.n,
-            "Q": self.Q,
-            "c0": self.c0,
-            "c0_err": self.c0_err,
-            "Cn": self.Cn,
-            "Cn_err": self.Cn_err,
-            "kappa": self.kappa,
-            "c1": self.c1,
-            "c1_err": self.c1_err,
-            "provenance": self.provenance,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-
-def asymptotic_report(n, kappa, rel_tol=1e-11, abs_tol=1e-14):
-    """Assemble the two-term diagonal expansion report: c0 + Cn*kappa*t.
-
-    kappa = 0 is the flat model: c1 = 0 and the group kernel diagonal is
-    exactly c0 t^{-(2n+3)} (no subleading term).
-    """
-    if not math.isfinite(kappa):
-        raise ValueError("kappa must be finite")
-    c0, c0e = compute_c0(n, rel_tol, abs_tol)
-    cn, cne = compute_Cn(n, rel_tol, abs_tol)
-    c0_oracle = c0_zeta_series(n)
-    cn_oracle = Cn_zeta_series(n)
-    prov = {
-        "rel_tol": rel_tol,
-        "abs_tol": abs_tol,
-        "c0_zeta_oracle": c0_oracle,
-        "c0_oracle_diff": c0 - c0_oracle,
-        "Cn_zeta_oracle": cn_oracle,
-        "Cn_oracle_diff": cn - cn_oracle,
-        "flat_model": kappa == 0.0,
-        "note": "kappa = 0 means the flat group: diagonal is exactly c0 t^{-(2n+3)}",
-    }
-    return InvariantReport(
-        n=n,
-        Q=4 * n + 6,
-        c0=c0,
-        c0_err=c0e,
-        Cn=cn,
-        Cn_err=cne,
-        kappa=kappa,
-        c1=cn * kappa,
-        c1_err=cne * abs(kappa),
-        provenance=prov,
-    )
-
-
-@dataclass(frozen=True)
 class SpectrumFile:
     """Sorted eigenvalue list with multiplicities; lambda_1 = 0 permitted."""
 
     eigenvalues: tuple
     multiplicities: tuple
-    label: str = ""
 
     def __post_init__(self):
         if len(self.eigenvalues) != len(self.multiplicities):
@@ -300,7 +229,7 @@ class SpectrumFile:
             raise ValueError("multiplicities must be positive")
 
     @classmethod
-    def parse(cls, text, label=""):
+    def parse(cls, text):
         """One "eigenvalue multiplicity" pair per line, '#' comments."""
         ev, mult = [], []
         for ln, raw in enumerate(text.splitlines(), 1):
@@ -312,7 +241,7 @@ class SpectrumFile:
                 raise ValueError("line %d: expected 'eigenvalue multiplicity'" % ln)
             ev.append(float(parts[0]))
             mult.append(int(parts[1]))
-        return cls(eigenvalues=tuple(ev), multiplicities=tuple(mult), label=label)
+        return cls(eigenvalues=tuple(ev), multiplicities=tuple(mult))
 
     def dump(self):
         lines = ["# eigenvalue multiplicity"]

@@ -1,6 +1,6 @@
 """Heat kernel of the intrinsic sublaplacian on the quaternionic Heisenberg group.
 
-Evaluates p(t, h, h') for the semigroup exp(t sum X_a^2) with respect to the
+Evaluates p(t, 0, (x, z)) for the semigroup exp(t sum X_a^2) with respect to the
 nilpotentized Popp measure (haar_factor times Lebesgue), via the explicit
 step-two integral representation reduced to one radial dimension:
 
@@ -13,20 +13,22 @@ formula uses exp(-phi(tau, h)/t) with phi = i<tau,z> + a |x|^2 / 2, which is
 this kernel precomposed with the dilation (x, z) -> (sqrt2 x, 2 z); diagonal
 quantities (homogeneity, c0) are identical, but only the present scaling is a
 probability density with E[x_a^2] = 2t and the semigroup property, which the
-moment and simulation layers rely on.  See action_function for the displayed
-phi itself.
+moment and simulation layers rely on.  action_function_matrix evaluates the
+displayed phi itself, as an independent reference form.
 
 Angular integration is analytic (spherical Bessel factors up to order two,
 covering derivative queries of weighted order <= 4); the remaining radial
 integral has an exponentially decaying integrand and is handled by adaptive
 Gauss-Kronrod panels with an explicit incomplete-gamma tail bound.
 
-Every pointwise query goes through one row-batched path, _kernel_rows: a row
-is (t, x, z) plus its coefficients on a shared list of integrand terms, and
-all rows are refined together by quadrature.gk_rows.  batch_evaluate (CLI
-`kernel`) sends its plain rows through in blocks of _ROW_BLOCK rows;
-heat_kernel (derivatives, off-identity bases) is a one-row call.  A row's
-value and error are the same bits whichever rows share its block.
+Every pointwise query of p(t, 0, .) goes through one row-batched path,
+_kernel_rows: a row is (t, x, z) plus its coefficients on a shared list of
+integrand terms, and all rows are refined together by quadrature.gk_rows.
+batch_evaluate (CLI `kernel`) sends its plain rows through in blocks of
+_ROW_BLOCK rows; heat_kernel_point (values and derivatives) is a one-row
+call.  A row's value and error are the same bits whichever rows share its
+block.  Other base points follow from the group law,
+p(t, h, h') = p(t, 0, h^{-1} h').
 """
 
 from __future__ import annotations
@@ -36,19 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupPoint, group_inverse, group_mul, identity_point
 from .quadrature import ToleranceError, composite_gk_nodes, gk_rows
 
 __all__ = [
-    "KernelQuery",
     "QuadratureConfig",
     "KernelValue",
     "BROWNIAN_VARIANCE_FACTOR",
-    "action_function",
     "action_function_matrix",
-    "volume_element",
     "volume_element_matrix",
-    "heat_kernel",
     "heat_kernel_point",
     "kernel_marginal_moments",
     "normalization_integral",
@@ -77,18 +74,6 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_evals < 15:
             raise ValueError("max_evals must be at least 15")
-
-
-@dataclass(frozen=True)
-class KernelQuery:
-    t: float
-    base: GroupPoint | None
-    target: GroupPoint
-    derivative: tuple = ()
-
-    def __post_init__(self):
-        base = self.base.x + self.base.z if self.base is not None else ()
-        _check_point(self.t, self.target.x + self.target.z + base)
 
 
 def _check_point(t, coords):
@@ -197,34 +182,18 @@ def _j2(k):
     return np.where(small, series, direct)
 
 
-def action_function(spec, tau, h):
-    """Action phi(tau, h) = i <tau, z> + (|2tau| coth |2tau|) |x|^2 / 2.
-
-    The singularity at tau = 0 is removable (rho coth rho -> 1).
-    """
-    x, z = h.as_floats() if isinstance(h, GroupPoint) else h
-    tau = np.asarray(tau, dtype=float)
-    rho = 2.0 * float(np.linalg.norm(tau))
-    a = float(_rho_coth(rho))
-    return 1j * float(np.dot(tau, z)) + 0.5 * a * float(np.dot(x, x))
-
-
-def volume_element(spec, tau):
-    """Volume element W(tau) = (|2 tau| / sinh |2 tau|)^{2n}; W(0) = 1."""
-    tau = np.asarray(tau, dtype=float)
-    rho = 2.0 * float(np.linalg.norm(tau))
-    return float(_rho_over_sinh_pow(rho, 2 * spec.n))
-
-
 def _omega_matrix(spec, tau):
     J = spec.J_float()
     return 2.0 * np.einsum("i,iab->ab", np.asarray(tau, dtype=float), J)
 
 
-def action_function_matrix(spec, tau, h):
-    """phi via the matrix function (i Omega) coth(i Omega); works for any
-    step-two spec and must agree with action_function on quaternionic ones."""
-    x, z = h.as_floats() if isinstance(h, GroupPoint) else h
+def action_function_matrix(spec, tau, x, z):
+    """phi(tau, (x, z)) = i <tau, z> + <x, (i Omega) coth(i Omega) x> / 2 for any step-two spec.
+
+    On the quaternionic spec this is i <tau, z> + a(|2 tau|) |x|^2 / 2, the
+    action the kernel integrates with _rho_coth.
+    """
+    x = np.asarray(x, dtype=float)
     om = _omega_matrix(spec, tau)
     herm = 1j * om
     vals, vecs = np.linalg.eigh(herm)
@@ -235,7 +204,11 @@ def action_function_matrix(spec, tau, h):
 
 
 def volume_element_matrix(spec, tau):
-    """W via det^{1/2}(i Omega / sinh(i Omega)) for any step-two spec."""
+    """W(tau) = det^{1/2}(i Omega / sinh(i Omega)) for any step-two spec.
+
+    On the quaternionic spec this is (|2 tau| / sinh |2 tau|)^{2n}, the
+    weight the kernel integrates with _rho_over_sinh_pow.
+    """
     om = _omega_matrix(spec, tau)
     vals = np.linalg.eigvalsh(1j * om)
     ratio = np.where(np.abs(vals) < 1e-12, 1.0, vals / np.sinh(np.where(np.abs(vals) < 1e-12, 1.0, vals)))
@@ -415,27 +388,26 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
     return out
 
 
-def heat_kernel(spec, query, cfg=None):
-    """Evaluate p(t, base, target) or a spatial derivative at the target.
+def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
+    """p(t, 0, (x, z)), or a spatial derivative of it at (x, z).
 
-    Derivatives are taken in the target coordinates and are supported for
-    base = identity (weighted order <= 4: x counts 1, z counts 2).  Returns a
-    KernelValue with an error estimate covering quadrature and truncation.
+    x has the spec's m coordinates and z three.  Derivatives are taken in
+    the target coordinates up to weighted order 4 (x counts 1, z counts 2).
+    Returns a KernelValue with an error estimate covering quadrature and
+    truncation; raises ToleranceError when the tolerance is not met.
     """
     if cfg is None:
         cfg = QuadratureConfig()
-    t = query.t
-    base = query.base if query.base is not None else identity_point(spec)
-    order = _weighted_order(spec, query.derivative)
-    if order > 4:
+    x = np.array([float(v) for v in x])
+    z = np.array([float(v) for v in z])
+    if len(x) != spec.m or len(z) != 3:
+        raise ValueError("expected %d x and 3 z coordinates, got %d and %d" % (spec.m, len(x), len(z)))
+    _check_point(t, [*x, *z])
+    derivative = tuple(derivative)
+    if _weighted_order(spec, derivative) > 4:
         raise ValueError("derivative queries above weighted order 4 are unsupported")
-    base_is_identity = all(v == 0 for v in base.x) and all(v == 0 for v in base.z)
-    if order > 0 and not base_is_identity:
-        raise NotImplementedError("derivative queries require base at the identity")
-    h = query.target if base_is_identity else group_mul(spec, group_inverse(base), query.target)
-    x, z = h.as_floats()
 
-    folded = _collapse_terms(_derivative_terms(spec, query.derivative, t), x)
+    folded = _collapse_terms(_derivative_terms(spec, derivative, t), x)
     if not folded:
         return KernelValue(0.0, 0.0, 0)
     keys = list(folded)
@@ -444,13 +416,6 @@ def heat_kernel(spec, query, cfg=None):
     if isinstance(res, ToleranceError):
         raise res
     return res
-
-
-def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
-    """Convenience wrapper: p(t, 0, (x, z)) (or derivative) from raw arrays."""
-    target = GroupPoint(x=tuple(float(v) for v in x), z=tuple(float(v) for v in z))
-    q = KernelQuery(t=t, base=None, target=target, derivative=tuple(derivative))
-    return heat_kernel(spec, q, cfg)
 
 
 def _kernel_grid(spec, t, rx, rz):
@@ -563,10 +528,10 @@ def kernel_marginal_moments(spec, t):
 def batch_evaluate(spec, rows, cfg=None):
     """Evaluate plain kernel rows (t, x_1..x_m, z_1..z_3); never raises per row.
 
-    Each row is checked on its own; the valid rows go through the row-batched
-    quadrature _ROW_BLOCK rows at a time, and each gets the same bits as
-    heat_kernel_point on it.  Returns one dict per row with value/err or an
-    error message.
+    Each row is checked on its own: exactly 1 + m + 3 finite values, t > 0.
+    The valid rows go through the row-batched quadrature _ROW_BLOCK rows at a
+    time, and each gets the same bits as heat_kernel_point on it.  Returns one
+    dict per row with value/err or an error message.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -575,7 +540,7 @@ def batch_evaluate(spec, rows, cfg=None):
     valid, points = [], []
     for i, row in enumerate(rows):
         try:
-            vals = [float(v) for v in row[: m + 4]]
+            vals = [float(v) for v in row]
             if len(vals) != m + 4:
                 raise ValueError("expected %d coordinates" % (m + 3))
             _check_point(vals[0], vals[1:])

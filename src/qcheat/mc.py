@@ -74,7 +74,6 @@ class SimConfig:
 class TerminalSamples:
     x: np.ndarray  # (n_paths, 4n)
     z: np.ndarray  # (n_paths, 3)
-    config: SimConfig
 
 
 def _path_rng(seed, path_index):
@@ -105,7 +104,7 @@ def simulate_paths(cfg):
     z_out = np.empty((n, 3))
     for p in range(n):
         x_out[p], z_out[p] = _simulate_one(spec, J, cfg.t, cfg.n_steps, cfg.seed, p)
-    return TerminalSamples(x=x_out, z=z_out, config=cfg)
+    return TerminalSamples(x=x_out, z=z_out)
 
 
 def _mean_stderr(values):

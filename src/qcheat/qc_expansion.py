@@ -351,54 +351,49 @@ def _recursion_coefficients(spec, symbols):
     return ExpansionCoefficients(m=m, s_x=s_x, r_x=r_x, s_v=s_v, r_v=r_v), out
 
 
-def expansion_coefficients(spec, symbols=None, check_routes=True):
-    """Frame-expansion coefficient table; optionally cross-checked.
+def expansion_coefficients(spec, symbols=None):
+    """Frame-expansion coefficient table, cross-checked against a second route.
 
-    With check_routes, the closed forms are compared term by term against the
-    coframe-inversion recursion; a mismatch raises RouteMismatchError.
+    The closed forms are compared term by term against the coframe-inversion
+    recursion; a mismatch raises RouteMismatchError.
     """
     if symbols is None:
         symbols = TensorSymbols(spec)
     closed = _closed_form_coefficients(spec, symbols)
-    if check_routes:
-        rec, raw = _recursion_coefficients(spec, symbols)
-        for name in ("s_x", "r_x", "s_v", "r_v"):
-            a = getattr(closed, name)
-            b = getattr(rec, name)
-            for key in a:
-                if a[key] != b[key]:
-                    raise RouteMismatchError(
-                        "coefficient %s%s differs between the closed form and the recursion"
-                        % (name, key)
-                    )
-        # vanishing orders reported in the source derivation
-        m, r = spec.m, spec.r
-        for alpha in range(m):
-            tab = raw[alpha]
-            for beta in range(m):
-                if not tab["s"][(beta, 1)].is_zero():
-                    raise RouteMismatchError("s^(1) should vanish for horizontal targets")
-            for j in range(r):
-                for l in (1, 2):
-                    if not tab["r"][(j, l)].is_zero():
-                        raise RouteMismatchError("r^(%d) should vanish for horizontal targets" % l)
+    rec, raw = _recursion_coefficients(spec, symbols)
+    for name in ("s_x", "r_x", "s_v", "r_v"):
+        a = getattr(closed, name)
+        b = getattr(rec, name)
+        for key in a:
+            if a[key] != b[key]:
+                raise RouteMismatchError(
+                    "coefficient %s%s differs between the closed form and the recursion"
+                    % (name, key)
+                )
+    # vanishing orders reported in the source derivation
+    m, r = spec.m, spec.r
+    for alpha in range(m):
+        tab = raw[alpha]
+        for beta in range(m):
+            if not tab["s"][(beta, 1)].is_zero():
+                raise RouteMismatchError("s^(1) should vanish for horizontal targets")
+        for j in range(r):
+            for l in (1, 2):
+                if not tab["r"][(j, l)].is_zero():
+                    raise RouteMismatchError("r^(%d) should vanish for horizontal targets" % l)
     return closed
 
 
-def divergence_coefficient(spec, symbols=None, coeffs=None):
+def divergence_coefficient(spec, coeffs):
     """Leading divergence correction of the dilated co-frame, per horizontal index.
 
-    Returns the list over alpha of
+    From the expansion_coefficients table coeffs, returns the list over alpha of
 
         sum_b X_b(s_a^{b(2)}) - X_a(sum_b s_b^{b(2)})
         + sum_i V_i(r_a^{i(3)}) - X_a(sum_i r_i^{i(2)})
 
     in the nilpotent frame; each entry is homogeneous of weight one.
     """
-    if symbols is None:
-        symbols = TensorSymbols(spec)
-    if coeffs is None:
-        coeffs = expansion_coefficients(spec, symbols, check_routes=False)
     m, r = spec.m, spec.r
     Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
     trace_s = Poly.zero(m + r)
@@ -435,17 +430,14 @@ def _frame_field(spec, coeffs_x, coeffs_v):
     return total
 
 
-def divergence_bracket_route(spec, symbols=None, coeffs=None):
+def divergence_bracket_route(spec, symbols, coeffs):
     """The same divergence coefficients from the structure-function brackets.
 
+    coeffs is the expansion_coefficients table of the same symbols.
     Recomputes the order-two part of sum_a theta_a^eps([X_a^eps, X_alpha^eps])
     directly: theta^(1)([X, X^(1)] + [X^(1), X]) + theta^(3)([X, X]) plus the
     vertical contributions through eta^(2) and eta^(4).
     """
-    if symbols is None:
-        symbols = TensorSymbols(spec)
-    if coeffs is None:
-        coeffs = expansion_coefficients(spec, symbols, check_routes=False)
     coframe = build_coframe(spec, symbols)
     m, r = spec.m, spec.r
     nv = m + r
@@ -521,19 +513,15 @@ class PerturbationOperator:
         return True
 
 
-def build_P2(spec, symbols=None, coeffs=None, div=None):
+def build_P2(spec, coeffs, div):
     """Order-zero perturbation P2 = X_a X_a^(1) + X_a^(1) X_a + (div) X_a.
 
-    Expanded into the canonical nilpotent-frame form: coefficients on ordered
-    X X pairs, a merged X V term (the frames commute), and first-order X / V
-    terms.  No V V term can appear: X^(1) carries at most one vertical factor.
+    coeffs and div are the expansion_coefficients and divergence_coefficient
+    results.  Expanded into the canonical nilpotent-frame form: coefficients
+    on ordered X X pairs, a merged X V term (the frames commute), and
+    first-order X / V terms.  No V V term can appear: X^(1) carries at most
+    one vertical factor.
     """
-    if symbols is None:
-        symbols = TensorSymbols(spec)
-    if coeffs is None:
-        coeffs = expansion_coefficients(spec, symbols, check_routes=False)
-    if div is None:
-        div = divergence_coefficient(spec, symbols, coeffs)
     m, r = spec.m, spec.r
     nv = m + r
     Xs, _ = left_invariant_frame(spec, scalar=Sym.rational)
@@ -730,7 +718,7 @@ class C1Reduction:
         return "c1 = (%s) * kappa" % " + ".join(parts)
 
 
-def reduce_c1(spec, symbols=None, check_routes=True):
+def reduce_c1(spec, symbols=None):
     """Reduce the second-invariant convolution integral to a kappa multiple.
 
     Applies the parity/invariance classification to every coordinate term of
@@ -742,9 +730,9 @@ def reduce_c1(spec, symbols=None, check_routes=True):
     if symbols is None:
         symbols = TensorSymbols(spec)
     m, r = spec.m, spec.r
-    coeffs = expansion_coefficients(spec, symbols, check_routes=check_routes)
-    div = divergence_coefficient(spec, symbols, coeffs)
-    op = build_P2(spec, symbols, coeffs, div)
+    coeffs = expansion_coefficients(spec, symbols)
+    div = divergence_coefficient(spec, coeffs)
+    op = build_P2(spec, coeffs, div)
     coord, killed = _coordinate_terms(spec, op)
 
     log = []

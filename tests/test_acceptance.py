@@ -125,7 +125,7 @@ def test_criterion_06_expansion_lemma_reproduction():
     for n in (1, 2):
         spec = make_quaternionic_spec(n)
         try:
-            expansion_coefficients(spec, check_routes=True)
+            expansion_coefficients(spec)
         except Exception as exc:  # any mismatch is a failure
             ok = False
             print("route mismatch at n=%d: %s" % (n, exc))
@@ -140,13 +140,13 @@ def test_criterion_07_c1_reduction():
     details = []
     for n in (1, 2):
         spec = make_quaternionic_spec(n)
-        red = reduce_c1(spec, check_routes=False)
+        red = reduce_c1(spec)
         linear = all(sorted(a[0] for a in mono) == ["M", "kap"] for mono in red.result.terms)
         labels_ok = set(red.kappa_coefficients) <= set(MOMENT_LABELS)
         ok = ok and linear and labels_ok and not red.result.is_zero()
         details.append("n=%d classes=%d" % (n, len(red.kappa_coefficients)))
         torsion_only = TensorSymbols(spec, zero_curvature=True)
-        red0 = reduce_c1(spec, torsion_only, check_routes=False)
+        red0 = reduce_c1(spec, torsion_only)
         ok = ok and red0.result.is_zero()
     elapsed = time.time() - start
     ok = ok and elapsed < 120.0

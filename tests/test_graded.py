@@ -12,7 +12,6 @@ from qcheat.graded import (
     basis_form,
     basis_vf,
     euler_field,
-    format_poly,
     frame_inversion,
     homogeneous_orders,
     homogeneous_part,
@@ -248,15 +247,3 @@ def test_homogeneous_part_of_polynomial():
     with pytest.raises(TypeError):
         homogeneous_part(f, 1)
 
-
-def test_printer_golden():
-    p = Poly(
-        NV,
-        {
-            (1, 0, 0, 0, 0, 0, 0): Fraction(3, 2),
-            (0, 0, 0, 0, 1, 0, 0): Fraction(-1),
-            (0, 0, 0, 0, 0, 0, 0): Fraction(2),
-        },
-    )
-    assert format_poly(p, M, R) == "(2)*1 + (3/2)*x1 + (-1)*z1"
-    assert format_poly(Poly.zero(NV), M, R) == "0"

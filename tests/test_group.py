@@ -7,14 +7,11 @@ import pytest
 
 from qcheat.group import (
     GroupPoint,
-    dilate,
+    GroupSpec,
     group_inverse,
     group_mul,
     identity_point,
     make_quaternionic_spec,
-    make_step_two_spec,
-    spec_from_json,
-    spec_to_json,
 )
 
 
@@ -97,34 +94,8 @@ def test_dimension_mismatch_rejected():
         group_mul(spec, bad, identity_point(spec))
 
 
-def test_dilation_is_automorphism():
-    spec = make_quaternionic_spec(1)
-    rng = random.Random(13)
-    for lam in (Fraction(1), Fraction(2), Fraction(3, 2)):
-        for _ in range(30):
-            h, hp = rand_point(spec, rng), rand_point(spec, rng)
-            lhs = dilate(spec, lam, group_mul(spec, h, hp))
-            rhs = group_mul(spec, dilate(spec, lam, h), dilate(spec, lam, hp))
-            assert lhs == rhs
-    h = rand_point(spec, rng)
-    assert dilate(spec, 1, h) == h
-    assert dilate(spec, 2, h).z == tuple(4 * v for v in h.z)
-    with pytest.raises(ValueError):
-        dilate(spec, 0, h)
-    with pytest.raises(ValueError):
-        dilate(spec, -1, h)
-
-
 def test_generic_step_two_spec():
-    heis = make_step_two_spec([[[0, 1], [-1, 0]]])
+    heis = GroupSpec(m=2, r=1, J=(((0, 1), (-1, 0)),))
     assert heis.m == 2 and heis.r == 1 and heis.Q == 4
     with pytest.raises(ValueError):
-        make_step_two_spec([[[0, 1], [1, 0]]])  # not skew
-
-
-def test_json_round_trip():
-    spec = make_quaternionic_spec(1)
-    text = spec_to_json(spec)
-    back = spec_from_json(text)
-    assert back == spec
-    assert '"1/1"' in text and '"-1/1"' in text
+        GroupSpec(m=2, r=1, J=(((0, 1), (1, 0)),))  # not skew

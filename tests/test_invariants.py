@@ -1,6 +1,5 @@
 """Heat-invariant values, oracles, and spectral extraction."""
 
-import json
 import math
 
 import numpy as np
@@ -11,8 +10,6 @@ from qcheat.group import make_quaternionic_spec
 from qcheat.invariants import (
     Cn_zeta_series,
     SpectrumFile,
-    asymptotic_report,
-    bw_sphere_c1_integral,
     c0_zeta_series,
     compute_Cn,
     compute_c0,
@@ -97,21 +94,6 @@ def test_sphere_cross_check_independent_quadrature(n):
     assert abs(cn * sphere_kappa(n) - bw) / bw < 1e-8
 
 
-def test_report_flat_and_linearity():
-    rep0 = asymptotic_report(1, 0.0)
-    assert rep0.c1 == 0.0 and rep0.Q == 10
-    assert rep0.provenance["flat_model"]
-    repk = asymptotic_report(1, sphere_kappa(1))
-    bw, _ = bw_sphere_c1_integral(1)
-    assert repk.c1 == pytest.approx(bw, rel=1e-10)
-    rep2 = asymptotic_report(1, 2.0 * sphere_kappa(1))
-    assert rep2.c1 == pytest.approx(2.0 * repk.c1, rel=1e-14)
-    doc = json.loads(repk.to_json())
-    assert doc["Q"] == 10 and doc["kappa"] == sphere_kappa(1)
-    with pytest.raises(ValueError):
-        asymptotic_report(1, float("nan"))
-
-
 def test_fit_recovers_synthetic_trace():
     t = np.linspace(0.05, 0.5, 12)
     tr = t ** (-5.0) * (1.0 / 120.0 + 0.01 * t)
@@ -125,8 +107,8 @@ def test_fit_recovers_synthetic_trace():
 def test_identical_spectra_identical_triple():
     ev = tuple(0.5 * k for k in range(0, 120))
     mult = tuple(1 + k * k for k in range(0, 120))
-    sp1 = SpectrumFile(eigenvalues=ev, multiplicities=mult, label="a")
-    sp2 = SpectrumFile(eigenvalues=ev, multiplicities=mult, label="b")
+    sp1 = SpectrumFile(eigenvalues=ev, multiplicities=mult)
+    sp2 = SpectrumFile(eigenvalues=ev, multiplicities=mult)
     grid = np.linspace(0.4, 1.2, 9)
     r1 = spectral_extract(sp1, grid)
     r2 = spectral_extract(sp2, grid)
@@ -152,7 +134,7 @@ def test_spectrum_errors():
 
 def test_spectrum_parse_round_trip():
     txt = "# test spectrum\n0.0 1\n1.25 4\n2.5 6\n"
-    sp = SpectrumFile.parse(txt, label="fixture")
+    sp = SpectrumFile.parse(txt)
     assert sp.eigenvalues == (0.0, 1.25, 2.5)
     assert sp.multiplicities == (1, 4, 6)
     back = SpectrumFile.parse(sp.dump())

@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from qcheat.group import GroupPoint, make_quaternionic_spec, make_step_two_spec
+from qcheat.group import GroupPoint, GroupSpec, group_inverse, group_mul, make_quaternionic_spec
 from qcheat.kernel import (
-    KernelQuery,
     QuadratureConfig,
-    action_function,
     action_function_matrix,
     batch_evaluate,
-    heat_kernel,
     heat_kernel_point,
     kernel_marginal_moments,
     _exp_tail,
+    _rho_coth,
+    _rho_over_sinh_pow,
     _truncation_radius,
     normalization_integral,
     radial_expectation,
-    volume_element,
     volume_element_matrix,
 )
 from qcheat.quadrature import ToleranceError
@@ -33,13 +31,24 @@ def pt(x, z):
     return GroupPoint(x=tuple(float(v) for v in x), z=tuple(float(v) for v in z))
 
 
+def action(tau, x, z):
+    """The displayed action i <tau, z> + a(|2 tau|) |x|^2 / 2, built from the kernel's _rho_coth."""
+    rho = 2.0 * float(np.linalg.norm(tau))
+    return 1j * float(np.dot(tau, z)) + 0.5 * float(_rho_coth(rho)) * float(np.dot(x, x))
+
+
+def volume(spec, tau):
+    """W(tau) = (|2 tau| / sinh |2 tau|)^{2n}, built from the kernel's _rho_over_sinh_pow."""
+    return float(_rho_over_sinh_pow(2.0 * float(np.linalg.norm(tau)), 2 * spec.n))
+
+
 def test_action_function_trivials():
-    h = pt([1.0, 2.0, -1.0, 0.5], [3.0, -1.0, 0.25])
-    x2 = sum(v * v for v in h.x)
-    assert action_function(SPEC1, [0, 0, 0], h) == pytest.approx(0.5 * x2)
-    assert action_function(SPEC1, [0.3, -0.7, 0.2], pt([0] * 4, [0] * 3)) == 0
-    phi = action_function(SPEC1, [0.3, -0.7, 0.2], h)
-    assert phi.imag == pytest.approx(np.dot([0.3, -0.7, 0.2], h.z))
+    x, z = [1.0, 2.0, -1.0, 0.5], [3.0, -1.0, 0.25]
+    x2 = sum(v * v for v in x)
+    assert action_function_matrix(SPEC1, [0, 0, 0], x, z) == pytest.approx(0.5 * x2)
+    assert action_function_matrix(SPEC1, [0.3, -0.7, 0.2], [0] * 4, [0] * 3) == 0
+    phi = action_function_matrix(SPEC1, [0.3, -0.7, 0.2], x, z)
+    assert phi.imag == pytest.approx(np.dot([0.3, -0.7, 0.2], z))
 
 
 def test_action_real_part_lower_bound():
@@ -47,44 +56,40 @@ def test_action_real_part_lower_bound():
     for _ in range(50):
         tau = rng.normal(size=3) * 3
         x = rng.normal(size=4)
-        h = pt(x, rng.normal(size=3))
-        phi = action_function(SPEC1, tau, h)
+        phi = action_function_matrix(SPEC1, tau, x, rng.normal(size=3))
         assert phi.real >= 0.5 * np.dot(x, x) - 1e-12
 
 
 def test_action_and_volume_match_matrix_route():
+    # the matrix forms against the radial helpers the kernel integrates
     rng = np.random.default_rng(1)
     for spec in (SPEC1, SPEC2):
         for _ in range(10):
             tau = rng.normal(size=3)
-            h = pt(rng.normal(size=spec.m), rng.normal(size=3))
-            assert action_function_matrix(spec, tau, h) == pytest.approx(
-                action_function(spec, tau, h), abs=1e-10
-            )
-            assert volume_element_matrix(spec, tau) == pytest.approx(
-                volume_element(spec, tau), abs=1e-12
-            )
+            x, z = rng.normal(size=spec.m), rng.normal(size=3)
+            assert action_function_matrix(spec, tau, x, z) == pytest.approx(action(tau, x, z), abs=1e-10)
+            assert volume_element_matrix(spec, tau) == pytest.approx(volume(spec, tau), abs=1e-12)
 
 
 def test_matrix_route_on_generic_step_two_spec():
-    heis = make_step_two_spec([[[0, 1], [-1, 0]]])
+    heis = GroupSpec(m=2, r=1, J=(((0, 1), (-1, 0)),))
     w = volume_element_matrix(heis, [0.7])
     # eigenvalues of i*Omega are +-2*0.7: W = (1.4/sinh 1.4)
     assert w == pytest.approx(1.4 / math.sinh(1.4), abs=1e-12)
-    phi = action_function_matrix(heis, [0.7], pt([1.0, 0.0], [0.5]))
+    phi = action_function_matrix(heis, [0.7], [1.0, 0.0], [0.5])
     assert phi.real == pytest.approx(0.5 * 1.4 / math.tanh(1.4), abs=1e-12)
 
 
 def test_volume_element_basics():
-    assert volume_element(SPEC1, [0, 0, 0]) == 1.0
+    assert volume(SPEC1, [0, 0, 0]) == 1.0
     rs = np.linspace(0.0, 5.0, 40)
-    vals = [volume_element(SPEC1, [r, 0, 0]) for r in rs]
+    vals = [volume(SPEC1, [r, 0, 0]) for r in rs]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_volume_element_integral_change_of_variables():
     # int_{R^3} W(tau) dtau = (4pi/8) int_0^inf rho^2 (rho/sinh rho)^{2n} drho
-    lhs, _ = quad(lambda s: 4 * math.pi * s * s * volume_element(SPEC1, [s, 0, 0]), 0, 40)
+    lhs, _ = quad(lambda s: 4 * math.pi * s * s * volume(SPEC1, [s, 0, 0]), 0, 40)
     rhs, _ = quad(lambda r: (math.pi / 2) * r**4 / math.sinh(r) ** 2, 1e-12, 40)
     assert lhs == pytest.approx(rhs, rel=1e-9)
     # and for n=1 the inner integral is pi^4/30 (zeta series)
@@ -310,20 +315,29 @@ def test_heat_equation_residual():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        KernelQuery(t=-1.0, base=None, target=pt([0] * 4, [0] * 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time must be positive"):
+        heat_kernel_point(SPEC1, -1.0, [0] * 4, [0] * 3)
+    with pytest.raises(ValueError, match="weighted order 4"):
         heat_kernel_point(SPEC1, 1.0, [0] * 4, [0] * 3, derivative=(1,) * 7)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=-1)
-    with pytest.raises(NotImplementedError):
-        q = KernelQuery(
-            t=1.0,
-            base=pt([1, 0, 0, 0], [0, 0, 0]),
-            target=pt([0] * 4, [0] * 3),
-            derivative=(1, 0, 0, 0, 0, 0, 0),
-        )
-        heat_kernel(SPEC1, q)
+
+
+@pytest.mark.parametrize(
+    "spec, x, z, derivative",
+    [
+        (SPEC1, [0.5, 0.0, 0.0], [0.0] * 3, ()),  # x one short
+        (SPEC1, [0.5, 0.0, 0.0, 0.0, 0.0], [0.0] * 3, ()),  # x one long
+        (SPEC1, [0.5, 0.0, 0.0, 0.0], [0.0, 0.0], ()),  # z one short
+        (SPEC1, [0.5, 0.0, 0.0, 0.0], [0.0] * 4, ()),  # z one long
+        (SPEC2, [0.5, 0.0, 0.0, 0.0], [0.0] * 3, ()),  # an n = 1 point at n = 2
+        (SPEC1, [0.5, 0.0, 0.0, 0.0], [0.0] * 3, (1, 0, 0, 0, 0, 0)),  # derivative one short
+        (SPEC1, [0.5, 0.0, 0.0, 0.0], [0.0] * 3, (1, 0, 0, 0, 0, 0, 0, 0)),  # derivative one long
+    ],
+)
+def test_point_lengths_validated(spec, x, z, derivative):
+    with pytest.raises(ValueError, match="expected|length"):
+        heat_kernel_point(spec, 1.0, x, z, derivative=derivative)
 
 
 def test_tolerance_failure_carries_best_estimate():
@@ -335,16 +349,17 @@ def test_tolerance_failure_carries_best_estimate():
 
 
 def test_off_identity_base_value():
-    # p(t, g, h) = p(t, 0, g^{-1} h): shift both arguments
+    # p(t, g, h) = p(t, 0, g^{-1} h) is symmetric in (g, h): through the group
+    # law, p(t, 0, g^{-1} h) = p(t, 0, h^{-1} g) for an off-identity pair
     g = pt([0.2, 0.1, -0.3, 0.4], [0.5, 0.0, -0.1])
     h = pt([0.6, -0.2, 0.1, 0.0], [0.2, 0.3, 0.4])
-    q = KernelQuery(t=0.9, base=g, target=h)
-    direct = heat_kernel(SPEC1, q).value
-    from qcheat.group import group_inverse, group_mul
-
-    shifted = group_mul(SPEC1, group_inverse(g), h)
-    ref = heat_kernel(SPEC1, KernelQuery(t=0.9, base=None, target=shifted)).value
-    assert direct == pytest.approx(ref, rel=1e-12)
+    forward = group_mul(SPEC1, group_inverse(g), h)
+    backward = group_mul(SPEC1, group_inverse(h), g)
+    assert forward != backward
+    a = heat_kernel_point(SPEC1, 0.9, forward.x, forward.z)
+    b = heat_kernel_point(SPEC1, 0.9, backward.x, backward.z)
+    assert a.value == pytest.approx(b.value, rel=1e-12)
+    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
 
 
 def test_batch_evaluate_row_errors():
@@ -352,11 +367,12 @@ def test_batch_evaluate_row_errors():
         [1.0] + [0.0] * 7,
         [-1.0] + [0.0] * 7,
         [1.0, 0.1],
+        [1.0] + [0.0] * 7 + [5.0],  # one value too many
     ]
     out = batch_evaluate(SPEC1, rows)
     assert out[0]["ok"] and out[0]["value"] == pytest.approx(1 / 120, abs=1e-10)
     assert not out[1]["ok"]
-    assert not out[2]["ok"]
+    assert out[2] == out[3] == {"ok": False, "error": "expected 7 coordinates"}
 
 
 # (spec, t, x, z, derivative) -> n_evals of the adaptive policy; these counts

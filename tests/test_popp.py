@@ -127,7 +127,7 @@ def test_symbolic_normal_frame_matches_expansion_layer():
     m, r = spec.m, spec.r
     dim = m + r
     nv = m + r
-    coeffs = expansion_coefficients(spec, sym, check_routes=False)
+    coeffs = expansion_coefficients(spec, sym)
     cof = build_coframe(spec, sym)
     Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
     frame0 = Xs + Vs
@@ -176,5 +176,5 @@ def test_symbolic_normal_frame_matches_expansion_layer():
         c=tuple(tuple(tuple(row) for row in ca) for ca in c),
     )
     got = divergence_terms(data)
-    want = divergence_coefficient(spec, sym, coeffs)
+    want = divergence_coefficient(spec, coeffs)
     assert all(a == b for a, b in zip(got, want))

@@ -1,5 +1,6 @@
 """Every name a qcheat module exports in __all__, and every name the
-benchmark's tracer wraps, exists."""
+benchmark's tracer wraps, exists; every export has a caller or is a listed
+reference route."""
 
 import ast
 import importlib
@@ -11,6 +12,24 @@ import pytest
 import qcheat
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qcheat.__path__, "qcheat."))
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exports that nothing in src/qcheat/ or perfbench/ calls, kept on purpose as
+# independent checks of the production path (the tests call them).
+REFERENCE_ROUTES = {
+    "group_mul": "the exact group law; the kernel's base-point symmetry is checked through it",
+    "group_inverse": "group inverse of that law, for the same symmetry checks",
+    "action_function_matrix": "the action phi as a matrix function, against the kernel's a(rho)",
+    "volume_element_matrix": "W(tau) as a determinant, against the kernel's radial weight",
+    "normalization_integral": "mass of p(t, 0, .), acceptance criterion 4",
+    "semigroup_convolution_check": "Monte Carlo semigroup identity at the origin, acceptance criterion 4",
+    "frame_data_from_spec": "the group's own frame as Popp input, acceptance criterion 5",
+    "divergence_bracket_route": "the divergence correction by a second route, from brackets",
+    "moment_exemplar": "one concrete pattern per moment class, for numeric moment estimates",
+    "homogeneous_part": "weight decomposition, checked as Lie-derivative eigenvalues along P",
+    "euler_field": "the grading generator P of those eigenvalue checks",
+    "lie_derivative_form": "L_P on forms, the eigenvalue check of forms and coframe terms",
+}
 
 
 def test_modules_found():
@@ -51,3 +70,38 @@ def test_traced_names_resolve():
         missing += ["%s.%s.%s" % (modname, clsname, m) for m in meths if m not in owned]
     assert functions and methods
     assert not missing, "traced names undefined: %s" % missing
+
+
+def _referenced_names():
+    """Names read, imported or taken as attributes in src/qcheat/ and perfbench/.
+
+    A name used only inside the top-level def or class that defines it does
+    not count; neither do strings such as __all__ entries.
+    """
+    paths = sorted((ROOT / "src" / "qcheat").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    found = set()
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    found.add(name)
+    return found
+
+
+def test_every_export_has_a_caller():
+    """No __all__ name is public API that only tests use, unless it is a listed reference route."""
+    exported = {name for modname in MODULES for name in getattr(importlib.import_module(modname), "__all__", ())}
+    referenced = _referenced_names()
+    routes = set(REFERENCE_ROUTES)
+    assert not sorted(exported - referenced - routes), "exports without a caller in src/qcheat/ or perfbench/"
+    assert not sorted(routes - exported), "REFERENCE_ROUTES names that are not exported"
+    assert not sorted(routes & referenced), "REFERENCE_ROUTES names that have a caller; drop them from the set"

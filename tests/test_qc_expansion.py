@@ -35,6 +35,11 @@ SYM = TensorSymbols(SPEC)
 M = SPEC.m
 
 
+def _p2(symbols):
+    coeffs = expansion_coefficients(SPEC, symbols)
+    return build_P2(SPEC, coeffs, divergence_coefficient(SPEC, coeffs))
+
+
 def test_coframe_vanishing_orders():
     cof = build_coframe(SPEC, SYM)
     assert all(3 not in tab for tab in cof.eta)
@@ -60,7 +65,7 @@ def test_coframe_terms_are_eigenforms():
 
 def test_expansion_routes_agree_n1():
     # closed forms of the frame expansion == coframe-inversion recursion
-    coeffs = expansion_coefficients(SPEC, SYM, check_routes=True)
+    coeffs = expansion_coefficients(SPEC, SYM)
     # and the vertical-vertical coefficient carries no curvature symbols
     for poly in coeffs.r_v.values():
         for c in poly.terms.values():
@@ -101,38 +106,38 @@ def test_route_check_catches_planted_mismatch(monkeypatch, table):
 
     monkeypatch.setattr(qc_expansion, "_closed_form_coefficients", planted)
     with pytest.raises(RouteMismatchError, match=table):
-        expansion_coefficients(SPEC, SYM, check_routes=True)
+        expansion_coefficients(SPEC, SYM)
 
 
 def test_expansion_zero_symbols():
     flat = TensorSymbols(SPEC, zero_torsion=True, zero_curvature=True)
-    coeffs = expansion_coefficients(SPEC, flat, check_routes=True)
+    coeffs = expansion_coefficients(SPEC, flat)
     for table in (coeffs.s_x, coeffs.r_x, coeffs.s_v, coeffs.r_v):
         assert all(p.is_zero() for p in table.values())
 
 
 def test_divergence_weight_one_and_flat():
-    div = divergence_coefficient(SPEC, SYM)
+    div = divergence_coefficient(SPEC, expansion_coefficients(SPEC, SYM))
     for p in div:
         assert poly_part(p, SPEC.m, SPEC.r, 1) == p
     flat = TensorSymbols(SPEC, zero_torsion=True, zero_curvature=True)
-    for p in divergence_coefficient(SPEC, flat):
+    for p in divergence_coefficient(SPEC, expansion_coefficients(SPEC, flat)):
         assert p.is_zero()
 
 
 def test_divergence_bracket_cross_check():
-    coeffs = expansion_coefficients(SPEC, SYM, check_routes=False)
-    direct = divergence_coefficient(SPEC, SYM, coeffs)
+    coeffs = expansion_coefficients(SPEC, SYM)
+    direct = divergence_coefficient(SPEC, coeffs)
     bracket = divergence_bracket_route(SPEC, SYM, coeffs)
     assert all(a == b for a, b in zip(direct, bracket))
 
 
 def test_p1_is_zero_and_p2_structure():
-    op = build_P2(SPEC, SYM)
+    op = _p2(SYM)
     assert op.check_order_zero()
     assert all(not (a[0] == "V" and b[0] == "V") for a, b in op.second)
     flat = TensorSymbols(SPEC, zero_torsion=True, zero_curvature=True)
-    assert build_P2(SPEC, flat).is_zero()
+    assert _p2(flat).is_zero()
 
 
 def test_moment_decomposition_rules():
@@ -182,7 +187,7 @@ def test_moment_exemplars_classify_correctly():
 
 
 def test_reduce_c1_n1_golden():
-    red = reduce_c1(SPEC, check_routes=False)
+    red = reduce_c1(SPEC)
     # exactly linear in kappa
     for mono in red.result.terms:
         kinds = sorted(a[0] for a in mono)
@@ -202,7 +207,7 @@ def test_reduce_c1_n1_golden():
 
 
 def test_reduce_c1_n2_golden_with_route_check():
-    red = reduce_c1(make_quaternionic_spec(2), check_routes=True)
+    red = reduce_c1(make_quaternionic_spec(2))
     assert red.final_line() == (
         "c1 = ((-2/3)*M[x.dx] + (1/3)*M[xx.dxdx;pp] + (-1/3)*M[xx.dxdx;cross]"
         " + (5)*M[xxxx.dzdz]) * kappa"
@@ -216,7 +221,7 @@ def test_reduce_c1_n2_golden_with_route_check():
 
 def test_reduce_c1_torsion_only_is_zero():
     torsion_only = TensorSymbols(SPEC, zero_curvature=True)
-    red = reduce_c1(SPEC, torsion_only, check_routes=False)
+    red = reduce_c1(SPEC, torsion_only)
     assert red.result.is_zero()
     assert red.final_line() == "c1 = 0"
 
@@ -224,7 +229,7 @@ def test_reduce_c1_torsion_only_is_zero():
 def test_coordinate_terms_match_unpruned_expansion():
     # reference: multiply every coordinate term out, then classify; parity-first
     # expansion must keep exactly the survivors and count exactly the killed
-    op = build_P2(SPEC, SYM)
+    op = _p2(SYM)
     Xs, Vs = left_invariant_frame(SPEC, scalar=Sym.rational)
     fields = {("X", a): X for a, X in enumerate(Xs)}
     fields.update({("V", i): V for i, V in enumerate(Vs)})
@@ -263,9 +268,9 @@ def test_coordinate_terms_match_unpruned_expansion():
 def test_reduce_c1_rewrite_order_independent():
     # the per-moment tensor coefficients reduce to the same normal form under
     # random relation orderings
-    coeffs = expansion_coefficients(SPEC, SYM, check_routes=False)
-    div = divergence_coefficient(SPEC, SYM, coeffs)
-    op = build_P2(SPEC, SYM, coeffs, div)
+    coeffs = expansion_coefficients(SPEC, SYM)
+    div = divergence_coefficient(SPEC, coeffs)
+    op = build_P2(SPEC, coeffs, div)
     coord, _ = _coordinate_terms(SPEC, op)
 
     acc = Sym.zero()
