@@ -4,12 +4,15 @@ Data goes to stdout (or --out), logs to stderr.  Every output embeds the
 fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
-error (bad arguments such as --n 0 or an out-of-range mc --indices, input
-files that do not parse or lack required keys, a frame file whose b has the
-wrong count or shape or a non-numeric entry or whose c is not an
-(m+k) x (m+k) x m array of numbers, a non-finite eigenvalue, a spectrum too
-short for the time grid), 3 numeric failure, 4 invariant
-violation (a failed reduction or route check, a non-antisymmetric frame).
+error (bad arguments such as --n 0, an out-of-range mc --indices or an mc
+run over the path-step budget, input or output paths that cannot be opened,
+input files that do not parse or lack required keys, kernel rows that fail
+their check, a frame file whose b has the wrong count or shape or a
+non-numeric entry or whose c is not an (m+k) x (m+k) x m array of numbers, a
+non-finite eigenvalue, a spectrum too short for the time grid), 3 numeric
+failure (a missed tolerance, a kernel row out of floating-point range, a
+floating-point overflow), 4 invariant violation (a failed reduction or
+route check, a non-antisymmetric frame, a singular or indefinite Popp B).
 """
 
 from __future__ import annotations
@@ -117,17 +120,17 @@ def _cmd_kernel(args):
     buf = io.StringIO()
     buf.write("# config: %s\n" % json.dumps(_run_config(args, "kernel"), sort_keys=True))
     buf.write("row,value,err,error\n")
-    any_failed = False
+    failed = set()
     for i, res in enumerate(results):
         if res["ok"]:
             buf.write("%d,%.17g,%.3g,\n" % (i + 1, res["value"], res["err"]))
         else:
-            any_failed = True
+            failed.add(res["kind"])
             buf.write('%d,,,"%s"\n' % (i + 1, res["error"].replace('"', "'")))
     _emit(buf.getvalue(), args.out)
-    if any_failed:
+    if failed:
         print("kernel: some rows failed", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_USAGE if "input" in failed else EXIT_NUMERIC
     return EXIT_OK
 
 
@@ -186,7 +189,7 @@ def _cmd_popp(args):
     try:
         with open(args.input) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise InputFormatError(str(exc)) from exc
 
     if not isinstance(doc, dict):
@@ -212,7 +215,10 @@ def _cmd_mc(args):
     from .mc import SimConfig, check_moment_vanishing, moment_report, rule_pattern, simulate_paths
 
     spec = make_quaternionic_spec(args.n)
-    cfg = SimConfig(spec=spec, t=args.t, n_paths=args.paths, n_steps=args.steps, seed=args.seed)
+    try:
+        cfg = SimConfig(spec=spec, t=args.t, n_paths=args.paths, n_steps=args.steps, seed=args.seed)
+    except ValueError as exc:  # the path-step budget
+        raise InputFormatError(str(exc)) from exc
     buf = io.StringIO()
     buf.write("# config: %s\n" % json.dumps(_run_config(args, "mc"), sort_keys=True))
     buf.write("quantity,estimate,stderr,n_paths,n_steps,seed\n")
@@ -332,9 +338,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputFormatError as exc:
+    except (InputFormatError, OSError) as exc:  # OSError: an input or --out path that cannot be opened
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:  # e.g. (4 pi)^(2n+3) at a large level n
+        print("numeric failure: floating-point overflow: %s" % exc, file=sys.stderr)
+        return EXIT_NUMERIC
     except ToleranceError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)
         if exc.value is not None:

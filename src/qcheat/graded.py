@@ -144,8 +144,12 @@ def monomial_weight(e, weights):
 
 
 @dataclass(frozen=True)
-class GradedVectorField:
-    """Vector field sum_a comps[a] d/dxi_a; direction a has weight -weights[a]."""
+class _Graded:
+    """Polynomial coefficients comps[a] on the coordinate directions.
+
+    Direction a has weight direction_sign * weights[a]; the operations build
+    objects of the caller's own type.
+    """
 
     m: int
     r: int
@@ -162,6 +166,27 @@ class GradedVectorField:
     def is_zero(self):
         return all(p.is_zero() for p in self.comps)
 
+    def __add__(self, other):
+        return type(self)(self.m, self.r, tuple(a + b for a, b in zip(self.comps, other.comps)))
+
+    def __neg__(self):
+        return type(self)(self.m, self.r, tuple(-p for p in self.comps))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return type(self)(self.m, self.r, tuple(p.scale(c) for p in self.comps))
+
+    def mul_poly(self, f):
+        return type(self)(self.m, self.r, tuple(f * p for p in self.comps))
+
+
+class GradedVectorField(_Graded):
+    """Vector field sum_a comps[a] d/dxi_a; direction a has weight -weights[a]."""
+
+    direction_sign = -1
+
     def apply(self, f):
         """Derivation on a polynomial: sum_a comps[a] * df/dxi_a."""
         out = Poly.zero(self.nvars)
@@ -170,57 +195,11 @@ class GradedVectorField:
                 out = out + p * f.diff(a)
         return out
 
-    def __add__(self, other):
-        return GradedVectorField(
-            self.m, self.r, tuple(a + b for a, b in zip(self.comps, other.comps))
-        )
 
-    def __neg__(self):
-        return GradedVectorField(self.m, self.r, tuple(-p for p in self.comps))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return GradedVectorField(self.m, self.r, tuple(p.scale(c) for p in self.comps))
-
-    def mul_poly(self, f):
-        return GradedVectorField(self.m, self.r, tuple(f * p for p in self.comps))
-
-
-@dataclass(frozen=True)
-class GradedForm:
+class GradedForm(_Graded):
     """1-form sum_a comps[a] dxi_a; direction a has weight +weights[a]."""
 
-    m: int
-    r: int
-    comps: tuple
-
-    @property
-    def nvars(self):
-        return self.m + self.r
-
-    @property
-    def weights(self):
-        return _weights(self.m, self.r)
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.comps)
-
-    def __add__(self, other):
-        return GradedForm(self.m, self.r, tuple(a + b for a, b in zip(self.comps, other.comps)))
-
-    def __neg__(self):
-        return GradedForm(self.m, self.r, tuple(-p for p in self.comps))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return GradedForm(self.m, self.r, tuple(p.scale(c) for p in self.comps))
-
-    def mul_poly(self, f):
-        return GradedForm(self.m, self.r, tuple(f * p for p in self.comps))
+    direction_sign = 1
 
 
 def zero_vf(m, r):
@@ -331,25 +310,11 @@ def homogeneous_part(obj, l, m=None, r=None):
         if m is None or r is None:
             raise TypeError("polynomial input needs the m/r weight split")
         return _poly_weight_part(obj, _weights(m, r), l)
-    w = obj.weights
-    if isinstance(obj, GradedVectorField):
-        comps = []
-        for a, p in enumerate(obj.comps):
-            want = l + w[a]
-            comps.append(_poly_weight_part(p, w, want))
-        return GradedVectorField(obj.m, obj.r, tuple(comps))
-    if isinstance(obj, GradedForm):
-        comps = []
-        for a, p in enumerate(obj.comps):
-            want = l - w[a]
-            comps.append(_poly_weight_part(p, w, want))
-        return GradedForm(obj.m, obj.r, tuple(comps))
-    raise TypeError("unsupported object: %r" % type(obj))
-
-
-def poly_part(f, m, r, l):
-    """Weight-l homogeneous part of a polynomial (functions have order = weight)."""
-    return _poly_weight_part(f, _weights(m, r), l)
+    if not isinstance(obj, _Graded):
+        raise TypeError("unsupported object: %r" % type(obj))
+    w, sign = obj.weights, obj.direction_sign
+    comps = tuple(_poly_weight_part(p, w, l - sign * w[a]) for a, p in enumerate(obj.comps))
+    return type(obj)(obj.m, obj.r, comps)
 
 
 def _poly_weight_part(p, weights, want):
@@ -362,18 +327,13 @@ def _poly_weight_part(p, weights, want):
 
 def homogeneous_orders(obj):
     """Sorted list of orders on which the object has nonzero components."""
-    w = obj.weights
-    orders = set()
-    if isinstance(obj, GradedVectorField):
-        for a, p in enumerate(obj.comps):
-            for e in p.terms:
-                orders.add(monomial_weight(e, w) - w[a])
-    elif isinstance(obj, GradedForm):
-        for a, p in enumerate(obj.comps):
-            for e in p.terms:
-                orders.add(monomial_weight(e, w) + w[a])
-    else:
+    if not isinstance(obj, _Graded):
         raise TypeError("unsupported object: %r" % type(obj))
+    w, sign = obj.weights, obj.direction_sign
+    orders = set()
+    for a, p in enumerate(obj.comps):
+        for e in p.terms:
+            orders.add(monomial_weight(e, w) + sign * w[a])
     return sorted(orders)
 
 

@@ -217,7 +217,10 @@ def volume_element_matrix(spec, tau):
 
 def _prefactor(spec, t):
     n = spec.n
-    return 8.0 * (16.0 * n) ** 1.5 / (4.0 * math.pi * t) ** (2 * n + 3)
+    # a power that leaves the double range gives inf or 0 here without a
+    # warning; _kernel_rows fails those rows
+    with np.errstate(divide="ignore", over="ignore"):
+        return 8.0 * (16.0 * n) ** 1.5 / (4.0 * math.pi * t) ** (2 * n + 3)
 
 
 def _weighted_order(spec, deriv):
@@ -384,7 +387,11 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
             out.append(ToleranceError(str(res), value=p * res.value, err=p * res.err + p * tl))
         else:
             val, err, n_evals = res
-            out.append(KernelValue(p * val, p * (err + tl), n_evals))
+            value, bound = p * val, p * (err + tl)
+            if p > 0.0 and math.isfinite(value) and math.isfinite(bound):
+                out.append(KernelValue(value, bound, n_evals))
+            else:
+                out.append(ToleranceError("kernel value or error bound is out of floating-point range"))
     return out
 
 
@@ -394,7 +401,8 @@ def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
     x has the spec's m coordinates and z three.  Derivatives are taken in
     the target coordinates up to weighted order 4 (x counts 1, z counts 2).
     Returns a KernelValue with an error estimate covering quadrature and
-    truncation; raises ToleranceError when the tolerance is not met.
+    truncation; raises ToleranceError when the tolerance is not met or the
+    value or its error bound is out of floating-point range.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -531,7 +539,10 @@ def batch_evaluate(spec, rows, cfg=None):
     Each row is checked on its own: exactly 1 + m + 3 finite values, t > 0.
     The valid rows go through the row-batched quadrature _ROW_BLOCK rows at a
     time, and each gets the same bits as heat_kernel_point on it.  Returns one
-    dict per row with value/err or an error message.
+    dict per row with value/err, or with an error message and its kind:
+    "input" for a row that failed the check, "numeric" for a row that missed
+    the tolerance or whose value or error bound is out of floating-point
+    range.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -545,7 +556,7 @@ def batch_evaluate(spec, rows, cfg=None):
                 raise ValueError("expected %d coordinates" % (m + 3))
             _check_point(vals[0], vals[1:])
         except ValueError as exc:
-            out[i] = {"ok": False, "error": str(exc)}
+            out[i] = {"ok": False, "kind": "input", "error": str(exc)}
             continue
         valid.append(i)
         points.append(vals)
@@ -556,7 +567,7 @@ def batch_evaluate(spec, rows, cfg=None):
         results = _kernel_rows(spec, blk[:, 0], blk[:, 1 : m + 1], blk[:, m + 1 :], _PLAIN, coeffs, cfg)
         for i, res in zip(valid[s : s + _ROW_BLOCK], results):
             if isinstance(res, ToleranceError):
-                out[i] = {"ok": False, "error": str(res)}
+                out[i] = {"ok": False, "kind": "numeric", "error": str(res)}
             else:
                 out[i] = {"ok": True, "value": res.value, "err": res.err_estimate}
     return out

@@ -24,15 +24,16 @@ from fractions import Fraction
 
 from .graded import (
     GradedForm,
-    GradedVectorField,
     Poly,
     basis_form,
     frame_inversion,
     homogeneous_orders,
+    homogeneous_part,
     left_invariant_frame,
     lie_bracket,
     pair,
     zero_form,
+    zero_vf,
 )
 from .tensors import (
     LinearReducer,
@@ -129,16 +130,13 @@ class CoframeExpansion:
     omega: dict  # (a, b) global indices -> dict order -> GradedForm (order 2)
 
     def check_orders(self):
-        for tab in list(self.theta) + list(self.eta):
+        tables = [("coframe", tab) for tab in self.theta + self.eta]
+        tables += [("omega", tab) for tab in self.omega.values()]
+        for what, tab in tables:
             for l, form in tab.items():
                 orders = homogeneous_orders(form)
                 if orders not in ([], [l]):
-                    raise ValueError("coframe term labeled %d has orders %s" % (l, orders))
-        for tab in self.omega.values():
-            for l, form in tab.items():
-                orders = homogeneous_orders(form)
-                if orders not in ([], [l]):
-                    raise ValueError("omega term labeled %d has orders %s" % (l, orders))
+                    raise ValueError("%s term labeled %d has orders %s" % (what, l, orders))
         return True
 
 
@@ -419,8 +417,7 @@ def _frame_field(spec, coeffs_x, coeffs_v):
     """Polynomial-coefficient combination sum c_b Xtilde_b + sum d_j Vtilde_j."""
     Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
     m, r = spec.m, spec.r
-    nv = m + r
-    total = GradedVectorField(m, r, tuple(Poly.zero(nv) for _ in range(nv)))
+    total = zero_vf(m, r)
     for b in range(m):
         if not coeffs_x[b].is_zero():
             total = total + Xs[b].mul_poly(coeffs_x[b])
@@ -497,18 +494,16 @@ class PerturbationOperator:
         )
 
     def check_order_zero(self):
-        from .graded import poly_part
-
         def label_weight(lbl):
             return 1 if lbl[0] == "X" else 2
 
         for (la, lb), poly in self.second.items():
             want = label_weight(la) + label_weight(lb)
-            if poly_part(poly, self.m, self.r, want) != poly:
+            if homogeneous_part(poly, want, self.m, self.r) != poly:
                 raise ValueError("second-order term %s is not weight-%d homogeneous" % ((la, lb), want))
         for lbl, poly in self.first.items():
             want = label_weight(lbl)
-            if poly_part(poly, self.m, self.r, want) != poly:
+            if homogeneous_part(poly, want, self.m, self.r) != poly:
                 raise ValueError("first-order term %s is not weight-%d homogeneous" % (lbl, want))
         return True
 
@@ -523,36 +518,27 @@ def build_P2(spec, coeffs, div):
     one vertical factor.
     """
     m, r = spec.m, spec.r
-    nv = m + r
     Xs, _ = left_invariant_frame(spec, scalar=Sym.rational)
     second = {}
     first = {}
 
-    def add_second(key, poly):
+    def add(table, key, poly):
         if poly.is_zero():
             return
-        cur = second.get(key)
-        second[key] = poly if cur is None else cur + poly
-
-    def add_first(key, poly):
-        if poly.is_zero():
-            return
-        cur = first.get(key)
-        first[key] = poly if cur is None else cur + poly
+        cur = table.get(key)
+        table[key] = poly if cur is None else cur + poly
 
     for alpha in range(m):
         for beta in range(m):
             s = coeffs.s_x[(alpha, beta)]
-            if not s.is_zero():
-                add_second((("X", alpha), ("X", beta)), s)
-                add_second((("X", beta), ("X", alpha)), s)
-            add_first(("X", beta), Xs[alpha].apply(s))
+            add(second, (("X", alpha), ("X", beta)), s)
+            add(second, (("X", beta), ("X", alpha)), s)
+            add(first, ("X", beta), Xs[alpha].apply(s))
         for j in range(r):
             rr = coeffs.r_x[(alpha, j)]
-            if not rr.is_zero():
-                add_second((("X", alpha), ("V", j)), rr.scale(Sym.rational(2)))
-            add_first(("V", j), Xs[alpha].apply(rr))
-        add_first(("X", alpha), div[alpha])
+            add(second, (("X", alpha), ("V", j)), rr.scale(Sym.rational(2)))
+            add(first, ("V", j), Xs[alpha].apply(rr))
+        add(first, ("X", alpha), div[alpha])
     second = {k: v for k, v in second.items() if not v.is_zero()}
     first = {k: v for k, v in first.items() if not v.is_zero()}
     return PerturbationOperator(m=m, r=r, second=second, first=first)

@@ -10,9 +10,11 @@ R^d_{abc} = -R^d_{bac}) is canonicalized at construction.
 The known contraction identities (vertical torsion components, torsion/almost
 complex traces, curvature traces against the almost complex structures, and
 the definition of kappa) are all linear in the symbols, so rewriting is exact
-rational elimination against a deterministically echelonized relation set;
-reduction order cannot change the normal form, which the confluence tests
-exercise explicitly.
+rational elimination against the relations in reduced echelon form.  No
+pivot row holds another pivot's atom, and that form is unique for the span
+of the relations, so neither the order of the relations nor the order of
+the eliminations can change the normal form; the confluence tests permute
+the relations explicitly.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ def identity_relations(symbols):
             if acc:
                 rels.append(("torsion-trace[i=%d,j=%d]" % (i + 1, j + 1), acc))
     for i in range(r):
-        acc = Sym.zero()
+        acc4 = acc5 = Sym.zero()
         for a in range(m):
             for b in range(m):
                 v1 = spec.J[i][a][b]
@@ -307,24 +309,14 @@ def identity_relations(symbols):
                     for d in range(m):
                         v2 = spec.J[i][g][d]
                         if v2:
-                            acc = acc + (v1 * v2) * symbols.R(d, a, b, g)
-        rel = acc + Fraction(2, 1) * n / (n + 2) * symbols.kappa()
-        if rel:
-            rels.append(("curvature-trace-4[i=%d]" % (i + 1), rel))
-        acc = Sym.zero()
-        for a in range(m):
-            for b in range(m):
-                v1 = spec.J[i][a][b]
-                if not v1:
-                    continue
-                for g in range(m):
-                    for d in range(m):
-                        v2 = spec.J[i][g][d]
-                        if v2:
-                            acc = acc + (v1 * v2) * symbols.R(d, g, a, b)
-        rel = acc - n / (n + 2) * symbols.kappa()
-        if rel:
-            rels.append(("curvature-trace-5[i=%d]" % (i + 1), rel))
+                            acc4 = acc4 + (v1 * v2) * symbols.R(d, a, b, g)
+                            acc5 = acc5 + (v1 * v2) * symbols.R(d, g, a, b)
+        for name, rel in (
+            ("curvature-trace-4", acc4 + Fraction(2, 1) * n / (n + 2) * symbols.kappa()),
+            ("curvature-trace-5", acc5 - n / (n + 2) * symbols.kappa()),
+        ):
+            if rel:
+                rels.append(("%s[i=%d]" % (name, i + 1), rel))
     acc = Sym.zero()
     for a in range(m):
         for b in range(m):
@@ -339,31 +331,44 @@ class ReductionError(ValueError):
     """A tensor expression did not collapse to a kappa multiple."""
 
 
+def _subtract(vec, factor, row):
+    """vec -= factor * row in place, dropping entries that cancel."""
+    for a, c in row.items():
+        s = vec.get(a, 0) - factor * c
+        if s:
+            vec[a] = s
+        else:
+            vec.pop(a, None)
+
+
 class LinearReducer:
     """Exact elimination against linear relations in the tensor symbols.
 
     Rows are Sym expressions that vanish identically (at most linear in the
-    atoms).  The reducer echelonizes them against the fixed atom order
-    (curvature first, then torsion, then kappa, then moment symbols), so
-    reduction of any target is canonical whatever order rules are applied in.
+    atoms).  The reducer keeps them in reduced echelon form against the fixed
+    atom order (curvature first, then torsion, then kappa, then moment
+    symbols): each pivot row is normalized on its least atom, and no pivot
+    row holds another pivot's atom.  That form is unique for the span of the
+    relations, so the normal form of a target does not depend on the order
+    the relations come in.
     """
 
-    def __init__(self, relations, row_order=None):
+    def __init__(self, relations):
         self.pivots = {}  # atom -> (vector dict atom->Fraction, provenance set)
-        names = list(range(len(relations)))
-        if row_order is not None:
-            names = list(row_order)
-        for idx in names:
-            name, rel = relations[idx]
+        for name, rel in relations:
             vec = self._to_vec(rel)
-            vec, prov = self._reduce_vec(vec, {name})
+            prov = {name}.union(*(rprov for _, rprov in self._eliminate(vec)))
             if not vec:
                 continue
-            pivot = self._lead(vec)
+            pivot = min((a for a in vec if a != ()), key=_atom_key, default=())
             inv = 1 / vec[pivot]
-            vec = {a: c * inv for a, c in vec.items()}
-            self.pivots[pivot] = (vec, prov)
-            self._back_substitute(pivot)
+            row = {a: c * inv for a, c in vec.items()}
+            # back-substitution keeps the pivot atoms out of every other row
+            for atom, (other, oprov) in self.pivots.items():
+                if pivot in other:
+                    _subtract(other, other[pivot], row)
+                    self.pivots[atom] = (other, oprov | prov)
+            self.pivots[pivot] = (row, prov)
 
     @staticmethod
     def _to_vec(sym):
@@ -375,69 +380,24 @@ class LinearReducer:
             vec[key] = vec.get(key, Fraction(0)) + c
         return {a: c for a, c in vec.items() if c}
 
-    @staticmethod
-    def _lead(vec):
-        return min((a for a in vec if a != ()), key=_atom_key, default=())
+    def _eliminate(self, vec):
+        """Clear every pivot atom from vec in place, in atom order.
 
-    def _reduce_vec(self, vec, prov):
-        prov = set(prov)
-        changed = True
-        while changed:
-            changed = False
-            for atom in sorted((a for a in vec if a != ()), key=_atom_key):
-                hit = self.pivots.get(atom)
-                if hit is None:
-                    continue
-                row, rprov = hit
-                factor = vec[atom]
-                for a, c in row.items():
-                    s = vec.get(a, Fraction(0)) - factor * c
-                    if s:
-                        vec[a] = s
-                    else:
-                        vec.pop(a, None)
-                prov |= rprov
-                changed = True
-                break
-        return vec, prov
+        Returns the (atom, provenance) of each pivot row used.  A pivot row
+        holds no other pivot's atom, so subtracting it brings none in and one
+        pass reaches the normal form.
+        """
+        used = []
+        for atom in sorted((a for a in vec if a != () and a in self.pivots), key=_atom_key):
+            row, prov = self.pivots[atom]
+            _subtract(vec, vec[atom], row)
+            used.append((atom, prov))
+        return used
 
-    def _back_substitute(self, new_pivot):
-        row, prov = self.pivots[new_pivot]
-        for atom in list(self.pivots):
-            if atom == new_pivot:
-                continue
-            vec, vprov = self.pivots[atom]
-            if new_pivot in vec:
-                factor = vec[new_pivot]
-                for a, c in row.items():
-                    s = vec.get(a, Fraction(0)) - factor * c
-                    if s:
-                        vec[a] = s
-                    else:
-                        vec.pop(a, None)
-                self.pivots[atom] = (vec, vprov | prov)
-
-    def reduce(self, sym, log=None, rule_order=None):
+    def reduce(self, sym, log=None):
         """Normal form of a (linear) Sym modulo the relation set."""
         vec = self._to_vec(sym)
-        atoms_in_play = lambda: [a for a in vec if a != () and a in self.pivots]
-        while True:
-            candidates = atoms_in_play()
-            if not candidates:
-                break
-            if rule_order is not None:
-                candidates.sort(key=lambda a: rule_order(a))
-            else:
-                candidates.sort(key=_atom_key)
-            atom = candidates[0]
-            row, prov = self.pivots[atom]
-            factor = vec[atom]
-            for a, c in row.items():
-                s = vec.get(a, Fraction(0)) - factor * c
-                if s:
-                    vec[a] = s
-                else:
-                    vec.pop(a, None)
+        for atom, prov in self._eliminate(vec):
             if log is not None:
                 log.append("eliminated %s via {%s}" % (atom_str(atom), ", ".join(sorted(prov))))
         out = Sym()

@@ -83,13 +83,48 @@ def test_kernel_batch_and_row_errors(tmp_path, capsys):
     inp.write_text("1.0 0 0 0 0 0 0 0\n-1.0 0 0 0 0 0 0 0\n")
     out_file = tmp_path / "out.csv"
     code, _, _ = run_cli(capsys, ["kernel", "--n", "1", "--input", str(inp), "--out", str(out_file)])
-    assert code == 3  # one row fails (t <= 0)
+    assert code == 2  # one row fails its check (t <= 0)
     lines = out_file.read_text().splitlines()
     assert lines[0].startswith("# config:")
     assert lines[1] == "row,value,err,error"
     first = lines[2].split(",")
     assert float(first[1]) == pytest.approx(1.0 / 120.0, abs=1e-8)
     assert "positive" in lines[3]
+
+
+def test_kernel_out_of_range_row_exits_3(tmp_path, capsys):
+    inp = tmp_path / "rows.csv"
+    inp.write_text("1e-300 0 0 0 0 0 0 0\n1.0 0 0 0 0 0 0 0\n")
+    code, out, _ = run_cli(capsys, ["kernel", "--n", "1", "--input", str(inp)])
+    assert code == 3
+    lines = out.splitlines()
+    assert "out of floating-point range" in lines[2]
+    assert float(lines[3].split(",")[1]) == pytest.approx(1.0 / 120.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--n", "1", "--input", "{missing}"],
+        ["kernel", "--n", "1", "--input", "{dir}"],
+        ["spectrum", "--input", "{missing}", "--t", "1"],
+        ["c0", "--n", "1", "--out", "{missing}/x"],
+    ],
+)
+def test_unopenable_paths_exit_2(tmp_path, capsys, argv):
+    paths = {"missing": str(tmp_path / "missing"), "dir": str(tmp_path)}
+    code, out, err = run_cli(capsys, [a.format(**paths) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["c0", "--n", "139"], ["cn", "--n", "200"]])
+def test_overflow_at_large_level_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ") and len(err.splitlines()) == 1
 
 
 def test_kernel_parse_error_exit_2(tmp_path, capsys):
@@ -158,6 +193,13 @@ def test_mc_bad_indices_exit_2(capsys, indices):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: --indices")
+
+
+def test_mc_over_budget_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["mc", "--n", "1", "--seed", "1", "--paths", "1000000", "--steps", "300"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: simulation budget exceeded")
 
 
 def test_mc_rule_negative_seed(capsys):

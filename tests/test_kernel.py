@@ -368,11 +368,13 @@ def test_batch_evaluate_row_errors():
         [-1.0] + [0.0] * 7,
         [1.0, 0.1],
         [1.0] + [0.0] * 7 + [5.0],  # one value too many
+        [1e-300] + [0.0] * 7,  # (4 pi t)^5 underflows: the value is out of range
     ]
     out = batch_evaluate(SPEC1, rows)
     assert out[0]["ok"] and out[0]["value"] == pytest.approx(1 / 120, abs=1e-10)
-    assert not out[1]["ok"]
-    assert out[2] == out[3] == {"ok": False, "error": "expected 7 coordinates"}
+    assert not out[1]["ok"] and out[1]["kind"] == "input"
+    assert out[2] == out[3] == {"ok": False, "kind": "input", "error": "expected 7 coordinates"}
+    assert out[4] == {"ok": False, "kind": "numeric", "error": "kernel value or error bound is out of floating-point range"}
 
 
 # (spec, t, x, z, derivative) -> n_evals of the adaptive policy; these counts
@@ -420,8 +422,8 @@ def test_batch_rows_match_single_queries_bit_for_bit(spec):
     out = batch_evaluate(spec, rows)
     for row, res in zip(rows[:-2], out):
         assert res == _single(spec, row)
-    assert out[-2] == {"ok": False, "error": "time must be positive"}
-    assert out[-1] == {"ok": False, "error": "expected %d coordinates" % (spec.m + 3)}
+    assert out[-2] == {"ok": False, "kind": "input", "error": "time must be positive"}
+    assert out[-1] == {"ok": False, "kind": "input", "error": "expected %d coordinates" % (spec.m + 3)}
 
 
 def test_batch_rows_independent_of_order_and_blocks(monkeypatch):

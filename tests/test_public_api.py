@@ -26,7 +26,6 @@ REFERENCE_ROUTES = {
     "frame_data_from_spec": "the group's own frame as Popp input, acceptance criterion 5",
     "divergence_bracket_route": "the divergence correction by a second route, from brackets",
     "moment_exemplar": "one concrete pattern per moment class, for numeric moment estimates",
-    "homogeneous_part": "weight decomposition, checked as Lie-derivative eigenvalues along P",
     "euler_field": "the grading generator P of those eigenvalue checks",
     "lie_derivative_form": "L_P on forms, the eigenvalue check of forms and coframe terms",
 }

@@ -103,6 +103,13 @@ def test_torsion_trace_reduces_to_zero():
             assert red.reduce(acc).is_zero()
 
 
+def assert_reduced_echelon(red):
+    """No pivot row holds another pivot's atom; each is 1 on its own."""
+    for pivot, (row, _) in red.pivots.items():
+        assert row[pivot] == 1
+        assert not (row.keys() - {pivot}) & red.pivots.keys()
+
+
 def test_reduction_is_order_independent():
     rels = identity_relations(SYM)
     base = LinearReducer(rels)
@@ -116,12 +123,12 @@ def test_reduction_is_order_independent():
     want = base.reduce(target)
     rng = random.Random(99)
     for _ in range(6):
-        order = list(range(len(rels)))
-        rng.shuffle(order)
-        red = LinearReducer(rels, row_order=order)
-        shuffle_key = {a: rng.random() for a in target.atoms()}
-        got = red.reduce(target, rule_order=lambda a: shuffle_key.get(a, rng.random()))
-        assert got == want
+        shuffled = list(rels)
+        rng.shuffle(shuffled)
+        red = LinearReducer(shuffled)
+        assert_reduced_echelon(red)
+        assert red.pivots.keys() == base.pivots.keys()
+        assert red.reduce(target) == want
 
 
 def test_derivation_log_mentions_rules():
