@@ -4,15 +4,16 @@ Data goes to stdout (or --out), logs to stderr.  Every output embeds the
 fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
-error (bad arguments such as --n 0, an out-of-range mc --indices or an mc
-run over the path-step budget, input or output paths that cannot be opened,
-input files that do not parse or lack required keys, kernel rows that fail
-their check, a frame file whose b has the wrong count or shape or a
-non-numeric entry or whose c is not an (m+k) x (m+k) x m array of numbers, a
-non-finite eigenvalue, a spectrum too short for the time grid), 3 numeric
-failure (a missed tolerance, a kernel row out of floating-point range, a
-floating-point overflow), 4 invariant violation (a failed reduction or
-route check, a non-antisymmetric frame, a singular or indefinite Popp B).
+error (bad arguments such as --n 0, an out-of-range mc --indices, an mc
+run over the path-step budget or an mc --rule run with one sample, input
+or output paths that cannot be opened, input files that do not parse or
+lack required keys, kernel rows that fail their check, a frame file whose b
+has the wrong count or shape or a non-numeric entry or whose c is not an
+(m+k) x (m+k) x m array of numbers, a non-finite eigenvalue, a spectrum too
+short for the time grid), 3 numeric failure (a missed tolerance, a kernel
+row out of floating-point range, a floating-point overflow), 4 invariant
+violation (a failed reduction or route check, a non-antisymmetric frame, a
+singular or indefinite Popp B).
 """
 
 from __future__ import annotations
@@ -232,7 +233,10 @@ def _cmd_mc(args):
             rule_pattern(spec, args.rule, indices)
         except ValueError as exc:
             raise InputFormatError("--indices: %s" % exc) from exc
-        rep = check_moment_vanishing(cfg, args.rule, indices=indices, n_samples=args.samples)
+        try:
+            rep = check_moment_vanishing(cfg, args.rule, indices=indices, n_samples=args.samples)
+        except ValueError as exc:  # fewer than 2 samples, or over the path-step budget
+            raise InputFormatError(str(exc)) from exc
         buf.write(
             "%s,%.12g,%.4g,%d,%d,%d\n"
             % (rep.label, rep.estimate, rep.stderr, args.paths, args.steps, args.seed)

@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 _MAX_EVALS = 200_000  # evaluation cap of the c0 and sphere-integral quadratures
-_ZETA_DPS = 50  # mpmath working precision of the zeta-series oracles
+_ZETA_DPS = 50  # mpmath digits of the zeta-series oracles beyond the n digits their terms cancel
 _Q_MIN, _Q_MAX = 0.2, 60.0  # search range of the heat-trace exponent Q
 _TAIL_CEILING = 1e-6  # largest tail fraction spectral_extract accepts
 
@@ -71,7 +71,7 @@ def _poly_from_linear_factors(shifts, denom):
 def _zeta_sum(coeffs_by_power, n):
     """sum over u >= n of sum_j c_j u^{-j} via Hurwitz zeta, exact coefficients.
 
-    Runs at the caller's working precision (the oracles set _ZETA_DPS).
+    Runs at the caller's working precision (the oracles set _ZETA_DPS + n).
     """
     total = mpmath.mpf(0)
     for j, c in sorted(coeffs_by_power.items()):
@@ -102,7 +102,7 @@ def c0_zeta_series(n):
     )
     scale = Fraction(2) ** (2 * n) * fact / Fraction(2) ** (2 * n + 3)
     powers = _series_powers(a_poly, 2 * n + 3, scale)
-    with mpmath.workdps(_ZETA_DPS):
+    with mpmath.workdps(_ZETA_DPS + n):
         integral = _zeta_sum(powers, n)
         pref = (16 * n) ** mpmath.mpf("1.5") * 4 * mpmath.pi / (4 * mpmath.pi) ** (2 * n + 3)
         return float(pref * integral)
@@ -200,7 +200,7 @@ def Cn_zeta_series(n):
     for j in list(powers):
         if j < 2 and powers[j] != 0:
             raise ArithmeticError("zeta power %d survived; series derivation broken" % j)
-    with mpmath.workdps(_ZETA_DPS):
+    with mpmath.workdps(_ZETA_DPS + n):
         integral = _zeta_sum({j: c for j, c in powers.items() if j >= 2}, n)
         denom = 16 * (n * n + 2 * n) * (4 * mpmath.pi) ** (two_n + 2)
         return float(integral / denom)

@@ -15,21 +15,25 @@ Randomness is counter-based: each path draws from Philox keyed by
 (seed, path index), with steps consumed in order inside the path, so a
 path's samples do not depend on which other paths are drawn or in what
 order they are evaluated; the uniform time draws of the convolution
-estimators use a reserved stream key.  Antithetic pairing is deliberately
-not used for the vanishing-rule estimators: those integrands are odd under
-the path sign flip, and pairing would force the estimate to exactly zero,
-making the null check vacuous.
+estimators use a reserved stream key.  check_moment_vanishing runs one
+sample body for both halves of its time integral, over a Leibniz term list
+built once per check, and reads only spec, seed and n_steps of its
+SimConfig.  Antithetic pairing is deliberately not used for the
+vanishing-rule estimators: those integrands are odd under the path sign
+flip, and pairing would force the estimate to exactly zero, making the null
+check vacuous.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import BROWNIAN_VARIANCE_FACTOR, QuadratureConfig, heat_kernel_point
-from .qc_expansion import _moment_decomposition
+from .qc_expansion import _moment_decomposition, _pattern
 
 __all__ = [
     "SimConfig",
@@ -108,7 +112,6 @@ def simulate_paths(cfg):
 
 
 def _mean_stderr(values):
-    values = np.asarray(values, dtype=float)
     n = len(values)
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
@@ -118,19 +121,11 @@ def _mean_stderr(values):
 def moment_report(samples):
     """First/second-moment estimates with standard errors, as labeled rows."""
     rows = []
-    m = samples.x.shape[1]
-    for a in range(m):
-        est, se = _mean_stderr(samples.x[:, a])
-        rows.append(("E[x_%d]" % (a + 1), est, se))
-    for a in range(m):
-        est, se = _mean_stderr(samples.x[:, a] ** 2)
-        rows.append(("E[x_%d^2]" % (a + 1), est, se))
-    for i in range(3):
-        est, se = _mean_stderr(samples.z[:, i])
-        rows.append(("E[z_%d]" % (i + 1), est, se))
-    for i in range(3):
-        est, se = _mean_stderr(samples.z[:, i] ** 2)
-        rows.append(("E[z_%d^2]" % (i + 1), est, se))
+    for kind, power in (("x", 1), ("x", 2), ("z", 1), ("z", 2)):
+        coords = getattr(samples, kind)
+        for a in range(coords.shape[1]):
+            est, se = _mean_stderr(coords[:, a] ** power)
+            rows.append(("E[%s_%d%s]" % (kind, a + 1, "^2" * (power - 1)), est, se))
     return rows
 
 
@@ -150,6 +145,15 @@ def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=2024
     return est, se, direct.value, direct.err_estimate
 
 
+# rule id -> (coordinate kind per index, default indices, number of monomial indices)
+_RULES = {
+    1: ("xxz", (1, 2, 1), 2),
+    2: ("xxxx", (1, 2, 3, 4), 2),
+    3: ("z", (1,), 0),
+    4: ("xxxxzz", (1, 2, 3, 4, 1, 2), 4),
+}
+
+
 def rule_pattern(spec, rule_id, indices=None):
     """Monomial and derivative pattern of a vanishing rule (1-based indices).
 
@@ -161,51 +165,25 @@ def rule_pattern(spec, rule_id, indices=None):
     Raises ValueError for an unknown rule, a wrong number of indices, or an
     index outside 1..4n (x) or 1..3 (z).
     """
-    m = spec.m
-    nv = m + 3
-    kinds = {1: "xxz", 2: "xxxx", 3: "z", 4: "xxxxzz"}.get(rule_id)
-    if kinds is None:
+    if rule_id not in _RULES:
         raise ValueError("rule_id must be in {1,2,3,4}")
+    kinds, defaults, n_mono = _RULES[rule_id]
     if indices:
         if len(indices) != len(kinds):
             raise ValueError(
                 "rule %d takes %d indices, got %d" % (rule_id, len(kinds), len(indices))
             )
         for kind, idx in zip(kinds, indices):
-            top = m if kind == "x" else 3
+            top = spec.m if kind == "x" else 3
             if not 1 <= idx <= top:
                 raise ValueError(
                     "rule %d: %s index %d is outside 1..%d" % (rule_id, kind, idx, top)
                 )
-    mono = [0] * nv
-    deriv = [0] * nv
-    if rule_id == 1:
-        a, b, i = indices or (1, 2, 1)
-        mono[a - 1] += 1
-        mono[b - 1] += 1
-        deriv[m + i - 1] += 1
-    elif rule_id == 2:
-        a, b, g, d = indices or (1, 2, 3, 4)
-        mono[a - 1] += 1
-        mono[b - 1] += 1
-        deriv[g - 1] += 1
-        deriv[d - 1] += 1
-    elif rule_id == 3:
-        (i,) = indices or (1,)
-        deriv[m + i - 1] += 1
-    else:
-        a, b, g, d, i, j = indices or (1, 2, 3, 4, 1, 2)
-        for idx in (a, b, g, d):
-            mono[idx - 1] += 1
-        deriv[m + i - 1] += 1
-        deriv[m + j - 1] += 1
-    return tuple(mono), tuple(deriv)
+    return _pattern(spec.m, kinds, indices or defaults, n_mono)
 
 
 @dataclass(frozen=True)
 class MomentCheckReport:
-    rule_id: int
-    indices: tuple
     estimate: float
     stderr: float
     n_samples: int
@@ -214,40 +192,22 @@ class MomentCheckReport:
     label: str
 
 
-def _leibniz_splits(deriv):
-    """All ways to split a derivative multi-index across a product, with
-    multinomial coefficients: yields (onto_phi, onto_kernel, coeff)."""
-    nv = len(deriv)
-    splits = [([0] * nv, [0] * nv, 1)]
-    for c in range(nv):
-        for _ in range(deriv[c]):
-            new = []
-            for a, b, w in splits:
-                a1 = list(a)
-                a1[c] += 1
-                new.append((a1, list(b), w))
-                b1 = list(b)
-                b1[c] += 1
-                new.append((list(a), b1, w))
-            splits = new
-    merged = {}
-    for a, b, w in splits:
-        key = (tuple(a), tuple(b))
-        merged[key] = merged.get(key, 0) + w
-    return [(a, b, w) for (a, b), w in merged.items()]
+def _ibp_terms(mono, deriv):
+    """Leibniz terms D[xi^mono f] = sum c xi^rest D^d f, as (c, rest, d) with c != 0.
 
-
-def _monomial_derivative(mono, d):
-    """d/dxi^d of xi^mono: (coefficient, remaining exponents) or None."""
-    coeff = 1
-    rest = list(mono)
-    for c, k in enumerate(d):
-        if k > rest[c]:
-            return None
-        for _ in range(k):
-            coeff *= rest[c]
-            rest[c] -= 1
-    return coeff, tuple(rest)
+    Per coordinate, j of its k derivatives fall on xi^e, with weight
+    C(k, j) e!/(e-j)!.  j descends per coordinate, the first coordinate
+    slowest, so the first term puts every derivative on the monomial.
+    """
+    terms = []
+    for onto_mono in itertools.product(*(range(k, -1, -1) for k in deriv)):
+        c = 1
+        for e, k, j in zip(mono, deriv, onto_mono):
+            c *= math.comb(k, j) * math.perm(e, j)
+        if c:
+            rest = tuple(e - j for e, j in zip(mono, onto_mono))
+            terms.append((c, rest, tuple(k - j for k, j in zip(deriv, onto_mono))))
+    return terms
 
 
 def _monomial_value(exps, x, z):
@@ -267,75 +227,60 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
         M = int_0^1 int p(1-s,0,xi) phi(xi) D p(s,xi,0) dxi ds
 
     against Lebesgue measure (the Haar factor is divided out), with s drawn
-    uniformly on (0, 1).  For s >= 1/2 the outer samples follow p(1-s, 0, .)
-    by simulation and the derivative factor D p(s, ., 0) is evaluated by
-    kernel quadrature.  For s < 1/2 that naive estimator is heavy-tailed (the
-    derivative factor concentrates on a sqrt(s)-ball and its square is not
-    integrable against the wide density), so the identical integral is
-    estimated after integration by parts: (-1)^|D| int D[phi p(1-s,0,.)]
-    p(s,.,0) dxi, sampling from the *small*-time kernel and differentiating
-    the smooth large-time factor.  Both branches are unbiased for the same
-    integrand; the split keeps the variance finite.
+    uniformly on (0, 1).  One body serves both halves: sample p simulates a
+    point (x, z) to time t_sim and sums c (-x,-z)^rest D^d p(t_ker, 0, (-x,-z))
+    over its terms.  For s >= 1/2, (x, z) = xi ~ p(1-s, 0, .), t_ker = s, the
+    outer factor is phi(xi) and the one term is (1, (), D), since
+    p(s, xi, 0) = p(s, 0, xi^{-1}).  For s < 1/2 that estimator is
+    heavy-tailed (the derivative factor concentrates on a sqrt(s)-ball and its
+    square is not integrable against the wide density), so the same integral
+    is taken after integration by parts, (-1)^|D| int D[phi p(1-s,0,.)]
+    p(s,.,0) dxi: (x, z) ~ p(s, 0, .), xi = (-x, -z), t_ker = 1-s, the outer
+    factor is 1 and the terms are the _ibp_terms list, built once per check,
+    summed with every derivative on phi first.  The split keeps the variance
+    finite.
 
-    A vanishing rule passes when |estimate| < 3 stderr; a pattern surviving
-    the parity classification is instead required to exceed 5 stderr.
+    Of cfg only spec, seed and n_steps are read; a sample simulates
+    max(8, ceil(n_steps * t_sim)) steps.  ValueError, before any draw, when
+    n_samples < 2 (no standard error) or n_samples * n_steps exceeds the
+    path-step budget.  A vanishing rule passes when |estimate| < 3 stderr; a
+    pattern surviving the parity classification must exceed 5 stderr.
     """
+    if not 2 <= n_samples <= _PATH_STEP_BUDGET // cfg.n_steps:
+        raise ValueError(
+            "need 2..%d samples at %d steps (2 for a standard error, %d path-steps at most), got %d"
+            % (_PATH_STEP_BUDGET // cfg.n_steps, cfg.n_steps, _PATH_STEP_BUDGET, n_samples)
+        )
     spec = cfg.spec
-    m = spec.m
     mono, deriv = rule_pattern(spec, rule_id, indices)
-    decomp = _moment_decomposition(mono, deriv, m)
-    vanishing = decomp == {}
-    order = sum(deriv)
-    sign = (-1.0) ** order
+    vanishing = _moment_decomposition(mono, deriv, spec.m) == {}
+    sign = (-1.0) ** sum(deriv)
     inv_haar = 1.0 / spec.haar_factor
     qcfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
     J = spec.J_float()
-    splits = _leibniz_splits(deriv)
+    ibp_terms = _ibp_terms(mono, deriv)
 
-    srng = _path_rng(cfg.seed, _TIME_STREAM)
-    svals = srng.uniform(0.0, 1.0, size=n_samples)
+    svals = _path_rng(cfg.seed, _TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
     vals = np.empty(n_samples)
     for p in range(n_samples):
         s = float(svals[p])
-        if s >= 0.5:
-            # sample xi ~ p(1-s), differentiate the short-time factor
-            t_sim = 1.0 - s
-            steps = max(8, int(math.ceil(cfg.n_steps * t_sim)))
-            x, z = _simulate_one(spec, J, t_sim, steps, cfg.seed, p)
-            phi = _monomial_value(mono, x, z)
-            dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, cfg=qcfg).value
-            vals[p] = inv_haar * phi * sign * dp
-        else:
-            # integrate by parts: sample eta ~ p(s), differentiate at 1-s
-            steps = max(8, int(math.ceil(cfg.n_steps * s)))
-            x, z = _simulate_one(spec, J, s, steps, cfg.seed, p)
-            # the integration variable is xi = eta^{-1}
-            xi_x, xi_z = -x, -z
-            total = 0.0
-            for onto_phi, onto_kernel, w in splits:
-                md = _monomial_derivative(mono, onto_phi)
-                if md is None:
-                    continue
-                coeff, rest = md
-                phi = _monomial_value(rest, xi_x, xi_z)
-                gk = heat_kernel_point(
-                    spec, 1.0 - s, xi_x, xi_z, derivative=tuple(onto_kernel), cfg=qcfg
-                ).value
-                total += w * coeff * phi * gk
-            vals[p] = inv_haar * sign * total
+        late = s >= 0.5
+        t_sim, t_ker = (1.0 - s, s) if late else (s, 1.0 - s)
+        x, z = _simulate_one(spec, J, t_sim, max(8, int(math.ceil(cfg.n_steps * t_sim))), cfg.seed, p)
+        outer, terms = (_monomial_value(mono, x, z), [(1, (), deriv)]) if late else (1.0, ibp_terms)
+        inv_x, inv_z = -x, -z
+        total = 0.0
+        for c, rest, d in terms:
+            gk = heat_kernel_point(spec, t_ker, inv_x, inv_z, derivative=d, cfg=qcfg).value
+            total += c * _monomial_value(rest, inv_x, inv_z) * gk
+        vals[p] = inv_haar * outer * sign * total
     est, se = _mean_stderr(vals)
-    if vanishing:
-        passed = abs(est) < 3.0 * se
-    else:
-        passed = abs(est) > 5.0 * se
-    label = "rule%d%s" % (rule_id, tuple(indices) if indices else "(default)")
+    passed = abs(est) < 3.0 * se if vanishing else abs(est) > 5.0 * se
     return MomentCheckReport(
-        rule_id=rule_id,
-        indices=tuple(indices) if indices else (),
         estimate=est,
         stderr=se,
         n_samples=n_samples,
         vanishing_expected=vanishing,
         passed=passed,
-        label=label,
+        label="rule%d%s" % (rule_id, tuple(indices) if indices else "(default)"),
     )

@@ -79,41 +79,37 @@ class RouteMismatchError(ValueError):
     """Closed-form coefficients disagree with the coframe-inversion route."""
 
 
+# label -> (coordinate kind per index, 1-based indices, number of monomial indices)
+_EXEMPLARS = {
+    M_XDX: ("xx", (1, 1), 1),
+    M_ZDZ: ("zz", (1, 1), 1),
+    M_XZDXDZ: ("xzxz", (1, 1, 1, 1), 2),
+    M_XXDXDX_PP: ("xxxx", (1, 1, 2, 2), 2),
+    M_XXDXDX_CROSS: ("xxxx", (1, 2, 1, 2), 2),
+    M_X4DZDZ: ("xxxxzz", (1, 1, 2, 2, 1, 1), 4),
+}
+
+
+def _pattern(m, kinds, indices, n_mono):
+    """(monomial exponents, derivative multi-index) of length m + 3: x_idx is
+    coordinate idx - 1, z_idx is m + idx - 1; the first n_mono indices count
+    in the monomial, the rest in the derivative."""
+    mono = [0] * (m + 3)
+    deriv = [0] * (m + 3)
+    for pos, (kind, idx) in enumerate(zip(kinds, indices)):
+        (mono if pos < n_mono else deriv)[idx - 1 if kind == "x" else m + idx - 1] += 1
+    return tuple(mono), tuple(deriv)
+
+
 def moment_exemplar(label, m):
     """A concrete (monomial exponents, derivative multi-index) in the class.
 
     Both tuples have length m + 3.  Useful for numeric estimation of the
     moment value by simulation.
     """
-    nv = m + 3
-    mono = [0] * nv
-    deriv = [0] * nv
-    if label == M_XDX:
-        mono[0] = 1
-        deriv[0] = 1
-    elif label == M_ZDZ:
-        mono[m] = 1
-        deriv[m] = 1
-    elif label == M_XZDXDZ:
-        mono[0] = 1
-        mono[m] = 1
-        deriv[0] = 1
-        deriv[m] = 1
-    elif label == M_XXDXDX_PP:
-        mono[0] = 2
-        deriv[1] = 2
-    elif label == M_XXDXDX_CROSS:
-        mono[0] = 1
-        mono[1] = 1
-        deriv[0] = 1
-        deriv[1] = 1
-    elif label == M_X4DZDZ:
-        mono[0] = 2
-        mono[1] = 2
-        deriv[m] = 2
-    else:
+    if label not in _EXEMPLARS:
         raise ValueError("unknown moment label %r" % label)
-    return tuple(mono), tuple(deriv)
+    return _pattern(m, *_EXEMPLARS[label])
 
 
 def _sym_poly(nv, terms):

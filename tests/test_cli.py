@@ -202,6 +202,15 @@ def test_mc_over_budget_exits_2(capsys):
     assert err.startswith("input error: simulation budget exceeded")
 
 
+@pytest.mark.parametrize("extra", [["--samples", "1"], ["--samples", "1000000", "--steps", "300"]])
+def test_mc_rule_sample_count_exits_2(capsys, extra):
+    # one sample has no standard error; a million samples of 300 steps is over the path-step budget
+    code, out, err = run_cli(capsys, ["mc", "--n", "1", "--seed", "1", "--rule", "3"] + extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: need 2..")
+
+
 def test_mc_rule_negative_seed(capsys):
     argv = ["mc", "--n", "1", "--paths", "20", "--steps", "20", "--rule", "3", "--samples", "8"]
     code, out, _ = run_cli(capsys, argv + ["--seed", "-1"])

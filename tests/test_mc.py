@@ -5,16 +5,19 @@ import math
 import numpy as np
 import pytest
 
+import qcheat.mc as mc
 from qcheat.group import make_quaternionic_spec
-from qcheat.kernel import kernel_marginal_moments
+from qcheat.kernel import QuadratureConfig, heat_kernel_point, kernel_marginal_moments
 from qcheat.mc import (
     MomentCheckReport,
     SimConfig,
+    _ibp_terms,
     check_moment_vanishing,
     moment_report,
     rule_pattern,
     simulate_paths,
 )
+from qcheat.qc_expansion import M_X4DZDZ, M_XXDXDX_CROSS, M_XXDXDX_PP, moment_exemplar
 
 SPEC = make_quaternionic_spec(1)
 
@@ -160,3 +163,114 @@ def test_vanishing_rule_small_run():
     rep2 = check_moment_vanishing(cfg, 3, n_samples=300)
     assert rep2.estimate == rep.estimate and rep2.stderr == rep.stderr
 
+
+
+@pytest.mark.parametrize("n_samples", [1, 10**6])
+def test_check_rejects_sample_count_before_drawing(monkeypatch, n_samples):
+    # one sample has no standard error; 10^6 samples * 300 steps is over the path-step budget
+    def no_draws(*args):
+        raise AssertionError("drew before validating n_samples")
+
+    monkeypatch.setattr(mc, "_path_rng", no_draws)
+    with pytest.raises(ValueError, match="samples at 300 steps"):
+        check_moment_vanishing(small_cfg(n_paths=10, n_steps=300), 3, n_samples=n_samples)
+
+
+def _unit(*coords, nv=7):
+    return tuple(coords.count(c) for c in range(nv))
+
+
+def test_ibp_terms_weights_and_order():
+    # (c, rest, d): every derivative on the monomial first, the first coordinate slowest
+    assert _ibp_terms(_unit(0, 1), _unit(0, 1)) == [
+        (1, _unit(), _unit()),
+        (1, _unit(1), _unit(1)),
+        (1, _unit(0), _unit(0)),
+        (1, _unit(0, 1), _unit(0, 1)),
+    ]
+    assert _ibp_terms(_unit(0, 0), _unit(0, 0)) == [
+        (2, _unit(), _unit()),
+        (4, _unit(0), _unit(0)),
+        (1, _unit(0, 0), _unit(0, 0)),
+    ]
+    # a derivative the monomial cannot absorb leaves only the terms that put it on f
+    assert _ibp_terms(_unit(0), _unit(1, 4)) == [(1, _unit(0), _unit(1, 4))]
+
+
+def _reference_splits(deriv):
+    """Leibniz splits built one derivative at a time and merged in first-seen
+    order: (onto monomial, onto kernel, multiplicity)."""
+    nv = len(deriv)
+    splits = [([0] * nv, [0] * nv, 1)]
+    for c in range(nv):
+        for _ in range(deriv[c]):
+            new = []
+            for a, b, w in splits:
+                a1, b1 = list(a), list(b)
+                a1[c] += 1
+                b1[c] += 1
+                new += [(a1, list(b), w), (list(a), b1, w)]
+            splits = new
+    merged = {}
+    for a, b, w in splits:
+        merged[(tuple(a), tuple(b))] = merged.get((tuple(a), tuple(b)), 0) + w
+    return [(a, b, w) for (a, b), w in merged.items()]
+
+
+def _reference_check(cfg, mono, deriv, n_samples):
+    """(estimate, stderr) with a separate loop per time branch and one kernel
+    call per Leibniz split in the early branch."""
+    spec = cfg.spec
+    sign = (-1.0) ** sum(deriv)
+    inv_haar = 1.0 / spec.haar_factor
+    qcfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
+    J = spec.J_float()
+    svals = mc._path_rng(cfg.seed, mc._TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
+    vals = np.empty(n_samples)
+    for p in range(n_samples):
+        s = float(svals[p])
+        if s >= 0.5:
+            steps = max(8, int(math.ceil(cfg.n_steps * (1.0 - s))))
+            x, z = mc._simulate_one(spec, J, 1.0 - s, steps, cfg.seed, p)
+            phi = mc._monomial_value(mono, x, z)
+            dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, cfg=qcfg).value
+            vals[p] = inv_haar * phi * sign * dp
+            continue
+        steps = max(8, int(math.ceil(cfg.n_steps * s)))
+        x, z = mc._simulate_one(spec, J, s, steps, cfg.seed, p)
+        total = 0.0
+        for onto_mono, onto_kernel, w in _reference_splits(deriv):
+            if any(j > e for j, e in zip(onto_mono, mono)):
+                continue
+            coeff = 1
+            for e, j in zip(mono, onto_mono):
+                coeff *= math.perm(e, j)
+            rest = tuple(e - j for e, j in zip(mono, onto_mono))
+            phi = mc._monomial_value(rest, -x, -z)
+            gk = heat_kernel_point(spec, 1.0 - s, -x, -z, derivative=tuple(onto_kernel), cfg=qcfg).value
+            total += w * coeff * phi * gk
+        vals[p] = inv_haar * sign * total
+    return mc._mean_stderr(vals)
+
+
+# seeds at which summing the terms in another order changes the estimate's last bit
+@pytest.mark.parametrize("indices, seed", [((1, 1, 1, 1), 770), ((1, 2, 1, 2), 777)])
+def test_check_matches_per_split_reference_bit_for_bit(indices, seed):
+    cfg = SimConfig(spec=make_quaternionic_spec(2), t=1.0, n_paths=10, n_steps=100, seed=seed)
+    rep = check_moment_vanishing(cfg, 2, indices, n_samples=300)
+    mono, deriv = rule_pattern(cfg.spec, 2, indices)
+    assert (rep.estimate, rep.stderr) == _reference_check(cfg, mono, deriv, 300)
+
+
+@pytest.mark.parametrize(
+    "rule_id, indices, label",
+    [
+        (2, (1, 1, 2, 2), M_XXDXDX_PP),
+        (2, (1, 2, 1, 2), M_XXDXDX_CROSS),
+        (4, (1, 1, 2, 2, 1, 1), M_X4DZDZ),
+    ],
+)
+def test_rules_equal_their_moment_exemplars(rule_id, indices, label):
+    for n in (1, 2):
+        spec = make_quaternionic_spec(n)
+        assert rule_pattern(spec, rule_id, indices) == moment_exemplar(label, spec.m)

@@ -1,10 +1,13 @@
 """Every name a qcheat module exports in __all__, and every name the
 benchmark's tracer wraps, exists; every export has a caller or is a listed
-reference route."""
+reference route; the CLI's modules import without scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,16 @@ def test_every_export_has_a_caller():
     assert not sorted(exported - referenced - routes), "exports without a caller in src/qcheat/ or perfbench/"
     assert not sorted(routes - exported), "REFERENCE_ROUTES names that are not exported"
     assert not sorted(routes & referenced), "REFERENCE_ROUTES names that have a caller; drop them from the set"
+
+
+def test_cli_and_numeric_modules_import_no_scipy():
+    """scipy is imported inside the one function that needs it: at import time
+    it would add about 20 MB to every command's peak memory."""
+    code = (
+        "import sys, qcheat.cli, qcheat.kernel, qcheat.invariants, qcheat.mc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(qcheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
