@@ -5,15 +5,15 @@ fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
 error (bad arguments such as --n 0, an out-of-range mc --indices, an mc
-run over the path-step budget or an mc --rule run with one sample, input
-or output paths that cannot be opened, input files that do not parse or
-lack required keys, kernel rows that fail their check, a frame file whose b
-has the wrong count or shape or a non-numeric entry or whose c is not an
-(m+k) x (m+k) x m array of numbers, a non-finite eigenvalue, a spectrum too
-short for the time grid), 3 numeric failure (a missed tolerance, a kernel
-row out of floating-point range, a floating-point overflow), 4 invariant
-violation (a failed reduction or route check, a non-antisymmetric frame, a
-singular or indefinite Popp B).
+run over the path-step budget, an mc moment table with one path or an mc
+--rule run with one sample, input or output paths that cannot be opened,
+input files that do not parse or lack required keys, kernel rows that fail
+their check, a frame file whose b has the wrong count or shape or a
+non-numeric entry or whose c is not an (m+k) x (m+k) x m array of numbers,
+a non-finite eigenvalue, a spectrum too short for the time grid), 3 numeric
+failure (a missed tolerance, a kernel row out of floating-point range, a
+floating-point overflow), 4 invariant violation (a failed reduction or route
+check, a non-antisymmetric frame, a singular or indefinite Popp B).
 """
 
 from __future__ import annotations
@@ -220,12 +220,18 @@ def _cmd_mc(args):
         cfg = SimConfig(spec=spec, t=args.t, n_paths=args.paths, n_steps=args.steps, seed=args.seed)
     except ValueError as exc:  # the path-step budget
         raise InputFormatError(str(exc)) from exc
+    config = _run_config(args, "mc")
+    if args.rule is None:
+        del config["samples"]  # the moment table does not read --samples
     buf = io.StringIO()
-    buf.write("# config: %s\n" % json.dumps(_run_config(args, "mc"), sort_keys=True))
+    buf.write("# config: %s\n" % json.dumps(config, sort_keys=True))
     buf.write("quantity,estimate,stderr,n_paths,n_steps,seed\n")
     if args.rule is None:
-        samples = simulate_paths(cfg)
-        for name, est, se in moment_report(samples):
+        try:
+            report = moment_report(simulate_paths(cfg))
+        except ValueError as exc:  # fewer than 2 paths
+            raise InputFormatError(str(exc)) from exc
+        for name, est, se in report:
             buf.write("%s,%.12g,%.4g,%d,%d,%d\n" % (name, est, se, args.paths, args.steps, args.seed))
     else:
         try:

@@ -21,14 +21,15 @@ covering derivative queries of weighted order <= 4); the remaining radial
 integral has an exponentially decaying integrand and is handled by adaptive
 Gauss-Kronrod panels with an explicit incomplete-gamma tail bound.
 
-Every pointwise query of p(t, 0, .) goes through one row-batched path,
-_kernel_rows: a row is (t, x, z) plus its coefficients on a shared list of
-integrand terms, and all rows are refined together by quadrature.gk_rows.
-batch_evaluate (CLI `kernel`) sends its plain rows through in blocks of
-_ROW_BLOCK rows; heat_kernel_point (values and derivatives) is a one-row
-call.  A row's value and error are the same bits whichever rows share its
-block.  Other base points follow from the group law,
-p(t, h, h') = p(t, 0, h^{-1} h').
+Every pointwise query of p(t, 0, .) or of a derivative of it goes through
+one row entry, _query_rows: a row is (t, x, z), it folds its coefficients on
+a shared list of integrand terms, and blocks of _ROW_BLOCK rows are refined
+together by _kernel_rows and quadrature.gk_rows.  The same entry serves the
+CLI `kernel` rows (batch_evaluate), single queries (heat_kernel_point, a
+one-row call) and the Monte Carlo checks of the mc layer, which send all
+samples of a time branch and Leibniz term in one call.  A row's value and
+error are the same bits whichever rows share its call.  Other base points
+follow from the group law, p(t, h, h') = p(t, 0, h^{-1} h').
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
 # variance 2t per horizontal coordinate; shared with the simulation layer.
 BROWNIAN_VARIANCE_FACTOR = 2.0
 
-# rows per quadrature batch in batch_evaluate; bounds the node arrays
+# rows per _kernel_rows call in _query_rows; bounds the node arrays
 _ROW_BLOCK = 64
 
 # the plain kernel's integrand terms: a(rho)^0 times the tau-monomial 1
@@ -395,6 +396,43 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
     return out
 
 
+def _query_rows(spec, t, x, z, derivative, cfg):
+    """KernelValue, or ToleranceError, of D p(t_r, 0, (x_r, z_r)) for each row r.
+
+    t (N,), x (N, m) and z (N, 3) are float arrays of checked points and
+    derivative a checked multi-index D, () for the kernel itself.  Each row
+    folds its coefficients, with its own 1/2t factors, as a one-row query
+    does; a fold reads only t and the x-coordinates that D differentiates,
+    so rows that agree there share one.  The coefficients sit on the key
+    list of the unfolded terms in first-seen order; a key the row's fold
+    dropped gets a zero coefficient, and adding exact zeros changes no bit.
+    A row whose fold is empty is exactly 0.  The other rows go through
+    _kernel_rows _ROW_BLOCK rows at a time, so a row's result is the same
+    bits whichever rows share the call.
+    """
+    # every row's unfolded terms have these keys; only the coefficients vary with t
+    keys = list(dict.fromkeys((na, lam) for _, na, lam in _derivative_terms(spec, derivative, 1.0)))
+    # one fold per distinct (t, differentiated x-coordinates), made from its first row
+    xd = np.flatnonzero(derivative[: spec.m])
+    _, first, fold_of = np.unique(np.column_stack([t, x[:, xd]]), axis=0, return_index=True, return_inverse=True)
+    table = np.zeros((len(first), len(keys)), dtype=complex)
+    nonempty = np.zeros(len(first), dtype=bool)
+    for i, r in enumerate(first.tolist()):
+        folded = _collapse_terms(_derivative_terms(spec, derivative, float(t[r])), x[r])
+        nonempty[i] = bool(folded)
+        table[i] = [folded.get(key, 0.0j) for key in keys]
+    fold_of = fold_of.reshape(-1)
+    out = [KernelValue(0.0, 0.0, 0)] * len(t)
+    live = np.flatnonzero(nonempty[fold_of])
+    t, x, z, coeffs = t[live], x[live], z[live], table[fold_of[live]]
+    for s in range(0, len(live), _ROW_BLOCK):
+        blk = slice(s, s + _ROW_BLOCK)
+        results = _kernel_rows(spec, t[blk], x[blk], z[blk], keys, coeffs[blk], cfg)
+        for r, res in zip(live[blk].tolist(), results):
+            out[r] = res
+    return out
+
+
 def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
     """p(t, 0, (x, z)), or a spatial derivative of it at (x, z).
 
@@ -414,13 +452,7 @@ def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
     derivative = tuple(derivative)
     if _weighted_order(spec, derivative) > 4:
         raise ValueError("derivative queries above weighted order 4 are unsupported")
-
-    folded = _collapse_terms(_derivative_terms(spec, derivative, t), x)
-    if not folded:
-        return KernelValue(0.0, 0.0, 0)
-    keys = list(folded)
-    coeffs = np.array([[folded[key] for key in keys]])
-    (res,) = _kernel_rows(spec, np.array([float(t)]), x[None], z[None], keys, coeffs, cfg)
+    (res,) = _query_rows(spec, np.array([float(t)]), x[None], z[None], derivative, cfg)
     if isinstance(res, ToleranceError):
         raise res
     return res
@@ -537,12 +569,11 @@ def batch_evaluate(spec, rows, cfg=None):
     """Evaluate plain kernel rows (t, x_1..x_m, z_1..z_3); never raises per row.
 
     Each row is checked on its own: exactly 1 + m + 3 finite values, t > 0.
-    The valid rows go through the row-batched quadrature _ROW_BLOCK rows at a
-    time, and each gets the same bits as heat_kernel_point on it.  Returns one
-    dict per row with value/err, or with an error message and its kind:
-    "input" for a row that failed the check, "numeric" for a row that missed
-    the tolerance or whose value or error bound is out of floating-point
-    range.
+    The valid rows go through _query_rows together, and each gets the same
+    bits as heat_kernel_point on it.  Returns one dict per row with
+    value/err, or with an error message and its kind: "input" for a row that
+    failed the check, "numeric" for a row that missed the tolerance or whose
+    value or error bound is out of floating-point range.
     """
     if cfg is None:
         cfg = QuadratureConfig()
@@ -561,13 +592,10 @@ def batch_evaluate(spec, rows, cfg=None):
         valid.append(i)
         points.append(vals)
     pts = np.array(points).reshape(-1, m + 4)
-    for s in range(0, len(valid), _ROW_BLOCK):
-        blk = pts[s : s + _ROW_BLOCK]
-        coeffs = np.ones((len(blk), 1), dtype=complex)
-        results = _kernel_rows(spec, blk[:, 0], blk[:, 1 : m + 1], blk[:, m + 1 :], _PLAIN, coeffs, cfg)
-        for i, res in zip(valid[s : s + _ROW_BLOCK], results):
-            if isinstance(res, ToleranceError):
-                out[i] = {"ok": False, "kind": "numeric", "error": str(res)}
-            else:
-                out[i] = {"ok": True, "value": res.value, "err": res.err_estimate}
+    results = _query_rows(spec, pts[:, 0], pts[:, 1 : m + 1], pts[:, m + 1 :], (), cfg)
+    for i, res in zip(valid, results):
+        if isinstance(res, ToleranceError):
+            out[i] = {"ok": False, "kind": "numeric", "error": str(res)}
+        else:
+            out[i] = {"ok": True, "value": res.value, "err": res.err_estimate}
     return out

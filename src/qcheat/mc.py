@@ -18,7 +18,11 @@ order they are evaluated; the uniform time draws of the convolution
 estimators use a reserved stream key.  check_moment_vanishing runs one
 sample body for both halves of its time integral, over a Leibniz term list
 built once per check, and reads only spec, seed and n_steps of its
-SimConfig.  Antithetic pairing is deliberately not used for the
+SimConfig.  Kernel values come from the kernel layer's one row entry,
+_query_rows, which also serves the CLI rows and single queries: the checks
+simulate all their samples first and then make one call per time branch
+and Leibniz term (semigroup_convolution_check one call on all its paths),
+never one per sample.  Antithetic pairing is deliberately not used for the
 vanishing-rule estimators: those integrands are odd under the path sign
 flip, and pairing would force the estimate to exactly zero, making the null
 check vacuous.
@@ -32,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import BROWNIAN_VARIANCE_FACTOR, QuadratureConfig, heat_kernel_point
+from .kernel import BROWNIAN_VARIANCE_FACTOR, QuadratureConfig, _check_point, _query_rows, heat_kernel_point
 from .qc_expansion import _moment_decomposition, _pattern
+from .quadrature import ToleranceError
 
 __all__ = [
     "SimConfig",
@@ -119,7 +124,12 @@ def _mean_stderr(values):
 
 
 def moment_report(samples):
-    """First/second-moment estimates with standard errors, as labeled rows."""
+    """First/second-moment estimates with standard errors, as labeled rows.
+
+    ValueError for fewer than 2 paths, which leave no standard error.
+    """
+    if len(samples.x) < 2:
+        raise ValueError("need at least 2 paths for a standard error, got %d" % len(samples.x))
     rows = []
     for kind, power in (("x", 1), ("x", 2), ("z", 1), ("z", 2)):
         coords = getattr(samples, kind)
@@ -129,18 +139,24 @@ def moment_report(samples):
     return rows
 
 
+def _value(res):
+    """The value of one _query_rows result; a ToleranceError is raised."""
+    if isinstance(res, ToleranceError):
+        raise res
+    return res.value
+
+
 def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=20240801):
     """Convolution identity at the origin: p(t+s,0,0) = E_{xi~p(t)}[p(s,xi,0)].
 
     Returns (mc_estimate, mc_stderr, direct_value, direct_err).
     """
+    _check_point(s, ())
     sim = simulate_paths(SimConfig(spec=spec, t=t, n_paths=n_paths, n_steps=n_steps, seed=seed))
     qcfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
-    vals = np.empty(n_paths)
-    for p in range(n_paths):
-        # p(s, xi, 0) = p(s, 0, xi^{-1}) = p(s, 0, (-x, -z))
-        vals[p] = heat_kernel_point(spec, s, -sim.x[p], -sim.z[p], cfg=qcfg).value
-    est, se = _mean_stderr(vals)
+    # p(s, xi, 0) = p(s, 0, xi^{-1}) = p(s, 0, (-x, -z)), all paths in one call
+    results = _query_rows(spec, np.full(n_paths, float(s)), -sim.x, -sim.z, (), qcfg)
+    est, se = _mean_stderr(np.array([_value(res) for res in results]))
     direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, cfg=qcfg)
     return est, se, direct.value, direct.err_estimate
 
@@ -238,7 +254,10 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     p(s,.,0) dxi: (x, z) ~ p(s, 0, .), xi = (-x, -z), t_ker = 1-s, the outer
     factor is 1 and the terms are the _ibp_terms list, built once per check,
     summed with every derivative on phi first.  The split keeps the variance
-    finite.
+    finite.  All samples are simulated first; then each branch sends its
+    samples, with their own t_ker, through one kernel _query_rows call per
+    term, and each sample sums its terms in that order.  A kernel row that
+    misses tolerance raises the ToleranceError of the first such sample.
 
     Of cfg only spec, seed and n_steps are read; a sample simulates
     max(8, ceil(n_steps * t_sim)) steps.  ValueError, before any draw, when
@@ -261,18 +280,29 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     ibp_terms = _ibp_terms(mono, deriv)
 
     svals = _path_rng(cfg.seed, _TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
+    late = svals >= 0.5
+    t_sim = np.where(late, 1.0 - svals, svals)
+    t_ker = np.where(late, svals, 1.0 - svals)
+    x = np.empty((n_samples, spec.m))
+    z = np.empty((n_samples, 3))
+    for p, ts in enumerate(t_sim.tolist()):
+        x[p], z[p] = _simulate_one(spec, J, ts, max(8, int(math.ceil(cfg.n_steps * ts))), cfg.seed, p)
+    inv_x, inv_z = -x, -z
+
+    terms_of = {True: [(1, (), deriv)], False: ibp_terms}
+    slot = np.empty(n_samples, dtype=int)  # a sample's row within its branch
+    gk = {}  # branch -> one _query_rows result list per term
+    for is_late, terms in terms_of.items():
+        rows = np.flatnonzero(late == is_late)
+        slot[rows] = np.arange(len(rows))
+        gk[is_late] = [_query_rows(spec, t_ker[rows], inv_x[rows], inv_z[rows], d, qcfg) for _, _, d in terms]
+
     vals = np.empty(n_samples)
-    for p in range(n_samples):
-        s = float(svals[p])
-        late = s >= 0.5
-        t_sim, t_ker = (1.0 - s, s) if late else (s, 1.0 - s)
-        x, z = _simulate_one(spec, J, t_sim, max(8, int(math.ceil(cfg.n_steps * t_sim))), cfg.seed, p)
-        outer, terms = (_monomial_value(mono, x, z), [(1, (), deriv)]) if late else (1.0, ibp_terms)
-        inv_x, inv_z = -x, -z
+    for p, is_late in enumerate(late.tolist()):
+        outer = _monomial_value(mono, x[p], z[p]) if is_late else 1.0
         total = 0.0
-        for c, rest, d in terms:
-            gk = heat_kernel_point(spec, t_ker, inv_x, inv_z, derivative=d, cfg=qcfg).value
-            total += c * _monomial_value(rest, inv_x, inv_z) * gk
+        for (c, rest, _), res in zip(terms_of[is_late], gk[is_late]):
+            total += c * _monomial_value(rest, inv_x[p], inv_z[p]) * _value(res[slot[p]])
         vals[p] = inv_haar * outer * sign * total
     est, se = _mean_stderr(vals)
     passed = abs(est) < 3.0 * se if vanishing else abs(est) > 5.0 * se

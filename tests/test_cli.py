@@ -211,6 +211,32 @@ def test_mc_rule_sample_count_exits_2(capsys, extra):
     assert err.startswith("input error: need 2..")
 
 
+def test_mc_moment_table_one_path_exits_2(capsys):
+    # one path leaves no standard error
+    code, out, err = run_cli(capsys, ["mc", "--n", "1", "--seed", "1", "--paths", "1", "--steps", "10"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: need at least 2 paths")
+
+
+def _config_line(out):
+    first = out.splitlines()[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: ") :])
+
+
+def test_mc_config_line_has_samples_only_with_rule(capsys):
+    base = ["mc", "--n", "1", "--seed", "3", "--paths", "20", "--steps", "10"]
+    # the moment table does not read --samples, so its config line leaves it out
+    _, table, _ = run_cli(capsys, base + ["--samples", "7"])
+    config = _config_line(table)
+    assert "samples" not in config and "rule" not in config
+    assert (config["seed"], config["paths"], config["steps"]) == (3, 20, 10)
+    _, checked, _ = run_cli(capsys, base + ["--rule", "3", "--samples", "7"])
+    config = _config_line(checked)
+    assert (config["rule"], config["samples"]) == (3, 7)
+
+
 def test_mc_rule_negative_seed(capsys):
     argv = ["mc", "--n", "1", "--paths", "20", "--steps", "20", "--rule", "3", "--samples", "8"]
     code, out, _ = run_cli(capsys, argv + ["--seed", "-1"])

@@ -14,6 +14,7 @@ from qcheat.kernel import (
     heat_kernel_point,
     kernel_marginal_moments,
     _exp_tail,
+    _query_rows,
     _rho_coth,
     _rho_over_sinh_pow,
     _truncation_radius,
@@ -461,3 +462,73 @@ def test_batch_rejects_non_finite_rows():
     assert [r["ok"] for r in out[1:]] == [False, False]
     with pytest.raises(ValueError):
         heat_kernel_point(SPEC1, 1.0, [0.0] * 4, [0.0, float("inf"), 0.0])
+
+
+def _query_points(spec, n_rows=70):
+    """Rows of mixed t, more than one _ROW_BLOCK holds; every seventh has
+    x_1 = 0 exactly, so its fold drops keys, and row 5 is the origin."""
+    rng = np.random.default_rng(23)
+    t = rng.choice([0.3, 0.7, 1.0, 1.6], size=n_rows)
+    x = rng.normal(0.0, 1.0, (n_rows, spec.m)) * np.sqrt(2.0 * t)[:, None]
+    z = rng.normal(0.0, 1.0, (n_rows, 3)) * 2.0 * t[:, None]
+    x[::7, 0] = 0.0
+    x[5], z[5] = 0.0, 0.0
+    return t, x, z
+
+
+def _deriv(spec, *names):
+    """Multi-index of target derivatives named like "x1" or "z2"."""
+    idx = [int(name[1:]) - 1 + (spec.m if name[0] == "z" else 0) for name in names]
+    return tuple(idx.count(c) for c in range(spec.m + 3))
+
+
+QUERY_DERIVS = [("x1", "x1"), ("x1", "x2"), ("z1",), ("z1", "z2"), ("x1", "x2", "z1")]
+
+
+@pytest.mark.parametrize("names", QUERY_DERIVS)
+@pytest.mark.parametrize("spec", [SPEC1, SPEC2])
+def test_query_rows_match_single_queries_bit_for_bit(spec, names):
+    import qcheat.kernel as kernel_mod
+
+    t, x, z = _query_points(spec)
+    assert len(t) > kernel_mod._ROW_BLOCK
+    d = _deriv(spec, *names)
+    cfg = QuadratureConfig()
+    out = _query_rows(spec, t, x, z, d, cfg)
+    assert len(out) == len(t)
+    for r in range(len(t)):
+        assert out[r] == heat_kernel_point(spec, t[r], x[r], z[r], derivative=d, cfg=cfg)
+
+
+def test_query_rows_independent_of_order_and_blocks(monkeypatch):
+    import qcheat.kernel as kernel_mod
+
+    t, x, z = _query_points(SPEC1)
+    cfg = QuadratureConfig()
+    order = np.random.default_rng(3).permutation(len(t))
+    for names in (("x1", "x1"), ("x1", "x2", "z1")):
+        d = _deriv(SPEC1, *names)
+        ref = _query_rows(SPEC1, t, x, z, d, cfg)
+        for block in (1, 5, 64):
+            monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", block)
+            out = _query_rows(SPEC1, t[order], x[order], z[order], d, cfg)
+            assert [out[j] for j in np.argsort(order)] == ref
+        monkeypatch.undo()
+
+
+def test_query_rows_failing_row_returns_its_error_alone():
+    # 600 evaluations: the far row's oscillation alone needs more panels
+    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12, max_evals=600)
+    t, x, z = _query_points(SPEC1, 6)
+    far = 3
+    t[far], x[far], z[far] = 0.1, 0.0, [0.0, 30.0, 0.0]
+    d = _deriv(SPEC1, "z2")
+    out = _query_rows(SPEC1, t, x, z, d, cfg)
+    assert isinstance(out[far], ToleranceError) and "evaluations" in str(out[far])
+    with pytest.raises(ToleranceError):
+        heat_kernel_point(SPEC1, t[far], x[far], z[far], derivative=d, cfg=cfg)
+    for r in range(len(t)):
+        if r != far:
+            assert out[r] == heat_kernel_point(SPEC1, t[r], x[r], z[r], derivative=d, cfg=cfg)
+    keep = [r for r in range(len(t)) if r != far]
+    assert _query_rows(SPEC1, t[keep], x[keep], z[keep], d, cfg) == [out[r] for r in keep]

@@ -274,3 +274,45 @@ def test_rules_equal_their_moment_exemplars(rule_id, indices, label):
     for n in (1, 2):
         spec = make_quaternionic_spec(n)
         assert rule_pattern(spec, rule_id, indices) == moment_exemplar(label, spec.m)
+
+
+def test_check_batches_kernel_rows_per_branch_and_term(monkeypatch):
+    import qcheat.kernel as kernel_mod
+
+    calls = []
+    real_rows = kernel_mod._kernel_rows
+
+    def counting_rows(*args):
+        calls.append(len(args[1]))
+        return real_rows(*args)
+
+    def no_single_queries(*args, **kwargs):
+        raise AssertionError("check_moment_vanishing made a single kernel query")
+
+    monkeypatch.setattr(kernel_mod, "_kernel_rows", counting_rows)
+    monkeypatch.setattr(kernel_mod, "heat_kernel_point", no_single_queries)
+    monkeypatch.setattr(mc, "heat_kernel_point", no_single_queries)
+    cfg = small_cfg(seed=61, n_paths=10, n_steps=40)
+    n_samples = 300
+    rep = check_moment_vanishing(cfg, 2, (1, 2, 1, 2), n_samples=n_samples)
+    assert rep.n_samples == n_samples
+
+    mono, deriv = rule_pattern(SPEC, 2, (1, 2, 1, 2))
+    late = int(np.sum(mc._path_rng(cfg.seed, mc._TIME_STREAM).uniform(0.0, 1.0, size=n_samples) >= 0.5))
+    blocks = lambda rows: math.ceil(rows / kernel_mod._ROW_BLOCK)
+    n_terms = len(_ibp_terms(mono, deriv))  # x_1 x_2 dx_1 dx_2: four Leibniz terms
+    assert n_terms == 4
+    assert 0 < len(calls) <= blocks(late) + n_terms * blocks(n_samples - late)
+    assert max(calls) <= kernel_mod._ROW_BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_semigroup_check_matches_per_path_reference_bit_for_bit(n):
+    spec = make_quaternionic_spec(n)
+    t, s, n_paths, n_steps, seed = 0.8, 0.6, 150, 60, 99
+    got = mc.semigroup_convolution_check(spec, t, s, n_paths=n_paths, n_steps=n_steps, seed=seed)
+    sim = simulate_paths(SimConfig(spec=spec, t=t, n_paths=n_paths, n_steps=n_steps, seed=seed))
+    qcfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
+    vals = np.array([heat_kernel_point(spec, s, -sim.x[p], -sim.z[p], cfg=qcfg).value for p in range(n_paths)])
+    direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, cfg=qcfg)
+    assert got == (*mc._mean_stderr(vals), direct.value, direct.err_estimate)
