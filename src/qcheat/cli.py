@@ -213,16 +213,29 @@ def _cmd_popp(args):
 
 def _cmd_mc(args):
     from .group import make_quaternionic_spec
-    from .mc import SimConfig, check_moment_vanishing, moment_report, rule_pattern, simulate_paths
+    from .mc import SimConfig, _check_sample_count, check_moment_vanishing
+    from .mc import moment_report, rule_pattern, simulate_paths
 
     spec = make_quaternionic_spec(args.n)
-    try:
-        cfg = SimConfig(spec=spec, t=args.t, n_paths=args.paths, n_steps=args.steps, seed=args.seed)
-    except ValueError as exc:  # the path-step budget
-        raise InputFormatError(str(exc)) from exc
     config = _run_config(args, "mc")
     if args.rule is None:
         del config["samples"]  # the moment table does not read --samples
+        n_paths = args.paths
+    else:
+        # a rule run simulates one path per sample, each to its own time
+        del config["t"], config["paths"]
+        try:
+            indices = tuple(int(v) for v in args.indices.split(",")) if args.indices else None
+            rule_pattern(spec, args.rule, indices)
+        except ValueError as exc:
+            raise InputFormatError("--indices: %s" % exc) from exc
+        n_paths = args.samples
+    try:
+        if args.rule is not None:  # the check's own message on the sample count comes first
+            _check_sample_count(args.samples, args.steps)
+        cfg = SimConfig(spec=spec, t=args.t, n_paths=n_paths, n_steps=args.steps, seed=args.seed)
+    except ValueError as exc:  # fewer than 2 samples, or over the path-step budget
+        raise InputFormatError(str(exc)) from exc
     buf = io.StringIO()
     buf.write("# config: %s\n" % json.dumps(config, sort_keys=True))
     buf.write("quantity,estimate,stderr,n_paths,n_steps,seed\n")
@@ -232,20 +245,12 @@ def _cmd_mc(args):
         except ValueError as exc:  # fewer than 2 paths
             raise InputFormatError(str(exc)) from exc
         for name, est, se in report:
-            buf.write("%s,%.12g,%.4g,%d,%d,%d\n" % (name, est, se, args.paths, args.steps, args.seed))
+            buf.write("%s,%.12g,%.4g,%d,%d,%d\n" % (name, est, se, n_paths, args.steps, args.seed))
     else:
-        try:
-            indices = tuple(int(v) for v in args.indices.split(",")) if args.indices else None
-            rule_pattern(spec, args.rule, indices)
-        except ValueError as exc:
-            raise InputFormatError("--indices: %s" % exc) from exc
-        try:
-            rep = check_moment_vanishing(cfg, args.rule, indices=indices, n_samples=args.samples)
-        except ValueError as exc:  # fewer than 2 samples, or over the path-step budget
-            raise InputFormatError(str(exc)) from exc
+        rep = check_moment_vanishing(cfg, args.rule, indices=indices, n_samples=args.samples)
         buf.write(
             "%s,%.12g,%.4g,%d,%d,%d\n"
-            % (rep.label, rep.estimate, rep.stderr, args.paths, args.steps, args.seed)
+            % (rep.label, rep.estimate, rep.stderr, n_paths, args.steps, args.seed)
         )
         verdict = "pass" if rep.passed else "fail"
         buf.write(

@@ -22,14 +22,15 @@ integral has an exponentially decaying integrand and is handled by adaptive
 Gauss-Kronrod panels with an explicit incomplete-gamma tail bound.
 
 Every pointwise query of p(t, 0, .) or of a derivative of it goes through
-one row entry, _query_rows: a row is (t, x, z), it folds its coefficients on
-a shared list of integrand terms, and blocks of _ROW_BLOCK rows are refined
-together by _kernel_rows and quadrature.gk_rows.  The same entry serves the
-CLI `kernel` rows (batch_evaluate), single queries (heat_kernel_point, a
-one-row call) and the Monte Carlo checks of the mc layer, which send all
-samples of a time branch and Leibniz term in one call.  A row's value and
-error are the same bits whichever rows share its call.  Other base points
-follow from the group law, p(t, h, h') = p(t, 0, h^{-1} h').
+one row entry, _query_rows: a row is (t, x, z), the real coefficients of all
+rows on the derivative's shared list of integrand terms are worked out as
+arrays in one pass, and blocks of _ROW_BLOCK rows are refined together by
+_kernel_rows and quadrature.gk_rows.  The same entry serves the CLI `kernel`
+rows (batch_evaluate), single queries (heat_kernel_point, a one-row call) and
+the Monte Carlo checks of the mc layer, which send all samples of a time
+branch and Leibniz term in one call.  A row's value and error are the same
+bits whichever rows share its call.  Other base points follow from the group
+law, p(t, h, h') = p(t, 0, h^{-1} h').
 """
 
 from __future__ import annotations
@@ -60,6 +61,9 @@ BROWNIAN_VARIANCE_FACTOR = 2.0
 # rows per _kernel_rows call in _query_rows; bounds the node arrays
 _ROW_BLOCK = 64
 
+# integrand evaluations allowed per kernel row
+_MAX_EVALS = 400_000
+
 # the plain kernel's integrand terms: a(rho)^0 times the tau-monomial 1
 _PLAIN = [(0, (0, 0, 0))]
 
@@ -68,13 +72,10 @@ _PLAIN = [(0, (0, 0, 0))]
 class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_evals: int = 400_000
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_evals < 15:
-            raise ValueError("max_evals must be at least 15")
 
 
 def _check_point(t, coords):
@@ -235,15 +236,19 @@ def _weighted_order(spec, deriv):
 
 
 def _derivative_terms(spec, deriv, t):
-    """Expand the derivative multi-index into integrand terms.
+    """Expand the derivative multi-index into integrand terms at the row times t (N,).
 
-    A term is ((px, na, lam) -> complex coeff): monomial exponents in the
+    A term is ((px, na, lam) -> real coeff (N,)): monomial exponents in the
     target x, power of a(rho), and tau-monomial exponents from z-derivatives.
+    An x-derivative brings -1/2t or the monomial's exponent; a z-derivative
+    brings -i/2t, of which the coefficient keeps -1/2t and _make_integrand
+    the factor i^|lam|.
     """
     m = spec.m
-    terms = {((0,) * m, 0, (0, 0, 0)): 1.0 + 0.0j}
+    terms = {((0,) * m, 0, (0, 0, 0)): np.ones_like(t)}
     if not deriv:
         return terms
+    w = -1.0 / (2.0 * t)
     for alpha in range(m):
         for _ in range(deriv[alpha]):
             new = {}
@@ -251,12 +256,12 @@ def _derivative_terms(spec, deriv, t):
                 e = list(px)
                 e[alpha] += 1
                 key = (tuple(e), na + 1, lam)
-                new[key] = new.get(key, 0.0j) + c * (-1.0 / (2.0 * t))
+                new[key] = new.get(key, 0.0) + c * w
                 if px[alpha] > 0:
                     e2 = list(px)
                     e2[alpha] -= 1
                     key2 = (tuple(e2), na, lam)
-                    new[key2] = new.get(key2, 0.0j) + c * px[alpha]
+                    new[key2] = new.get(key2, 0.0) + c * px[alpha]
             terms = new
     for i in range(3):
         for _ in range(deriv[m + i]):
@@ -265,7 +270,7 @@ def _derivative_terms(spec, deriv, t):
                 ll = list(lam)
                 ll[i] += 1
                 key = (px, na, tuple(ll))
-                new[key] = new.get(key, 0.0j) + c * (-1j / (2.0 * t))
+                new[key] = new.get(key, 0.0) + c * w
             terms = new
     return terms
 
@@ -294,23 +299,11 @@ def _angular(lam, k, uvec, cache):
     return out
 
 
-def _collapse_terms(terms, x):
-    """Fold the fixed target point into the coefficients: (na, lam) -> coeff."""
-    out = {}
-    for (px, na, lam), c in terms.items():
-        xm = 1.0
-        for a, e in enumerate(px):
-            if e:
-                xm *= x[a] ** e
-        if xm == 0.0 and any(px):
-            continue
-        key = (na, lam)
-        out[key] = out.get(key, 0.0j) + c * xm
-    return out
-
-
 def _tail_bound(spec, u, keys, coeffs):
-    """R -> incomplete-gamma bound on the dropped radial tail [R, inf), per row."""
+    """R -> incomplete-gamma bound on the dropped radial tail [R, inf), per row.
+
+    coeffs[r, j] is row r's real coefficient of keys[j] (see _make_integrand).
+    """
     n = spec.n
     rate = 2 * n + u
     # for rho >= 3: rho/sinh rho <= 2.02 rho e^-rho, a(rho) <= 1.02 rho and
@@ -327,14 +320,15 @@ def _make_integrand(spec, u, zc, uvec, keys, coeffs):
     """Radial integrand f(rows, rho) of the kernel rows, rho of shape (P, 15).
 
     Row r has u_r = |x|^2 / 4t, zc_r = |z| / 4t, the unit vector uvec_r of z,
-    and the complex coefficient coeffs[r, j] of each shared term
-    keys[j] = (power of a(rho), tau-monomial exponents).
+    and the real coefficient coeffs[r, j] of each shared term
+    keys[j] = (power of a(rho), tau-monomial exponents lam).
     """
     two_n = 2 * spec.n
-    # the real part of coeff * angular integral: Re coeff * A for even
-    # tau-monomials, Im coeff * A for odd ones (see _angular)
-    odd = np.array([sum(lam) % 2 == 1 for _, lam in keys])
-    wts = np.where(odd, coeffs.imag, coeffs.real)
+    # the term's complex coefficient is i^|lam| coeffs[r, j] and its angular
+    # integral A or -i A (see _angular), so the real part of their product
+    # is (-1)^(|lam| // 2) coeffs[r, j] A
+    signs = np.array([(-1.0) ** (sum(lam) // 2) for _, lam in keys])
+    wts = coeffs * signs
 
     def f(rows, rho):
         q = _rho_over_sinh_pow(rho, two_n)
@@ -380,7 +374,7 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
     pre = _prefactor(spec, t)
     f = _make_integrand(spec, u, zc, uvec, keys, coeffs)
     results = gk_rows(
-        f, np.zeros_like(R), R, cfg.rel_tol, cfg.abs_tol / np.maximum(pre, 1.0), cfg.max_evals, min_panels
+        f, np.zeros_like(R), R, cfg.rel_tol, cfg.abs_tol / np.maximum(pre, 1.0), _MAX_EVALS, min_panels
     )
     out = []
     for res, p, tl in zip(results, pre.tolist(), tail.tolist()):
@@ -400,31 +394,26 @@ def _query_rows(spec, t, x, z, derivative, cfg):
     """KernelValue, or ToleranceError, of D p(t_r, 0, (x_r, z_r)) for each row r.
 
     t (N,), x (N, m) and z (N, 3) are float arrays of checked points and
-    derivative a checked multi-index D, () for the kernel itself.  Each row
-    folds its coefficients, with its own 1/2t factors, as a one-row query
-    does; a fold reads only t and the x-coordinates that D differentiates,
-    so rows that agree there share one.  The coefficients sit on the key
-    list of the unfolded terms in first-seen order; a key the row's fold
-    dropped gets a zero coefficient, and adding exact zeros changes no bit.
-    A row whose fold is empty is exactly 0.  The other rows go through
-    _kernel_rows _ROW_BLOCK rows at a time, so a row's result is the same
-    bits whichever rows share the call.
+    derivative a checked multi-index D, () for the kernel itself.  The
+    coefficients of all rows are real arrays made in one pass over the
+    integrand terms of D: a term's coefficient, with the row's 1/2t factors,
+    times its x-monomial at the row, summed per key (power of a(rho),
+    tau-monomial) in term order.  A row whose coefficients are all zero is
+    exactly 0.  The other rows go through _kernel_rows _ROW_BLOCK rows at a
+    time, so a row's result is the same bits whichever rows share the call.
     """
-    # every row's unfolded terms have these keys; only the coefficients vary with t
-    keys = list(dict.fromkeys((na, lam) for _, na, lam in _derivative_terms(spec, derivative, 1.0)))
-    # one fold per distinct (t, differentiated x-coordinates), made from its first row
-    xd = np.flatnonzero(derivative[: spec.m])
-    _, first, fold_of = np.unique(np.column_stack([t, x[:, xd]]), axis=0, return_index=True, return_inverse=True)
-    table = np.zeros((len(first), len(keys)), dtype=complex)
-    nonempty = np.zeros(len(first), dtype=bool)
-    for i, r in enumerate(first.tolist()):
-        folded = _collapse_terms(_derivative_terms(spec, derivative, float(t[r])), x[r])
-        nonempty[i] = bool(folded)
-        table[i] = [folded.get(key, 0.0j) for key in keys]
-    fold_of = fold_of.reshape(-1)
+    terms = _derivative_terms(spec, derivative, t)
+    keys = list(dict.fromkeys((na, lam) for _, na, lam in terms))
+    coeffs = np.zeros((len(t), len(keys)))
+    for (px, na, lam), c in terms.items():
+        xm = 1.0
+        for a, e in enumerate(px):
+            if e:
+                xm = xm * x[:, a] ** e
+        coeffs[:, keys.index((na, lam))] += c * xm
     out = [KernelValue(0.0, 0.0, 0)] * len(t)
-    live = np.flatnonzero(nonempty[fold_of])
-    t, x, z, coeffs = t[live], x[live], z[live], table[fold_of[live]]
+    live = np.flatnonzero(coeffs.any(axis=1))
+    t, x, z, coeffs = t[live], x[live], z[live], coeffs[live]
     for s in range(0, len(live), _ROW_BLOCK):
         blk = slice(s, s + _ROW_BLOCK)
         results = _kernel_rows(spec, t[blk], x[blk], z[blk], keys, coeffs[blk], cfg)
@@ -544,7 +533,7 @@ def normalization_integral(spec, t):
 
 
 def kernel_marginal_moments(spec, t):
-    """First and second marginal moments of p(t, 0, .) d(haar).
+    """Mass and diagonal second marginal moments of p(t, 0, .) d(haar), each (value, err).
 
     Odd moments vanish exactly in the radial reduction (parity); the mass and
     the diagonal second moments come from one radial_expectation call.  For
@@ -554,15 +543,7 @@ def kernel_marginal_moments(spec, t):
     mass, ex2, ez2 = radial_expectation(
         spec, t, [_unit_weight, lambda rx, rz: rx * rx / spec.m, lambda rx, rz: rz * rz / 3.0]
     )
-    return {
-        "mass": mass,
-        "Ex": (0.0, 0.0),
-        "Ez": (0.0, 0.0),
-        "Exx_diag": ex2,
-        "Exx_offdiag": (0.0, 0.0),
-        "Ezz_diag": ez2,
-        "Ezz_offdiag": (0.0, 0.0),
-    }
+    return {"mass": mass, "Exx_diag": ex2, "Ezz_diag": ez2}
 
 
 def batch_evaluate(spec, rows, cfg=None):

@@ -15,14 +15,15 @@ Randomness is counter-based: each path draws from Philox keyed by
 (seed, path index), with steps consumed in order inside the path, so a
 path's samples do not depend on which other paths are drawn or in what
 order they are evaluated; the uniform time draws of the convolution
-estimators use a reserved stream key.  check_moment_vanishing runs one
-sample body for both halves of its time integral, over a Leibniz term list
-built once per check, and reads only spec, seed and n_steps of its
-SimConfig.  Kernel values come from the kernel layer's one row entry,
-_query_rows, which also serves the CLI rows and single queries: the checks
-simulate all their samples first and then make one call per time branch
-and Leibniz term (semigroup_convolution_check one call on all its paths),
-never one per sample.  Antithetic pairing is deliberately not used for the
+estimators use a reserved stream key.  check_moment_vanishing computes
+both halves of its time integral with one array body, over a Leibniz term
+list per half, and reads only spec, seed and n_steps of its SimConfig.
+Kernel values come from the kernel layer's one row entry, _query_rows,
+which also serves the CLI rows and single queries: the checks simulate all
+their samples first and then make one call per time branch and Leibniz term
+(semigroup_convolution_check one call on all its paths), never one per
+sample.  A failing kernel row raises the first ToleranceError met, in
+branch, term, row order.  Antithetic pairing is deliberately not used for the
 vanishing-rule estimators: those integrands are odd under the path sign
 flip, and pairing would force the estimate to exactly zero, making the null
 check vacuous.
@@ -149,8 +150,11 @@ def _value(res):
 def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=20240801):
     """Convolution identity at the origin: p(t+s,0,0) = E_{xi~p(t)}[p(s,xi,0)].
 
-    Returns (mc_estimate, mc_stderr, direct_value, direct_err).
+    Returns (mc_estimate, mc_stderr, direct_value, direct_err).  ValueError,
+    before any draw, for fewer than 2 paths, which leave no standard error.
     """
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths for a standard error, got %d" % n_paths)
     _check_point(s, ())
     sim = simulate_paths(SimConfig(spec=spec, t=t, n_paths=n_paths, n_steps=n_steps, seed=seed))
     qcfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
@@ -227,12 +231,21 @@ def _ibp_terms(mono, deriv):
 
 
 def _monomial_value(exps, x, z):
-    """x^exps[:m] * z^exps[m:] at one point, m = len(x)."""
-    value = 1.0
-    for coord, e in zip(np.concatenate([x, z]), exps):
+    """x^exps[:m] * z^exps[m:] per row of x (N, m) and z (N, 3)."""
+    value = np.ones(len(x))
+    for coord, e in zip(np.concatenate([x, z], axis=1).T, exps):
         if e:
-            value *= coord**e
+            value = value * coord**e
     return value
+
+
+def _check_sample_count(n_samples, n_steps):
+    """ValueError unless 2 <= n_samples and n_samples * n_steps is within the path-step budget."""
+    if not 2 <= n_samples <= _PATH_STEP_BUDGET // n_steps:
+        raise ValueError(
+            "need 2..%d samples at %d steps (2 for a standard error, %d path-steps at most), got %d"
+            % (_PATH_STEP_BUDGET // n_steps, n_steps, _PATH_STEP_BUDGET, n_samples)
+        )
 
 
 def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
@@ -244,20 +257,22 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
 
     against Lebesgue measure (the Haar factor is divided out), with s drawn
     uniformly on (0, 1).  One body serves both halves: sample p simulates a
-    point (x, z) to time t_sim and sums c (-x,-z)^rest D^d p(t_ker, 0, (-x,-z))
-    over its terms.  For s >= 1/2, (x, z) = xi ~ p(1-s, 0, .), t_ker = s, the
-    outer factor is phi(xi) and the one term is (1, (), D), since
-    p(s, xi, 0) = p(s, 0, xi^{-1}).  For s < 1/2 that estimator is
-    heavy-tailed (the derivative factor concentrates on a sqrt(s)-ball and its
-    square is not integrable against the wide density), so the same integral
+    point (x, z) to time t_sim, and its value is the outer factor times the
+    sum of c (-x,-z)^rest D^d p(t_ker, 0, (-x,-z)) over the half's terms.
+    For s >= 1/2, (x, z) = xi ~ p(1-s, 0, .), t_ker = s, the outer factor is
+    phi(xi) and the one term is (1, (), D), since p(s, xi, 0) =
+    p(s, 0, xi^{-1}).  For s < 1/2 that estimator is heavy-tailed (the
+    derivative factor concentrates on a sqrt(s)-ball and its square is not
+    integrable against the wide density), so the same integral
     is taken after integration by parts, (-1)^|D| int D[phi p(1-s,0,.)]
     p(s,.,0) dxi: (x, z) ~ p(s, 0, .), xi = (-x, -z), t_ker = 1-s, the outer
-    factor is 1 and the terms are the _ibp_terms list, built once per check,
-    summed with every derivative on phi first.  The split keeps the variance
-    finite.  All samples are simulated first; then each branch sends its
+    factor is 1 and the terms are the _ibp_terms list, summed with every
+    derivative on phi first.  The split keeps the variance finite.  All
+    samples are simulated first; then each branch (late first) sends its
     samples, with their own t_ker, through one kernel _query_rows call per
-    term, and each sample sums its terms in that order.  A kernel row that
-    misses tolerance raises the ToleranceError of the first such sample.
+    term and adds the term to the branch's array of sums, in term order.  A
+    kernel row that misses tolerance raises the first ToleranceError met, in
+    branch, term, row order.
 
     Of cfg only spec, seed and n_steps are read; a sample simulates
     max(8, ceil(n_steps * t_sim)) steps.  ValueError, before any draw, when
@@ -265,11 +280,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     path-step budget.  A vanishing rule passes when |estimate| < 3 stderr; a
     pattern surviving the parity classification must exceed 5 stderr.
     """
-    if not 2 <= n_samples <= _PATH_STEP_BUDGET // cfg.n_steps:
-        raise ValueError(
-            "need 2..%d samples at %d steps (2 for a standard error, %d path-steps at most), got %d"
-            % (_PATH_STEP_BUDGET // cfg.n_steps, cfg.n_steps, _PATH_STEP_BUDGET, n_samples)
-        )
+    _check_sample_count(n_samples, cfg.n_steps)
     spec = cfg.spec
     mono, deriv = rule_pattern(spec, rule_id, indices)
     vanishing = _moment_decomposition(mono, deriv, spec.m) == {}
@@ -277,7 +288,6 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     inv_haar = 1.0 / spec.haar_factor
     qcfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
     J = spec.J_float()
-    ibp_terms = _ibp_terms(mono, deriv)
 
     svals = _path_rng(cfg.seed, _TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
     late = svals >= 0.5
@@ -287,23 +297,17 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     z = np.empty((n_samples, 3))
     for p, ts in enumerate(t_sim.tolist()):
         x[p], z[p] = _simulate_one(spec, J, ts, max(8, int(math.ceil(cfg.n_steps * ts))), cfg.seed, p)
-    inv_x, inv_z = -x, -z
-
-    terms_of = {True: [(1, (), deriv)], False: ibp_terms}
-    slot = np.empty(n_samples, dtype=int)  # a sample's row within its branch
-    gk = {}  # branch -> one _query_rows result list per term
-    for is_late, terms in terms_of.items():
-        rows = np.flatnonzero(late == is_late)
-        slot[rows] = np.arange(len(rows))
-        gk[is_late] = [_query_rows(spec, t_ker[rows], inv_x[rows], inv_z[rows], d, qcfg) for _, _, d in terms]
 
     vals = np.empty(n_samples)
-    for p, is_late in enumerate(late.tolist()):
-        outer = _monomial_value(mono, x[p], z[p]) if is_late else 1.0
-        total = 0.0
-        for (c, rest, _), res in zip(terms_of[is_late], gk[is_late]):
-            total += c * _monomial_value(rest, inv_x[p], inv_z[p]) * _value(res[slot[p]])
-        vals[p] = inv_haar * outer * sign * total
+    for is_late, terms in ((True, [(1, (), deriv)]), (False, _ibp_terms(mono, deriv))):
+        rows = np.flatnonzero(late == is_late)
+        inv_x, inv_z = -x[rows], -z[rows]
+        total = np.zeros(len(rows))
+        for c, rest, d in terms:
+            values = np.array([_value(res) for res in _query_rows(spec, t_ker[rows], inv_x, inv_z, d, qcfg)])
+            total += c * _monomial_value(rest, inv_x, inv_z) * values
+        outer = _monomial_value(mono, x[rows], z[rows]) if is_late else 1.0
+        vals[rows] = inv_haar * outer * sign * total
     est, se = _mean_stderr(vals)
     passed = abs(est) < 3.0 * se if vanishing else abs(est) > 5.0 * se
     return MomentCheckReport(

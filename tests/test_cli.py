@@ -232,9 +232,21 @@ def test_mc_config_line_has_samples_only_with_rule(capsys):
     config = _config_line(table)
     assert "samples" not in config and "rule" not in config
     assert (config["seed"], config["paths"], config["steps"]) == (3, 20, 10)
+    # a rule run simulates one path per sample to its own time, so it leaves
+    # out --t and --paths, and its n_paths column counts the samples
     _, checked, _ = run_cli(capsys, base + ["--rule", "3", "--samples", "7"])
     config = _config_line(checked)
     assert (config["rule"], config["samples"]) == (3, 7)
+    assert "t" not in config and "paths" not in config
+    assert checked.splitlines()[2].split(",")[3:] == ["7", "10", "3"]
+
+
+def test_mc_rule_ignores_paths_budget(capsys):
+    # --paths does not bound a rule run; only --samples times --steps does
+    argv = ["mc", "--n", "1", "--seed", "1", "--rule", "3", "--samples", "8"]
+    code, out, _ = run_cli(capsys, argv + ["--paths", "1000000", "--steps", "300"])
+    assert code == 0
+    assert out.splitlines()[2].split(",")[3:] == ["8", "300", "1"]
 
 
 def test_mc_rule_negative_seed(capsys):

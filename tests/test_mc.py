@@ -217,6 +217,15 @@ def _reference_splits(deriv):
     return [(a, b, w) for (a, b), w in merged.items()]
 
 
+def _reference_monomial(exps, x, z):
+    """x^exps[:m] * z^exps[m:] at one point, m = len(x)."""
+    value = 1.0
+    for coord, e in zip(np.concatenate([x, z]), exps):
+        if e:
+            value *= coord**e
+    return value
+
+
 def _reference_check(cfg, mono, deriv, n_samples):
     """(estimate, stderr) with a separate loop per time branch and one kernel
     call per Leibniz split in the early branch."""
@@ -232,7 +241,7 @@ def _reference_check(cfg, mono, deriv, n_samples):
         if s >= 0.5:
             steps = max(8, int(math.ceil(cfg.n_steps * (1.0 - s))))
             x, z = mc._simulate_one(spec, J, 1.0 - s, steps, cfg.seed, p)
-            phi = mc._monomial_value(mono, x, z)
+            phi = _reference_monomial(mono, x, z)
             dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, cfg=qcfg).value
             vals[p] = inv_haar * phi * sign * dp
             continue
@@ -246,7 +255,7 @@ def _reference_check(cfg, mono, deriv, n_samples):
             for e, j in zip(mono, onto_mono):
                 coeff *= math.perm(e, j)
             rest = tuple(e - j for e, j in zip(mono, onto_mono))
-            phi = mc._monomial_value(rest, -x, -z)
+            phi = _reference_monomial(rest, -x, -z)
             gk = heat_kernel_point(spec, 1.0 - s, -x, -z, derivative=tuple(onto_kernel), cfg=qcfg).value
             total += w * coeff * phi * gk
         vals[p] = inv_haar * sign * total
@@ -304,6 +313,15 @@ def test_check_batches_kernel_rows_per_branch_and_term(monkeypatch):
     assert n_terms == 4
     assert 0 < len(calls) <= blocks(late) + n_terms * blocks(n_samples - late)
     assert max(calls) <= kernel_mod._ROW_BLOCK
+
+
+def test_semigroup_check_rejects_one_path_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew before validating n_paths")
+
+    monkeypatch.setattr(mc, "_path_rng", no_draws)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        mc.semigroup_convolution_check(SPEC, 0.8, 0.6, n_paths=1, n_steps=60)
 
 
 @pytest.mark.parametrize("n", [1, 2])
