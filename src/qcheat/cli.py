@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -280,12 +281,12 @@ def _cmd_spectrum(args):
 
 
 def _positive(kind):
-    """argparse type: a number of the given kind that must be > 0."""
+    """argparse type: a number of the given kind that must be > 0 and finite."""
 
     def parse(text):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError("must be positive, got %s" % text)
+        if not 0 < value < math.inf:  # false for nan and inf too
+            raise argparse.ArgumentTypeError("must be positive and finite, got %s" % text)
         return value
 
     parse.__name__ = kind.__name__  # argparse names the kind in its messages

@@ -64,6 +64,8 @@ _ROW_BLOCK = 64
 # integrand evaluations allowed per kernel row
 _MAX_EVALS = 400_000
 
+_OUT_OF_RANGE = "kernel value or error bound is out of floating-point range"
+
 # the plain kernel's integrand terms: a(rho)^0 times the tau-monomial 1
 _PLAIN = [(0, (0, 0, 0))]
 
@@ -386,7 +388,7 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
             if p > 0.0 and math.isfinite(value) and math.isfinite(bound):
                 out.append(KernelValue(value, bound, n_evals))
             else:
-                out.append(ToleranceError("kernel value or error bound is out of floating-point range"))
+                out.append(ToleranceError(_OUT_OF_RANGE))
     return out
 
 
@@ -399,8 +401,10 @@ def _query_rows(spec, t, x, z, derivative, cfg):
     integrand terms of D: a term's coefficient, with the row's 1/2t factors,
     times its x-monomial at the row, summed per key (power of a(rho),
     tau-monomial) in term order.  A row whose coefficients are all zero is
-    exactly 0.  The other rows go through _kernel_rows _ROW_BLOCK rows at a
-    time, so a row's result is the same bits whichever rows share the call.
+    exactly 0, or out of range like any row when the kernel's prefactor at
+    its t is 0 or not finite.  The other rows go through _kernel_rows
+    _ROW_BLOCK rows at a time, so a row's result is the same bits whichever
+    rows share the call.
     """
     terms = _derivative_terms(spec, derivative, t)
     keys = list(dict.fromkeys((na, lam) for _, na, lam in terms))
@@ -411,7 +415,10 @@ def _query_rows(spec, t, x, z, derivative, cfg):
             if e:
                 xm = xm * x[:, a] ** e
         coeffs[:, keys.index((na, lam))] += c * xm
-    out = [KernelValue(0.0, 0.0, 0)] * len(t)
+    out = [
+        KernelValue(0.0, 0.0, 0) if 0.0 < p < math.inf else ToleranceError(_OUT_OF_RANGE)
+        for p in _prefactor(spec, t).tolist()
+    ]
     live = np.flatnonzero(coeffs.any(axis=1))
     t, x, z, coeffs = t[live], x[live], z[live], coeffs[live]
     for s in range(0, len(live), _ROW_BLOCK):

@@ -1,6 +1,7 @@
 """CLI surfaces: subcommands, exit codes, embedded configs, reproducibility."""
 
 import json
+import warnings
 
 import pytest
 
@@ -39,6 +40,9 @@ def test_c0_usage_error_on_bad_level():
         ["mc", "--n", "1", "--seed", "1", "--rule", "3", "--samples", "0"],
         ["spectrum", "--n", "0", "--input", "eigs.txt", "--t", "1"],
         ["c0", "--n", "1", "--format", "json"],  # no such flag
+        ["mc", "--n", "1", "--seed", "1", "--t", "nan", "--paths", "10", "--steps", "10"],
+        ["mc", "--n", "1", "--seed", "1", "--t", "inf", "--paths", "10", "--steps", "10"],
+        ["c0", "--n", "1", "--tol", "nan"],
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -125,6 +129,17 @@ def test_overflow_at_large_level_exits_3(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("numeric failure: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("t", ["1e308", "1e200"])
+def test_mc_overflow_exits_3(capsys, t):
+    # 1e308 overflows the simulated paths, 1e200 the squares of the moment table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, ["mc", "--n", "1", "--seed", "1", "--t", t, "--paths", "10", "--steps", "10"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: floating-point overflow") and len(err.splitlines()) == 1
 
 
 def test_kernel_parse_error_exit_2(tmp_path, capsys):

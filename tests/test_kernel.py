@@ -510,6 +510,16 @@ def test_query_rows_match_single_queries_bit_for_bit(spec, names):
         assert all(out[r] == KernelValue(0.0, 0.0, 0) for r in range(0, len(t), 7))
 
 
+@pytest.mark.parametrize("names", [("z1", "z2"), ("x1", "x2")])
+def test_underflowing_derivative_row_is_out_of_range(names):
+    # at t = 1e200 every coefficient of the row underflows to 0, and so does
+    # the prefactor: the row fails as the plain kernel at the point does
+    x, z = [0.3, 0.2, 0.0, 0.0], [0.1, 0.2, 0.3]
+    for d in ((), _deriv(SPEC1, *names)):
+        with pytest.raises(ToleranceError, match="out of floating-point range"):
+            heat_kernel_point(SPEC1, 1e200, x, z, derivative=d)
+
+
 def test_query_rows_independent_of_order_and_blocks(monkeypatch):
     import qcheat.kernel as kernel_mod
 

@@ -1,13 +1,14 @@
 """Diffusion simulation: moments, determinism, and vanishing-rule machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import qcheat.mc as mc
 from qcheat.group import make_quaternionic_spec
-from qcheat.kernel import QuadratureConfig, heat_kernel_point, kernel_marginal_moments
+from qcheat.kernel import KernelValue, QuadratureConfig, heat_kernel_point, kernel_marginal_moments
 from qcheat.mc import (
     MomentCheckReport,
     SimConfig,
@@ -29,6 +30,9 @@ def small_cfg(seed=7, n_paths=4000, n_steps=150, t=1.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(spec=SPEC, t=-1, n_paths=10, n_steps=10, seed=1)
+    for t in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SimConfig(spec=SPEC, t=t, n_paths=10, n_steps=10, seed=1)
     with pytest.raises(ValueError):
         SimConfig(spec=SPEC, t=1, n_paths=0, n_steps=10, seed=1)
     with pytest.raises(ValueError):
@@ -73,6 +77,64 @@ def test_stream_layout_per_path_keys():
     # a path's samples do not depend on how many other paths are drawn
     prefix = simulate_paths(small_cfg(seed=31, n_paths=3, n_steps=40, t=0.7))
     assert np.array_equal(prefix.x, samples.x[:3]) and np.array_equal(prefix.z, samples.z[:3])
+
+
+def _reference_simulate_one(spec, t, n_steps, seed, p):
+    """Terminal (x, z) of path p by a one-path pass: a fresh Philox(key=[seed, p]),
+    cumsum, and one np.sum over the path's products per z_i."""
+    m = spec.m
+    J = spec.J_float()
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64)
+    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, m))
+    dx = math.sqrt(2.0 * (t / n_steps)) * xi
+    xs = np.vstack([np.zeros((1, m)), np.cumsum(dx, axis=0)])
+    z = np.array([2.0 * float(np.sum((xs[:-1] @ J[i]) * dx)) for i in range(3)])
+    return xs[-1], z
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_simulate_paths_matches_per_path_reference_bit_for_bit(n):
+    spec = make_quaternionic_spec(n)
+    n_steps = 400
+    block = mc._BLOCK_PATH_STEPS // n_steps  # paths per array pass
+    for n_paths in (block - 1, block + 1, 2 * block + 3):
+        cfg = SimConfig(spec=spec, t=0.9, n_paths=n_paths, n_steps=n_steps, seed=-424242)
+        got = simulate_paths(cfg)
+        ref = [_reference_simulate_one(spec, cfg.t, n_steps, cfg.seed, p) for p in range(n_paths)]
+        assert np.array_equal(got.x, np.array([x for x, _ in ref]))
+        assert np.array_equal(got.z, np.array([z for _, z in ref]))
+
+
+def test_simulate_paths_overflow_raises_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="simulated path"):
+            simulate_paths(small_cfg(t=1e308, n_paths=10, n_steps=10))
+
+
+def test_check_samples_match_per_sample_reference_bit_for_bit(monkeypatch):
+    # 40 path-steps per block: a step count with several samples spans several blocks
+    monkeypatch.setattr(mc, "_BLOCK_PATH_STEPS", 40)
+    sent = []
+
+    def record_rows(spec, t, x, z, derivative, cfg):
+        sent.append((x, z))
+        return [KernelValue(1.0, 0.0, 0)] * len(t)
+
+    monkeypatch.setattr(mc, "_query_rows", record_rows)
+    cfg = small_cfg(seed=-77, n_paths=10, n_steps=300)
+    n_samples = 500
+    check_moment_vanishing(cfg, 3, n_samples=n_samples)  # dz_1: one kernel call per time branch, late first
+    s = mc._path_rng(cfg.seed, mc._TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
+    late = s >= 0.5
+    t_sim = np.where(late, 1.0 - s, s).tolist()
+    steps = [max(8, math.ceil(cfg.n_steps * ts)) for ts in t_sim]
+    assert len(set(steps)) > 100 and steps.count(8) > 40 // 8  # the 8-step samples span several blocks
+    ref = [_reference_simulate_one(SPEC, ts, k, cfg.seed, p) for p, (ts, k) in enumerate(zip(t_sim, steps))]
+    x, z = np.array([x for x, _ in ref]), np.array([z for _, z in ref])
+    assert len(sent) == 2
+    for (got_x, got_z), rows in zip(sent, (late, ~late)):
+        assert np.array_equal(got_x, -x[rows]) and np.array_equal(got_z, -z[rows])
 
 
 def test_first_and_second_moments():
@@ -233,20 +295,19 @@ def _reference_check(cfg, mono, deriv, n_samples):
     sign = (-1.0) ** sum(deriv)
     inv_haar = 1.0 / spec.haar_factor
     qcfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
-    J = spec.J_float()
     svals = mc._path_rng(cfg.seed, mc._TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
     vals = np.empty(n_samples)
     for p in range(n_samples):
         s = float(svals[p])
         if s >= 0.5:
             steps = max(8, int(math.ceil(cfg.n_steps * (1.0 - s))))
-            x, z = mc._simulate_one(spec, J, 1.0 - s, steps, cfg.seed, p)
+            x, z = _reference_simulate_one(spec, 1.0 - s, steps, cfg.seed, p)
             phi = _reference_monomial(mono, x, z)
             dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, cfg=qcfg).value
             vals[p] = inv_haar * phi * sign * dp
             continue
         steps = max(8, int(math.ceil(cfg.n_steps * s)))
-        x, z = mc._simulate_one(spec, J, s, steps, cfg.seed, p)
+        x, z = _reference_simulate_one(spec, s, steps, cfg.seed, p)
         total = 0.0
         for onto_mono, onto_kernel, w in _reference_splits(deriv):
             if any(j > e for j, e in zip(onto_mono, mono)):
