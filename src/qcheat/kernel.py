@@ -415,11 +415,12 @@ def _query_rows(spec, t, x, z, derivative, cfg):
             if e:
                 xm = xm * x[:, a] ** e
         coeffs[:, keys.index((na, lam))] += c * xm
-    out = [
-        KernelValue(0.0, 0.0, 0) if 0.0 < p < math.inf else ToleranceError(_OUT_OF_RANGE)
-        for p in _prefactor(spec, t).tolist()
-    ]
-    live = np.flatnonzero(coeffs.any(axis=1))
+    out = [KernelValue(0.0, 0.0, 0)] * len(t)
+    nonzero = coeffs.any(axis=1)
+    live, dead = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+    for r, p in zip(dead.tolist(), _prefactor(spec, t[dead]).tolist()):
+        if not 0.0 < p < math.inf:
+            out[r] = ToleranceError(_OUT_OF_RANGE)
     t, x, z, coeffs = t[live], x[live], z[live], coeffs[live]
     for s in range(0, len(live), _ROW_BLOCK):
         blk = slice(s, s + _ROW_BLOCK)

@@ -99,17 +99,17 @@ def _path_rng(seed, path_index):
 def _simulate(spec, t, n_steps, seed, paths):
     """Terminal (x, z) of each path paths[r], run to time t[r] in n_steps Euler steps.
 
-    A block of at most _BLOCK_PATH_STEPS path-steps is one array pass.  One
-    Philox, re-keyed to (seed, p) with counter 0 and an empty buffer, draws
-    path p's normals as a fresh Philox(key=[seed, p]) would; x_pre @ J[i] is
-    exact (J[i] is a signed permutation) and z_i sums the path's contiguous
-    n_steps * m products, so a path gets the bits of a one-path pass.
+    A block of at most _BLOCK_PATH_STEPS path-steps is one array pass.  The
+    Philox of _path_rng(seed, 0), set back to its initial state (counter 0,
+    empty buffer) with its path word re-keyed to p, draws path p's normals
+    as _path_rng(seed, p) would; x_pre @ J[i] is exact (J[i] is a signed
+    permutation) and z_i sums the path's contiguous n_steps * m products, so
+    a path gets the bits of a one-path pass.
     OverflowError when a terminal sample is not finite.
     """
     J = spec.J_float()
-    bitgen = np.random.Philox()
-    normals = np.random.Generator(bitgen).standard_normal
-    state = bitgen.state
+    rng = _path_rng(seed, 0)
+    state = rng.bit_generator.state
     x, z = np.empty((len(paths), spec.m)), np.empty((len(paths), 3))
     size = max(1, _BLOCK_PATH_STEPS // n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -117,9 +117,9 @@ def _simulate(spec, t, n_steps, seed, paths):
             blk = slice(s, s + size)
             dx = np.empty((len(paths[blk]), n_steps, spec.m))
             for k, p in enumerate(paths[blk].tolist()):
-                state["state"]["key"] = np.array([seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64)
-                bitgen.state = state
-                normals(out=dx[k])
+                state["state"]["key"][1] = p
+                rng.bit_generator.state = state
+                rng.standard_normal(out=dx[k])
             dx *= np.sqrt(BROWNIAN_VARIANCE_FACTOR * (t[blk] / n_steps))[:, None, None]
             xs = np.zeros((len(dx), n_steps + 1, spec.m))
             np.cumsum(dx, axis=1, out=xs[:, 1:])
@@ -318,8 +318,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     t_sim = np.where(late, 1.0 - svals, svals)
     t_ker = np.where(late, svals, 1.0 - svals)
     steps = np.maximum(8, np.ceil(cfg.n_steps * t_sim)).astype(int)
-    x = np.empty((n_samples, spec.m))
-    z = np.empty((n_samples, 3))
+    x, z = np.empty((n_samples, spec.m)), np.empty((n_samples, 3))
     # one _simulate call per step count; a first np.unique call adds about 1.5 MB of resident memory (numpy 2.4)
     for k in sorted(set(steps.tolist())):
         rows = np.flatnonzero(steps == k)
