@@ -96,20 +96,7 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                s = t.get(e)
-                s = c if s is None else s + c
-                if not s:
-                    t.pop(e, None)
-                else:
-                    t[e] = s
-        out = Poly(self.nvars)
-        out.terms = t
-        return out
+        return _sum_of_products(self.nvars, [(self, other)])
 
     def scale(self, c):
         if not c:
@@ -135,12 +122,31 @@ class Poly:
         return out
 
 
+def _sum_of_products(nvars, pairs):
+    """sum of f * g over the (f, g) pairs of Polys, gathered in one dict."""
+    t = {}
+    for f, g in pairs:
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                e = tuple(map(operator.add, e1, e2))
+                c = c1 * c2
+                s = t.get(e)
+                s = c if s is None else s + c
+                if not s:
+                    t.pop(e, None)
+                else:
+                    t[e] = s
+    out = Poly(nvars)
+    out.terms = t
+    return out
+
+
 def _weights(m, r):
     return (1,) * m + (2,) * r
 
 
 def monomial_weight(e, weights):
-    return sum(k * w for k, w in zip(e, weights))
+    return sum(map(operator.mul, e, weights))
 
 
 @dataclass(frozen=True)
@@ -189,11 +195,8 @@ class GradedVectorField(_Graded):
 
     def apply(self, f):
         """Derivation on a polynomial: sum_a comps[a] * df/dxi_a."""
-        out = Poly.zero(self.nvars)
-        for a, p in enumerate(self.comps):
-            if not p.is_zero():
-                out = out + p * f.diff(a)
-        return out
+        pairs = [(p, f.diff(a)) for a, p in enumerate(self.comps) if not p.is_zero()]
+        return _sum_of_products(self.nvars, pairs)
 
 
 class GradedForm(_Graded):
@@ -279,11 +282,7 @@ def lie_bracket(X, Y):
 
 def pair(omega, X):
     """Pointwise pairing <omega, X> as a polynomial."""
-    out = Poly.zero(X.nvars)
-    for wa, xa in zip(omega.comps, X.comps):
-        if not (wa.is_zero() or xa.is_zero()):
-            out = out + wa * xa
-    return out
+    return _sum_of_products(X.nvars, zip(omega.comps, X.comps))
 
 
 def lie_derivative_form(X, omega):

@@ -402,24 +402,30 @@ def _query_rows(spec, t, x, z, derivative, cfg):
     times its x-monomial at the row, summed per key (power of a(rho),
     tau-monomial) in term order.  A row whose coefficients are all zero is
     exactly 0, or out of range like any row when the kernel's prefactor at
-    its t is 0 or not finite.  The other rows go through _kernel_rows
+    its t is 0 or not finite, or when a term underflowed to 0 although no
+    coordinate of its monomial is 0.  The other rows go through _kernel_rows
     _ROW_BLOCK rows at a time, so a row's result is the same bits whichever
     rows share the call.
     """
     terms = _derivative_terms(spec, derivative, t)
     keys = list(dict.fromkeys((na, lam) for _, na, lam in terms))
     coeffs = np.zeros((len(t), len(keys)))
+    underflow = np.zeros(len(t), dtype=bool)
     for (px, na, lam), c in terms.items():
         xm = 1.0
+        on_zero = np.zeros(len(t), dtype=bool)  # a coordinate of the monomial is 0
         for a, e in enumerate(px):
             if e:
                 xm = xm * x[:, a] ** e
-        coeffs[:, keys.index((na, lam))] += c * xm
+                on_zero |= x[:, a] == 0.0
+        term = c * xm
+        underflow |= (term == 0.0) & (c != 0.0) & ~on_zero
+        coeffs[:, keys.index((na, lam))] += term
     out = [KernelValue(0.0, 0.0, 0)] * len(t)
     nonzero = coeffs.any(axis=1)
     live, dead = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
     for r, p in zip(dead.tolist(), _prefactor(spec, t[dead]).tolist()):
-        if not 0.0 < p < math.inf:
+        if underflow[r] or not 0.0 < p < math.inf:
             out[r] = ToleranceError(_OUT_OF_RANGE)
     t, x, z, coeffs = t[live], x[live], z[live], coeffs[live]
     for s in range(0, len(live), _ROW_BLOCK):

@@ -148,7 +148,9 @@ def moment_report(samples):
     """First/second-moment estimates with standard errors, as labeled rows.
 
     ValueError for fewer than 2 paths, which leave no standard error;
-    OverflowError when an estimate or its standard error is not finite.
+    OverflowError when an estimate or its standard error is not finite, when
+    the power of a nonzero sample underflows to 0, or when samples that differ
+    give a standard error of 0 (their deviations underflowed).
     """
     if len(samples.x) < 2:
         raise ValueError("need at least 2 paths for a standard error, got %d" % len(samples.x))
@@ -158,8 +160,11 @@ def moment_report(samples):
         for a in range(coords.shape[1]):
             name = "E[%s_%d%s]" % (kind, a + 1, "^2" * (power - 1))
             with np.errstate(over="ignore", invalid="ignore"):
-                est, se = _mean_stderr(coords[:, a] ** power)
-            if not (math.isfinite(est) and math.isfinite(se)):
+                values = coords[:, a] ** power
+                est, se = _mean_stderr(values)
+            underflow = np.any((values == 0.0) & (coords[:, a] != 0.0))
+            lost = underflow or (se == 0.0 and values.min() != values.max())
+            if lost or not (math.isfinite(est) and math.isfinite(se)):
                 raise OverflowError("%s or its standard error left the floating-point range" % name)
             rows.append((name, est, se))
     return rows

@@ -18,7 +18,6 @@ A surviving non-kappa symbol is a hard failure.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +31,6 @@ from .graded import (
     left_invariant_frame,
     lie_bracket,
     pair,
-    zero_form,
     zero_vf,
 )
 from .tensors import (
@@ -112,8 +110,73 @@ def moment_exemplar(label, m):
     return _pattern(m, *_EXEMPLARS[label])
 
 
-def _sym_poly(nv, terms):
-    return Poly(nv, {e: c for e, c in terms.items() if c})
+def _exponent(nv, *coords):
+    """Exponent tuple of the product of x_c over coords, repeats counted."""
+    e = [0] * nv
+    for c in coords:
+        e[c] += 1
+    return tuple(e)
+
+
+def _atoms(component):
+    """component(*idx) of a TensorSymbols as (atom monomial, sign), None where it
+    is zero.  Each index tuple is looked up once per returned function."""
+    table = {}
+
+    def atom(*idx):
+        hit = table.get(idx, False)
+        if hit is False:
+            terms = component(*idx).terms.items()
+            hit = table[idx] = next(((mono, c.numerator) for mono, c in terms), None)
+        return hit
+
+    return atom
+
+
+def _bracket_entries(spec):
+    """Per vertical index i, the nonzero entries (a, b, I^i_ab) of spec.J as ints."""
+    out = []
+    for Ji in spec.J:
+        entries = [(a, b, v) for a, row in enumerate(Ji) for b, v in enumerate(row) if v]
+        if any(v != int(v) for _, _, v in entries):
+            raise ValueError("the symbolic expansion needs integer bracket matrices")
+        out.append([(a, b, int(v)) for a, b, v in entries])
+    return out
+
+
+class _Numerators:
+    """Polynomial over the tensor symbols as integer numerators over a fixed denominator.
+
+    terms maps an exponent tuple to {atom monomial: integer numerator}; sums
+    stay integer work, and poly() makes each coefficient Sym once.
+    """
+
+    __slots__ = ("nv", "den", "terms")
+
+    def __init__(self, nv, den):
+        self.nv = nv
+        self.den = den
+        self.terms = {}
+
+    def add(self, e, atom, num):
+        """Add num / den * atom * x^e; atom is an _atoms result (None adds nothing)."""
+        if atom is not None:
+            mono, sign = atom
+            t = self.terms.get(e)
+            if t is None:
+                self.terms[e] = {mono: sign * num}
+            else:
+                t[mono] = t.get(mono, 0) + sign * num
+
+    def add_shifted(self, other, c, num):
+        """Add num * x_c * other, other's numerators read over this denominator."""
+        for e, atoms in other.terms.items():
+            t = self.terms.setdefault(e[:c] + (e[c] + 1,) + e[c + 1 :], {})
+            for mono, k in atoms.items():
+                t[mono] = t.get(mono, 0) + num * k
+
+    def poly(self):
+        return Poly(self.nv, {e: Sym.from_numerators(t, self.den) for e, t in self.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -136,103 +199,94 @@ class CoframeExpansion:
         return True
 
 
-def _x_var(nv, a):
-    return Poly.variable(nv, a, Sym.rational(1))
-
-
 def build_coframe(spec, symbols=None):
     """Homogeneous coframe terms in normal coordinates (orders up to 4).
 
     theta^(1) = dx, theta^(2) = 0, eta^(2) = dz/2 - I x dx, eta^(3) = 0,
     omega^(2)_{ab} = (1/2) R^b_{gda} x_g dx_d, and theta^(3), eta^(4) carry
-    the torsion/curvature corrections.
+    the torsion/curvature corrections:
+
+        theta^(3)_a = (1/3) [omega^(2)_{ba} x_b - T^a_{ig} x_g eta^(2)_i + T^a_{ib} z_i dx_b]
+        eta^(4)_i = (1/4) [omega^(2)_{ji} z_j + T^i_{jk} z_j eta^(2)_k - 2 I^i_{ab} x_a theta^(3)_b]
+
+    summed over repeated indices (i, j, k vertical).
     """
     if symbols is None:
         symbols = TensorSymbols(spec)
     m, r = spec.m, spec.r
     nv = m + r
     one = Sym.rational(1)
+    R, T = _atoms(symbols.R), _atoms(symbols.T)
+    x1 = [_exponent(nv, a) for a in range(nv)]
+    x2 = [[_exponent(nv, a, b) for b in range(nv)] for a in range(nv)]
+    J = _bracket_entries(spec)
+
+    def form(comps):
+        return GradedForm(m, r, tuple(c.poly() for c in comps))
 
     theta = []
     for a in range(m):
         theta.append({1: basis_form(m, r, a, one)})
     eta = []
     for i in range(r):
-        comps = [Poly.zero(nv) for _ in range(nv)]
-        for b in range(m):
-            terms = {}
-            for a in range(m):
-                v = spec.J[i][a][b]
-                if v:
-                    e = [0] * nv
-                    e[a] = 1
-                    terms[tuple(e)] = Sym.rational(-v)
-            comps[b] = _sym_poly(nv, terms)
-        comps[m + i] = Poly.constant(nv, Sym.rational(Fraction(1, 2)))
-        eta.append({2: GradedForm(m, r, tuple(comps))})
+        terms = [{} for _ in range(nv)]
+        for a, b, v in J[i]:
+            terms[b][x1[a]] = Sym.rational(-v)
+        terms[m + i][(0,) * nv] = Sym.rational(Fraction(1, 2))
+        eta.append({2: GradedForm(m, r, tuple(Poly(nv, t) for t in terms))})
 
     omega = {}
-    half = Fraction(1, 2)
     for a in range(nv):
         for b in range(nv):
-            vertical_a, vertical_b = a >= m, b >= m
-            if vertical_a != vertical_b:
+            if (a >= m) != (b >= m):
                 continue  # omega_{alpha ibar} = 0 for the special frame
-            comps = [Poly.zero(nv) for _ in range(nv)]
+            comps = [_Numerators(nv, 2) for _ in range(nv)]
             for d in range(m):
-                terms = {}
                 for g in range(m):
-                    sym = symbols.R(b, g, d, a)
-                    if sym:
-                        e = [0] * nv
-                        e[g] = 1
-                        terms[tuple(e)] = half * sym
-                comps[d] = _sym_poly(nv, terms)
-            form = GradedForm(m, r, tuple(comps))
-            if not form.is_zero():
-                omega[(a, b)] = {2: form}
+                    comps[d].add(x1[g], R(b, g, d, a), 1)
+            om = form(comps)
+            if not om.is_zero():
+                omega[(a, b)] = {2: om}
 
-    third = Sym.rational(Fraction(1, 3))
+    # theta^(3) as integer numerators over 24 (its terms carry 1/6 and 1/3),
+    # eta^(4) over 48 (1/8, 1/4, and -1/2 times theta^(3)'s)
+    theta3 = []
     for a in range(m):
-        acc = zero_form(m, r)
+        comps = [_Numerators(nv, 24) for _ in range(nv)]
         for b in range(m):
-            om = omega.get((b, a), {}).get(2)
-            if om is not None:
-                acc = acc + om.mul_poly(_x_var(nv, b))
+            for d in range(m):
+                for g in range(m):
+                    comps[d].add(x2[g][b], R(a, g, d, b), 4)
         for i in range(r):
             for g in range(m):
-                sym = symbols.T(a, m + i, g)
-                if sym:
-                    acc = acc + eta[i][2].mul_poly(_x_var(nv, g).scale(-sym))
-        for i in range(r):
+                t = T(a, m + i, g)
+                comps[m + i].add(x1[g], t, -4)
+                for ap, d, v in J[i]:
+                    comps[d].add(x2[g][ap], t, 8 * v)
             for b in range(m):
-                sym = symbols.T(a, m + i, b)
-                if sym:
-                    acc = acc + theta[b][1].mul_poly(_x_var(nv, m + i).scale(sym))
-        acc = acc.scale(third)
-        if not acc.is_zero():
-            theta[a][3] = acc
+                comps[b].add(x1[m + i], T(a, m + i, b), 8)
+        theta3.append(comps)
+        th = form(comps)
+        if not th.is_zero():
+            theta[a][3] = th
 
-    quarter = Sym.rational(Fraction(1, 4))
     for i in range(r):
-        acc = zero_form(m, r)
+        comps = [_Numerators(nv, 48) for _ in range(nv)]
         for j in range(r):
-            om = omega.get((m + j, m + i), {}).get(2)
-            if om is not None:
-                acc = acc + om.mul_poly(_x_var(nv, m + j))
-        for j in range(r):
+            for d in range(m):
+                for g in range(m):
+                    comps[d].add(x2[g][m + j], R(m + i, g, d, m + j), 6)
             for k in range(r):
-                sym = symbols.T(m + i, m + j, m + k)
-                if sym:
-                    acc = acc + eta[k][2].mul_poly(_x_var(nv, m + j).scale(sym))
-        for a in range(m):
-            for b in range(m):
-                v = spec.J[i][a][b]
-                if v and 3 in theta[b]:
-                    acc = acc + theta[b][3].mul_poly(_x_var(nv, a).scale(Sym.rational(-2 * v)))
-        acc = acc.scale(quarter)
-        if not acc.is_zero():
-            eta[i][4] = acc
+                t = T(m + i, m + j, m + k)
+                comps[m + k].add(x1[m + j], t, 6)
+                for ap, d, v in J[k]:
+                    comps[d].add(x2[ap][m + j], t, -12 * v)
+        for a, b, v in J[i]:
+            for d, th in enumerate(theta3[b]):
+                comps[d].add_shifted(th, a, -v)
+        e4 = form(comps)
+        if not e4.is_zero():
+            eta[i][4] = e4
 
     cof = CoframeExpansion(m=m, theta=tuple(theta), eta=tuple(eta), omega=omega)
     cof.check_orders()
@@ -259,66 +313,52 @@ class ExpansionCoefficients:
 def _closed_form_coefficients(spec, symbols):
     m, r = spec.m, spec.r
     nv = m + r
-    R, T = symbols.R, symbols.T
+    J = _bracket_entries(spec)
+    R, T = _atoms(symbols.R), _atoms(symbols.T)
+    x1 = [_exponent(nv, a) for a in range(nv)]
+    x2 = [[_exponent(nv, a, b) for b in range(nv)] for a in range(nv)]
+    x3 = [[[_exponent(nv, a, b, c) for c in range(m)] for b in range(m)] for a in range(m)]
 
-    def bump(terms, coords, sym):
-        """terms[x^coords] += sym, for the multiset of coordinates coords."""
-        if sym:
-            e = [0] * nv
-            for c in coords:
-                e[c] += 1
-            e = tuple(e)
-            prev = terms.get(e)
-            terms[e] = sym if prev is None else prev + sym
-
+    # each coefficient is a sum of -1/6, -1/3, -1/8, v/12, v/6, 1/3, -1/4 and
+    # -v/6 times a symbol (v an integer entry of I), so an integer over 24
     s_x, r_x, s_v, r_v = {}, {}, {}, {}
     for alpha in range(m):
         for beta in range(m):
-            terms = {}
+            acc = _Numerators(nv, 24)
             for g in range(m):
                 for d in range(m):
-                    bump(terms, (g, d), R(beta, g, alpha, d) * Fraction(-1, 6))
+                    acc.add(x2[g][d], R(beta, g, alpha, d), -4)
             for i in range(r):
-                bump(terms, (m + i,), T(beta, m + i, alpha) * Fraction(-1, 3))
-            s_x[(alpha, beta)] = _sym_poly(nv, terms)
+                acc.add(x1[m + i], T(beta, m + i, alpha), -8)
+            s_x[(alpha, beta)] = acc.poly()
     for alpha in range(m):
         for j in range(r):
-            terms = {}
+            acc = _Numerators(nv, 24)
             for g in range(m):
                 for i in range(r):
-                    bump(terms, (g, m + i), R(m + j, g, alpha, m + i) * Fraction(-1, 8))
-            for gp in range(m):
-                for dp in range(m):
-                    v = spec.J[j][gp][dp]
-                    if not v:
-                        continue
-                    w12, w6 = Fraction(v, 12), Fraction(v, 6)
-                    for g in range(m):
-                        for d in range(m):
-                            bump(terms, (gp, g, d), R(dp, d, alpha, g) * w12)
-                    for k in range(r):
-                        bump(terms, (gp, m + k), T(dp, m + k, alpha) * w6)
-            r_x[(alpha, j)] = _sym_poly(nv, terms)
+                    acc.add(x2[g][m + i], R(m + j, g, alpha, m + i), -3)
+            for gp, dp, v in J[j]:
+                for g in range(m):
+                    for d in range(m):
+                        acc.add(x3[gp][g][d], R(dp, d, alpha, g), 2 * v)
+                for k in range(r):
+                    acc.add(x2[gp][m + k], T(dp, m + k, alpha), 4 * v)
+            r_x[(alpha, j)] = acc.poly()
     for i in range(r):
         for beta in range(m):
-            terms = {}
+            acc = _Numerators(nv, 24)
             for g in range(m):
-                bump(terms, (g,), T(beta, m + i, g) * Fraction(1, 3))
-            s_v[(i, beta)] = _sym_poly(nv, terms)
+                acc.add(x1[g], T(beta, m + i, g), 8)
+            s_v[(i, beta)] = acc.poly()
     for i in range(r):
         for j in range(r):
-            terms = {}
+            acc = _Numerators(nv, 24)
             for k in range(r):
-                bump(terms, (m + k,), T(m + j, m + k, m + i) * Fraction(-1, 4))
-            for g in range(m):
-                for d in range(m):
-                    v = spec.J[j][g][d]
-                    if not v:
-                        continue
-                    w = Fraction(-v, 6)
-                    for dp in range(m):
-                        bump(terms, (g, dp), T(d, m + i, dp) * w)
-            r_v[(i, j)] = _sym_poly(nv, terms)
+                acc.add(x1[m + k], T(m + j, m + k, m + i), -6)
+            for g, d, v in J[j]:
+                for dp in range(m):
+                    acc.add(x2[g][dp], T(d, m + i, dp), -4 * v)
+            r_v[(i, j)] = acc.poly()
     return ExpansionCoefficients(m=m, s_x=s_x, r_x=r_x, s_v=s_v, r_v=r_v)
 
 
@@ -558,7 +598,9 @@ def _coordinate_terms(spec, op):
     moment the flat kernel's invariance kills (the first test of
     _moment_decomposition), so it is dropped before its coefficient is
     multiplied out; killed counts the distinct (derivative, monomial)
-    patterns dropped that way.
+    patterns dropped that way.  Parity adds under multiplication, so a term
+    of coeff * A.comps[a] is multiplied out only when some term of B can
+    still complete it to a survivor.
     """
     m, r = spec.m, spec.r
     nv = m + r
@@ -566,60 +608,103 @@ def _coordinate_terms(spec, op):
     fields = {("X", a): X for a, X in enumerate(Xs)}
     fields.update({("V", i): V for i, V in enumerate(Vs)})
 
+    # Exponents are packed into one int, `bits` bits per coordinate, so a
+    # product's exponents are the sum of its factors'.  No exponent exceeds a
+    # coefficient's degree plus two frame components' degrees, nor a
+    # derivative's 2.
+    def degree(polys):
+        return max((sum(e) for p in polys for e in p.terms), default=0)
+
+    coeff_degree = max(degree(op.second.values()), degree(op.first.values()))
+    top = coeff_degree + 2 * degree(p for F in fields.values() for p in F.comps)
+    bits = max(top, 2).bit_length()
+    mask = (1 << bits) - 1
+
+    def pack(e):
+        return sum(k << (bits * c) for c, k in enumerate(e))
+
     def split(poly):
-        """The terms of poly as (exponents, coefficient, parity mask) triples."""
-        return [(e, c, _parity(e)) for e, c in poly.terms.items()]
+        """The terms of poly as (packed exponents, coefficient, parity mask) triples."""
+        return [(pack(e), c, _parity(e)) for e, c in poly.terms.items()]
+
+    def derivative(*coords):
+        """(multi-index, its parity, its packed key shifted past every monomial's)."""
+        e = _exponent(nv, *coords)
+        return e, _parity(e), pack(e) << (bits * nv)
 
     split_comps = {lbl: [split(p) for p in F.comps] for lbl, F in fields.items()}
     acc = {}
     killed = set()
 
-    def add(deriv, left, right):
-        """Accumulate left * right (split polys) under deriv, multiplying survivors only."""
-        want = _parity(deriv)
-        terms = {}
+    def product(left, right, live):
+        """left * right as split terms; a term whose parity is not in live keeps
+        coefficient None, and is kept only where its products do not cancel."""
+        terms, dead = {}, {}
         for e1, c1, p1 in left:
             for e2, c2, p2 in right:
-                e = tuple(map(operator.add, e1, e2))
+                e = e1 + e2
+                p = p1 ^ p2
+                if p in live:
+                    c = c1 * c2
+                    prev = terms.get(e)
+                    terms[e] = (c, p) if prev is None else (prev[0] + c, p)
+                else:
+                    dead.setdefault(e, (p, []))[1].append((c1, c2))
+        out = [(e, c, p) for e, (c, p) in terms.items() if c]
+        # one product of nonzero factors cannot vanish; several may cancel
+        for e, (p, pairs) in dead.items():
+            if len(pairs) == 1 or sum(c1 * c2 for c1, c2 in pairs):
+                out.append((e, None, p))
+        return out
+
+    def add(deriv, left, right):
+        """Accumulate left * right (split polys) under deriv, multiplying survivors only."""
+        key, want, dkey = deriv
+        terms = acc.setdefault(key, {})
+        for e1, c1, p1 in left:
+            for e2, c2, p2 in right:
+                e = e1 + e2
                 if p1 ^ p2 != want:
-                    killed.add((deriv, e))
+                    killed.add(dkey + e)
                     continue
                 c = c1 * c2
-                prev = terms.get(e)
-                terms[e] = c if prev is None else prev + c
-        poly = Poly(nv, terms)
-        if poly.is_zero():
-            return
-        cur = acc.get(deriv)
-        acc[deriv] = poly if cur is None else cur + poly
-
-    def unit(*coords):
-        deriv = [0] * nv
-        for a in coords:
-            deriv[a] += 1
-        return tuple(deriv)
+                prev = terms.pop(e, None)
+                if prev is not None:
+                    c = prev + c
+                if c:
+                    terms[e] = c
 
     for (la, lb), coeff in op.second.items():
         A, B = fields[la], fields[lb]
-        for a in range(nv):
-            if A.comps[a].is_zero():
-                continue
-            coeff_a = split(coeff * A.comps[a])
-            for b, right in enumerate(split_comps[lb]):
-                if right:
-                    add(unit(a, b), coeff_a, right)
-        # A acting on B's coefficients: first-order remainder
         left = split(coeff)
+        rights = [(b, right) for b, right in enumerate(split_comps[lb]) if right]
+        for a, factor in enumerate(split_comps[la]):
+            if not factor:
+                continue
+            derivs = [(derivative(a, b), right) for b, right in rights]
+            live = {want ^ p2 for (_, want, _), right in derivs for _, _, p2 in right}
+            coeff_a = product(left, factor, live)
+            for deriv, right in derivs:
+                add(deriv, coeff_a, right)
+        # A acting on B's coefficients: first-order remainder
         for b in range(nv):
             inner = A.apply(B.comps[b])
             if not inner.is_zero():
-                add(unit(b), left, split(inner))
+                add(derivative(b), left, split(inner))
     for lbl, coeff in op.first.items():
         left = split(coeff)
         for a, right in enumerate(split_comps[lbl]):
             if right:
-                add(unit(a), left, right)
-    return {k: v for k, v in acc.items() if not v.is_zero()}, len(killed)
+                add(derivative(a), left, right)
+
+    def unpack(e):
+        return tuple((e >> (bits * c)) & mask for c in range(nv))
+
+    coord = {}
+    for key, terms in acc.items():
+        if terms:
+            coord[key] = Poly(nv, {unpack(e): c for e, c in terms.items()})
+    return coord, len(killed)
 
 
 def _moment_decomposition(mono, deriv, m):

@@ -96,6 +96,11 @@ class Sym:
         p, d = _ratio(coeff)
         return _sym({(atom,): p} if p else {}, d)
 
+    @classmethod
+    def from_numerators(cls, nums, den):
+        """The sum of nums[mono] / den * mono, for integer numerators and den > 0."""
+        return _sym({mono: n for mono, n in nums.items() if n}, den)
+
     @property
     def terms(self):
         """The coefficients as a dict {monomial: Fraction}."""

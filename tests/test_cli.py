@@ -142,6 +142,16 @@ def test_mc_overflow_exits_3(capsys, t):
     assert err.startswith("numeric failure: floating-point overflow") and len(err.splitlines()) == 1
 
 
+def test_mc_underflow_exits_3(capsys):
+    # at t = 1e-300 the squares of x and z and the deviations behind the
+    # standard errors fall below the double range: a loud failure, not zeros
+    argv = ["mc", "--n", "1", "--seed", "1", "--t", "1e-300", "--paths", "10", "--steps", "10"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert "left the floating-point range" in err and len(err.splitlines()) == 1
+
+
 def test_kernel_parse_error_exit_2(tmp_path, capsys):
     inp = tmp_path / "bad.csv"
     inp.write_text("1.0 0 nope 0\n")

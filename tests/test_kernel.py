@@ -520,6 +520,21 @@ def test_underflowing_derivative_row_is_out_of_range(names):
             heat_kernel_point(SPEC1, 1e200, x, z, derivative=d)
 
 
+def test_derivative_row_lost_below_the_double_range_is_out_of_range():
+    # x1 x2 ~ 1e-400 underflows to 0 in the only coefficient of dx1 dx2 at
+    # the origin's z, at an ordinary t: the row fails instead of reading 0 +- 0
+    with pytest.raises(ToleranceError, match="out of floating-point range"):
+        heat_kernel_point(SPEC1, 1.0, [1e-200, 1e-200, 0, 0], [0, 0, 0], derivative=_deriv(SPEC1, "x1", "x2"))
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 0.0, 0.0], [0.0, 1e-200, 0.0, 0.0]])
+def test_derivative_row_zero_on_a_zero_coordinate_stays_exact(x):
+    # x1 = 0 makes the coefficient exactly 0 (odd in x1), not an underflow
+    for names in (("x1",), ("x1", "x2")):
+        res = heat_kernel_point(SPEC1, 1.0, x, [0, 0, 0], derivative=_deriv(SPEC1, *names))
+        assert (res.value, res.err_estimate, res.n_evals) == (0.0, 0.0, 0)
+
+
 def test_query_rows_independent_of_order_and_blocks(monkeypatch):
     import qcheat.kernel as kernel_mod
 

@@ -1,5 +1,6 @@
 """Symbolic expansion layer: coframe, frame inversion routes, P2, c1 reduction."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from qcheat import qc_expansion
 from qcheat.graded import Poly, frame_inversion, homogeneous_orders, homogeneous_part, left_invariant_frame
-from qcheat.group import make_quaternionic_spec
+from qcheat.group import GroupSpec, make_quaternionic_spec
 from qcheat.qc_expansion import (
     M_X4DZDZ,
     M_XDX,
@@ -16,6 +17,7 @@ from qcheat.qc_expansion import (
     M_XZDXDZ,
     M_ZDZ,
     MOMENT_LABELS,
+    PerturbationOperator,
     RouteMismatchError,
     UnclassifiedMomentError,
     _coordinate_terms,
@@ -35,9 +37,22 @@ SYM = TensorSymbols(SPEC)
 M = SPEC.m
 
 
-def _p2(symbols):
-    coeffs = expansion_coefficients(SPEC, symbols)
-    return build_P2(SPEC, coeffs, divergence_coefficient(SPEC, coeffs))
+def _p2(symbols, spec=SPEC):
+    coeffs = expansion_coefficients(spec, symbols)
+    return build_P2(spec, coeffs, divergence_coefficient(spec, coeffs))
+
+
+@pytest.fixture(scope="module")
+def reductions():
+    """reduce_c1 of the quaternionic spec per level n, each run once for the module."""
+    done = {}
+
+    def get(n):
+        if n not in done:
+            done[n] = reduce_c1(make_quaternionic_spec(n))
+        return done[n]
+
+    return get
 
 
 def test_coframe_vanishing_orders():
@@ -51,6 +66,15 @@ def test_coframe_vanishing_orders():
     assert all(3 not in tab for tab in cflat.theta)
     assert all(4 not in tab for tab in cflat.eta)
     assert not cflat.omega
+
+
+def test_symbolic_expansion_needs_integer_brackets():
+    # the coefficients are integer numerators over a fixed denominator
+    half = Fraction(1, 2)
+    spec = GroupSpec(m=2, r=1, J=(((0, half), (-half, 0)),))
+    for build in (build_coframe, expansion_coefficients):
+        with pytest.raises(ValueError, match="integer bracket matrices"):
+            build(spec)
 
 
 def test_coframe_terms_are_eigenforms():
@@ -185,8 +209,8 @@ def test_moment_exemplars_classify_correctly():
         assert _moment_decomposition(mono, deriv, M) == {label: 1}
 
 
-def test_reduce_c1_n1_golden():
-    red = reduce_c1(SPEC)
+def test_reduce_c1_n1_golden(reductions):
+    red = reductions(1)
     # exactly linear in kappa
     for mono in red.result.terms:
         kinds = sorted(a[0] for a in mono)
@@ -205,8 +229,8 @@ def test_reduce_c1_n1_golden():
     assert red.final_line().endswith("* kappa")
 
 
-def test_reduce_c1_n2_golden_with_route_check():
-    red = reduce_c1(make_quaternionic_spec(2))
+def test_reduce_c1_n2_golden_with_route_check(reductions):
+    red = reductions(2)
     assert red.final_line() == (
         "c1 = ((-2/3)*M[x.dx] + (1/3)*M[xx.dxdx;pp] + (-1/3)*M[xx.dxdx;cross]"
         " + (5)*M[xxxx.dzdz]) * kappa"
@@ -218,6 +242,34 @@ def test_reduce_c1_n2_golden_with_route_check():
     )
 
 
+def test_reduce_c1_n3_golden_with_route_check(reductions):
+    red = reductions(3)
+    assert red.final_line() == (
+        "c1 = ((-2/3)*M[x.dx] + (1/3)*M[xx.dxdx;pp] + (-1/3)*M[xx.dxdx;cross]"
+        " + (28/5)*M[xxxx.dzdz]) * kappa"
+    )
+    assert (red.classified_terms, red.parity_killed_terms) == (483, 30204)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduce_c1_quartic_coefficient_in_closed_form(reductions, n):
+    # the n-dependence of M[xxxx.dzdz]: 4, 5, 28/5 at n = 1, 2, 3
+    assert reductions(n).kappa_coefficients[M_X4DZDZ] == Fraction(4 * (2 * n + 1), n + 2)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1, "2aac53c30d1d5e72f85f86aa1342c6940954d1a63b653f5c61684d0399a03bc5"),
+        (2, "6795fede1d5090838b61df48c759c82d4df31e60d1afdea4aa040f5346275821"),
+        (3, "1366c8df7bae2491f82819e3734803cd6066a8392ed1a66526dde147b6835d7f"),
+    ],
+)
+def test_reduce_c1_log_pinned(reductions, n, digest):
+    # every line of the derivation log, each elimination and its provenance included
+    assert hashlib.sha256("\n".join(reductions(n).log).encode()).hexdigest() == digest
+
+
 def test_reduce_c1_torsion_only_is_zero():
     torsion_only = TensorSymbols(SPEC, zero_curvature=True)
     red = reduce_c1(SPEC, torsion_only)
@@ -225,14 +277,13 @@ def test_reduce_c1_torsion_only_is_zero():
     assert red.final_line() == "c1 = 0"
 
 
-def test_coordinate_terms_match_unpruned_expansion():
-    # reference: multiply every coordinate term out, then classify; parity-first
-    # expansion must keep exactly the survivors and count exactly the killed
-    op = _p2(SYM)
-    Xs, Vs = left_invariant_frame(SPEC, scalar=Sym.rational)
+def _unpruned_coordinate_terms(spec, op, survives):
+    """Reference: multiply every coordinate term out, sum per derivative, then
+    split the terms into survivors {deriv: {mono: coeff}} and a killed count."""
+    Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
     fields = {("X", a): X for a, X in enumerate(Xs)}
     fields.update({("V", i): V for i, V in enumerate(Vs)})
-    nv = SPEC.m + SPEC.r
+    nv = spec.m + spec.r
     full = {}
 
     def add(coords, poly):
@@ -255,13 +306,44 @@ def test_coordinate_terms_match_unpruned_expansion():
     survivors, killed = {}, 0
     for deriv, poly in full.items():
         for mono, c in poly.terms.items():
-            if _moment_decomposition(mono, deriv, M):
+            if survives(mono, deriv):
                 survivors.setdefault(deriv, {})[mono] = c
             else:
                 killed += 1
-    coord, pruned = _coordinate_terms(SPEC, op)
+    return survivors, killed
+
+
+def test_coordinate_terms_match_unpruned_expansion():
+    # parity-first expansion must keep exactly the survivors of the full
+    # expansion and count exactly the killed, at n = 1 and 2
+    for n, want_killed in ((1, 888), (2, 7434)):
+        spec = make_quaternionic_spec(n)
+        op = _p2(TensorSymbols(spec), spec)
+        survivors, killed = _unpruned_coordinate_terms(
+            spec, op, lambda mono, deriv: bool(_moment_decomposition(mono, deriv, spec.m))
+        )
+        coord, pruned = _coordinate_terms(spec, op)
+        assert {d: p.terms for d, p in coord.items()} == survivors
+        assert pruned == killed == want_killed
+
+
+def test_coordinate_terms_cancelling_products_are_not_counted():
+    # X_3's vertical component 2 (x_1 + x_2) times the coefficient x_1 - x_2
+    # cancels its x_1 x_2 terms: a pattern that is never formed is not killed
+    J = (((0, 0, 1, 1), (0, 0, 1, -1), (-1, -1, 0, 0), (-1, 1, 0, 0)),)
+    spec = GroupSpec(m=4, r=1, J=J)
+    nv = spec.m + spec.r
+    x = [Poly.variable(nv, a, Sym.rational(1)) for a in range(nv)]
+    coeff = x[0] - x[1]
+    op = PerturbationOperator(m=4, r=1, second={(("X", 2), ("X", 0)): coeff}, first={("X", 1): coeff})
+
+    def parity_survives(mono, deriv):
+        return all((a + b) % 2 == 0 for a, b in zip(mono, deriv))
+
+    survivors, killed = _unpruned_coordinate_terms(spec, op, parity_survives)
+    coord, pruned = _coordinate_terms(spec, op)
     assert {d: p.terms for d, p in coord.items()} == survivors
-    assert pruned == killed == 888
+    assert pruned == killed > 0
 
 
 def test_reduce_c1_rewrite_order_independent():
