@@ -10,10 +10,11 @@ run over the path-step budget, an mc moment table with one path or an mc
 input files that do not parse or lack required keys, kernel rows that fail
 their check, a frame file whose b has the wrong count or shape or a
 non-numeric entry or whose c is not an (m+k) x (m+k) x m array of numbers,
-a non-finite eigenvalue, a spectrum too short for the time grid), 3 numeric
-failure (a missed tolerance, a kernel row out of floating-point range, a
-floating-point overflow), 4 invariant violation (a failed reduction or route
-check, a non-antisymmetric frame, a singular or indefinite Popp B).
+a non-finite eigenvalue, a spectrum too short for the time grid, a spectrum
+command without --n), 3 numeric failure (a missed tolerance, a kernel row
+out of floating-point range, a value that overflows or underflows), 4
+invariant violation (a failed reduction or route check, a non-antisymmetric
+frame, a singular or indefinite Popp B).
 """
 
 from __future__ import annotations
@@ -78,20 +79,20 @@ def _cmd_c0(args):
 
 
 def _cmd_cn(args):
-    from .invariants import Cn_zeta_series, bw_sphere_c1_integral, compute_Cn, sphere_kappa
+    from .invariants import Cn_zeta_series, compute_Cn, sphere_kappa
 
     v, err = compute_Cn(args.n, rel_tol=args.tol, abs_tol=args.tol * 1e-3)
     oracle = Cn_zeta_series(args.n)
-    bw, bw_err = bw_sphere_c1_integral(args.n)
+    kappa = sphere_kappa(args.n)
     payload = {
         "config": _run_config(args, "cn"),
         "Cn": v,
         "err": err,
         "zeta_oracle": oracle,
         "oracle_diff": v - oracle,
-        "sphere_c1": bw,
-        "sphere_kappa": sphere_kappa(args.n),
-        "sphere_check_diff": v * sphere_kappa(args.n) - bw,
+        "sphere_c1": v * kappa,
+        "sphere_c1_err": err * kappa,
+        "sphere_kappa": kappa,
     }
     _emit(_json_payload(payload), args.out)
     return EXIT_OK
@@ -308,7 +309,7 @@ def build_parser():
     sp.add_argument("--tol", type=_positive(float), default=1e-10)
     sp.set_defaults(fn=_cmd_c0)
 
-    sp = sub.add_parser("cn", help="universal constant Cn and sphere check")
+    sp = sub.add_parser("cn", help="universal constant Cn and the sphere's c1")
     common(sp)
     sp.add_argument("--tol", type=_positive(float), default=1e-10)
     sp.set_defaults(fn=_cmd_cn)
@@ -339,9 +340,8 @@ def build_parser():
     sp.add_argument("--samples", type=_positive(int), default=2000)
     sp.set_defaults(fn=_cmd_mc)
 
-    sp = sub.add_parser("spectrum", help="fit (Q, A, B) from an eigenvalue file")
-    sp.add_argument("--n", type=_positive(int), default=None)
-    sp.add_argument("--out", default=None)
+    sp = sub.add_parser("spectrum", help="heat-trace fit at Q = 4n+6: Popp volume and kappa")
+    common(sp)
     sp.add_argument("--input", required=True)
     sp.add_argument("--t", required=True, help="comma-separated time grid")
     sp.set_defaults(fn=_cmd_spectrum)
@@ -357,8 +357,8 @@ def main(argv=None):
     except (InputFormatError, OSError) as exc:  # OSError: an input or --out path that cannot be opened
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
-    except OverflowError as exc:  # e.g. (4 pi)^(2n+3) at a large level n
-        print("numeric failure: floating-point overflow: %s" % exc, file=sys.stderr)
+    except OverflowError as exc:  # (4 pi)^(2n+3) at a large level n; an mc moment that over- or underflows
+        print("numeric failure: out of floating-point range: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
     except ToleranceError as exc:
         print("numeric failure: %s" % exc, file=sys.stderr)

@@ -9,17 +9,23 @@ cross-checked against an exact zeta-series evaluation (expanding 1/sinh^{2n}
 into exponentials turns every term into a Gamma integral; the k-sum collapses
 to Hurwitz zeta values with rational coefficients).
 
-Cn comes from the closed-form integral quoted for the quaternionic sphere:
-c1(sphere) equals the same integral without the 1/(16 n (n+2)) factor, and
-kappa(sphere) = 16 n (n+2), so c1 = Cn * kappa with Cn universal.  The
+Cn comes from the second invariant of the quaternionic sphere S^{4n+3},
+
+    c1(sphere) = (16 n)^{3/2} / (4 pi)^{2n+2}
+                 * Integral_0^inf y^{2n+2} sinh(y)^{-2n} [4n(n+1) + 2n(2n+1) rho(y)] dy,
+
+with rho(y) = (sinh y - y cosh y) / (y^2 sinh y), taken against the same
+Popp measure as c0.  kappa(sphere) = 16 n (n+2), so Cn = c1(sphere) / kappa
+and c1 = Cn * kappa with Cn universal; at n = 1, c1/c0 = 8 - 15/pi^2.  The
 integrand's removable small-y behavior is evaluated by series below a
 threshold; the same zeta-series technique provides the independent oracle.
 
-spectral_extract fits a truncated heat trace to t^{-Q/2} (A + B t), giving
-the spectral invariants (dimension, Popp volume via A = c0 Vol, and
-Cn kappa Vol via B) of a qc-Einstein manifold.  For non-Einstein traces the
-fitted B corresponds to Cn * integral of kappa dP; this is documented but
-untested.
+spectral_extract fits a truncated heat trace of a manifold of dimension
+4n+3 to t^{-(2n+3)} (A + B t + C t^2 + ...): the exponent Q/2 = 2n+3 is
+fixed by the structure, so the fit is one linear least-squares problem.  For
+a qc-Einstein manifold A = c0 Vol and B = Cn kappa Vol, which gives the Popp
+volume and kappa.  For non-Einstein traces the fitted B corresponds to Cn *
+integral of kappa dP; this is documented but untested.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ __all__ = [
 
 _MAX_EVALS = 200_000  # evaluation cap of the c0 and sphere-integral quadratures
 _ZETA_DPS = 50  # mpmath digits of the zeta-series oracles beyond the n digits their terms cancel
-_Q_MIN, _Q_MAX = 0.2, 60.0  # search range of the heat-trace exponent Q
 _TAIL_CEILING = 1e-6  # largest tail fraction spectral_extract accepts
 
 
@@ -127,11 +132,11 @@ def compute_c0(n, rel_tol=1e-11, abs_tol=1e-14):
 
 
 def _cn_bracket(y, n):
-    """(2n+1)^2 - 2n(2n+1) (sinh y - y cosh y)/(y^2 sinh y), series below 0.15.
+    """4n(n+1) + 2n(2n+1) (sinh y - y cosh y)/(y^2 sinh y), series below 0.15.
 
     The ratio tends to -1/3 at y = 0 (numerator expands to
     -(y^3/3 + y^5/30 + y^7/840 + ...)), so the bracket's limit is
-    (2n+1)^2 + 2n(2n+1)/3: finite, no singularity.
+    4n(n+1) - 2n(2n+1)/3: finite, no singularity.
     """
     y = np.asarray(y, dtype=float)
     small = y < 0.15
@@ -143,15 +148,15 @@ def _cn_bracket(y, n):
     ratio_small = np.where(y > 0, num_series / denom_small, -1.0 / 3.0)
     ratio_big = (np.sinh(safe) - safe * np.cosh(safe)) / (safe * safe * np.sinh(safe))
     ratio = np.where(small, ratio_small, ratio_big)
-    return (2 * n + 1) ** 2 - 2 * n * (2 * n + 1) * ratio
+    return 4 * n * (n + 1) + 2 * n * (2 * n + 1) * ratio
 
 
 def bw_sphere_c1_integral(n, rel_tol=1e-11, abs_tol=1e-14):
-    """The sphere's c1: integral/(4 pi)^{2n+2}; returns (value, error)."""
-    const = 2.02 ** (2 * n) * ((2 * n + 1) ** 2 + 2 * n * (2 * n + 1) * 1.1)
+    """The sphere's c1: (16 n)^{3/2} integral/(4 pi)^{2n+2}; returns (value, error)."""
+    const = 2.02 ** (2 * n) * (4 * n * (n + 1) + 2 * n * (2 * n + 1) * 1.1)
     integrand = lambda y: y * y * _rho_over_sinh_pow(y, 2 * n) * _cn_bracket(y, n)
     val, err = _radial_integral(integrand, const, n, rel_tol, abs_tol)
-    pref = 1.0 / (4.0 * math.pi) ** (2 * n + 2)
+    pref = (16.0 * n) ** 1.5 / (4.0 * math.pi) ** (2 * n + 2)
     return pref * val, pref * err
 
 
@@ -191,9 +196,9 @@ def Cn_zeta_series(n):
     b_sum = [x + y for x, y in zip(b_poly, b_prev)]
     powers = {}
     for poly, mpow, coeff in (
-        (a_poly, two_n + 3, (two_n + 1) ** 2 * fac(two_n + 2)),
-        (a_poly, two_n + 1, -2 * n * (two_n + 1) * fac(two_n)),
-        (b_sum, two_n + 2, 2 * n * (two_n + 1) * fac(two_n + 1)),
+        (a_poly, two_n + 3, 4 * n * (n + 1) * fac(two_n + 2)),
+        (a_poly, two_n + 1, 2 * n * (two_n + 1) * fac(two_n)),
+        (b_sum, two_n + 2, -2 * n * (two_n + 1) * fac(two_n + 1)),
     ):
         for d, c in _series_powers(poly, mpow, Fraction(coeff * 2**two_n, 2**mpow)).items():
             powers[d] = powers.get(d, Fraction(0)) + c
@@ -202,8 +207,8 @@ def Cn_zeta_series(n):
             raise ArithmeticError("zeta power %d survived; series derivation broken" % j)
     with mpmath.workdps(_ZETA_DPS + n):
         integral = _zeta_sum({j: c for j, c in powers.items() if j >= 2}, n)
-        denom = 16 * (n * n + 2 * n) * (4 * mpmath.pi) ** (two_n + 2)
-        return float(integral / denom)
+        pref = (16 * n) ** mpmath.mpf("1.5") / (16 * (n * n + 2 * n) * (4 * mpmath.pi) ** (two_n + 2))
+        return float(pref * integral)
 
 
 @dataclass(frozen=True)
@@ -250,97 +255,74 @@ class SpectrumFile:
         return "\n".join(lines) + "\n"
 
     def trace(self, t):
-        t = np.asarray(t, dtype=float)
         ev = np.asarray(self.eigenvalues)
         mult = np.asarray(self.multiplicities, dtype=float)
-        return np.exp(-np.outer(t, ev)) @ mult
-
-    def tail_fraction(self, t):
-        """Contribution of the largest retained eigenvalue: truncation proxy."""
-        tr = self.trace(t)
-        last = self.multiplicities[-1] * np.exp(-np.asarray(t) * self.eigenvalues[-1])
-        return float(np.max(last / tr))
+        # one time at a time: the len(t) x len(ev) table of a long spectrum is large
+        return np.array([np.exp(-s * ev) @ mult for s in np.ravel(t)])
 
 
-def fit_heat_trace(t_grid, trace_values):
-    """Fit trace ~ t^{-Q/2} (A + B t) in log space with weights 1/t.
+def fit_heat_trace(t_grid, trace_values, n):
+    """Fit trace * t^{2n+3} = A + B t + C t^2 + ... by linear least squares.
 
-    For fixed Q the amplitudes (A, B) solve a weighted linear least-squares
-    problem on trace * t^{Q/2}; Q minimizes the weighted log residual.
-    Returns (Q, A, B, diagnostics) with the condition number of the
-    amplitude system in the diagnostics.
+    The exponent Q = 4n+6 of a qc manifold of dimension 4n+3 is fixed, so
+    only the amplitudes are fitted: a polynomial in t / max(t) of degree
+    min(7, len(t) - 2).  The error of A and of B is the change from the fit
+    one degree lower.  Returns (A, A_err, B, B_err, degree).
     """
     t = np.asarray(t_grid, dtype=float)
     tr = np.asarray(trace_values, dtype=float)
-    if t.ndim != 1 or len(t) < 3:
-        raise ValueError("need at least 3 grid points")
+    if t.ndim != 1 or len(t) < 4 or tr.shape != t.shape:
+        raise ValueError("need a trace value at each of at least 4 grid points")
     if np.any(t <= 0) or np.any(tr <= 0):
         raise ValueError("grid and trace values must be positive")
-    w = 1.0 / t
+    y = tr * t ** (2 * n + 3)
+    scale = t.max()
+    degree = min(7, len(t) - 2)
 
-    def amplitudes(Q):
-        R = tr * t ** (Q / 2.0)
-        X = np.stack([np.ones_like(t), t], axis=1)
-        Xw = X * w[:, None]
-        M = X.T @ Xw
-        rhs = X.T @ (w * R)
-        sol = np.linalg.solve(M, rhs)
-        cond = float(np.linalg.cond(M))
-        return sol[0], sol[1], cond
+    def amplitudes(d):
+        coef = np.linalg.lstsq(np.vander(t / scale, d + 1, increasing=True), y, rcond=None)[0]
+        return coef[0], coef[1] / scale
 
-    def objective(Q):
-        A, B, _ = amplitudes(Q)
-        R = tr * t ** (Q / 2.0)
-        model = A + B * t
-        if np.any(model <= 0):
-            # sloped fallback keeps the search directed when log space is unusable
-            lin = R - model
-            return 1e6 + float(np.sum(w * lin * lin) / max(np.max(R) ** 2, 1e-300))
-        resid = np.log(tr) + (Q / 2.0) * np.log(t) - np.log(model)
-        return float(np.sum(w * resid * resid))
-
-    # coarse scan first: the log objective can have flat infeasible plateaus
-    qs = np.arange(_Q_MIN, _Q_MAX + 0.25, 0.25)
-    best = min(qs, key=objective)
-    lo = max(_Q_MIN, best - 0.5)
-    hi = min(_Q_MAX, best + 0.5)
-    from scipy.optimize import minimize_scalar  # imported here: large, and no other command needs it
-
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12})
-    Q = float(res.x)
-    A, B, cond = amplitudes(Q)
-    diagnostics = {"residual": objective(Q), "condition_number": cond}
-    if cond > 1e12:
-        diagnostics["warning"] = "ill-conditioned amplitude fit"
-    return Q, float(A), float(B), diagnostics
+    A, B = amplitudes(degree)
+    A_low, B_low = amplitudes(degree - 1)
+    return float(A), float(abs(A - A_low)), float(B), float(abs(B - B_low)), degree
 
 
-def spectral_extract(spectrum, t_grid, n=None):
-    """Extract (Q, A, B) from a truncated spectrum on a time grid.
+def spectral_extract(spectrum, t_grid, n):
+    """Fit (A, B) of a truncated spectrum's trace and derive the Popp volume and kappa.
 
-    A ~ c0 * Vol and B ~ Cn * kappa * Vol for a qc-Einstein manifold; with n
-    given, the derived dimension, Popp volume and kappa are included.  Fails
-    if the truncated trace has not converged on the grid (tail above ceiling).
+    For a qc-Einstein manifold of dimension 4n+3, A = c0 Vol and
+    B = Cn kappa Vol.  Each derived value carries an error propagated from
+    those of A, B, c0 and Cn.  Fails if the truncated trace has not converged
+    on the grid (tail above ceiling).
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 0):
         raise ValueError("time grid must be positive")
-    tail = spectrum.tail_fraction(t)
+    tr = spectrum.trace(t)
+    # contribution of the largest retained eigenvalue: the truncation proxy
+    tail = float(np.max(spectrum.multiplicities[-1] * np.exp(-t * spectrum.eigenvalues[-1]) / tr))
     if tail > _TAIL_CEILING:
         raise ValueError(
             "spectrum too short for this grid: tail fraction %.3e > %.3e" % (tail, _TAIL_CEILING)
         )
-    tr = spectrum.trace(t)
-    Q, A, B, diag = fit_heat_trace(t, tr)
-    out = {"Q": Q, "A": A, "B": B, "diagnostics": diag, "tail_fraction": tail}
-    if n is not None:
-        c0, _ = compute_c0(n)
-        cn, _ = compute_Cn(n)
-        vol = A / c0
-        out["derived"] = {
-            "n": n,
-            "dimension": 4 * n + 3,
+    A, A_err, B, B_err, degree = fit_heat_trace(t, tr, n)
+    c0, c0_err = compute_c0(n)
+    cn, cn_err = compute_Cn(n)
+    vol = A / c0
+    kappa = B / (cn * vol)
+    rel = A_err / abs(A) + c0_err / c0
+    return {
+        "A": A,
+        "A_err": A_err,
+        "B": B,
+        "B_err": B_err,
+        "degree": degree,
+        "tail_fraction": tail,
+        "derived": {
             "popp_volume": vol,
-            "kappa": B / (cn * vol) if vol else float("nan"),
-        }
-    return out
+            "popp_volume_err": abs(vol) * rel,
+            "kappa": kappa,
+            "kappa_err": B_err / (cn * abs(vol)) + abs(kappa) * (rel + cn_err / cn),
+        },
+    }

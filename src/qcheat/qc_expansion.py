@@ -186,16 +186,13 @@ class CoframeExpansion:
     m: int
     theta: tuple  # per alpha: dict order -> GradedForm (orders 1, 3)
     eta: tuple  # per i: dict order -> GradedForm (orders 2, 4)
-    omega: dict  # (a, b) global indices -> dict order -> GradedForm (order 2)
 
     def check_orders(self):
-        tables = [("coframe", tab) for tab in self.theta + self.eta]
-        tables += [("omega", tab) for tab in self.omega.values()]
-        for what, tab in tables:
+        for tab in self.theta + self.eta:
             for l, form in tab.items():
                 orders = homogeneous_orders(form)
                 if orders not in ([], [l]):
-                    raise ValueError("%s term labeled %d has orders %s" % (what, l, orders))
+                    raise ValueError("coframe term labeled %d has orders %s" % (l, orders))
         return True
 
 
@@ -209,7 +206,8 @@ def build_coframe(spec, symbols=None):
         theta^(3)_a = (1/3) [omega^(2)_{ba} x_b - T^a_{ig} x_g eta^(2)_i + T^a_{ib} z_i dx_b]
         eta^(4)_i = (1/4) [omega^(2)_{ji} z_j + T^i_{jk} z_j eta^(2)_k - 2 I^i_{ab} x_a theta^(3)_b]
 
-    summed over repeated indices (i, j, k vertical).
+    summed over repeated indices (i, j, k vertical).  omega^(2) is not built:
+    its terms are written out through R where theta^(3) and eta^(4) use them.
     """
     if symbols is None:
         symbols = TensorSymbols(spec)
@@ -234,19 +232,6 @@ def build_coframe(spec, symbols=None):
             terms[b][x1[a]] = Sym.rational(-v)
         terms[m + i][(0,) * nv] = Sym.rational(Fraction(1, 2))
         eta.append({2: GradedForm(m, r, tuple(Poly(nv, t) for t in terms))})
-
-    omega = {}
-    for a in range(nv):
-        for b in range(nv):
-            if (a >= m) != (b >= m):
-                continue  # omega_{alpha ibar} = 0 for the special frame
-            comps = [_Numerators(nv, 2) for _ in range(nv)]
-            for d in range(m):
-                for g in range(m):
-                    comps[d].add(x1[g], R(b, g, d, a), 1)
-            om = form(comps)
-            if not om.is_zero():
-                omega[(a, b)] = {2: om}
 
     # theta^(3) as integer numerators over 24 (its terms carry 1/6 and 1/3),
     # eta^(4) over 48 (1/8, 1/4, and -1/2 times theta^(3)'s)
@@ -288,7 +273,7 @@ def build_coframe(spec, symbols=None):
         if not e4.is_zero():
             eta[i][4] = e4
 
-    cof = CoframeExpansion(m=m, theta=tuple(theta), eta=tuple(eta), omega=omega)
+    cof = CoframeExpansion(m=m, theta=tuple(theta), eta=tuple(eta))
     cof.check_orders()
     return cof
 

@@ -1,6 +1,7 @@
 """CLI surfaces: subcommands, exit codes, embedded configs, reproducibility."""
 
 import json
+import math
 import warnings
 
 import pytest
@@ -43,6 +44,7 @@ def test_c0_usage_error_on_bad_level():
         ["mc", "--n", "1", "--seed", "1", "--t", "nan", "--paths", "10", "--steps", "10"],
         ["mc", "--n", "1", "--seed", "1", "--t", "inf", "--paths", "10", "--steps", "10"],
         ["c0", "--n", "1", "--tol", "nan"],
+        ["spectrum", "--input", "eigs.txt", "--t", "1"],  # no --n: Q = 4n+6 is unknown
     ],
 )
 def test_bad_arguments_exit_2(argv):
@@ -68,8 +70,9 @@ def test_cn_subcommand_sphere_check(capsys):
     code, out, _ = run_cli(capsys, ["cn", "--n", "1"])
     assert code == 0
     doc = json.loads(out)
-    assert abs(doc["sphere_check_diff"]) < 1e-12
     assert doc["sphere_kappa"] == 48.0
+    # c1/c0 of the sphere S^7 is 8 - 15/pi^2, and c0(1) = 1/120
+    assert abs(doc["sphere_c1"] - (8 - 15 / math.pi**2) / 120) <= doc["sphere_c1_err"]
 
 
 def test_reduce_c1_final_line(capsys):
@@ -111,7 +114,7 @@ def test_kernel_out_of_range_row_exits_3(tmp_path, capsys):
     [
         ["kernel", "--n", "1", "--input", "{missing}"],
         ["kernel", "--n", "1", "--input", "{dir}"],
-        ["spectrum", "--input", "{missing}", "--t", "1"],
+        ["spectrum", "--n", "1", "--input", "{missing}", "--t", "1"],
         ["c0", "--n", "1", "--out", "{missing}/x"],
     ],
 )
@@ -139,7 +142,7 @@ def test_mc_overflow_exits_3(capsys, t):
         code, out, err = run_cli(capsys, ["mc", "--n", "1", "--seed", "1", "--t", t, "--paths", "10", "--steps", "10"])
     assert code == 3
     assert out == ""
-    assert err.startswith("numeric failure: floating-point overflow") and len(err.splitlines()) == 1
+    assert err.startswith("numeric failure: out of floating-point range: ") and len(err.splitlines()) == 1
 
 
 def test_mc_underflow_exits_3(capsys):
@@ -149,6 +152,7 @@ def test_mc_underflow_exits_3(capsys):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
+    assert err.startswith("numeric failure: out of floating-point range: ") and "overflow" not in err
     assert "left the floating-point range" in err and len(err.splitlines()) == 1
 
 
@@ -326,18 +330,19 @@ def test_spectrum_subcommand(tmp_path, capsys):
     inp = tmp_path / "spec.txt"
     inp.write_text("\n".join("%g %d" % pair for pair in ev) + "\n")
     code, out, _ = run_cli(
-        capsys, ["spectrum", "--input", str(inp), "--t", "0.4,0.5,0.6,0.8,1.0,1.2"]
+        capsys, ["spectrum", "--n", "1", "--input", str(inp), "--t", "0.4,0.5,0.6,0.8,1.0,1.2"]
     )
     assert code == 0
     doc = json.loads(out)
-    assert "Q" in doc and "A" in doc and "B" in doc
-    assert doc["config"]["subcommand"] == "spectrum"
+    assert {"A", "A_err", "B", "B_err", "degree"} <= set(doc)
+    assert set(doc["derived"]) == {"popp_volume", "popp_volume_err", "kappa", "kappa_err"}
+    assert doc["config"]["subcommand"] == "spectrum" and doc["config"]["n"] == 1
 
 
 def test_spectrum_parse_error(tmp_path, capsys):
     inp = tmp_path / "bad.txt"
     inp.write_text("1.0 2 3\n")
-    code, _, err = run_cli(capsys, ["spectrum", "--input", str(inp), "--t", "0.5,1.0"])
+    code, _, err = run_cli(capsys, ["spectrum", "--n", "1", "--input", str(inp), "--t", "0.5,1.0"])
     assert code == 2
     assert "line 1" in err
 
@@ -345,7 +350,7 @@ def test_spectrum_parse_error(tmp_path, capsys):
 def test_spectrum_nan_eigenvalue_exits_2(tmp_path, capsys):
     inp = tmp_path / "nan.txt"
     inp.write_text("0 1\nnan 1\n")
-    code, out, err = run_cli(capsys, ["spectrum", "--input", str(inp), "--t", "0.1,0.2,0.3"])
+    code, out, err = run_cli(capsys, ["spectrum", "--n", "1", "--input", str(inp), "--t", "0.1,0.2,0.3"])
     assert code == 2
     assert out == ""
     assert "non-finite" in err
@@ -354,7 +359,7 @@ def test_spectrum_nan_eigenvalue_exits_2(tmp_path, capsys):
 def test_spectrum_too_short_exits_2(tmp_path, capsys):
     inp = tmp_path / "short.txt"
     inp.write_text("0 1\n1 3\n2 5\n")
-    code, out, err = run_cli(capsys, ["spectrum", "--input", str(inp), "--t", "0.1,0.2,0.3"])
+    code, out, err = run_cli(capsys, ["spectrum", "--n", "1", "--input", str(inp), "--t", "0.1,0.2,0.3"])
     assert code == 2
     assert out == ""
     assert "too short" in err

@@ -52,11 +52,11 @@ def test_c0_positive_small_levels():
 
 def test_cn_bracket_limit():
     # (sinh y - y cosh y)/(y^2 sinh y) -> -1/3, so the bracket tends to
-    # (2n+1)^2 + 2n(2n+1)/3 with no singularity
+    # 4n(n+1) - 2n(2n+1)/3 with no singularity
     from qcheat.invariants import _cn_bracket
 
     for n in (1, 2):
-        lim = (2 * n + 1) ** 2 + 2 * n * (2 * n + 1) / 3.0
+        lim = 4 * n * (n + 1) - 2 * n * (2 * n + 1) / 3.0
         assert float(_cn_bracket(np.array([0.0]), n)[0]) == pytest.approx(lim, rel=1e-12)
         assert float(_cn_bracket(np.array([1e-4]), n)[0]) == pytest.approx(lim, rel=1e-6)
         # both sides of the series/direct switch agree with a 50-digit reference
@@ -66,8 +66,14 @@ def test_cn_bracket_limit():
             with mpmath.workdps(50):
                 yy = mpmath.mpf(y)
                 ratio = (mpmath.sinh(yy) - yy * mpmath.cosh(yy)) / (yy * yy * mpmath.sinh(yy))
-                ref = float((2 * n + 1) ** 2 - 2 * n * (2 * n + 1) * ratio)
+                ref = float(4 * n * (n + 1) + 2 * n * (2 * n + 1) * ratio)
             assert float(_cn_bracket(np.array([y]), n)[0]) == pytest.approx(ref, rel=1e-11)
+
+
+def test_cn_n1_closed_form():
+    # c1/c0 of the sphere S^7 is 8 - 15/pi^2, with kappa = 48 and c0 = 1/120
+    v, err = compute_Cn(1)
+    assert abs(v * 48 * 120 - (8 - 15 / math.pi**2)) <= err * 48 * 120
 
 
 @pytest.mark.parametrize("n", [1, 2, 80])
@@ -89,22 +95,34 @@ def test_sphere_cross_check_independent_quadrature(n):
         return (
             y ** (2 * n + 2)
             / math.sinh(y) ** (2 * n)
-            * ((2 * n + 1) ** 2 - 2 * n * (2 * n + 1) * ratio)
+            * (4 * n * (n + 1) + 2 * n * (2 * n + 1) * ratio)
         )
 
     val, _ = quad(integrand, 1e-10, 60.0, limit=200)
-    bw = val / (4.0 * math.pi) ** (2 * n + 2)
+    bw = (16.0 * n) ** 1.5 * val / (4.0 * math.pi) ** (2 * n + 2)
     assert abs(cn * sphere_kappa(n) - bw) / bw < 1e-8
 
 
 def test_fit_recovers_synthetic_trace():
     t = np.linspace(0.05, 0.5, 12)
     tr = t ** (-5.0) * (1.0 / 120.0 + 0.01 * t)
-    Q, A, B, diag = fit_heat_trace(t, tr)
-    assert abs(Q - 10.0) / 10.0 < 1e-4
-    assert abs(A - 1.0 / 120.0) * 120.0 < 1e-4
-    assert abs(B - 0.01) / 0.01 < 1e-4
-    assert diag["condition_number"] < 1e6
+    A, A_err, B, B_err, degree = fit_heat_trace(t, tr, 1)
+    assert degree == 7
+    assert abs(A - 1.0 / 120.0) * 120.0 < 1e-12 and A_err < 1e-12
+    assert abs(B - 0.01) / 0.01 < 1e-10 and B_err < 1e-10
+
+
+def test_fit_degree_and_error_from_grid():
+    # the degree follows the grid; the error is the change from one degree lower
+    t = np.linspace(0.1, 0.4, 5)
+    y = 2.0 + 3.0 * t + 5.0 * t**2 + 7.0 * t**3
+    A, A_err, B, B_err, degree = fit_heat_trace(t, y / t**7, 2)
+    assert degree == 3
+    assert A == pytest.approx(2.0, rel=1e-12) and B == pytest.approx(3.0, rel=1e-12)
+    s = t / t.max()
+    low = np.polynomial.polynomial.polyfit(s, y, 2)
+    assert A_err == pytest.approx(abs(2.0 - low[0]), rel=1e-8)
+    assert B_err == pytest.approx(abs(3.0 - low[1] / t.max()), rel=1e-8)
 
 
 def test_identical_spectra_identical_triple():
@@ -113,9 +131,9 @@ def test_identical_spectra_identical_triple():
     sp1 = SpectrumFile(eigenvalues=ev, multiplicities=mult)
     sp2 = SpectrumFile(eigenvalues=ev, multiplicities=mult)
     grid = np.linspace(0.4, 1.2, 9)
-    r1 = spectral_extract(sp1, grid)
-    r2 = spectral_extract(sp2, grid)
-    assert (r1["Q"], r1["A"], r1["B"]) == (r2["Q"], r2["A"], r2["B"])
+    r1 = spectral_extract(sp1, grid, 1)
+    r2 = spectral_extract(sp2, grid, 1)
+    assert r1 == r2
 
 
 def test_spectrum_errors():
@@ -130,9 +148,9 @@ def test_spectrum_errors():
             SpectrumFile(eigenvalues=(0.0, bad), multiplicities=(1, 1))
     sp = SpectrumFile(eigenvalues=(0.0, 1.0), multiplicities=(1, 2))
     with pytest.raises(ValueError):
-        spectral_extract(sp, [0.1, 0.2, 0.4])  # truncated tail far too large
+        spectral_extract(sp, [0.1, 0.2, 0.4], 1)  # truncated tail far too large
     with pytest.raises(ValueError):
-        fit_heat_trace([0.1, 0.2], [1.0, 2.0])  # too few points
+        fit_heat_trace([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], 1)  # too few points
 
 
 def test_spectrum_parse_round_trip():

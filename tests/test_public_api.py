@@ -1,6 +1,6 @@
 """Every name a qcheat module exports in __all__, and every name the
 benchmark's tracer wraps, exists; every export has a caller or is a listed
-reference route; the CLI's modules import without scipy."""
+reference route; no module imports scipy, which only the tests use."""
 
 import ast
 import importlib
@@ -109,9 +109,26 @@ def test_every_export_has_a_caller():
     assert not sorted(routes & referenced), "REFERENCE_ROUTES names that have a caller; drop them from the set"
 
 
+def test_no_module_imports_scipy():
+    """scipy is a test dependency only: no module under src/qcheat/ imports it,
+    at the top or inside a function."""
+    found = []
+    for path in sorted((ROOT / "src" / "qcheat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%d" % (path.name, node.lineno) for name in names if name.split(".")[0] == "scipy"]
+    assert not found, "scipy imported at %s" % found
+
+
 def test_cli_and_numeric_modules_import_no_scipy():
-    """scipy is imported inside the one function that needs it: at import time
-    it would add about 20 MB to every command's peak memory."""
+    """Importing the CLI and the numeric modules loads no scipy module: it is
+    not a runtime dependency, and at import time it would add about 20 MB to
+    every command's peak memory."""
     code = (
         "import sys, qcheat.cli, qcheat.kernel, qcheat.invariants, qcheat.mc\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -65,7 +65,6 @@ def test_coframe_vanishing_orders():
     cflat = build_coframe(SPEC, flat)
     assert all(3 not in tab for tab in cflat.theta)
     assert all(4 not in tab for tab in cflat.eta)
-    assert not cflat.omega
 
 
 def test_symbolic_expansion_needs_integer_brackets():
@@ -80,9 +79,6 @@ def test_symbolic_expansion_needs_integer_brackets():
 def test_coframe_terms_are_eigenforms():
     cof = build_coframe(SPEC, SYM)
     for tab in list(cof.theta) + list(cof.eta):
-        for l, form in tab.items():
-            assert homogeneous_orders(form) == [l]
-    for tab in cof.omega.values():
         for l, form in tab.items():
             assert homogeneous_orders(form) == [l]
 
