@@ -4,22 +4,25 @@ Data goes to stdout (or --out), logs to stderr.  Every output embeds the
 fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
-error (bad arguments such as --n 0, an out-of-range mc --indices, an mc
-run over the path-step budget, an mc moment table with one path or an mc
---rule run with one sample, input or output paths that cannot be opened,
-input files that do not parse or lack required keys, kernel rows that fail
-their check, a frame file whose b has the wrong count or shape or a
-non-numeric entry or whose c is not an (m+k) x (m+k) x m array of numbers,
-a non-finite eigenvalue, a spectrum too short for the time grid, a spectrum
-command without --n), 3 numeric failure (a missed tolerance, a kernel row
-out of floating-point range, a value that overflows or underflows), 4
-invariant violation (a failed reduction or route check, a non-antisymmetric
-frame, a singular or indefinite Popp B).
+error (bad arguments such as --n 0, an out-of-range mc --indices or one
+without --rule, a spectrum time grid with fewer than 4 times or a time that
+is not positive and finite or repeated, an mc run over the path-step
+budget, an mc moment table with one path or an mc --rule run with one
+sample, input or output paths that cannot be opened, input files that do
+not parse or lack required keys, kernel rows that fail their check, a frame
+file whose b has the wrong count or shape or a non-numeric entry or whose c
+is not an (m+k) x (m+k) x m array of numbers, a non-finite eigenvalue, a
+spectrum too short for the time grid, a spectrum command without --n), 3
+numeric failure (a missed tolerance, a kernel row out of floating-point
+range, a value that overflows or underflows), 4 invariant violation (a
+failed reduction or route check, a non-antisymmetric frame, a singular or
+indefinite Popp B).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -28,7 +31,6 @@ from fractions import Fraction
 
 from . import __version__
 from .quadrature import ToleranceError
-from .tensors import ReductionError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -221,6 +223,8 @@ def _cmd_mc(args):
     spec = make_quaternionic_spec(args.n)
     config = _run_config(args, "mc")
     if args.rule is None:
+        if args.indices is not None:
+            raise InputFormatError("--indices needs --rule")
         del config["samples"]  # the moment table does not read --samples
         n_paths = args.paths
     else:
@@ -349,9 +353,14 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """build_parser() once per process: each build leaves objects in reference cycles."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputFormatError, OSError) as exc:  # OSError: an input or --out path that cannot be opened
@@ -365,9 +374,6 @@ def main(argv=None):
         if exc.value is not None:
             print("best estimate: %.12g +/- %.3g" % (exc.value, exc.err), file=sys.stderr)
         return EXIT_NUMERIC
-    except ReductionError as exc:
-        print("invariant violation: %s" % exc, file=sys.stderr)
-        return EXIT_INVARIANT
     except ValueError as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_INVARIANT

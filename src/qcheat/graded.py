@@ -6,17 +6,19 @@ coordinate directions carry weight -1 / -2 as vector fields and +1 / +2 as
 1-forms, so every object decomposes into eigenparts of the Lie derivative
 along the grading generator P = sum x_a d/dx_a + 2 sum z_i d/dz_i.
 
-Coefficients live in a pluggable commutative ring: exact rationals for
-group-level identities, the free tensor-symbol ring for the curvature layer.
-A ring element is zero exactly when it is falsy.  Equality is syntactic
-after dropping zero terms, so all identity checks are exact.
+Coefficients are exact tensors.Sym values, polynomials in the free
+torsion/curvature symbols over the rationals (plain rationals are the
+symbol-free ones).  A coefficient is zero exactly when it is falsy.
+Equality is syntactic after dropping zero terms, so all identity checks are
+exact.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .tensors import Sym
 
 __all__ = [
     "Poly",
@@ -56,10 +58,10 @@ class Poly:
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
-    def variable(cls, nvars, a, one=Fraction(1)):
+    def variable(cls, nvars, a):
         e = [0] * nvars
         e[a] = 1
-        return cls(nvars, {tuple(e): one})
+        return cls(nvars, {tuple(e): Sym.rational(1)})
 
     def is_zero(self):
         return not self.terms
@@ -215,44 +217,39 @@ def zero_form(m, r):
     return GradedForm(m, r, tuple(Poly.zero(nv) for _ in range(nv)))
 
 
-def basis_vf(m, r, a, one=Fraction(1)):
+def basis_vf(m, r, a):
     nv = m + r
     comps = [Poly.zero(nv) for _ in range(nv)]
-    comps[a] = Poly.constant(nv, one)
+    comps[a] = Poly.constant(nv, Sym.rational(1))
     return GradedVectorField(m, r, tuple(comps))
 
 
-def basis_form(m, r, a, one=Fraction(1)):
+def basis_form(m, r, a):
     nv = m + r
     comps = [Poly.zero(nv) for _ in range(nv)]
-    comps[a] = Poly.constant(nv, one)
+    comps[a] = Poly.constant(nv, Sym.rational(1))
     return GradedForm(m, r, tuple(comps))
 
 
-def euler_field(m, r, one=Fraction(1)):
+def euler_field(m, r):
     """Grading generator P = sum x_a d/dx_a + 2 sum z_i d/dz_i."""
     nv = m + r
-    comps = []
-    for a in range(nv):
-        w = 1 if a < m else 2
-        comps.append(Poly.variable(nv, a, one * w))
+    comps = [Poly.variable(nv, a).scale(1 if a < m else 2) for a in range(nv)]
     return GradedVectorField(m, r, tuple(comps))
 
 
-def left_invariant_frame(spec, scalar=Fraction):
+def left_invariant_frame(spec):
     """Left-invariant frame of the tangent group.
 
     X_a = d/dx_a + 2 sum_{b,i} I^i_{ba} x_b d/dz_i   (order -1)
     V_i = 2 d/dz_i                                   (order -2)
-
-    `scalar` lifts exact rationals into the coefficient ring.
     """
     m, r = spec.m, spec.r
     nv = m + r
     Xs = []
     for a in range(m):
         comps = [Poly.zero(nv) for _ in range(nv)]
-        comps[a] = Poly.constant(nv, scalar(1))
+        comps[a] = Poly.constant(nv, Sym.rational(1))
         for i in range(r):
             coeffs = {}
             for b in range(m):
@@ -260,13 +257,13 @@ def left_invariant_frame(spec, scalar=Fraction):
                 if v:
                     e = [0] * nv
                     e[b] = 1
-                    coeffs[tuple(e)] = scalar(2 * v)
+                    coeffs[tuple(e)] = Sym.rational(2 * v)
             comps[m + i] = comps[m + i] + Poly(nv, coeffs)
         Xs.append(GradedVectorField(m, r, tuple(comps)))
     Vs = []
     for i in range(r):
         comps = [Poly.zero(nv) for _ in range(nv)]
-        comps[m + i] = Poly.constant(nv, scalar(2))
+        comps[m + i] = Poly.constant(nv, Sym.rational(2))
         Vs.append(GradedVectorField(m, r, tuple(comps)))
     return Xs, Vs
 
@@ -336,7 +333,7 @@ def homogeneous_orders(obj):
     return sorted(orders)
 
 
-def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order, one=Fraction(1)):
+def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
     """Invert a coframe expansion against the nilpotent frame.
 
     theta_exp[g] / eta_exp[i] map homogeneous order -> GradedForm for the
@@ -360,6 +357,7 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order, one=Fractio
     """
     m, r = len(frame_x), len(frame_v)
     nv = frame_x[0].nvars
+    one = Sym.rational(1)
 
     def pairing(form_table, order, field):
         form = form_table.get(order)

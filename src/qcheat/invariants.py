@@ -165,8 +165,8 @@ def compute_Cn(n, rel_tol=1e-11, abs_tol=1e-14):
     if n < 1:
         raise ValueError("n must be >= 1")
     c1, err = bw_sphere_c1_integral(n, rel_tol, abs_tol)
-    denom = 16.0 * (n * n + 2.0 * n)
-    return c1 / denom, err / denom
+    kappa = sphere_kappa(n)
+    return c1 / kappa, err / kappa
 
 
 def sphere_kappa(n):
@@ -207,7 +207,7 @@ def Cn_zeta_series(n):
             raise ArithmeticError("zeta power %d survived; series derivation broken" % j)
     with mpmath.workdps(_ZETA_DPS + n):
         integral = _zeta_sum({j: c for j, c in powers.items() if j >= 2}, n)
-        pref = (16 * n) ** mpmath.mpf("1.5") / (16 * (n * n + 2 * n) * (4 * mpmath.pi) ** (two_n + 2))
+        pref = (16 * n) ** mpmath.mpf("1.5") / (sphere_kappa(n) * (4 * mpmath.pi) ** (two_n + 2))
         return float(pref * integral)
 
 
@@ -261,6 +261,23 @@ class SpectrumFile:
         return np.array([np.exp(-s * ev) @ mult for s in np.ravel(t)])
 
 
+def _time_grid(t_grid):
+    """t_grid as a float array of at least 4 distinct positive finite times.
+
+    The fit of fit_heat_trace needs that many: a repeated time adds no
+    equation but counts toward the degree, and the fit is then
+    rank-deficient with errors that need not cover the truth.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or len(t) < 4:
+        raise ValueError("time grid needs at least 4 times")
+    if not np.all((t > 0) & np.isfinite(t)):
+        raise ValueError("time grid must be positive and finite")
+    if len(np.unique(t)) != len(t):
+        raise ValueError("time grid has a repeated time")
+    return t
+
+
 def fit_heat_trace(t_grid, trace_values, n):
     """Fit trace * t^{2n+3} = A + B t + C t^2 + ... by linear least squares.
 
@@ -269,12 +286,12 @@ def fit_heat_trace(t_grid, trace_values, n):
     min(7, len(t) - 2).  The error of A and of B is the change from the fit
     one degree lower.  Returns (A, A_err, B, B_err, degree).
     """
-    t = np.asarray(t_grid, dtype=float)
+    t = _time_grid(t_grid)
     tr = np.asarray(trace_values, dtype=float)
-    if t.ndim != 1 or len(t) < 4 or tr.shape != t.shape:
-        raise ValueError("need a trace value at each of at least 4 grid points")
-    if np.any(t <= 0) or np.any(tr <= 0):
-        raise ValueError("grid and trace values must be positive")
+    if tr.shape != t.shape:
+        raise ValueError("need a trace value at each grid time")
+    if not np.all((tr > 0) & np.isfinite(tr)):
+        raise ValueError("trace values must be positive and finite")
     y = tr * t ** (2 * n + 3)
     scale = t.max()
     degree = min(7, len(t) - 2)
@@ -296,9 +313,7 @@ def spectral_extract(spectrum, t_grid, n):
     those of A, B, c0 and Cn.  Fails if the truncated trace has not converged
     on the grid (tail above ceiling).
     """
-    t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("time grid must be positive")
+    t = _time_grid(t_grid)
     tr = spectrum.trace(t)
     # contribution of the largest retained eigenvalue: the truncation proxy
     tail = float(np.max(spectrum.multiplicities[-1] * np.exp(-t * spectrum.eigenvalues[-1]) / tr))

@@ -5,8 +5,8 @@ B_ij = sum_{ab} b^i_{ab} b^j_{ab} is built from the vertical components
 b^i_{ab} of horizontal brackets.  For the quaternionic structure constants
 b^i = -2 I^i this gives B = 16 n Id exactly, hence density (16 n)^{-3/2}.
 The first-order sublaplacian coefficients are the structure-function traces
-sum_a c^a_{a alpha}; entries may be numbers or ring elements (the symbolic
-normal-frame data of the expansion layer reuses this path).
+sum_a c^a_{a alpha}; entries may be numbers or exact polynomials (a test
+traces the symbolic normal-frame data of the expansion layer through it).
 """
 
 from __future__ import annotations
@@ -42,23 +42,12 @@ class AdaptedFrameData:
                 raise ValueError("bracket matrices must be %d x %d" % (self.m, self.m))
             for a in range(self.m):
                 for bb in range(self.m):
-                    if not _eq(bi[a][bb], _neg(bi[bb][a])):
+                    if bi[a][bb] != -bi[bb][a]:
                         raise ValueError("b^%d is not antisymmetric at (%d, %d)" % (1, a, bb))
         if self.c is not None:
             dim = self.m + self.k
             if len(self.c) != dim or any(len(ca) != dim for ca in self.c):
                 raise ValueError("c must be (m+k) x (m+k) x m")
-
-
-def _neg(v):
-    return -v
-
-
-def _eq(a, b):
-    try:
-        return a == b
-    except TypeError:
-        return False
 
 
 def frame_data_from_spec(spec):

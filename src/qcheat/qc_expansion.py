@@ -29,9 +29,6 @@ from .graded import (
     homogeneous_orders,
     homogeneous_part,
     left_invariant_frame,
-    lie_bracket,
-    pair,
-    zero_vf,
 )
 from .tensors import (
     LinearReducer,
@@ -52,7 +49,6 @@ __all__ = [
     "build_coframe",
     "expansion_coefficients",
     "divergence_coefficient",
-    "divergence_bracket_route",
     "build_P2",
     "reduce_c1",
     "MOMENT_LABELS",
@@ -213,7 +209,6 @@ def build_coframe(spec, symbols=None):
         symbols = TensorSymbols(spec)
     m, r = spec.m, spec.r
     nv = m + r
-    one = Sym.rational(1)
     R, T = _atoms(symbols.R), _atoms(symbols.T)
     x1 = [_exponent(nv, a) for a in range(nv)]
     x2 = [[_exponent(nv, a, b) for b in range(nv)] for a in range(nv)]
@@ -224,7 +219,7 @@ def build_coframe(spec, symbols=None):
 
     theta = []
     for a in range(m):
-        theta.append({1: basis_form(m, r, a, one)})
+        theta.append({1: basis_form(m, r, a)})
     eta = []
     for i in range(r):
         terms = [{} for _ in range(nv)]
@@ -349,10 +344,8 @@ def _closed_form_coefficients(spec, symbols):
 
 def _recursion_coefficients(spec, symbols):
     coframe = build_coframe(spec, symbols)
-    Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
-    out = frame_inversion(
-        list(coframe.theta), list(coframe.eta), Xs, Vs, max_order=3, one=Sym.rational(1)
-    )
+    Xs, Vs = left_invariant_frame(spec)
+    out = frame_inversion(list(coframe.theta), list(coframe.eta), Xs, Vs, max_order=3)
     m, r = spec.m, spec.r
     s_x, r_x, s_v, r_v = {}, {}, {}, {}
     for alpha in range(m):
@@ -414,7 +407,7 @@ def divergence_coefficient(spec, coeffs):
     in the nilpotent frame; each entry is homogeneous of weight one.
     """
     m, r = spec.m, spec.r
-    Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
+    Xs, Vs = left_invariant_frame(spec)
     trace_s = Poly.zero(m + r)
     for beta in range(m):
         trace_s = trace_s + coeffs.s_x[(beta, beta)]
@@ -430,67 +423,6 @@ def divergence_coefficient(spec, coeffs):
         for i in range(r):
             acc = acc + Vs[i].apply(coeffs.r_x[(alpha, i)])
         acc = acc - Xs[alpha].apply(trace_r)
-        out.append(acc)
-    return out
-
-
-def _frame_field(spec, coeffs_x, coeffs_v):
-    """Polynomial-coefficient combination sum c_b Xtilde_b + sum d_j Vtilde_j."""
-    Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
-    m, r = spec.m, spec.r
-    total = zero_vf(m, r)
-    for b in range(m):
-        if not coeffs_x[b].is_zero():
-            total = total + Xs[b].mul_poly(coeffs_x[b])
-    for j in range(r):
-        if not coeffs_v[j].is_zero():
-            total = total + Vs[j].mul_poly(coeffs_v[j])
-    return total
-
-
-def divergence_bracket_route(spec, symbols, coeffs):
-    """The same divergence coefficients from the structure-function brackets.
-
-    coeffs is the expansion_coefficients table of the same symbols.
-    Recomputes the order-two part of sum_a theta_a^eps([X_a^eps, X_alpha^eps])
-    directly: theta^(1)([X, X^(1)] + [X^(1), X]) + theta^(3)([X, X]) plus the
-    vertical contributions through eta^(2) and eta^(4).
-    """
-    coframe = build_coframe(spec, symbols)
-    m, r = spec.m, spec.r
-    nv = m + r
-    Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
-    X1 = [
-        _frame_field(
-            spec,
-            [coeffs.s_x[(alpha, b)] for b in range(m)],
-            [coeffs.r_x[(alpha, j)] for j in range(r)],
-        )
-        for alpha in range(m)
-    ]
-    V0 = [
-        _frame_field(
-            spec,
-            [coeffs.s_v[(i, b)] for b in range(m)],
-            [coeffs.r_v[(i, j)] for j in range(r)],
-        )
-        for i in range(r)
-    ]
-    out = []
-    for alpha in range(m):
-        acc = Poly.zero(nv)
-        for beta in range(m):
-            br = lie_bracket(Xs[beta], X1[alpha]) + lie_bracket(X1[beta], Xs[alpha])
-            acc = acc + pair(coframe.theta[beta][1], br)
-            th3 = coframe.theta[beta].get(3)
-            if th3 is not None:
-                acc = acc + pair(th3, lie_bracket(Xs[beta], Xs[alpha]))
-        for i in range(r):
-            br = lie_bracket(Vs[i], X1[alpha]) + lie_bracket(V0[i], Xs[alpha])
-            acc = acc + pair(coframe.eta[i][2], br)
-            eta4 = coframe.eta[i].get(4)
-            if eta4 is not None:
-                acc = acc + pair(eta4, lie_bracket(Vs[i], Xs[alpha]))
         out.append(acc)
     return out
 
@@ -539,7 +471,7 @@ def build_P2(spec, coeffs, div):
     one vertical factor.
     """
     m, r = spec.m, spec.r
-    Xs, _ = left_invariant_frame(spec, scalar=Sym.rational)
+    Xs, _ = left_invariant_frame(spec)
     second = {}
     first = {}
 
@@ -589,7 +521,7 @@ def _coordinate_terms(spec, op):
     """
     m, r = spec.m, spec.r
     nv = m + r
-    Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
+    Xs, Vs = left_invariant_frame(spec)
     fields = {("X", a): X for a, X in enumerate(Xs)}
     fields.update({("V", i): V for i, V in enumerate(Vs)})
 

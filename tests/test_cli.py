@@ -1,5 +1,7 @@
 """CLI surfaces: subcommands, exit codes, embedded configs, reproducibility."""
 
+import argparse
+import gc
 import json
 import math
 import warnings
@@ -45,12 +47,39 @@ def test_c0_usage_error_on_bad_level():
         ["mc", "--n", "1", "--seed", "1", "--t", "inf", "--paths", "10", "--steps", "10"],
         ["c0", "--n", "1", "--tol", "nan"],
         ["spectrum", "--input", "eigs.txt", "--t", "1"],  # no --n: Q = 4n+6 is unknown
+        ["spectrum", "--n", "1", "--input", "{spectrum}", "--t", "nan,0.4,0.5,0.6"],
+        ["spectrum", "--n", "1", "--input", "{spectrum}", "--t", "inf,0.4,0.5,0.6"],
+        ["spectrum", "--n", "1", "--input", "{spectrum}", "--t", "0.4,0.5,0.6,0.6,0.6"],
+        ["mc", "--n", "1", "--seed", "1", "--indices", "1,2,1", "--paths", "10", "--steps", "10"],
     ],
 )
-def test_bad_arguments_exit_2(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_bad_arguments_exit_2(argv, tmp_path, capfd):
+    # argparse exits 2 itself; input errors found later return 2 from main
+    spectrum = tmp_path / "spec.txt"
+    spectrum.write_text("".join("%g %d\n" % (0.5 * k, 1 + k * k) for k in range(120)))  # long enough for t >= 0.4
+    try:
+        code = main([a.format(spectrum=spectrum) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    out, err = capfd.readouterr()
+    assert out == "" and "DLASCL" not in err  # a bad grid never reaches LAPACK
+
+
+def test_parser_built_once_per_process(capsys):
+    # a fresh parser per call would leave its reference cycles to the collector
+    def live_parsers():
+        return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+    main(["c0", "--n", "1"])
+    gc.disable()
+    try:
+        before = live_parsers()
+        for _ in range(20):
+            assert main(["c0", "--n", "1"]) == 0
+        assert live_parsers() == before
+    finally:
+        gc.enable()
 
 
 def test_c0_tight_tolerance(capsys):
@@ -359,7 +388,7 @@ def test_spectrum_nan_eigenvalue_exits_2(tmp_path, capsys):
 def test_spectrum_too_short_exits_2(tmp_path, capsys):
     inp = tmp_path / "short.txt"
     inp.write_text("0 1\n1 3\n2 5\n")
-    code, out, err = run_cli(capsys, ["spectrum", "--n", "1", "--input", str(inp), "--t", "0.1,0.2,0.3"])
+    code, out, err = run_cli(capsys, ["spectrum", "--n", "1", "--input", str(inp), "--t", "0.1,0.2,0.3,0.4"])
     assert code == 2
     assert out == ""
     assert "too short" in err

@@ -147,10 +147,21 @@ def test_spectrum_errors():
         with pytest.raises(ValueError, match="non-finite"):
             SpectrumFile(eigenvalues=(0.0, bad), multiplicities=(1, 1))
     sp = SpectrumFile(eigenvalues=(0.0, 1.0), multiplicities=(1, 2))
-    with pytest.raises(ValueError):
-        spectral_extract(sp, [0.1, 0.2, 0.4], 1)  # truncated tail far too large
+    with pytest.raises(ValueError, match="too short"):
+        spectral_extract(sp, [0.1, 0.2, 0.3, 0.4], 1)  # truncated tail far too large
     with pytest.raises(ValueError):
         fit_heat_trace([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], 1)  # too few points
+    # non-finite or repeated times fail before the trace is summed or fitted
+    for grid, match in (
+        ([math.nan, 0.01, 0.02, 0.03], "positive and finite"),
+        ([math.inf, 0.01, 0.02, 0.03], "positive and finite"),
+        ([0.01, 0.02, 0.03] + [0.03] * 5, "repeated"),
+        ([0.02] * 3 + [0.05] * 3, "repeated"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            spectral_extract(sp, grid, 1)
+        with pytest.raises(ValueError, match=match):
+            fit_heat_trace(grid, [1.0] * len(grid), 1)
 
 
 def test_spectrum_parse_round_trip():

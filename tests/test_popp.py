@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcheat.graded import Poly, left_invariant_frame, lie_bracket, pair
+from qcheat.graded import Poly, left_invariant_frame, lie_bracket, pair, zero_vf
 from qcheat.group import make_quaternionic_spec
 from qcheat.popp import (
     AdaptedFrameData,
@@ -15,7 +15,7 @@ from qcheat.popp import (
     popp_density,
 )
 from qcheat.qc_expansion import build_coframe, divergence_coefficient, expansion_coefficients
-from qcheat.tensors import Sym, TensorSymbols
+from qcheat.tensors import TensorSymbols
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -119,56 +119,47 @@ def test_missing_c_rejected():
         divergence_terms(frame_data_from_spec(spec))
 
 
-def test_symbolic_normal_frame_matches_expansion_layer():
+def _frame_field(frame, coeffs):
+    """Polynomial-coefficient combination sum_b coeffs[b] frame[b]."""
+    total = zero_vf(frame[0].m, frame[0].r)
+    for field, coeff in zip(frame, coeffs):
+        if not coeff.is_zero():
+            total = total + field.mul_poly(coeff)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_symbolic_normal_frame_matches_expansion_layer(n):
     # epsilon^2 structure-function traces of the qc normal frame == the
-    # divergence coefficients from the expansion layer
-    spec = make_quaternionic_spec(1)
+    # divergence coefficients from the expansion layer.  divergence_terms
+    # reads only the traced entries c^a_{a alpha}; the rest stay zero.
+    spec = make_quaternionic_spec(n)
     sym = TensorSymbols(spec)
     m, r = spec.m, spec.r
     dim = m + r
-    nv = m + r
     coeffs = expansion_coefficients(spec, sym)
     cof = build_coframe(spec, sym)
-    Xs, Vs = left_invariant_frame(spec, scalar=Sym.rational)
+    Xs, Vs = left_invariant_frame(spec)
     frame0 = Xs + Vs
+    # order-(+1) term of each horizontal element, order-0 term of each vertical one
+    correction = [
+        _frame_field(frame0, [coeffs.s_x[(b, g)] for g in range(m)] + [coeffs.r_x[(b, j)] for j in range(r)])
+        for b in range(m)
+    ] + [
+        _frame_field(frame0, [coeffs.s_v[(i, g)] for g in range(m)] + [coeffs.r_v[(i, j)] for j in range(r)])
+        for i in range(r)
+    ]
 
-    def correction(b):
-        # order-(+1) term for horizontal, order-0 term for vertical elements
-        from qcheat.qc_expansion import _frame_field
-
-        if b < m:
-            return _frame_field(
-                spec,
-                [coeffs.s_x[(b, g)] for g in range(m)],
-                [coeffs.r_x[(b, j)] for j in range(r)],
-            )
-        i = b - m
-        return _frame_field(
-            spec,
-            [coeffs.s_v[(i, g)] for g in range(m)],
-            [coeffs.r_v[(i, j)] for j in range(r)],
-        )
-
-    def coframe_low(a):
-        return cof.theta[a][1] if a < m else cof.eta[a - m][2]
-
-    def coframe_high(a):
-        return cof.theta[a].get(3) if a < m else cof.eta[a - m].get(4)
-
-    c = [[[Poly.zero(nv)] * m for _ in range(dim)] for _ in range(dim)]
+    c = [[[Poly.zero(dim)] * m for _ in range(dim)] for _ in range(dim)]
     for a in range(dim):
-        for b in range(dim):
-            row = []
-            for alpha in range(m):
-                br2 = lie_bracket(frame0[b], correction(alpha)) + lie_bracket(
-                    correction(b), frame0[alpha]
-                )
-                val = pair(coframe_low(a), br2)
-                high = coframe_high(a)
-                if high is not None:
-                    val = val + pair(high, lie_bracket(frame0[b], frame0[alpha]))
-                row.append(val)
-            c[a][b] = row
+        low = cof.theta[a][1] if a < m else cof.eta[a - m][2]
+        high = cof.theta[a].get(3) if a < m else cof.eta[a - m].get(4)
+        for alpha in range(m):
+            br2 = lie_bracket(frame0[a], correction[alpha]) + lie_bracket(correction[a], frame0[alpha])
+            val = pair(low, br2)
+            if high is not None:
+                val = val + pair(high, lie_bracket(frame0[a], frame0[alpha]))
+            c[a][a][alpha] = val
     data = AdaptedFrameData(
         m=m,
         k=r,

@@ -27,7 +27,7 @@ REFERENCE_ROUTES = {
     "normalization_integral": "mass of p(t, 0, .), acceptance criterion 4",
     "semigroup_convolution_check": "Monte Carlo semigroup identity at the origin, acceptance criterion 4",
     "frame_data_from_spec": "the group's own frame as Popp input, acceptance criterion 5",
-    "divergence_bracket_route": "the divergence correction by a second route, from brackets",
+    "lie_bracket": "the coordinate bracket of the graded bracket tests and of the popp divergence route",
     "moment_exemplar": "one concrete pattern per moment class, for numeric moment estimates",
     "euler_field": "the grading generator P of those eigenvalue checks",
     "lie_derivative_form": "L_P on forms, the eigenvalue check of forms and coframe terms",
