@@ -4,19 +4,11 @@ Data goes to stdout (or --out), logs to stderr.  Every output embeds the
 fully-resolved run configuration, so deterministic subcommands reproduce
 their output byte for byte when rerun with the embedded settings.  JSON for
 reports, CSV for bulk numeric tables.  Exit codes: 0 ok, 2 usage or input
-error (bad arguments such as --n 0, an out-of-range mc --indices or one
-without --rule, a spectrum time grid with fewer than 4 times or a time that
-is not positive and finite or repeated, an mc run over the path-step
-budget, an mc moment table with one path or an mc --rule run with one
-sample, input or output paths that cannot be opened, input files that do
-not parse or lack required keys, kernel rows that fail their check, a frame
-file whose b has the wrong count or shape or a non-numeric entry or whose c
-is not an (m+k) x (m+k) x m array of numbers, a non-finite eigenvalue, a
-spectrum too short for the time grid, a spectrum command without --n), 3
-numeric failure (a missed tolerance, a kernel row out of floating-point
-range, a value that overflows or underflows), 4 invariant violation (a
-failed reduction or route check, a non-antisymmetric frame, a singular or
-indefinite Popp B).
+error (bad arguments, paths that cannot be opened, and any other ValueError
+that is not an InvariantError), 3 numeric failure (a missed tolerance, a
+kernel row out of floating-point range, a value that overflows or
+underflows), 4 invariant violation (an InvariantError: a failed reduction
+or route check, a non-antisymmetric frame, a singular or indefinite Popp B).
 """
 
 from __future__ import annotations
@@ -31,15 +23,12 @@ from fractions import Fraction
 
 from . import __version__
 from .quadrature import ToleranceError
+from .tensors import InvariantError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_INVARIANT = 4
-
-
-class InputFormatError(ValueError):
-    """Malformed input file (reported with line numbers, exit code 2)."""
 
 
 def _run_config(args, subcommand):
@@ -110,7 +99,7 @@ def _read_csv_rows(path):
             try:
                 rows.append(([float(v) for v in line.replace(",", " ").split()], ln))
             except ValueError as exc:
-                raise InputFormatError("line %d: %s" % (ln, exc)) from exc
+                raise ValueError("line %d: %s" % (ln, exc)) from exc
     return rows
 
 
@@ -174,7 +163,7 @@ def _frame_b(doc):
     m, k = doc["m"], doc["k"]
     b = _frame_numbers(doc["b"], (k, m, m)) if type(m) is int and type(k) is int else None
     if b is None:
-        raise InputFormatError("b must hold k = %s matrices of m x m numbers, m = %s" % (k, m))
+        raise ValueError("b must hold k = %s matrices of m x m numbers, m = %s" % (k, m))
     return b
 
 
@@ -184,24 +173,20 @@ def _frame_c(doc, m, k):
         return None
     c = _frame_numbers(doc["c"], (m + k, m + k, m))
     if c is None:
-        raise InputFormatError("c must be an (m+k) x (m+k) x m array of numbers, m = %d, k = %d" % (m, k))
+        raise ValueError("c must be an (m+k) x (m+k) x m array of numbers, m = %d, k = %d" % (m, k))
     return c
 
 
 def _cmd_popp(args):
     from .popp import AdaptedFrameData, divergence_terms, popp_B_matrix, popp_density
 
-    try:
-        with open(args.input) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(str(exc)) from exc
-
+    with open(args.input) as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise InputFormatError("frame file must hold a JSON object")
+        raise ValueError("frame file must hold a JSON object")
     missing = [key for key in ("m", "k", "b") if key not in doc]
     if missing:
-        raise InputFormatError("frame file lacks key(s): %s" % ", ".join(missing))
+        raise ValueError("frame file lacks key(s): %s" % ", ".join(missing))
 
     data = AdaptedFrameData(m=doc["m"], k=doc["k"], b=_frame_b(doc), c=_frame_c(doc, doc["m"], doc["k"]))
     payload = {
@@ -224,7 +209,7 @@ def _cmd_mc(args):
     config = _run_config(args, "mc")
     if args.rule is None:
         if args.indices is not None:
-            raise InputFormatError("--indices needs --rule")
+            raise ValueError("--indices needs --rule")
         del config["samples"]  # the moment table does not read --samples
         n_paths = args.paths
     else:
@@ -234,23 +219,16 @@ def _cmd_mc(args):
             indices = tuple(int(v) for v in args.indices.split(",")) if args.indices else None
             rule_pattern(spec, args.rule, indices)
         except ValueError as exc:
-            raise InputFormatError("--indices: %s" % exc) from exc
+            raise ValueError("--indices: %s" % exc) from exc
         n_paths = args.samples
-    try:
-        if args.rule is not None:  # the check's own message on the sample count comes first
-            _check_sample_count(args.samples, args.steps)
-        cfg = SimConfig(spec=spec, t=args.t, n_paths=n_paths, n_steps=args.steps, seed=args.seed)
-    except ValueError as exc:  # fewer than 2 samples, or over the path-step budget
-        raise InputFormatError(str(exc)) from exc
+    if args.rule is not None:  # the check's own message on the sample count comes first
+        _check_sample_count(args.samples, args.steps)
+    cfg = SimConfig(spec=spec, t=args.t, n_paths=n_paths, n_steps=args.steps, seed=args.seed)
     buf = io.StringIO()
     buf.write("# config: %s\n" % json.dumps(config, sort_keys=True))
     buf.write("quantity,estimate,stderr,n_paths,n_steps,seed\n")
     if args.rule is None:
-        try:
-            report = moment_report(simulate_paths(cfg))
-        except ValueError as exc:  # fewer than 2 paths
-            raise InputFormatError(str(exc)) from exc
-        for name, est, se in report:
+        for name, est, se in moment_report(simulate_paths(cfg)):
             buf.write("%s,%.12g,%.4g,%d,%d,%d\n" % (name, est, se, n_paths, args.steps, args.seed))
     else:
         rep = check_moment_vanishing(cfg, args.rule, indices=indices, n_samples=args.samples)
@@ -270,16 +248,9 @@ def _cmd_mc(args):
 def _cmd_spectrum(args):
     from .invariants import SpectrumFile, spectral_extract
 
-    try:
-        with open(args.input) as fh:
-            sp = SpectrumFile.parse(fh.read())
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
-    try:
-        t_grid = [float(v) for v in args.t.split(",")]
-        result = spectral_extract(sp, t_grid, n=args.n)
-    except ValueError as exc:  # bad grid, or a spectrum too short for it
-        raise InputFormatError(str(exc)) from exc
+    with open(args.input) as fh:
+        sp = SpectrumFile.parse(fh.read())
+    result = spectral_extract(sp, [float(v) for v in args.t.split(",")], n=args.n)
     result["config"] = _run_config(args, "spectrum")
     _emit(_json_payload(result), args.out)
     return EXIT_OK
@@ -363,9 +334,9 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputFormatError, OSError) as exc:  # OSError: an input or --out path that cannot be opened
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    except InvariantError as exc:
+        print("invariant violation: %s" % exc, file=sys.stderr)
+        return EXIT_INVARIANT
     except OverflowError as exc:  # (4 pi)^(2n+3) at a large level n; an mc moment that over- or underflows
         print("numeric failure: out of floating-point range: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
@@ -374,9 +345,9 @@ def main(argv=None):
         if exc.value is not None:
             print("best estimate: %.12g +/- %.3g" % (exc.value, exc.err), file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
-        print("invariant violation: %s" % exc, file=sys.stderr)
-        return EXIT_INVARIANT
+    except (ValueError, OSError) as exc:  # OSError: an input or --out path that cannot be opened
+        print("input error: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .tensors import Sym
+from .tensors import InvariantError, Sym
 
 __all__ = [
     "Poly",
@@ -370,15 +370,15 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
         for b in range(m):
             want = Poly.constant(nv, one) if g == b else Poly.zero(nv)
             if pairing(theta_exp[g], 1, frame_x[b]) != want:
-                raise ValueError("theta^(1) and the horizontal frame are not dual")
+                raise InvariantError("theta^(1) and the horizontal frame are not dual")
         for j in range(r):
             if not pairing(theta_exp[g], 1, frame_v[j]).is_zero():
-                raise ValueError("theta^(1) must annihilate the vertical frame")
+                raise InvariantError("theta^(1) must annihilate the vertical frame")
     for i in range(r):
         for j in range(r):
             want = Poly.constant(nv, one) if i == j else Poly.zero(nv)
             if pairing(eta_exp[i], 2, frame_v[j]) != want:
-                raise ValueError("eta^(2) and the vertical frame are not dual")
+                raise InvariantError("eta^(2) and the vertical frame are not dual")
 
     results = []
     for target in range(m + r):

@@ -5,9 +5,7 @@ c0(n) is the diagonal value of the flat-group kernel,
     c0 = (16 n)^{3/2} / (4 pi)^{2n+3} * Integral_{R^3} (|tau|/sinh|tau|)^{2n} dtau,
 
 computed by radial Gauss-Kronrod quadrature with an analytic tail bound and
-cross-checked against an exact zeta-series evaluation (expanding 1/sinh^{2n}
-into exponentials turns every term into a Gamma integral; the k-sum collapses
-to Hurwitz zeta values with rational coefficients).
+cross-checked against an exact zeta-series evaluation.
 
 Cn comes from the second invariant of the quaternionic sphere S^{4n+3},
 
@@ -18,7 +16,12 @@ with rho(y) = (sinh y - y cosh y) / (y^2 sinh y), taken against the same
 Popp measure as c0.  kappa(sphere) = 16 n (n+2), so Cn = c1(sphere) / kappa
 and c1 = Cn * kappa with Cn universal; at n = 1, c1/c0 = 8 - 15/pi^2.  The
 integrand's removable small-y behavior is evaluated by series below a
-threshold; the same zeta-series technique provides the independent oracle.
+threshold.
+
+The zeta-series oracles write each integrand as a term list, a term
+(coeff, q, p, c) being coeff y^q cosh(y)^c / sinh(y)^p: c0 is
+[(1, 2n+2, 2n, 0)] and Cn has three terms.  One engine, _zeta_powers, turns
+a list into exact rational coefficients of Hurwitz zeta values zeta(j, n).
 
 spectral_extract fits a truncated heat trace of a manifold of dimension
 4n+3 to t^{-(2n+3)} (A + B t + C t^2 + ...): the exponent Q/2 = 2n+3 is
@@ -39,6 +42,7 @@ import numpy as np
 
 from .kernel import _exp_tail, _rho_over_sinh_pow, _truncation_radius
 from .quadrature import adaptive_gk
+from .tensors import InvariantError
 
 __all__ = [
     "SpectrumFile",
@@ -57,58 +61,46 @@ _ZETA_DPS = 50  # mpmath digits of the zeta-series oracles beyond the n digits t
 _TAIL_CEILING = 1e-6  # largest tail fraction spectral_extract accepts
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+def _zeta_powers(terms, n):
+    """Integral_0^inf of a sum of terms as {j: Fraction}, the integral being sum_j c_j zeta(j, n).
 
-
-def _poly_from_linear_factors(shifts, denom):
-    """prod_i (u + shift_i) / denom as coefficient list in u."""
-    p = [Fraction(1)]
-    for s in shifts:
-        p = _poly_mul(p, [Fraction(s), Fraction(1)])
-    return [c / denom for c in p]
-
-
-def _zeta_sum(coeffs_by_power, n):
-    """sum over u >= n of sum_j c_j u^{-j} via Hurwitz zeta, exact coefficients.
-
-    Runs at the caller's working precision (the oracles set _ZETA_DPS + n).
+    A term (coeff, q, p, c) is coeff y^q cosh(y)^c / sinh(y)^p with p - c
+    even and >= 2n.  1/sinh^p = 2^p sum_k C(p-1+k, k) e^{-(p+2k)y} and
+    cosh = (e^y + e^{-y})/2 make every rate 2u with u >= n; the binomial is
+    a polynomial in u that vanishes at each u >= n whose k is negative, and
+    y^q integrates to q!/(2u)^{q+1}.  A divergent power (j < 2) must cancel.
     """
+    out = {}
+    for coeff, q, p, c in terms:
+        for i in range(c + 1):  # e^{(c-2i)y} of cosh^c: k = u - (p-c)/2 - i
+            shift = i + (p - c) // 2
+            poly = [1]  # prod_{l=1}^{p-1} (u - shift + l), coefficients of u^0, u^1, ...
+            for l in range(1, p):
+                poly = [a * (l - shift) + b for a, b in zip(poly + [0], [0] + poly)]
+            scale = Fraction(
+                coeff * 2**p * math.comb(c, i) * math.factorial(q),
+                2 ** (c + q + 1) * math.factorial(p - 1),
+            )
+            for d, a in enumerate(poly):
+                out[q + 1 - d] = out.get(q + 1 - d, 0) + scale * a
+    powers = {j: v for j, v in sorted(out.items()) if v}
+    if min(powers) < 2:
+        raise InvariantError("divergent zeta power %d survived; series derivation broken" % min(powers))
+    return powers
+
+
+def _zeta_integral(terms, n):
+    """Integral_0^inf of a sum of terms as an mpf at the caller's precision (see _zeta_powers)."""
     total = mpmath.mpf(0)
-    for j, c in sorted(coeffs_by_power.items()):
-        if c == 0:
-            continue
-        if j < 2:
-            raise ArithmeticError("divergent zeta power %d; cancellation failed" % j)
+    for j, c in _zeta_powers(terms, n).items():
         total += mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(j, n)
     return total
 
 
-def _series_powers(poly_u, mpow, scale):
-    """scale * poly(u) * u^{-mpow} collected as {zeta power: Fraction}."""
-    out = {}
-    for i, c in enumerate(poly_u):
-        if c:
-            j = mpow - i
-            out[j] = out.get(j, Fraction(0)) + scale * c
-    return out
-
-
 def c0_zeta_series(n):
     """Exact series evaluation of c0(n); for n=1 this is the zeta(4) value."""
-    # integral_0^inf rho^{2n+2} / sinh^{2n} rho = 2^{2n} (2n+2)! sum_k C(2n-1+k,k) (2(n+k))^{-(2n+3)}
-    fact = Fraction(math.factorial(2 * n + 2))
-    a_poly = _poly_from_linear_factors(
-        [i - n for i in range(1, 2 * n)], Fraction(math.factorial(2 * n - 1))
-    )
-    scale = Fraction(2) ** (2 * n) * fact / Fraction(2) ** (2 * n + 3)
-    powers = _series_powers(a_poly, 2 * n + 3, scale)
     with mpmath.workdps(_ZETA_DPS + n):
-        integral = _zeta_sum(powers, n)
+        integral = _zeta_integral([(1, 2 * n + 2, 2 * n, 0)], n)
         pref = (16 * n) ** mpmath.mpf("1.5") * 4 * mpmath.pi / (4 * mpmath.pi) ** (2 * n + 3)
         return float(pref * integral)
 
@@ -177,37 +169,17 @@ def sphere_kappa(n):
 def Cn_zeta_series(n):
     """Exact zeta-series evaluation of Cn (independent of the quadrature path).
 
-    Expanding sinh^{-p} into exponentials makes every term a Gamma integral;
-    collecting by the exponential rate 2(n+k) leaves rational combinations of
-    Hurwitz zeta values.  Divergent powers must cancel exactly (the integrand
-    is O(y^2) at the origin); that cancellation is asserted.
+    The sphere integrand with rho(y) y^2 sinh y = sinh y - y cosh y
+    multiplied out, as terms of _zeta_powers.
     """
-    two_n = 2 * n
-    fac = math.factorial
-    a_poly = _poly_from_linear_factors(
-        [i - n for i in range(1, two_n)], Fraction(fac(two_n - 1))
-    )
-    b_poly = _poly_from_linear_factors(
-        [i - n for i in range(1, two_n + 1)], Fraction(fac(two_n))
-    )
-    b_prev = _poly_from_linear_factors(
-        [i - n - 1 for i in range(1, two_n + 1)], Fraction(fac(two_n))
-    )
-    b_sum = [x + y for x, y in zip(b_poly, b_prev)]
-    powers = {}
-    for poly, mpow, coeff in (
-        (a_poly, two_n + 3, 4 * n * (n + 1) * fac(two_n + 2)),
-        (a_poly, two_n + 1, 2 * n * (two_n + 1) * fac(two_n)),
-        (b_sum, two_n + 2, -2 * n * (two_n + 1) * fac(two_n + 1)),
-    ):
-        for d, c in _series_powers(poly, mpow, Fraction(coeff * 2**two_n, 2**mpow)).items():
-            powers[d] = powers.get(d, Fraction(0)) + c
-    for j in list(powers):
-        if j < 2 and powers[j] != 0:
-            raise ArithmeticError("zeta power %d survived; series derivation broken" % j)
+    terms = [
+        (4 * n * (n + 1), 2 * n + 2, 2 * n, 0),
+        (2 * n * (2 * n + 1), 2 * n, 2 * n, 0),
+        (-2 * n * (2 * n + 1), 2 * n + 1, 2 * n + 1, 1),
+    ]
     with mpmath.workdps(_ZETA_DPS + n):
-        integral = _zeta_sum({j: c for j, c in powers.items() if j >= 2}, n)
-        pref = (16 * n) ** mpmath.mpf("1.5") / (sphere_kappa(n) * (4 * mpmath.pi) ** (two_n + 2))
+        integral = _zeta_integral(terms, n)
+        pref = (16 * n) ** mpmath.mpf("1.5") / (sphere_kappa(n) * (4 * mpmath.pi) ** (2 * n + 2))
         return float(pref * integral)
 
 

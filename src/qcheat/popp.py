@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .tensors import InvariantError
+
 __all__ = ["AdaptedFrameData", "popp_B_matrix", "popp_density", "divergence_terms", "frame_data_from_spec"]
 
 
@@ -37,13 +39,13 @@ class AdaptedFrameData:
     def __post_init__(self):
         if len(self.b) != self.k:
             raise ValueError("expected %d vertical bracket matrices" % self.k)
-        for bi in self.b:
+        for i, bi in enumerate(self.b, 1):
             if len(bi) != self.m or any(len(row) != self.m for row in bi):
                 raise ValueError("bracket matrices must be %d x %d" % (self.m, self.m))
             for a in range(self.m):
                 for bb in range(self.m):
                     if bi[a][bb] != -bi[bb][a]:
-                        raise ValueError("b^%d is not antisymmetric at (%d, %d)" % (1, a, bb))
+                        raise InvariantError("b^%d is not antisymmetric at (%d, %d)" % (i, a + 1, bb + 1))
         if self.c is not None:
             dim = self.m + self.k
             if len(self.c) != dim or any(len(ca) != dim for ca in self.c):
@@ -96,7 +98,7 @@ def popp_density(data):
         for lead in range(1, k + 1):
             minor = [row[:lead] for row in B[:lead]]
             if _det(minor) <= 0:
-                raise ValueError(
+                raise InvariantError(
                     "B is not positive definite: vertical direction %d is deficient" % lead
                 )
         det = _det(B)
@@ -107,7 +109,7 @@ def popp_density(data):
     if vals.min() <= 1e-12 * scale:
         null = vecs[:, int(np.argmin(vals))]
         worst = int(np.argmax(np.abs(null)))
-        raise ValueError(
+        raise InvariantError(
             "B is singular: vertical direction %d is deficient (bracket-generation fails)"
             % (worst + 1)
         )

@@ -31,6 +31,7 @@ from .graded import (
     left_invariant_frame,
 )
 from .tensors import (
+    InvariantError,
     LinearReducer,
     ReductionError,
     Sym,
@@ -65,11 +66,11 @@ M_X4DZDZ = "M[xxxx.dzdz]"
 MOMENT_LABELS = (M_XDX, M_ZDZ, M_XZDXDZ, M_XXDXDX_PP, M_XXDXDX_CROSS, M_X4DZDZ)
 
 
-class UnclassifiedMomentError(ValueError):
+class UnclassifiedMomentError(InvariantError):
     """A convolution-moment pattern outside the proof's classified cases."""
 
 
-class RouteMismatchError(ValueError):
+class RouteMismatchError(InvariantError):
     """Closed-form coefficients disagree with the coframe-inversion route."""
 
 
@@ -188,7 +189,7 @@ class CoframeExpansion:
             for l, form in tab.items():
                 orders = homogeneous_orders(form)
                 if orders not in ([], [l]):
-                    raise ValueError("coframe term labeled %d has orders %s" % (l, orders))
+                    raise InvariantError("coframe term labeled %d has orders %s" % (l, orders))
         return True
 
 
@@ -453,11 +454,11 @@ class PerturbationOperator:
         for (la, lb), poly in self.second.items():
             want = label_weight(la) + label_weight(lb)
             if homogeneous_part(poly, want, self.m, self.r) != poly:
-                raise ValueError("second-order term %s is not weight-%d homogeneous" % ((la, lb), want))
+                raise InvariantError("second-order term %s is not weight-%d homogeneous" % ((la, lb), want))
         for lbl, poly in self.first.items():
             want = label_weight(lbl)
             if homogeneous_part(poly, want, self.m, self.r) != poly:
-                raise ValueError("first-order term %s is not weight-%d homogeneous" % (lbl, want))
+                raise InvariantError("first-order term %s is not weight-%d homogeneous" % (lbl, want))
         return True
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 __all__ = [
     "Sym",
     "TensorSymbols",
+    "InvariantError",
     "ReductionError",
     "identity_relations",
     "LinearReducer",
@@ -200,7 +201,7 @@ class Sym:
         for mono, n in self._nums.items():
             hits = tuple(a for a in mono if a[0] == kind)
             if len(hits) > 1:
-                raise ValueError("monomial is nonlinear in kind %r" % kind)
+                raise InvariantError("monomial is nonlinear in kind %r" % kind)
             rest = tuple(a for a in mono if a[0] != kind)
             out.setdefault(hits, {})[rest] = n  # mono <-> (hits, rest) is one to one
         return {hits: _sym(nums, self._den) for hits, nums in out.items()}
@@ -332,7 +333,11 @@ def identity_relations(symbols):
     return rels
 
 
-class ReductionError(ValueError):
+class InvariantError(ValueError):
+    """A violated invariant of a derivation or of its input (the CLI's exit code 4)."""
+
+
+class ReductionError(InvariantError):
     """A tensor expression did not collapse to a kappa multiple."""
 
 
@@ -380,7 +385,7 @@ class LinearReducer:
         vec = {}
         for mono, c in sym.terms.items():
             if len(mono) > 1:
-                raise ValueError("relations must be linear in the atoms")
+                raise InvariantError("relations must be linear in the atoms")
             key = mono[0] if mono else ()
             vec[key] = vec.get(key, Fraction(0)) + c
         return {a: c for a, c in vec.items() if c}

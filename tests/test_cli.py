@@ -213,6 +213,37 @@ def test_popp_invariant_violation(tmp_path, capsys):
     assert "antisymmetric" in err
 
 
+def test_popp_names_the_bad_matrix_one_based(tmp_path, capsys):
+    doc = {"m": 2, "k": 2, "b": [[[0, 1], [-1, 0]], [[0, 1], [1, 0]]]}
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["popp", "--input", str(inp)])
+    assert code == 4 and out == ""
+    assert err == "invariant violation: b^2 is not antisymmetric at (1, 2)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kernel", "--n", "1"], ["popp"], ["spectrum", "--n", "1", "--t", "0.1,0.2,0.3,0.4"]],
+)
+def test_non_utf8_input_exits_2(tmp_path, capsys, argv):
+    inp = tmp_path / "binary.txt"
+    inp.write_bytes(b"1 0 \xff 0\n")
+    code, out, err = run_cli(capsys, argv + ["--input", str(inp)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_invariant_errors_share_one_type():
+    from qcheat.qc_expansion import RouteMismatchError, UnclassifiedMomentError
+    from qcheat.tensors import InvariantError, ReductionError
+
+    assert issubclass(InvariantError, ValueError)
+    for cls in (ReductionError, RouteMismatchError, UnclassifiedMomentError):
+        assert issubclass(cls, InvariantError)
+
+
 def test_popp_missing_keys_exit_2(tmp_path, capsys):
     inp = tmp_path / "frame.json"
     inp.write_text(json.dumps({"m": 2}))

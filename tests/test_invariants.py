@@ -10,6 +10,7 @@ from qcheat.group import make_quaternionic_spec
 from qcheat.invariants import (
     Cn_zeta_series,
     SpectrumFile,
+    _zeta_powers,
     c0_zeta_series,
     compute_Cn,
     compute_c0,
@@ -18,6 +19,7 @@ from qcheat.invariants import (
     sphere_kappa,
 )
 from qcheat.kernel import heat_kernel_point
+from qcheat.tensors import InvariantError
 
 
 def test_c0_n1_closed_form():
@@ -82,6 +84,28 @@ def test_cn_vs_zeta_series_oracle(n):
     oracle = Cn_zeta_series(n)
     assert abs(v - oracle) / oracle < 1e-9
     assert abs(v - oracle) <= err
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zeta_maps_even_and_convergent(n):
+    """Exact c0 and Cn series maps: only even Hurwitz powers, none below 2."""
+    c0_terms = [(1, 2 * n + 2, 2 * n, 0)]
+    cn_terms = [
+        (4 * n * (n + 1), 2 * n + 2, 2 * n, 0),
+        (2 * n * (2 * n + 1), 2 * n, 2 * n, 0),
+        (-2 * n * (2 * n + 1), 2 * n + 1, 2 * n + 1, 1),
+    ]
+    for terms in (c0_terms, cn_terms):
+        powers = _zeta_powers(terms, n)
+        assert all(powers.get(j, 0) == 0 for j in range(1, 2 * n + 4, 2))
+        assert min(powers) >= 2
+    assert sorted(_zeta_powers(c0_terms, n)) == list(range(4, 2 * n + 3, 2))
+
+
+def test_zeta_divergent_power_raises():
+    # 1/sinh^2 is not integrable at 0: its series keeps the powers 0 and 1
+    with pytest.raises(InvariantError, match="divergent zeta power 0"):
+        _zeta_powers([(1, 0, 2, 0)], 1)
 
 
 @pytest.mark.parametrize("n", [1, 2])

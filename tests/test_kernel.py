@@ -15,6 +15,7 @@ from qcheat.kernel import (
     heat_kernel_point,
     kernel_marginal_moments,
     _exp_tail,
+    _kernel_grid,
     _query_rows,
     _rho_coth,
     _rho_over_sinh_pow,
@@ -490,6 +491,24 @@ def _deriv(spec, *names):
 
 
 QUERY_DERIVS = [("x1", "x1"), ("x1", "x2"), ("z1",), ("z1", "z2"), ("x1", "x2", "z1")]
+
+
+@pytest.mark.parametrize("t", [1.0, 0.3])
+@pytest.mark.parametrize("spec", [SPEC1, SPEC2])
+def test_kernel_grid_matches_query_rows(spec, t):
+    """The fixed-rule grid behind criterion 4's mass and criterion 11's E[z^2]
+    agrees with the adaptive production rows within their summed errors."""
+    rx = np.array([0.0, 0.7, 2.0, 5.0])
+    rz = np.array([0.0, 0.5, 3.0, 9.0]) * t
+    grid, grid_err = _kernel_grid(spec, t, rx, rz)
+    x = np.zeros((16, spec.m))
+    x[:, 0] = np.repeat(rx, 4)
+    z = np.zeros((16, 3))
+    z[:, 0] = np.tile(rz, 4)
+    rows = _query_rows(spec, np.full(16, t), x, z, (), QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16))
+    for r, row in enumerate(rows):
+        i, j = divmod(r, 4)
+        assert abs(grid[i, j] - row.value) <= grid_err[i, j] + row.err_estimate
 
 
 @pytest.mark.parametrize("names", QUERY_DERIVS)
