@@ -29,11 +29,17 @@ __all__ = [
 
 
 def _mat_mul(a, b):
+    """a b, summed over the nonzero entries of each row of a only."""
     m = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
-        for i in range(m)
-    )
+    out = []
+    for row in a:
+        acc = [0] * m
+        for k, v in enumerate(row):
+            if v:
+                for j, w in enumerate(b[k]):
+                    acc[j] += v * w
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _is_skew(a):

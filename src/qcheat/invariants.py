@@ -14,9 +14,15 @@ Cn comes from the second invariant of the quaternionic sphere S^{4n+3},
 
 with rho(y) = (sinh y - y cosh y) / (y^2 sinh y), taken against the same
 Popp measure as c0.  kappa(sphere) = 16 n (n+2), so Cn = c1(sphere) / kappa
-and c1 = Cn * kappa with Cn universal; at n = 1, c1/c0 = 8 - 15/pi^2.  The
-integrand's removable small-y behavior is evaluated by series below a
-threshold.
+and c1 = Cn * kappa with Cn universal.  As d/dy sinh^{-2n} y =
+-2n cosh y / sinh^{2n+1} y, integration by parts (no boundary terms) turns
+the rho term into -(2n+1) (y/sinh y)^{2n}, so the integral is
+
+    Integral_0^inf (y/sinh y)^{2n} (4n(n+1) y^2 - (2n+1)) dy
+
+on the radial weight of c0, and c1(sphere)/c0 = 4n(n+1) - (2n+1) I_0/I_2
+with I_k = Integral_0^inf y^k (y/sinh y)^{2n} dy.  At n = 1, I_0 = pi^2/6
+and I_2 = pi^4/30 give 8 - 15/pi^2.
 
 The zeta-series oracles write each integrand as a term list, a term
 (coeff, q, p, c) being coeff y^q cosh(y)^c / sinh(y)^p: c0 is
@@ -105,10 +111,15 @@ def c0_zeta_series(n):
         return float(pref * integral)
 
 
-def _radial_integral(f, tail_const, n, rel_tol, abs_tol):
-    """(Integral_0^inf f, error) for |f| <= tail_const rho^{2n+2} e^{-2n rho} far out."""
-    bound = lambda R: _exp_tail(tail_const, 2 * n + 2, 2.0 * n, R)
+def _weight_integral(n, a, b, rel_tol, abs_tol):
+    """(Integral_0^inf (y/sinh y)^{2n} (a y^2 - b) dy, error) for a, b >= 0.
+
+    Far out the integrand is at most 2.02^{2n} (a + b) y^{2n+2} e^{-2n y},
+    which bounds the tail beyond the truncation radius.
+    """
+    bound = lambda R: _exp_tail(2.02 ** (2 * n) * (a + b), 2 * n + 2, 2.0 * n, R)
     R, tail = (float(v[0]) for v in _truncation_radius(bound, 8.0, abs_tol / 10.0, 300.0))
+    f = lambda y: _rho_over_sinh_pow(y, 2 * n) * (a * y * y - b)
     val, err, _ = adaptive_gk(f, 0.0, R, rel_tol=rel_tol, abs_tol=abs_tol, max_evals=_MAX_EVALS)
     return val, err + tail
 
@@ -117,37 +128,14 @@ def compute_c0(n, rel_tol=1e-11, abs_tol=1e-14):
     """First heat invariant c0(n) by radial quadrature; returns (value, error)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    integrand = lambda rho: rho * rho * _rho_over_sinh_pow(rho, 2 * n)
-    val, err = _radial_integral(integrand, 2.02 ** (2 * n), n, rel_tol, abs_tol)
+    val, err = _weight_integral(n, 1, 0, rel_tol, abs_tol)
     pref = (16.0 * n) ** 1.5 * 4.0 * math.pi / (4.0 * math.pi) ** (2 * n + 3)
     return pref * val, pref * err
 
 
-def _cn_bracket(y, n):
-    """4n(n+1) + 2n(2n+1) (sinh y - y cosh y)/(y^2 sinh y), series below 0.15.
-
-    The ratio tends to -1/3 at y = 0 (numerator expands to
-    -(y^3/3 + y^5/30 + y^7/840 + ...)), so the bracket's limit is
-    4n(n+1) - 2n(2n+1)/3: finite, no singularity.
-    """
-    y = np.asarray(y, dtype=float)
-    small = y < 0.15
-    safe = np.where(small, 1.0, y)
-    y2 = y * y
-    y4 = y2 * y2
-    num_series = -(y * y2 / 3.0 + y4 * y / 30.0 + y4 * y2 * y / 840.0 + y4 * y4 * y / 45360.0)
-    denom_small = np.where(y > 0, y2 * np.sinh(np.where(y > 0, y, 1.0)), 1.0)
-    ratio_small = np.where(y > 0, num_series / denom_small, -1.0 / 3.0)
-    ratio_big = (np.sinh(safe) - safe * np.cosh(safe)) / (safe * safe * np.sinh(safe))
-    ratio = np.where(small, ratio_small, ratio_big)
-    return 4 * n * (n + 1) + 2 * n * (2 * n + 1) * ratio
-
-
 def bw_sphere_c1_integral(n, rel_tol=1e-11, abs_tol=1e-14):
-    """The sphere's c1: (16 n)^{3/2} integral/(4 pi)^{2n+2}; returns (value, error)."""
-    const = 2.02 ** (2 * n) * (4 * n * (n + 1) + 2 * n * (2 * n + 1) * 1.1)
-    integrand = lambda y: y * y * _rho_over_sinh_pow(y, 2 * n) * _cn_bracket(y, n)
-    val, err = _radial_integral(integrand, const, n, rel_tol, abs_tol)
+    """The sphere's c1: (16 n)^{3/2} integral/(4 pi)^{2n+2}, by parts; returns (value, error)."""
+    val, err = _weight_integral(n, 4 * n * (n + 1), 2 * n + 1, rel_tol, abs_tol)
     pref = (16.0 * n) ** 1.5 / (4.0 * math.pi) ** (2 * n + 2)
     return pref * val, pref * err
 
@@ -169,8 +157,9 @@ def sphere_kappa(n):
 def Cn_zeta_series(n):
     """Exact zeta-series evaluation of Cn (independent of the quadrature path).
 
-    The sphere integrand with rho(y) y^2 sinh y = sinh y - y cosh y
-    multiplied out, as terms of _zeta_powers.
+    The sphere integrand before integration by parts, with
+    rho(y) y^2 sinh y = sinh y - y cosh y multiplied out, as terms of
+    _zeta_powers.
     """
     terms = [
         (4 * n * (n + 1), 2 * n + 2, 2 * n, 0),

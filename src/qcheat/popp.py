@@ -75,33 +75,33 @@ def popp_B_matrix(data):
     return B
 
 
-def _det(mat):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def popp_density(data):
-    """(det B)^{-1/2}; fails naming a deficient vertical direction when B is singular."""
+    """(det B)^{-1/2}; fails naming a deficient vertical direction when B is not positive definite.
+
+    Exact B goes through one exact elimination without row exchanges: its
+    pivot l is D_l / D_{l-1}, the ratio of consecutive leading minors, so the
+    first pivot <= 0 is the first leading minor <= 0 (Sylvester's
+    criterion), and det B is the product of the pivots.  Float B goes
+    through its eigenvalues.
+    """
     B = popp_B_matrix(data)
     k = len(B)
     exact = all(isinstance(B[i][j], (int, Fraction)) for i in range(k) for j in range(k))
     if exact:
-        for lead in range(1, k + 1):
-            minor = [row[:lead] for row in B[:lead]]
-            if _det(minor) <= 0:
+        A = [[Fraction(v) for v in row] for row in B]
+        det = Fraction(1)
+        for l in range(k):
+            pivot = A[l][l]
+            if pivot <= 0:
                 raise InvariantError(
-                    "B is not positive definite: vertical direction %d is deficient" % lead
+                    "B is not positive definite: vertical direction %d is deficient" % (l + 1)
                 )
-        det = _det(B)
+            det *= pivot
+            for row in A[l + 1 :]:
+                f = row[l] / pivot
+                if f:
+                    for j in range(l, k):
+                        row[j] -= f * A[l][j]
         return float(det) ** -0.5
     Bf = np.array(B, dtype=float)
     vals, vecs = np.linalg.eigh(Bf)

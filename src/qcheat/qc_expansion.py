@@ -721,7 +721,7 @@ def reduce_c1(spec, symbols=None):
     coord, killed = _coordinate_terms(spec, op)
 
     log = []
-    acc = Sym.zero()
+    per_class = {}  # moment label -> its tensor coefficient
     classified = 0
     per_class_counts = {}
     for deriv, poly in sorted(coord.items()):
@@ -734,7 +734,7 @@ def reduce_c1(spec, symbols=None):
             classified += 1
             for label, mult in decomp.items():
                 per_class_counts[label] = per_class_counts.get(label, 0) + 1
-                acc = acc + c * mult * Sym.symbol(("M", label))
+                per_class[label] = per_class.get(label, Sym.zero()) + c * mult
     log.append(
         "[moments] %d terms survive parity, %d killed; classes: %s"
         % (
@@ -749,10 +749,9 @@ def reduce_c1(spec, symbols=None):
     kappa_atom = ("kap",)
     coefficients = {}
     result = Sym.zero()
-    for key, coeff in sorted(acc.coefficient_split("M").items()):
-        if not key:
-            raise ReductionError("tensor terms without a moment class appeared")
-        label = key[0][1]
+    for label, coeff in sorted(per_class.items()):
+        if not coeff:  # the class's terms cancelled
+            continue
         sublog = []
         nf = reducer.reduce(coeff, log=sublog)
         for line in sublog:

@@ -191,21 +191,6 @@ class Sym:
             out.update(mono)
         return out
 
-    def coefficient_split(self, kind):
-        """Split into {atom-of-kind-monomial-part: Sym-cofactor}.
-
-        Monomials must be at most linear in atoms of the given kind; the key
-        () collects the part free of them.
-        """
-        out = {}
-        for mono, n in self._nums.items():
-            hits = tuple(a for a in mono if a[0] == kind)
-            if len(hits) > 1:
-                raise InvariantError("monomial is nonlinear in kind %r" % kind)
-            rest = tuple(a for a in mono if a[0] != kind)
-            out.setdefault(hits, {})[rest] = n  # mono <-> (hits, rest) is one to one
-        return {hits: _sym(nums, self._den) for hits, nums in out.items()}
-
     def __str__(self):
         if not self._nums:
             return "0"

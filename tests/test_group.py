@@ -45,6 +45,30 @@ def test_quaternionic_matrix_identities(n):
                 )
 
 
+def _replace_J(spec, i, Ji):
+    J = list(spec.J)
+    J[i] = Ji
+    return GroupSpec(m=spec.m, r=3, J=tuple(J), n=spec.n, quaternionic=True)
+
+
+def test_quaternionic_checks_reject_bad_J():
+    spec = make_quaternionic_spec(2)
+    # 2 J^1 is skew, but its square is -4 Id
+    doubled = tuple(tuple(2 * v for v in row) for row in spec.J[0])
+    with pytest.raises(ValueError, match=r"\(J\^i\)\^2 = -Id fails"):
+        _replace_J(spec, 0, doubled)
+    # -J^3 squares to -Id, but the triple product becomes +Id
+    negated = tuple(tuple(-v for v in row) for row in spec.J[2])
+    with pytest.raises(ValueError, match=r"J\^1 J\^2 J\^3 = -Id fails"):
+        _replace_J(spec, 2, negated)
+
+
+def test_quaternionic_spec_builds_at_n40():
+    spec = make_quaternionic_spec(40)
+    assert spec.m == 160
+    assert spec.J[2][159][156] == -1
+
+
 def test_frame_convention_entry():
     # I_1 X_1 = X_2 forces I^1_{12} = +1
     spec = make_quaternionic_spec(1)

@@ -52,26 +52,6 @@ def test_c0_positive_small_levels():
         assert v > 0
 
 
-def test_cn_bracket_limit():
-    # (sinh y - y cosh y)/(y^2 sinh y) -> -1/3, so the bracket tends to
-    # 4n(n+1) - 2n(2n+1)/3 with no singularity
-    from qcheat.invariants import _cn_bracket
-
-    for n in (1, 2):
-        lim = 4 * n * (n + 1) - 2 * n * (2 * n + 1) / 3.0
-        assert float(_cn_bracket(np.array([0.0]), n)[0]) == pytest.approx(lim, rel=1e-12)
-        assert float(_cn_bracket(np.array([1e-4]), n)[0]) == pytest.approx(lim, rel=1e-6)
-        # both sides of the series/direct switch agree with a 50-digit reference
-        import mpmath
-
-        for y in (0.149999, 0.150001):
-            with mpmath.workdps(50):
-                yy = mpmath.mpf(y)
-                ratio = (mpmath.sinh(yy) - yy * mpmath.cosh(yy)) / (yy * yy * mpmath.sinh(yy))
-                ref = float(4 * n * (n + 1) + 2 * n * (2 * n + 1) * ratio)
-            assert float(_cn_bracket(np.array([y]), n)[0]) == pytest.approx(ref, rel=1e-11)
-
-
 def test_cn_n1_closed_form():
     # c1/c0 of the sphere S^7 is 8 - 15/pi^2, with kappa = 48 and c0 = 1/120
     v, err = compute_Cn(1)
@@ -100,6 +80,19 @@ def test_zeta_maps_even_and_convergent(n):
         assert all(powers.get(j, 0) == 0 for j in range(1, 2 * n + 4, 2))
         assert min(powers) >= 2
     assert sorted(_zeta_powers(c0_terms, n)) == list(range(4, 2 * n + 3, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_by_parts_identity_exact(n):
+    """The paper's three-term sphere integrand and the by-parts one
+    (y/sinh y)^{2n} (4n(n+1) y^2 - (2n+1)) have the same exact zeta map."""
+    paper = [
+        (4 * n * (n + 1), 2 * n + 2, 2 * n, 0),
+        (2 * n * (2 * n + 1), 2 * n, 2 * n, 0),
+        (-2 * n * (2 * n + 1), 2 * n + 1, 2 * n + 1, 1),
+    ]
+    by_parts = [(4 * n * (n + 1), 2 * n + 2, 2 * n, 0), (-(2 * n + 1), 2 * n, 2 * n, 0)]
+    assert _zeta_powers(by_parts, n) == _zeta_powers(paper, n)
 
 
 def test_zeta_divergent_power_raises():

@@ -55,6 +55,29 @@ def test_singular_B_names_direction():
         popp_density(AdaptedFrameData(m=2, k=2, b=(b1, zero)))
 
 
+def test_exact_density_of_ten_vertical_directions():
+    # b^i = E_ab - E_ba over the 10 pairs a < b of m = 5 gives B = 2 Id, so
+    # det B = 2^10 and the density is exactly 1/32
+    mats = []
+    for a in range(5):
+        for b in range(a + 1, 5):
+            rows = [[0] * 5 for _ in range(5)]
+            rows[a][b], rows[b][a] = 1, -1
+            mats.append(tuple(map(tuple, rows)))
+    data = AdaptedFrameData(m=5, k=10, b=tuple(mats))
+    assert popp_B_matrix(data) == [[2 if i == j else 0 for j in range(10)] for i in range(10)]
+    assert popp_density(data) == 1 / 32
+
+
+def test_exact_density_names_first_deficient_leading_minor():
+    # b^3 = b^1 + b^2 makes the third leading minor of B vanish; the first two are positive
+    b1 = ((0, 1, 0), (-1, 0, 0), (0, 0, 0))
+    b2 = ((0, 0, 1), (0, 0, 0), (-1, 0, 0))
+    b3 = ((0, 1, 1), (-1, 0, 0), (-1, 0, 0))
+    with pytest.raises(ValueError, match="vertical direction 3 is deficient"):
+        popp_density(AdaptedFrameData(m=3, k=3, b=(b1, b2, b3)))
+
+
 def test_orthogonal_vertical_change_invariance():
     spec = make_quaternionic_spec(1)
     b = np.array([[[float(v) for v in row] for row in bi] for bi in spec.bracket_b_matrices()])
