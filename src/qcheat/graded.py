@@ -128,8 +128,11 @@ def _sum_of_products(nvars, pairs):
     """sum of f * g over the (f, g) pairs of Polys, gathered in one dict."""
     t = {}
     for f, g in pairs:
+        g_terms = g.terms.items()
+        if not g_terms:
+            continue
         for e1, c1 in f.terms.items():
-            for e2, c2 in g.terms.items():
+            for e2, c2 in g_terms:
                 e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 s = t.get(e)
@@ -197,8 +200,12 @@ class GradedVectorField(_Graded):
 
     def apply(self, f):
         """Derivation on a polynomial: sum_a comps[a] * df/dxi_a."""
-        pairs = [(p, f.diff(a)) for a, p in enumerate(self.comps) if not p.is_zero()]
-        return _sum_of_products(self.nvars, pairs)
+        return _sum_of_products(self.nvars, self._apply_pairs(f))
+
+    def _apply_pairs(self, f):
+        """The nonzero (comps[a], df/dxi_a) pairs whose products sum to apply(f)."""
+        pairs = ((p, f.diff(a)) for a, p in enumerate(self.comps) if not p.is_zero())
+        return [(p, d) for p, d in pairs if not d.is_zero()]
 
 
 class GradedForm(_Graded):
@@ -354,31 +361,63 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
     l only reads orders below l (and r at l), so the truncation leaves every
     computed entry unchanged.  Requires the coframe and frame to be dual at
     lowest order.
+
+    A pairing <theta^(k) or eta^(k), field> does not depend on the target,
+    so each is computed once per call, keyed by form, order and field; each
+    table entry is one sum over its (coefficient, pairing) products.
     """
     m, r = len(frame_x), len(frame_v)
     nv = frame_x[0].nvars
     one = Sym.rational(1)
+    forms = list(theta_exp) + list(eta_exp)  # theta^g is form g, eta^i is form m + i
+    fields = list(frame_x) + list(frame_v)  # X_b is field b, V_j is field m + j
 
-    def pairing(form_table, order, field):
+    def lowest(form_table, order, field):
         form = form_table.get(order)
-        if form is None:
-            return Poly.zero(nv)
-        return pair(form, field)
+        return Poly.zero(nv) if form is None else pair(form, field)
 
     # duality at lowest order
     for g in range(m):
         for b in range(m):
             want = Poly.constant(nv, one) if g == b else Poly.zero(nv)
-            if pairing(theta_exp[g], 1, frame_x[b]) != want:
+            if lowest(theta_exp[g], 1, frame_x[b]) != want:
                 raise InvariantError("theta^(1) and the horizontal frame are not dual")
         for j in range(r):
-            if not pairing(theta_exp[g], 1, frame_v[j]).is_zero():
+            if not lowest(theta_exp[g], 1, frame_v[j]).is_zero():
                 raise InvariantError("theta^(1) must annihilate the vertical frame")
     for i in range(r):
         for j in range(r):
             want = Poly.constant(nv, one) if i == j else Poly.zero(nv)
-            if pairing(eta_exp[i], 2, frame_v[j]) != want:
+            if lowest(eta_exp[i], 2, frame_v[j]) != want:
                 raise InvariantError("eta^(2) and the vertical frame are not dual")
+
+    # the recursion reads orders above the lowest, each pairing negated once
+    neg_pairings = {}
+
+    def neg_pairing(f, order, k):
+        """-<order-th term of form f, field k>, computed once per call."""
+        key = (f, order, k)
+        p = neg_pairings.get(key)
+        if p is None:
+            p = neg_pairings[key] = -lowest(forms[f], order, fields[k])
+        return p
+
+    def entry(f, l, s, rr, r_orders):
+        """-(sum over mm < l of s[b, mm] <f^(l-mm+1), X_b>
+        + sum over mm < r_orders of r[j, mm] <f^(l-mm+2), V_j>), as one sum."""
+        pairs = [
+            (s[(b, mm)], neg_pairing(f, l - mm + 1, b))
+            for mm in range(l)
+            for b in range(m)
+            if not s[(b, mm)].is_zero()
+        ]
+        pairs += [
+            (rr[(j, mm)], neg_pairing(f, l - mm + 2, m + j))
+            for mm in range(r_orders)
+            for j in range(r)
+            if not rr[(j, mm)].is_zero()
+        ]
+        return _sum_of_products(nv, pairs)
 
     results = []
     for target in range(m + r):
@@ -386,37 +425,13 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
         s = {}
         rr = {}
         for g in range(m):
-            s[(g, 0)] = (
-                Poly.constant(nv, one) if (target < m and g == target) else Poly.zero(nv)
-            )
+            s[(g, 0)] = Poly.constant(nv, one) if (target < m and g == target) else Poly.zero(nv)
         for j in range(r):
-            rr[(j, 0)] = (
-                Poly.constant(nv, one)
-                if (target >= m and j == target - m)
-                else Poly.zero(nv)
-            )
+            rr[(j, 0)] = Poly.constant(nv, one) if (target >= m and j == target - m) else Poly.zero(nv)
         for l in range(1, top + 1):
             for i in range(r):
-                acc = Poly.zero(nv)
-                for mm in range(l):
-                    for b in range(m):
-                        if not s[(b, mm)].is_zero():
-                            acc = acc + s[(b, mm)] * pairing(eta_exp[i], l - mm + 1, frame_x[b])
-                    for j in range(r):
-                        if not rr[(j, mm)].is_zero():
-                            acc = acc + rr[(j, mm)] * pairing(eta_exp[i], l - mm + 2, frame_v[j])
-                rr[(i, l)] = -acc
+                rr[(i, l)] = entry(m + i, l, s, rr, l)
             for g in range(m):
-                acc = Poly.zero(nv)
-                for mm in range(l):
-                    for b in range(m):
-                        if not s[(b, mm)].is_zero():
-                            acc = acc + s[(b, mm)] * pairing(theta_exp[g], l - mm + 1, frame_x[b])
-                for mm in range(l + 1):
-                    for j in range(r):
-                        if not rr[(j, mm)].is_zero():
-                            acc = acc + rr[(j, mm)] * pairing(theta_exp[g], l - mm + 2, frame_v[j])
-                s[(g, l)] = -acc
+                s[(g, l)] = entry(g, l, s, rr, l + 1)
         results.append({"s": s, "r": rr})
     return results
-

@@ -19,8 +19,8 @@ estimators use a reserved stream key.  The simulator, _simulate, works on
 a block of paths that share a step count in one array pass: one Philox is
 re-keyed per path instead of built per path, which draws the same stream,
 and every path's terminal (x, z) has the bits of a one-path pass.
-simulate_paths makes one call over all its paths, check_moment_vanishing
-one per step count of its samples.  check_moment_vanishing computes
+simulate_paths and check_moment_vanishing each make one call over all their
+paths; a call groups its paths by step count.  check_moment_vanishing computes
 both halves of its time integral with one array body, over a Leibniz term
 list per half, and reads only spec, seed and n_steps of its SimConfig.
 Kernel values come from the kernel layer's one row entry, _query_rows,
@@ -97,35 +97,39 @@ def _path_rng(seed, path_index):
 
 
 def _simulate(spec, t, n_steps, seed, paths):
-    """Terminal (x, z) of each path paths[r], run to time t[r] in n_steps Euler steps.
+    """Terminal (x, z) of each path paths[r], run to time t[r] in n_steps[r] Euler steps.
 
-    A block of at most _BLOCK_PATH_STEPS path-steps is one array pass.  The
-    Philox of _path_rng(seed, 0), set back to its initial state (counter 0,
-    empty buffer) with its path word re-keyed to p, draws path p's normals
-    as _path_rng(seed, p) would; x_pre @ J[i] is exact (J[i] is a signed
-    permutation) and z_i sums the path's contiguous n_steps * m products, so
-    a path gets the bits of a one-path pass.
-    OverflowError when a terminal sample is not finite.
+    The paths are taken in groups that share a step count, in increasing
+    step count, and a block of at most _BLOCK_PATH_STEPS path-steps of one
+    group is one array pass.  The Philox of _path_rng(seed, 0), set back to
+    its initial state (counter 0, empty buffer) with its path word re-keyed
+    to p, draws path p's normals as _path_rng(seed, p) would; x_pre @ J[i]
+    is exact (J[i] is a signed permutation) and z_i sums the path's
+    contiguous n_steps * m products, so a path gets the bits of a one-path
+    pass.  OverflowError when a terminal sample is not finite.
     """
     J = spec.J_float()
     rng = _path_rng(seed, 0)
     state = rng.bit_generator.state
     x, z = np.empty((len(paths), spec.m)), np.empty((len(paths), 3))
-    size = max(1, _BLOCK_PATH_STEPS // n_steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, len(paths), size):
-            blk = slice(s, s + size)
-            dx = np.empty((len(paths[blk]), n_steps, spec.m))
-            for k, p in enumerate(paths[blk].tolist()):
-                state["state"]["key"][1] = p
-                rng.bit_generator.state = state
-                rng.standard_normal(out=dx[k])
-            dx *= np.sqrt(BROWNIAN_VARIANCE_FACTOR * (t[blk] / n_steps))[:, None, None]
-            xs = np.zeros((len(dx), n_steps + 1, spec.m))
-            np.cumsum(dx, axis=1, out=xs[:, 1:])
-            x[blk] = xs[:, -1]
-            for i in range(3):
-                z[blk, i] = 2.0 * np.sum(((xs[:, :-1] @ J[i]) * dx).reshape(len(dx), -1), axis=1)
+        # sorted(set(...)): a first np.unique call adds about 1.5 MB of resident memory (numpy 2.4)
+        for k in sorted(set(n_steps.tolist())):
+            group = np.flatnonzero(n_steps == k)
+            size = max(1, _BLOCK_PATH_STEPS // k)
+            for s in range(0, len(group), size):
+                blk = group[s : s + size]
+                dx = np.empty((len(blk), k, spec.m))
+                for row, p in enumerate(paths[blk].tolist()):
+                    state["state"]["key"][1] = p
+                    rng.bit_generator.state = state
+                    rng.standard_normal(out=dx[row])
+                dx *= np.sqrt(BROWNIAN_VARIANCE_FACTOR * (t[blk] / k))[:, None, None]
+                xs = np.zeros((len(dx), k + 1, spec.m))
+                np.cumsum(dx, axis=1, out=xs[:, 1:])
+                x[blk] = xs[:, -1]
+                for i in range(3):
+                    z[blk, i] = 2.0 * np.sum(((xs[:, :-1] @ J[i]) * dx).reshape(len(dx), -1), axis=1)
     if not (np.isfinite(x).all() and np.isfinite(z).all()):
         raise OverflowError("a simulated path left the floating-point range")
     return x, z
@@ -134,7 +138,8 @@ def _simulate(spec, t, n_steps, seed, paths):
 def simulate_paths(cfg):
     """Terminal samples of the horizontal diffusion at time cfg.t; OverflowError when one is not finite."""
     n = cfg.n_paths
-    return TerminalSamples(*_simulate(cfg.spec, np.full(n, float(cfg.t)), cfg.n_steps, cfg.seed, np.arange(n)))
+    t, steps = np.full(n, float(cfg.t)), np.full(n, cfg.n_steps)
+    return TerminalSamples(*_simulate(cfg.spec, t, steps, cfg.seed, np.arange(n)))
 
 
 def _mean_stderr(values):
@@ -323,11 +328,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     t_sim = np.where(late, 1.0 - svals, svals)
     t_ker = np.where(late, svals, 1.0 - svals)
     steps = np.maximum(8, np.ceil(cfg.n_steps * t_sim)).astype(int)
-    x, z = np.empty((n_samples, spec.m)), np.empty((n_samples, 3))
-    # one _simulate call per step count; a first np.unique call adds about 1.5 MB of resident memory (numpy 2.4)
-    for k in sorted(set(steps.tolist())):
-        rows = np.flatnonzero(steps == k)
-        x[rows], z[rows] = _simulate(spec, t_sim[rows], k, cfg.seed, rows)
+    x, z = _simulate(spec, t_sim, steps, cfg.seed, np.arange(n_samples))
 
     vals = np.empty(n_samples)
     for is_late, terms in ((True, [(1, (), deriv)]), (False, _ibp_terms(mono, deriv))):

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .graded import (
     GradedForm,
     Poly,
+    _sum_of_products,
     basis_form,
     frame_inversion,
     homogeneous_orders,
@@ -115,21 +117,6 @@ def _exponent(nv, *coords):
     return tuple(e)
 
 
-def _atoms(component):
-    """component(*idx) of a TensorSymbols as (atom monomial, sign), None where it
-    is zero.  Each index tuple is looked up once per returned function."""
-    table = {}
-
-    def atom(*idx):
-        hit = table.get(idx, False)
-        if hit is False:
-            terms = component(*idx).terms.items()
-            hit = table[idx] = next(((mono, c.numerator) for mono, c in terms), None)
-        return hit
-
-    return atom
-
-
 def _bracket_entries(spec):
     """Per vertical index i, the nonzero entries (a, b, I^i_ab) of spec.J as ints."""
     out = []
@@ -156,7 +143,7 @@ class _Numerators:
         self.terms = {}
 
     def add(self, e, atom, num):
-        """Add num / den * atom * x^e; atom is an _atoms result (None adds nothing)."""
+        """Add num / den * atom * x^e; atom is a TensorSymbols._atom result (None adds nothing)."""
         if atom is not None:
             mono, sign = atom
             t = self.terms.get(e)
@@ -210,7 +197,7 @@ def build_coframe(spec, symbols=None):
         symbols = TensorSymbols(spec)
     m, r = spec.m, spec.r
     nv = m + r
-    R, T = _atoms(symbols.R), _atoms(symbols.T)
+    R, T = partial(symbols._atom, "R"), partial(symbols._atom, "T")
     x1 = [_exponent(nv, a) for a in range(nv)]
     x2 = [[_exponent(nv, a, b) for b in range(nv)] for a in range(nv)]
     J = _bracket_entries(spec)
@@ -295,7 +282,7 @@ def _closed_form_coefficients(spec, symbols):
     m, r = spec.m, spec.r
     nv = m + r
     J = _bracket_entries(spec)
-    R, T = _atoms(symbols.R), _atoms(symbols.T)
+    R, T = partial(symbols._atom, "R"), partial(symbols._atom, "T")
     x1 = [_exponent(nv, a) for a in range(nv)]
     x2 = [[_exponent(nv, a, b) for b in range(nv)] for a in range(nv)]
     x3 = [[[_exponent(nv, a, b, c) for c in range(m)] for b in range(m)] for a in range(m)]
@@ -408,23 +395,18 @@ def divergence_coefficient(spec, coeffs):
     in the nilpotent frame; each entry is homogeneous of weight one.
     """
     m, r = spec.m, spec.r
+    nv = m + r
     Xs, Vs = left_invariant_frame(spec)
-    trace_s = Poly.zero(m + r)
-    for beta in range(m):
-        trace_s = trace_s + coeffs.s_x[(beta, beta)]
-    trace_r = Poly.zero(m + r)
-    for i in range(r):
-        trace_r = trace_r + coeffs.r_v[(i, i)]
+    # X_a is linear, so the two traces enter as one, negated
+    one = Poly.constant(nv, Sym.rational(1))
+    diag = [coeffs.s_x[(beta, beta)] for beta in range(m)] + [coeffs.r_v[(i, i)] for i in range(r)]
+    neg_trace = -_sum_of_products(nv, [(one, p) for p in diag])
     out = []
     for alpha in range(m):
-        acc = Poly.zero(m + r)
-        for beta in range(m):
-            acc = acc + Xs[beta].apply(coeffs.s_x[(alpha, beta)])
-        acc = acc - Xs[alpha].apply(trace_s)
-        for i in range(r):
-            acc = acc + Vs[i].apply(coeffs.r_x[(alpha, i)])
-        acc = acc - Xs[alpha].apply(trace_r)
-        out.append(acc)
+        pairs = [pq for beta in range(m) for pq in Xs[beta]._apply_pairs(coeffs.s_x[(alpha, beta)])]
+        pairs += Xs[alpha]._apply_pairs(neg_trace)
+        pairs += [pq for i in range(r) for pq in Vs[i]._apply_pairs(coeffs.r_x[(alpha, i)])]
+        out.append(_sum_of_products(nv, pairs))
     return out
 
 
@@ -472,27 +454,24 @@ def build_P2(spec, coeffs, div):
     one vertical factor.
     """
     m, r = spec.m, spec.r
+    nv = m + r
     Xs, _ = left_invariant_frame(spec)
+    two = Sym.rational(2)
+    # s_x[a, b] enters both X X orders; each X_beta / V_j coefficient is one
+    # sum over alpha of the derivation products of X_alpha
     second = {}
-    first = {}
-
-    def add(table, key, poly):
-        if poly.is_zero():
-            return
-        cur = table.get(key)
-        table[key] = poly if cur is None else cur + poly
-
     for alpha in range(m):
         for beta in range(m):
-            s = coeffs.s_x[(alpha, beta)]
-            add(second, (("X", alpha), ("X", beta)), s)
-            add(second, (("X", beta), ("X", alpha)), s)
-            add(first, ("X", beta), Xs[alpha].apply(s))
+            second[(("X", alpha), ("X", beta))] = coeffs.s_x[(alpha, beta)] + coeffs.s_x[(beta, alpha)]
         for j in range(r):
-            rr = coeffs.r_x[(alpha, j)]
-            add(second, (("X", alpha), ("V", j)), rr.scale(Sym.rational(2)))
-            add(first, ("V", j), Xs[alpha].apply(rr))
-        add(first, ("X", alpha), div[alpha])
+            second[(("X", alpha), ("V", j))] = coeffs.r_x[(alpha, j)].scale(two)
+
+    def derived(table, key):
+        pairs = [pq for alpha in range(m) for pq in Xs[alpha]._apply_pairs(table[(alpha, key)])]
+        return _sum_of_products(nv, pairs)
+
+    first = {("X", beta): derived(coeffs.s_x, beta) + div[beta] for beta in range(m)}
+    first.update({("V", j): derived(coeffs.r_x, j) for j in range(r)})
     second = {k: v for k, v in second.items() if not v.is_zero()}
     first = {k: v for k, v in first.items() if not v.is_zero()}
     return PerturbationOperator(m=m, r=r, second=second, first=first)

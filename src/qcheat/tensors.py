@@ -48,6 +48,11 @@ def _sym(nums, den):
         if g != 1:
             nums = {mono: n // g for mono, n in nums.items()}
             den //= g
+    return _lowest(nums, den)
+
+
+def _lowest(nums, den):
+    """Sym with nonzero integer numerators over den > 0 already in lowest terms."""
     out = object.__new__(Sym)
     out._nums = nums
     out._den = den
@@ -121,7 +126,13 @@ class Sym:
         return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash((frozenset(self._nums.items()), self._den))
+        # a symbol-free Sym equals its rational value, so it hashes as one
+        nums = self._nums
+        if not nums:
+            return 0
+        if len(nums) == 1 and () in nums:
+            return hash(Fraction(nums[()], self._den))
+        return hash((frozenset(nums.items()), self._den))
 
     def __add__(self, other):
         if not isinstance(other, Sym):
@@ -145,7 +156,8 @@ class Sym:
     __radd__ = __add__
 
     def __neg__(self):
-        return _sym({mono: -n for mono, n in self._nums.items()}, self._den)
+        # negating the numerators keeps the value in lowest terms
+        return _lowest({mono: -n for mono, n in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, Sym):
@@ -156,10 +168,21 @@ class Sym:
         return (-self) + other
 
     def _scaled(self, p, d):
-        """self * p / d for a nonzero integer p and d > 0."""
-        if p == 1 and d == 1:
+        """self * p / d for a nonzero integer p and d > 0.
+
+        For d = 1 one gcd does: self is in lowest terms, gcd(den, numerators)
+        = 1, so prime by prime gcd(den, p * numerators) = gcd(den, p).
+        """
+        if d != 1:
+            return _sym({mono: n * p for mono, n in self._nums.items()}, self._den * d)
+        if p == 1:
             return self
-        return _sym({mono: n * p for mono, n in self._nums.items()}, self._den * d)
+        den = self._den
+        g = math.gcd(den, p)
+        if g != 1:
+            p //= g
+            den //= g
+        return _lowest({mono: n * p for mono, n in self._nums.items()}, den)
 
     def __mul__(self, other):
         if not isinstance(other, Sym):
@@ -227,26 +250,43 @@ class TensorSymbols:
         self.spec = spec
         self.zero_torsion = zero_torsion
         self.zero_curvature = zero_curvature
+        self._table = {}
+
+    def _atom(self, kind, *idx):
+        """Component kind[idx] as (atom monomial, +1 or -1), None where it is zero.
+
+        kind "T" takes idx = (c, a, b) for T^c_{ab}, kind "R" takes
+        idx = (d, a, b, c) for R^d_{abc}.  The atom lists the form slots a, b
+        in increasing order and the sign records a swap.  Each index tuple is
+        resolved once per instance; T and R build their Sym from it.
+        """
+        key = (kind,) + idx
+        hit = self._table.get(key, False)
+        if hit is False:
+            head, a, b, *rest = idx
+            if a == b or (self.zero_torsion if kind == "T" else self.zero_curvature):
+                hit = None
+            elif a > b:
+                hit = (((kind, head, b, a, *rest),), -1)
+            else:
+                hit = ((key,), 1)
+            self._table[key] = hit
+        return hit
+
+    @staticmethod
+    def _from_atom(hit):
+        if hit is None:
+            return Sym()
+        mono, sign = hit
+        return _lowest({mono: sign}, 1)
 
     def T(self, c, a, b):
         """Torsion component T^c_{ab}; antisymmetric in (a, b)."""
-        if self.zero_torsion:
-            return Sym.zero()
-        if a == b:
-            return Sym.zero()
-        if a > b:
-            return Sym.symbol(("T", c, b, a), -1)
-        return Sym.symbol(("T", c, a, b))
+        return self._from_atom(self._atom("T", c, a, b))
 
     def R(self, d, a, b, c):
         """Curvature component R^d_{abc}; antisymmetric in (a, b)."""
-        if self.zero_curvature:
-            return Sym.zero()
-        if a == b:
-            return Sym.zero()
-        if a > b:
-            return Sym.symbol(("R", d, b, a, c), -1)
-        return Sym.symbol(("R", d, a, b, c))
+        return self._from_atom(self._atom("R", d, a, b, c))
 
     def kappa(self):
         if self.zero_curvature:
@@ -395,7 +435,4 @@ class LinearReducer:
         for atom, prov in self._eliminate(vec):
             if log is not None:
                 log.append("eliminated %s via {%s}" % (atom_str(atom), ", ".join(sorted(prov))))
-        out = Sym()
-        for a, c in vec.items():
-            out = out + (Sym.rational(c) if a == () else Sym.symbol(a, c))
-        return out
+        return Sym({(a,) if a != () else (): c for a, c in vec.items()})

@@ -395,3 +395,16 @@ def test_semigroup_check_matches_per_path_reference_bit_for_bit(n):
     vals = np.array([heat_kernel_point(spec, s, -sim.x[p], -sim.z[p], cfg=qcfg).value for p in range(n_paths)])
     direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, cfg=qcfg)
     assert got == (*mc._mean_stderr(vals), direct.value, direct.err_estimate)
+
+
+def test_simulate_groups_mixed_step_counts_bit_for_bit(monkeypatch):
+    # paths in no particular order with interleaved step counts, several blocks per count
+    monkeypatch.setattr(mc, "_BLOCK_PATH_STEPS", 60)
+    rng = np.random.default_rng(3)
+    paths = rng.permutation(40) + 5
+    steps = rng.choice([8, 13, 30], size=len(paths))
+    t = rng.uniform(0.1, 1.0, size=len(paths))
+    x, z = mc._simulate(SPEC, t, steps, -91, paths)
+    for row, (p, k, ts) in enumerate(zip(paths.tolist(), steps.tolist(), t.tolist())):
+        ref_x, ref_z = _reference_simulate_one(SPEC, ts, k, -91, p)
+        assert np.array_equal(x[row], ref_x) and np.array_equal(z[row], ref_z)

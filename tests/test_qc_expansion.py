@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qcheat import qc_expansion
-from qcheat.graded import Poly, frame_inversion, homogeneous_orders, homogeneous_part, left_invariant_frame
+from qcheat.graded import Poly, frame_inversion, homogeneous_orders, homogeneous_part, left_invariant_frame, pair
 from qcheat.group import GroupSpec, make_quaternionic_spec
 from qcheat.qc_expansion import (
     M_X4DZDZ,
@@ -110,6 +110,63 @@ def test_frame_inversion_graded_truncation():
     # the orders the closed-form cross-check reads are nonzero in the curved case
     assert any(not out3[M]["s"][(b, 1)].is_zero() for b in range(M))
     assert any(not out3[0]["r"][(j, 3)].is_zero() for j in range(r))
+
+
+def _reference_frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
+    """The duality recursion term by term: every pairing recomputed where it
+    is read and every entry grown by acc = acc + f * g."""
+    m, r = len(frame_x), len(frame_v)
+    nv = frame_x[0].nvars
+    one = Sym.rational(1)
+
+    def pairing(form_table, order, field):
+        form = form_table.get(order)
+        return Poly.zero(nv) if form is None else pair(form, field)
+
+    results = []
+    for target in range(m + r):
+        top = max_order if target < m else max_order - 1
+        s = {(g, 0): Poly.constant(nv, one) if (target < m and g == target) else Poly.zero(nv) for g in range(m)}
+        rr = {(j, 0): Poly.constant(nv, one) if (target >= m and j == target - m) else Poly.zero(nv) for j in range(r)}
+        for l in range(1, top + 1):
+            for i in range(r):
+                acc = Poly.zero(nv)
+                for mm in range(l):
+                    for b in range(m):
+                        if not s[(b, mm)].is_zero():
+                            acc = acc + s[(b, mm)] * pairing(eta_exp[i], l - mm + 1, frame_x[b])
+                    for j in range(r):
+                        if not rr[(j, mm)].is_zero():
+                            acc = acc + rr[(j, mm)] * pairing(eta_exp[i], l - mm + 2, frame_v[j])
+                rr[(i, l)] = -acc
+            for g in range(m):
+                acc = Poly.zero(nv)
+                for mm in range(l):
+                    for b in range(m):
+                        if not s[(b, mm)].is_zero():
+                            acc = acc + s[(b, mm)] * pairing(theta_exp[g], l - mm + 1, frame_x[b])
+                for mm in range(l + 1):
+                    for j in range(r):
+                        if not rr[(j, mm)].is_zero():
+                            acc = acc + rr[(j, mm)] * pairing(theta_exp[g], l - mm + 2, frame_v[j])
+                s[(g, l)] = -acc
+        results.append({"s": s, "r": rr})
+    return results
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_inversion_matches_term_by_term_reference(n):
+    # every entry of both tables, including the orders the route check does not read
+    spec = make_quaternionic_spec(n)
+    cof = build_coframe(spec, TensorSymbols(spec))
+    Xs, Vs = left_invariant_frame(spec)
+    args = (list(cof.theta), list(cof.eta), Xs, Vs)
+    got = frame_inversion(*args, max_order=3)
+    want = _reference_frame_inversion(*args, max_order=3)
+    assert len(got) == len(want) == spec.m + spec.r
+    for tab, ref in zip(got, want):
+        for part in ("s", "r"):
+            assert tab[part] == ref[part]
 
 
 @pytest.mark.parametrize("table", ["s_x", "r_x", "s_v", "r_v"])

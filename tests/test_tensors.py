@@ -1,5 +1,6 @@
 """Tensor-symbol ring and contraction-identity reduction."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -193,3 +194,55 @@ def test_sym_arithmetic_matches_fraction_reference(a, b, q):
     assert (sa + sb == Sym(_ref_add(a, b))) and hash(sa + sb) == hash(Sym(_ref_add(a, b)))
     assert (sa == sb) == (a == b)
     assert bool(sa) == bool(a)
+
+
+@SYM_PROPS
+@given(ref_polys, st.integers(min_value=-60, max_value=60), rationals)
+def test_sym_scaling_and_negation_stay_in_lowest_terms(a, k, q):
+    # equality compares numerators and denominator, so it holds only between
+    # lowest-terms representations: the scaled and negated values must be
+    # the ones Sym builds from the reference coefficients
+    sa = Sym(a)
+    assert sa * k == k * sa == Sym({mono: c * k for mono, c in a.items()})
+    assert sa * q == Sym({mono: c * q for mono, c in a.items()})
+    assert -sa == Sym({mono: -c for mono, c in a.items()})
+
+
+@pytest.mark.parametrize("value", [3, -7, Fraction(1, 2), Fraction(-5, 6), 0, Fraction(0)])
+def test_symbol_free_sym_hashes_as_its_rational_value(value):
+    s = Sym.rational(value)
+    assert s == value and hash(s) == hash(value)
+    assert len({s, value}) == 1
+    assert len({Sym(), 0, Fraction(0)}) == 1
+
+
+def _ref_component(kind, idx, flat):
+    """The component as the reference Sym: zero on a flat override or a
+    repeated form slot, else the atom with the form slots (idx[1], idx[2])
+    in increasing order, negated when they were swapped."""
+    head, a, b, *rest = idx
+    if flat or a == b:
+        return Sym.zero()
+    if a > b:
+        return Sym.symbol((kind, head, b, a, *rest), -1)
+    return Sym.symbol((kind, head, a, b, *rest))
+
+
+@pytest.mark.parametrize("flat", [None, "zero_torsion", "zero_curvature"])
+def test_atom_lookup_matches_reference_for_every_index_tuple(flat):
+    symbols = TensorSymbols(SPEC, **({flat: True} if flat else {}))
+    nv = SPEC.m + SPEC.r
+    for kind, arity, build in (("R", 4, symbols.R), ("T", 3, symbols.T)):
+        zero = flat == ("zero_torsion" if kind == "T" else "zero_curvature")
+        tuples = list(itertools.product(range(nv), repeat=arity))
+        assert len(tuples) == nv**arity  # 2401 R and 343 T tuples at n = 1
+        for idx in tuples:
+            want = _ref_component(kind, idx, zero)
+            hit = symbols._atom(kind, *idx)
+            if hit is None:
+                assert want.is_zero() and (zero or idx[1] == idx[2])
+            else:
+                mono, sign = hit
+                assert sign in (1, -1) and Sym({mono: sign}) == want
+            assert symbols._atom(kind, *idx) is hit  # memoised
+            assert build(*idx) == want
