@@ -8,7 +8,7 @@ error (bad arguments, paths that cannot be opened, and any other ValueError
 that is not an InvariantError), 3 numeric failure (a missed tolerance, a
 kernel row out of floating-point range, a value that overflows or
 underflows), 4 invariant violation (an InvariantError: a failed reduction
-or route check, a non-antisymmetric frame, a singular or indefinite Popp B).
+or route check, a non-antisymmetric frame, a singular Popp B).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .quadrature import ToleranceError
@@ -140,55 +139,11 @@ def _cmd_reduce_c1(args):
     return EXIT_OK
 
 
-def _frame_numbers(value, shape):
-    """value as nested tuples of numbers of the given 3-level shape, or None.
-
-    Strings such as "1/2" become exact Fractions.
-    """
-    import numpy as np
-
-    try:
-        if np.shape(value) == shape:
-            lift = lambda v: Fraction(v) if isinstance(v, str) else v
-            out = tuple(tuple(tuple(lift(v) for v in row) for row in block) for block in value)
-            if all(type(v) in (int, float, Fraction) for block in out for row in block for v in row):
-                return out
-    except (ValueError, ZeroDivisionError):  # ragged nesting, or a string that is no number
-        pass
-    return None
-
-
-def _frame_b(doc):
-    """The frame file's b as k matrices of m x m numbers."""
-    m, k = doc["m"], doc["k"]
-    b = _frame_numbers(doc["b"], (k, m, m)) if type(m) is int and type(k) is int else None
-    if b is None:
-        raise ValueError("b must hold k = %s matrices of m x m numbers, m = %s" % (k, m))
-    return b
-
-
-def _frame_c(doc, m, k):
-    """The frame file's optional c as an (m+k) x (m+k) x m array of numbers, or None."""
-    if "c" not in doc:
-        return None
-    c = _frame_numbers(doc["c"], (m + k, m + k, m))
-    if c is None:
-        raise ValueError("c must be an (m+k) x (m+k) x m array of numbers, m = %d, k = %d" % (m, k))
-    return c
-
-
 def _cmd_popp(args):
     from .popp import AdaptedFrameData, divergence_terms, popp_B_matrix, popp_density
 
     with open(args.input) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("frame file must hold a JSON object")
-    missing = [key for key in ("m", "k", "b") if key not in doc]
-    if missing:
-        raise ValueError("frame file lacks key(s): %s" % ", ".join(missing))
-
-    data = AdaptedFrameData(m=doc["m"], k=doc["k"], b=_frame_b(doc), c=_frame_c(doc, doc["m"], doc["k"]))
+        data = AdaptedFrameData.parse(fh.read())
     payload = {
         "config": _run_config(args, "popp"),
         "B": [[float(v) for v in row] for row in popp_B_matrix(data)],

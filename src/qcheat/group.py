@@ -114,16 +114,6 @@ class GroupSpec:
         """Float view of the bracket matrices, shape (r, m, m)."""
         return np.array([[[float(v) for v in row] for row in Ji] for Ji in self.J])
 
-    def bracket_b_matrices(self):
-        """Vertical bracket components b^i_{ab} = -2 I^i_{ab} of an adapted frame.
-
-        This is the sign convention of the Popp computation (b = -2 g(I X, X));
-        the group law itself carries +2 I^i_{ab}.
-        """
-        return tuple(
-            tuple(tuple(-2 * v for v in row) for row in Ji) for Ji in self.J
-        )
-
 
 @dataclass(frozen=True)
 class GroupPoint:

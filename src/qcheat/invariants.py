@@ -205,8 +205,11 @@ class SpectrumFile:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError("line %d: expected 'eigenvalue multiplicity'" % ln)
-            ev.append(float(parts[0]))
-            mult.append(int(parts[1]))
+            try:
+                ev.append(float(parts[0]))
+                mult.append(int(parts[1]))
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (ln, exc)) from exc
         return cls(eigenvalues=tuple(ev), multiplicities=tuple(mult))
 
     def dump(self):

@@ -155,8 +155,11 @@ def _truncation_radius(bound, R0, tol, R_max):
 def _j0(k):
     small = np.abs(k) < 0.05
     safe = np.where(small, 1.0, k)
-    k2 = k * k
-    return np.where(small, 1.0 - k2 / 6.0 + k2 * k2 / 120.0, np.sin(safe) / safe)
+    # a far row's k * k may overflow where the series is not kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = k * k
+        series = 1.0 - k2 / 6.0 + k2 * k2 / 120.0
+    return np.where(small, series, np.sin(safe) / safe)
 
 
 def _j1(k):
@@ -369,18 +372,24 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
     u = np.einsum("ij,ij->i", x, x) / (4.0 * t)
     znorm = np.sqrt(np.einsum("ij,ij->i", z, z))
     zc = znorm / (4.0 * t)
+    # a row whose |z|^2 or |z| / 4t overflows is integrated at z = 0, then failed as out of range
+    lost = ~np.isfinite(zc)
+    zc[lost] = 0.0
     uvec = z / np.where(znorm > 0.0, znorm, 1.0)[:, None]
     R, tail = _auto_truncation(spec, u, keys, coeffs, cfg.abs_tol / 10.0)
     n_osc = R * zc / (2.0 * math.pi)
-    min_panels = np.maximum(4, np.maximum(np.ceil(R / 5.0), np.ceil(1.5 * n_osc))).astype(int)
+    # a float count, which gk_rows caps at its evaluation budget
+    min_panels = np.maximum(4, np.maximum(np.ceil(R / 5.0), np.ceil(1.5 * n_osc)))
     pre = _prefactor(spec, t)
     f = _make_integrand(spec, u, zc, uvec, keys, coeffs)
     results = gk_rows(
         f, np.zeros_like(R), R, cfg.rel_tol, cfg.abs_tol / np.maximum(pre, 1.0), _MAX_EVALS, min_panels
     )
     out = []
-    for res, p, tl in zip(results, pre.tolist(), tail.tolist()):
-        if isinstance(res, ToleranceError):
+    for res, p, tl, gone in zip(results, pre.tolist(), tail.tolist(), lost.tolist()):
+        if gone:
+            out.append(ToleranceError(_OUT_OF_RANGE))
+        elif isinstance(res, ToleranceError):
             out.append(ToleranceError(str(res), value=p * res.value, err=p * res.err + p * tl))
         else:
             val, err, n_evals = res

@@ -6,12 +6,15 @@ always splits the panel with the largest error estimate (ties broken by
 creation index), and stops once the compensated (fsum) sum of the panel
 errors is below max(abs_tol, rel_tol |value|, the round-off floor of the
 panel magnitudes), or fails with ToleranceError when the next split would
-exceed max_evals.  Only the work is batched: each refinement round evaluates
-every pending panel of every active row in one integrand call, first all
-initial panels, then both halves of each row's split.  The integrand takes a
-(rows, nodes) pair with nodes of shape (P, 15), and the panel sums are
-row-wise reductions, so a row's result is the same bits whatever rows share
-its batch and in whatever order.  `adaptive_gk` is the one-row entry point.
+exceed max_evals.  The budget covers the initial panels too: a row that asks
+for more gets only the panels it covers and fails after one round, so no row
+costs more than max_evals evaluations.  Only the work is batched: each
+refinement round evaluates every pending panel of every active row in one
+integrand call, first all initial panels, then both halves of each row's
+split.  The integrand takes a (rows, nodes) pair with nodes of shape (P, 15),
+and the panel sums are row-wise reductions, so a row's result is the same
+bits whatever rows share its batch and in whatever order.  `adaptive_gk` is
+the one-row entry point.
 """
 
 from __future__ import annotations
@@ -127,10 +130,14 @@ def gk_rows(f, a, b, rel_tol, abs_tol, max_evals, min_panels):
     integrand values (P, 15).  a, b, abs_tol and min_panels are per-row
     sequences; rel_tol and max_evals are shared.  Returns one entry per row:
     (value, error_estimate, n_evals), or a ToleranceError carrying the best
-    estimate when max_evals runs out first.
+    estimate when max_evals runs out first.  A row whose min_panels (a float
+    may exceed any int) exceeds max_evals / 15 gets the max_evals // 15
+    panels the budget covers and fails after that round with their estimate.
     """
     a, b = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
-    counts = np.asarray(min_panels, dtype=int).tolist()
+    wanted = np.asarray(min_panels, dtype=float)
+    starved = (15.0 * wanted > max_evals).tolist()
+    counts = np.minimum(wanted, max(max_evals // 15, 1)).astype(int).tolist()
     n_rows = len(b)
     # per row: panel ends, values and errors; pending panels: row, slot, ends
     lo, hi, val, err, n_evals = [], [], [], [], []
@@ -168,6 +175,10 @@ def gk_rows(f, a, b, rel_tol, abs_tol, max_evals, min_panels):
             # the magnitude sum; demanding more would loop forever
             noise_floor = 1e-13 * math.fsum(map(abs, vs))
             target = max(abs_tol[r], rel_tol * abs(total), noise_floor)
+            if starved[r]:
+                msg = "quadrature needs more than %d evaluations for %.4g initial panels" % (max_evals, wanted[r])
+                out[r] = ToleranceError(msg, value=total, err=err_sum)
+                continue
             if err_sum <= target:
                 # fsum is correctly rounded, so the sums do not depend on panel order
                 out[r] = (total, err_sum, n_evals[r])

@@ -4,11 +4,18 @@ import argparse
 import gc
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import qcheat
 from qcheat.cli import main
+
+NAN, INF = float("nan"), float("inf")
 
 
 def run_cli(capsys, argv):
@@ -264,6 +271,11 @@ def test_popp_missing_keys_exit_2(tmp_path, capsys):
         {"m": "2", "k": 1, "b": [[[0, 1], [-1, 0]]]},
         {"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [1]},  # c not nested
         {"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [[[1]]]},  # c not 3 x 3 x 2
+        {"m": 2, "k": 1, "b": [[[0, NAN], [-1, 0]]]},  # json writes the NaN token
+        {"m": 2, "k": 1, "b": [[[0, INF], [-INF, 0]]]},  # Infinity and -Infinity
+        {"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [[[NAN, 0]] * 3] + [[[0, 0]] * 3] * 2},
+        {"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [[[0, -INF]] * 3] * 3},
+        {"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [[[0]] * 3] * 3},  # innermost length 1, not m = 2
     ],
 )
 def test_popp_malformed_frame_exits_2(tmp_path, capsys, doc):
@@ -273,6 +285,112 @@ def test_popp_malformed_frame_exits_2(tmp_path, capsys, doc):
     assert code == 2
     assert out == ""
     assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 2, "k": 1, "b": [[[0, 1e400], [-1e400, 0]]]}',  # 1e400 parses to inf
+        '{"m": 2, "k": 1, "b": [[[0, 1], [-1, 0]]], "c": [[[1e400, 0], [0, 0], [0, 0]]%s]}'
+        % (", [[0, 0], [0, 0], [0, 0]]" * 2),
+    ],
+    ids=["b", "c"],
+)
+def test_popp_literal_past_double_range_exits_2(tmp_path, capsys, text):
+    inp = tmp_path / "frame.json"
+    inp.write_text(text)
+    code, out, err = run_cli(capsys, ["popp", "--input", str(inp)])
+    assert code == 2
+    assert out == ""
+    assert err == "input error: %s holds inf, which is not a finite number\n" % ("c" if '"c"' in text else "b")
+
+
+@pytest.mark.parametrize(
+    "floats, exact, code",
+    [
+        # B = 2e-14: a float pivot tiny in absolute terms is no singularity
+        ([[[0, 1e-7], [-1e-7, 0]]], [[["0", "1/10000000"], ["-1/10000000", "0"]]], 0),
+        # two equal matrices: the second direction is the deficient one, as floats and exactly
+        ([[[0.0, 1.0], [-1.0, 0.0]]] * 2, [[[0, 1], [-1, 0]]] * 2, 4),
+    ],
+)
+def test_popp_float_and_exact_frames_agree(tmp_path, capsys, floats, exact, code):
+    runs = []
+    for b in (floats, exact):
+        inp = tmp_path / "frame.json"
+        inp.write_text(json.dumps({"m": 2, "k": len(b), "b": b}))
+        runs.append(run_cli(capsys, ["popp", "--input", str(inp)]))
+    (code_f, out_f, err_f), (code_e, out_e, err_e) = runs
+    assert code_f == code_e == code and err_f == err_e
+    if code == 0:
+        assert json.loads(out_f)["density"] == pytest.approx(json.loads(out_e)["density"], rel=1e-15)
+        assert json.loads(out_f)["density"] == pytest.approx(2e-14**-0.5, rel=1e-15)
+    else:
+        assert err_f == "invariant violation: B is singular: vertical direction 2 is deficient (bracket-generation fails)\n"
+
+
+@pytest.mark.parametrize("entry", [1e200, "1e200", 1e308])
+def test_popp_overflowing_frame_exits_3(tmp_path, capsys, entry):
+    minus = "-" + entry if isinstance(entry, str) else -entry
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps({"m": 2, "k": 1, "b": [[[0, entry], [minus, 0]]]}))
+    code, out, err = run_cli(capsys, ["popp", "--input", str(inp)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: out of floating-point range: ") and len(err.splitlines()) == 1
+
+
+def test_spectrum_value_error_names_its_line(tmp_path, capsys):
+    inp = tmp_path / "bad.txt"
+    inp.write_text("0 1\n1 x\n")
+    code, out, err = run_cli(capsys, ["spectrum", "--n", "1", "--input", str(inp), "--t", "0.1,0.2,0.3,0.4"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: line 2: ")
+
+
+def run_cli_capped(argv, timeout=5.0):
+    """qcheat argv in a child process with 1 GiB of address space and a timeout.
+
+    An input that makes the program allocate without bound then fails this
+    run (MemoryError, exit 1) instead of the whole test session.  The limit
+    is set in the child only.  Returns (exit code, stdout, stderr).
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcheat.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"  # per-thread buffers would count against the limit
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcheat.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=limit,
+        env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("1e-10 0 0 0 0 0.1 0 0", "needs more than 400000 evaluations"),  # |z| / t = 1e9: 1.4e9 panels
+        ("1e-50 0 0 0 0 1e150 0 0", "needs more than 400000 evaluations"),  # |z| / t = 1e200: past int64
+        ("1 0 0 0 0 1e200 0 0", "out of floating-point range"),  # |z|^2 overflows
+    ],
+    ids=["z/t=1e9", "z/t=1e200", "z^2-overflow"],
+)
+def test_kernel_far_row_past_budget_exits_3(tmp_path, row, error):
+    inp = tmp_path / "rows.csv"
+    inp.write_text(row + "\n1 0 0 0 0 0 0 0\n")
+    code, out, err = run_cli_capped(["kernel", "--n", "1", "--input", str(inp)])
+    assert code == 3
+    assert err == "kernel: some rows failed\n"  # no RuntimeWarning, no traceback
+    lines = out.splitlines()
+    assert lines[2].startswith("1,,,") and error in lines[2]
+    assert float(lines[3].split(",")[1]) == pytest.approx(1.0 / 120.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("indices", ["9,9,9", "1,2", "1,x,1"])

@@ -80,7 +80,7 @@ def test_exact_density_names_first_deficient_leading_minor():
 
 def test_orthogonal_vertical_change_invariance():
     spec = make_quaternionic_spec(1)
-    b = np.array([[[float(v) for v in row] for row in bi] for bi in spec.bracket_b_matrices()])
+    b = np.array([[[float(v) for v in row] for row in bi] for bi in frame_data_from_spec(spec).b])
     rng = np.random.default_rng(11)
     base = popp_density(AdaptedFrameData(m=4, k=3, b=tuple(tuple(tuple(r) for r in bi) for bi in b)))
     for _ in range(5):
@@ -89,6 +89,22 @@ def test_orthogonal_vertical_change_invariance():
         bt = 0.5 * (bt - np.transpose(bt, (0, 2, 1)))  # clean roundoff antisymmetry
         data = AdaptedFrameData(m=4, k=3, b=tuple(tuple(tuple(r) for r in bi) for bi in bt))
         assert popp_density(data) == pytest.approx(base, abs=1e-12)
+
+
+def test_ill_conditioned_float_frame_matches_exact_determinant():
+    # directions scaled by 1, 1e-5 and 1e5 after a rotation: cond(B) is about
+    # 1e20, and the float density still matches the exact determinant of the
+    # same (dyadic rational) entries to the last bits
+    b = np.array([[[float(v) for v in row] for row in bi] for bi in frame_data_from_spec(make_quaternionic_spec(1)).b])
+    O, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    bt = np.einsum("ij,jab->iab", np.diag([1.0, 1e-5, 1e5]) @ O, b)
+    bt = 0.5 * (bt - np.transpose(bt, (0, 2, 1)))
+    floats = tuple(tuple(tuple(float(v) for v in row) for row in bi) for bi in bt)
+    B = popp_B_matrix(AdaptedFrameData(m=4, k=3, b=tuple(tuple(tuple(map(Fraction, r)) for r in bi) for bi in floats)))
+    det = B[0][0] * (B[1][1] * B[2][2] - B[1][2] * B[2][1])
+    det -= B[0][1] * (B[1][0] * B[2][2] - B[1][2] * B[2][0])
+    det += B[0][2] * (B[1][0] * B[2][1] - B[1][1] * B[2][0])
+    assert popp_density(AdaptedFrameData(m=4, k=3, b=floats)) == pytest.approx(float(det) ** -0.5, rel=1e-15)
 
 
 def test_group_frame_divergence_vanishes():
@@ -129,7 +145,7 @@ def test_group_frame_divergence_vanishes():
     data = AdaptedFrameData(
         m=m,
         k=r,
-        b=spec.bracket_b_matrices(),
+        b=frame_data_from_spec(spec).b,
         c=tuple(tuple(tuple(row) for row in ca) for ca in c),
     )
     for tr in divergence_terms(data):
@@ -186,7 +202,7 @@ def test_symbolic_normal_frame_matches_expansion_layer(n):
     data = AdaptedFrameData(
         m=m,
         k=r,
-        b=spec.bracket_b_matrices(),
+        b=frame_data_from_spec(spec).b,
         c=tuple(tuple(tuple(row) for row in ca) for ca in c),
     )
     got = divergence_terms(data)

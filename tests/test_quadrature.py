@@ -70,6 +70,24 @@ def test_failing_row_is_reported_alone():
         adaptive_gk(lambda x: np.cos(25.0 * x), 0.0, 6.0, 1e-14, 1e-300, 200)
 
 
+def test_budget_covers_the_initial_panels():
+    # 150 evaluations cover 10 panels: row 1 asks for 11, row 3 for 1e30 (no
+    # int holds that); each gets the 10 panels and fails with their estimate
+    calls = []
+
+    def counted(rows, x):
+        calls.append(np.bincount(rows, minlength=4).tolist())
+        return integrand(rows, x)
+
+    out = gk_rows(counted, [0.0] * 4, B, 1e-6, [1e-8] * 4, 150, [4, 11, 4, 1e30])
+    assert calls[0] == [4, 10, 4, 10]
+    for r in (1, 3):
+        assert isinstance(out[r], ToleranceError) and "150 evaluations" in str(out[r])
+        assert out[r].value is not None and out[r].err is not None
+    assert out[0][2] <= 150 and out[2][2] <= 150
+    assert sum(sum(c[r] for c in calls) for r in (1, 3)) == 20
+
+
 def test_adaptive_gk_contract():
     value, err, n_evals = adaptive_gk(np.sin, 0.0, math.pi)
     assert abs(value - 2.0) <= err + 1e-14 and n_evals % 15 == 0
