@@ -27,7 +27,13 @@ and I_2 = pi^4/30 give 8 - 15/pi^2.
 The zeta-series oracles write each integrand as a term list, a term
 (coeff, q, p, c) being coeff y^q cosh(y)^c / sinh(y)^p: c0 is
 [(1, 2n+2, 2n, 0)] and Cn has three terms.  One engine, _zeta_powers, turns
-a list into exact rational coefficients of Hurwitz zeta values zeta(j, n).
+a list into exact rational coefficients of Hurwitz zeta values zeta(j, n),
+all at even j.  Each is evaluated by the integer shift
+
+    zeta(j, n) = zeta(j) - sum_{u<n} u^{-j},   zeta(j) = |B_j| (2 pi)^j / (2 j!),
+
+which cancels about j log10 n digits, so it runs with
+floor(j_max log10 n) + 5 digits on top of the oracle's _ZETA_DPS + n.
 
 spectral_extract fits a truncated heat trace of a manifold of dimension
 4n+3 to t^{-(2n+3)} (A + B t + C t^2 + ...): the exponent Q/2 = 2n+3 is
@@ -63,7 +69,10 @@ __all__ = [
 ]
 
 _MAX_EVALS = 200_000  # evaluation cap of the c0 and sphere-integral quadratures
-_ZETA_DPS = 50  # mpmath digits of the zeta-series oracles beyond the n digits their terms cancel
+# mpmath digits of the zeta-series oracles beyond the n digits their terms
+# cancel; each zeta(j, n) = zeta(j) - sum_{u<n} u^-j adds
+# floor(j_max log10 n) + 5 digits for its own cancellation
+_ZETA_DPS = 50
 _TAIL_CEILING = 1e-6  # largest tail fraction spectral_extract accepts
 
 
@@ -92,15 +101,30 @@ def _zeta_powers(terms, n):
     powers = {j: v for j, v in sorted(out.items()) if v}
     if min(powers) < 2:
         raise InvariantError("divergent zeta power %d survived; series derivation broken" % min(powers))
+    odd = [j for j in powers if j % 2]
+    if odd:
+        raise InvariantError("odd zeta power %d survived; series derivation broken" % odd[0])
     return powers
 
 
 def _zeta_integral(terms, n):
-    """Integral_0^inf of a sum of terms as an mpf at the caller's precision (see _zeta_powers)."""
-    total = mpmath.mpf(0)
-    for j, c in _zeta_powers(terms, n).items():
-        total += mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(j, n)
-    return total
+    """Integral_0^inf of a sum of terms as an mpf at the caller's precision (see _zeta_powers).
+
+    Each zeta(j, n) is zeta(j) - sum_{u<n} u^-j, with zeta(j) =
+    |B_j| (2 pi)^j / (2 j!) at even j.  The difference is about n^-j
+    times its terms, so it runs with floor(j_max log10 n) + 5 more digits.
+    """
+    powers = _zeta_powers(terms, n)
+    with mpmath.extradps(int(max(powers) * math.log10(n)) + 5):
+        prec = mpmath.mp.prec
+        total = mpmath.mpf(0)
+        for j, c in powers.items():
+            num, den = mpmath.bernfrac(j)
+            zeta = abs(mpmath.mpf(num)) / den * (2 * mpmath.pi) ** j / (2 * math.factorial(j))
+            # sum_{u<n} u^-j from its terms floored to multiples of 2^-prec: within n 2^-prec
+            head = mpmath.ldexp(sum((1 << prec) // u**j for u in range(1, n)), -prec)
+            total += mpmath.mpf(c.numerator) / c.denominator * (zeta - head)
+    return +total
 
 
 def c0_zeta_series(n):

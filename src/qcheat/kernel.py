@@ -95,20 +95,34 @@ class KernelValue:
     n_evals: int = 0
 
 
+def _series_where(x, small, series, direct):
+    """series(x) at the entries where small is true, direct(x) at the others.
+
+    direct runs on every entry, under np.errstate: at the small entries it
+    may divide 0 by 0 or overflow, and those values are overwritten.  series
+    runs on the small entries only, which the callers bound in size.  Both
+    forms are built from elementwise ufuncs, so each entry gets the same
+    expression, and the same bits, as np.where(small, series(x),
+    direct(safe)) with safe = 1 at the small entries and x at the others.
+    x may be 0-d; small is x's mask, an array or a numpy bool.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.asarray(direct(x))
+    if small.any():
+        out[small] = series(x[small])
+    return out
+
+
 def _rho_coth(rho):
     rho = np.asarray(rho, dtype=float)
-    small = rho < 1e-4
-    safe = np.where(small, 1.0, rho)
-    out = np.where(small, 1.0 + rho * rho / 3.0, safe / np.tanh(safe))
-    return out
+    return _series_where(rho, rho < 1e-4, lambda r: 1.0 + r * r / 3.0, lambda r: r / np.tanh(r))
 
 
 def _rho_over_sinh_pow(rho, two_n):
     """(rho / sinh rho)^two_n, the radial weight of the kernel, c0 and Cn."""
     rho = np.asarray(rho, dtype=float)
-    small = rho < 1e-8
-    safe = np.where(small, 1.0, rho)
-    ratio = np.where(small, 1.0 - rho * rho / 6.0, safe / np.sinh(safe))
+    ratio = _series_where(rho, rho < 1e-8, lambda r: 1.0 - r * r / 6.0, lambda r: r / np.sinh(r))
     return ratio**two_n
 
 
@@ -152,41 +166,43 @@ def _truncation_radius(bound, R0, tol, R_max):
     return radii[first], tails[first, np.arange(tails.shape[1])]
 
 
+def _j1_direct(k):
+    return np.sin(k) / (k * k) - np.cos(k) / k
+
+
 def _j0(k):
-    small = np.abs(k) < 0.05
-    safe = np.where(small, 1.0, k)
-    # a far row's k * k may overflow where the series is not kept
-    with np.errstate(over="ignore", invalid="ignore"):
+    def series(k):
         k2 = k * k
-        series = 1.0 - k2 / 6.0 + k2 * k2 / 120.0
-    return np.where(small, series, np.sin(safe) / safe)
+        return 1.0 - k2 / 6.0 + k2 * k2 / 120.0
+
+    return _series_where(k, np.abs(k) < 0.05, series, lambda k: np.sin(k) / k)
 
 
 def _j1(k):
-    small = np.abs(k) < 0.05
-    safe = np.where(small, 1.0, k)
-    k2 = k * k
-    series = k / 3.0 - k * k2 / 30.0 + k * k2 * k2 / 840.0
-    return np.where(small, series, np.sin(safe) / (safe * safe) - np.cos(safe) / safe)
+    def series(k):
+        k2 = k * k
+        return k / 3.0 - k * k2 / 30.0 + k * k2 * k2 / 840.0
+
+    return _series_where(k, np.abs(k) < 0.05, series, _j1_direct)
 
 
 def _j1_over_k(k):
-    small = np.abs(k) < 0.05
-    safe = np.where(small, 1.0, k)
-    k2 = k * k
-    series = 1.0 / 3.0 - k2 / 30.0 + k2 * k2 / 840.0
-    return np.where(small, series, _j1(safe) / safe)
+    def series(k):
+        k2 = k * k
+        return 1.0 / 3.0 - k2 / 30.0 + k2 * k2 / 840.0
+
+    return _series_where(k, np.abs(k) < 0.05, series, lambda k: _j1_direct(k) / k)
 
 
 def _j2(k):
-    small = np.abs(k) < 0.05
-    safe = np.where(small, 1.0, k)
-    k2 = k * k
-    series = k2 / 15.0 - k2 * k2 / 210.0
-    direct = (3.0 / (safe * safe) - 1.0) * np.sin(safe) / safe - 3.0 * np.cos(safe) / (
-        safe * safe
-    )
-    return np.where(small, series, direct)
+    def series(k):
+        k2 = k * k
+        return k2 / 15.0 - k2 * k2 / 210.0
+
+    def direct(k):
+        return (3.0 / (k * k) - 1.0) * np.sin(k) / k - 3.0 * np.cos(k) / (k * k)
+
+    return _series_where(k, np.abs(k) < 0.05, series, direct)
 
 
 def _omega_matrix(spec, tau):
@@ -369,11 +385,14 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
     """
     x = np.ascontiguousarray(x, dtype=float)
     z = np.ascontiguousarray(z, dtype=float)
-    u = np.einsum("ij,ij->i", x, x) / (4.0 * t)
     znorm = np.sqrt(np.einsum("ij,ij->i", z, z))
-    zc = znorm / (4.0 * t)
-    # a row whose |z|^2 or |z| / 4t overflows is integrated at z = 0, then failed as out of range
-    lost = ~np.isfinite(zc)
+    # a row whose |x|^2 / 4t, |z|^2 or |z| / 4t overflows is integrated at
+    # x = z = 0, then failed as out of range
+    with np.errstate(over="ignore"):
+        u = np.einsum("ij,ij->i", x, x) / (4.0 * t)
+        zc = znorm / (4.0 * t)
+    lost = ~(np.isfinite(u) & np.isfinite(zc))
+    u[lost] = 0.0
     zc[lost] = 0.0
     uvec = z / np.where(znorm > 0.0, znorm, 1.0)[:, None]
     R, tail = _auto_truncation(spec, u, keys, coeffs, cfg.abs_tol / 10.0)

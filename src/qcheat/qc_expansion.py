@@ -18,6 +18,7 @@ A surviving non-kappa symbol is a hard failure.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -690,7 +691,22 @@ def reduce_c1(spec, symbols=None):
     reduces it with the contraction identities.  Any surviving non-kappa
     symbol raises ReductionError (it would contradict the universality of
     the second invariant).
+
+    The cyclic garbage collector is paused for the call: the reduction
+    allocates millions of small dicts and tuples, and the collections they
+    trigger cost time.  On return or raise the collector is re-enabled if it
+    was enabled before.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _reduce_c1(spec, symbols)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _reduce_c1(spec, symbols):
     if symbols is None:
         symbols = TensorSymbols(spec)
     m, r = spec.m, spec.r

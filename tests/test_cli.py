@@ -379,8 +379,11 @@ def run_cli_capped(argv, timeout=5.0):
         ("1e-10 0 0 0 0 0.1 0 0", "needs more than 400000 evaluations"),  # |z| / t = 1e9: 1.4e9 panels
         ("1e-50 0 0 0 0 1e150 0 0", "needs more than 400000 evaluations"),  # |z| / t = 1e200: past int64
         ("1 0 0 0 0 1e200 0 0", "out of floating-point range"),  # |z|^2 overflows
+        ("1 1e200 0 0 0 0 0 0", "out of floating-point range"),  # |x|^2 overflows
+        ("1e-300 1e10 0 0 0 0 0 0", "out of floating-point range"),  # |x|^2 / 4t overflows
+        ("1e-300 0 0 0 0 1e10 0 0", "out of floating-point range"),  # |z| / 4t overflows
     ],
-    ids=["z/t=1e9", "z/t=1e200", "z^2-overflow"],
+    ids=["z/t=1e9", "z/t=1e200", "z^2-overflow", "x^2-overflow", "x^2/4t-overflow", "z/4t-overflow"],
 )
 def test_kernel_far_row_past_budget_exits_3(tmp_path, row, error):
     inp = tmp_path / "rows.csv"

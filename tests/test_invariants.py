@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from qcheat.group import make_quaternionic_spec
 from qcheat.invariants import (
+    _ZETA_DPS,
     Cn_zeta_series,
     SpectrumFile,
     _zeta_powers,
@@ -66,15 +68,23 @@ def test_cn_vs_zeta_series_oracle(n):
     assert abs(v - oracle) <= err
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_zeta_maps_even_and_convergent(n):
-    """Exact c0 and Cn series maps: only even Hurwitz powers, none below 2."""
-    c0_terms = [(1, 2 * n + 2, 2 * n, 0)]
-    cn_terms = [
+def _c0_terms(n):
+    return [(1, 2 * n + 2, 2 * n, 0)]
+
+
+def _cn_terms(n):
+    """The sphere integrand before integration by parts, as Cn_zeta_series writes it."""
+    return [
         (4 * n * (n + 1), 2 * n + 2, 2 * n, 0),
         (2 * n * (2 * n + 1), 2 * n, 2 * n, 0),
         (-2 * n * (2 * n + 1), 2 * n + 1, 2 * n + 1, 1),
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zeta_maps_even_and_convergent(n):
+    """Exact c0 and Cn series maps: only even Hurwitz powers, none below 2."""
+    c0_terms, cn_terms = _c0_terms(n), _cn_terms(n)
     for terms in (c0_terms, cn_terms):
         powers = _zeta_powers(terms, n)
         assert all(powers.get(j, 0) == 0 for j in range(1, 2 * n + 4, 2))
@@ -86,11 +96,7 @@ def test_zeta_maps_even_and_convergent(n):
 def test_by_parts_identity_exact(n):
     """The paper's three-term sphere integrand and the by-parts one
     (y/sinh y)^{2n} (4n(n+1) y^2 - (2n+1)) have the same exact zeta map."""
-    paper = [
-        (4 * n * (n + 1), 2 * n + 2, 2 * n, 0),
-        (2 * n * (2 * n + 1), 2 * n, 2 * n, 0),
-        (-2 * n * (2 * n + 1), 2 * n + 1, 2 * n + 1, 1),
-    ]
+    paper = _cn_terms(n)
     by_parts = [(4 * n * (n + 1), 2 * n + 2, 2 * n, 0), (-(2 * n + 1), 2 * n, 2 * n, 0)]
     assert _zeta_powers(by_parts, n) == _zeta_powers(paper, n)
 
@@ -99,6 +105,30 @@ def test_zeta_divergent_power_raises():
     # 1/sinh^2 is not integrable at 0: its series keeps the powers 0 and 1
     with pytest.raises(InvariantError, match="divergent zeta power 0"):
         _zeta_powers([(1, 0, 2, 0)], 1)
+
+
+def test_zeta_odd_power_raises():
+    # y^3 / sinh^2 y integrates to (3/2) zeta(3), which has no Bernoulli form
+    with pytest.raises(InvariantError, match="odd zeta power 3"):
+        _zeta_powers([(1, 3, 2, 0)], 1)
+
+
+def _hurwitz_route(terms, n, pref):
+    """pref * Integral of terms from mpmath's Hurwitz zeta(j, n), at the oracles' precision."""
+    with mpmath.workdps(_ZETA_DPS + n):
+        total = mpmath.mpf(0)
+        for j, c in _zeta_powers(terms, n).items():
+            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.zeta(j, n)
+        return float(pref() * total)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 40])
+def test_zeta_oracles_match_the_hurwitz_route(n):
+    """The integer shift zeta(j) - sum_{u<n} u^-j gives the same floats as mpmath.zeta(j, n)."""
+    c0_pref = lambda: (16 * n) ** mpmath.mpf("1.5") * 4 * mpmath.pi / (4 * mpmath.pi) ** (2 * n + 3)
+    cn_pref = lambda: (16 * n) ** mpmath.mpf("1.5") / (sphere_kappa(n) * (4 * mpmath.pi) ** (2 * n + 2))
+    assert c0_zeta_series(n) == _hurwitz_route(_c0_terms(n), n, c0_pref)
+    assert Cn_zeta_series(n) == _hurwitz_route(_cn_terms(n), n, cn_pref)
 
 
 @pytest.mark.parametrize("n", [1, 2])

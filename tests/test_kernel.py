@@ -15,6 +15,10 @@ from qcheat.kernel import (
     heat_kernel_point,
     kernel_marginal_moments,
     _exp_tail,
+    _j0,
+    _j1,
+    _j1_over_k,
+    _j2,
     _kernel_grid,
     _query_rows,
     _rho_coth,
@@ -215,6 +219,89 @@ def test_truncation_radius_per_row_matches_the_walk():
         assert R[i] == walk
         assert (R[i], tail[i]) == tuple(v[0] for v in _truncation_radius(bound, 8.0, 1e-12, 300.0))
     assert R[0] == 300.0 and R[1] > 8.0 + 7 * 4.0
+
+
+# the two-branch forms the special functions had before _series_where: both
+# branches on every entry, one picked by np.where, with 1 standing in for x
+# at the small entries of the direct form
+def _ref_rho_coth(rho):
+    rho = np.asarray(rho, dtype=float)
+    small = rho < 1e-4
+    safe = np.where(small, 1.0, rho)
+    return np.where(small, 1.0 + rho * rho / 3.0, safe / np.tanh(safe))
+
+
+def _ref_rho_over_sinh_pow(rho, two_n):
+    rho = np.asarray(rho, dtype=float)
+    small = rho < 1e-8
+    safe = np.where(small, 1.0, rho)
+    return np.where(small, 1.0 - rho * rho / 6.0, safe / np.sinh(safe)) ** two_n
+
+
+def _ref_j0(k):
+    small = np.abs(k) < 0.05
+    safe = np.where(small, 1.0, k)
+    k2 = k * k
+    return np.where(small, 1.0 - k2 / 6.0 + k2 * k2 / 120.0, np.sin(safe) / safe)
+
+
+def _ref_j1(k):
+    small = np.abs(k) < 0.05
+    safe = np.where(small, 1.0, k)
+    k2 = k * k
+    series = k / 3.0 - k * k2 / 30.0 + k * k2 * k2 / 840.0
+    return np.where(small, series, np.sin(safe) / (safe * safe) - np.cos(safe) / safe)
+
+
+def _ref_j1_over_k(k):
+    small = np.abs(k) < 0.05
+    safe = np.where(small, 1.0, k)
+    k2 = k * k
+    return np.where(small, 1.0 / 3.0 - k2 / 30.0 + k2 * k2 / 840.0, _ref_j1(safe) / safe)
+
+
+def _ref_j2(k):
+    small = np.abs(k) < 0.05
+    safe = np.where(small, 1.0, k)
+    k2 = k * k
+    direct = (3.0 / (safe * safe) - 1.0) * np.sin(safe) / safe - 3.0 * np.cos(safe) / (safe * safe)
+    return np.where(small, k2 / 15.0 - k2 * k2 / 210.0, direct)
+
+
+def _special_grid(negative_huge):
+    tiny = [5e-324, 1e-300, 1e-20, 1e-9]
+    cuts = [np.nextafter(c, d) for c in (1e-8, 1e-4, 0.05) for d in (0.0, c, 1.0)]
+    plain = [5e-5, 0.01, 0.03, 0.3, 0.9, 1.0, 7.5, 40.0, 400.0, 1000.0, 1e200]
+    vals = [0.0] + tiny + cuts + plain
+    negative = [-v for v in tiny + cuts + [0.3, 7.5]] + ([-400.0, -1e200] if negative_huge else [])
+    return np.array(vals + negative)
+
+
+@pytest.mark.parametrize(
+    "new, ref, negative_huge",
+    [
+        (_rho_coth, _ref_rho_coth, False),
+        (lambda r: _rho_over_sinh_pow(r, 2), lambda r: _ref_rho_over_sinh_pow(r, 2), False),
+        (lambda r: _rho_over_sinh_pow(r, 6), lambda r: _ref_rho_over_sinh_pow(r, 6), False),
+        (_j0, _ref_j0, True),
+        (_j1, _ref_j1, True),
+        (_j1_over_k, _ref_j1_over_k, True),
+        (_j2, _ref_j2, True),
+    ],
+    ids=["rho_coth", "rho_over_sinh_pow-2", "rho_over_sinh_pow-6", "j0", "j1", "j1_over_k", "j2"],
+)
+def test_special_functions_same_bits_as_two_branch_forms(new, ref, negative_huge):
+    """Same bits as the two-branch forms at 0, +-tiny, each switch point +-1 ulp,
+    negative k for the j's, k = 1e200 (k^2 overflows), and 0-d inputs; the
+    new forms raise no RuntimeWarning (an error under the test filter)."""
+    grid = _special_grid(negative_huge)
+    inputs = [grid, grid.reshape(-1, 1)] + [np.array(v) for v in grid] + [float(v) for v in grid]
+    for x in inputs:
+        got = new(x)
+        with np.errstate(all="ignore"):  # the two-branch forms overflow at 1e200
+            want = ref(x)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want), x
 
 
 def test_derivatives_match_finite_differences():

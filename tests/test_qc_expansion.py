@@ -1,5 +1,6 @@
 """Symbolic expansion layer: coframe, frame inversion routes, P2, c1 reduction."""
 
+import gc
 import hashlib
 import random
 from fractions import Fraction
@@ -419,3 +420,28 @@ def test_reduce_c1_rewrite_order_independent():
         want = base.reduce(coeff)
         for red in shuffled_reducers:
             assert red.reduce(coeff) == want
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("was_enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_reduce_c1_pauses_the_collector_and_restores_it(monkeypatch, was_enabled, raises):
+    seen = []
+
+    def body(spec, symbols):
+        seen.append(gc.isenabled())
+        if raises:
+            raise RouteMismatchError("stub")
+        return "reduction"
+
+    monkeypatch.setattr(qc_expansion, "_reduce_c1", body)
+    (gc.enable if was_enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RouteMismatchError):
+                reduce_c1(SPEC)
+        else:
+            assert reduce_c1(SPEC) == "reduction"
+        assert gc.isenabled() is was_enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
