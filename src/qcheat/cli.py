@@ -292,7 +292,7 @@ def main(argv=None):
     except InvariantError as exc:
         print("invariant violation: %s" % exc, file=sys.stderr)
         return EXIT_INVARIANT
-    except OverflowError as exc:  # (4 pi)^(2n+3) at a large level n; an mc moment that over- or underflows
+    except OverflowError as exc:  # (4 pi)^(2n+3) or ^(2n+2) at a large level n; an mc moment that over- or underflows
         print("numeric failure: out of floating-point range: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
     except ToleranceError as exc:

@@ -148,19 +148,27 @@ def _weight_integral(n, a, b, rel_tol, abs_tol):
     return val, err + tail
 
 
+def _four_pi_power(e, n):
+    """(4 pi)^e as a float; an OverflowError that names e and n past the double range."""
+    try:
+        return (4.0 * math.pi) ** e
+    except OverflowError:
+        raise OverflowError("(4 pi)^%d at n = %d is past the largest double" % (e, n)) from None
+
+
 def compute_c0(n, rel_tol=1e-11, abs_tol=1e-14):
     """First heat invariant c0(n) by radial quadrature; returns (value, error)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     val, err = _weight_integral(n, 1, 0, rel_tol, abs_tol)
-    pref = (16.0 * n) ** 1.5 * 4.0 * math.pi / (4.0 * math.pi) ** (2 * n + 3)
+    pref = (16.0 * n) ** 1.5 * 4.0 * math.pi / _four_pi_power(2 * n + 3, n)
     return pref * val, pref * err
 
 
 def bw_sphere_c1_integral(n, rel_tol=1e-11, abs_tol=1e-14):
     """The sphere's c1: (16 n)^{3/2} integral/(4 pi)^{2n+2}, by parts; returns (value, error)."""
     val, err = _weight_integral(n, 4 * n * (n + 1), 2 * n + 1, rel_tol, abs_tol)
-    pref = (16.0 * n) ** 1.5 / (4.0 * math.pi) ** (2 * n + 2)
+    pref = (16.0 * n) ** 1.5 / _four_pi_power(2 * n + 2, n)
     return pref * val, pref * err
 
 

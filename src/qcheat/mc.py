@@ -18,11 +18,19 @@ order they are evaluated; the uniform time draws of the convolution
 estimators use a reserved stream key.  The simulator, _simulate, works on
 a block of paths that share a step count in one array pass: one Philox is
 re-keyed per path instead of built per path, which draws the same stream,
-and every path's terminal (x, z) has the bits of a one-path pass.
-simulate_paths and check_moment_vanishing each make one call over all their
-paths; a call groups its paths by step count.  check_moment_vanishing computes
-both halves of its time integral with one array body, over a Leibniz term
-list per half, and reads only spec, seed and n_steps of its SimConfig.
+and every path's terminal (x, z) has the bits of a one-path pass.  z comes
+from one Levy matrix per path, S = X^T dx with X the inclusive running sum
+of the increments (its skew part is the path's Levy area), as
+z_i = 2 sum_{b,a} S_{ba} J^i_{ba}: each J^i is skew, so dx^T J^i dx = 0 and
+sum_t X(t)^T J^i dx(t) is the left-point Ito sum sum_t X(t-)^T J^i dx(t)
+(Kloeden-Platen-Wright, Stoch. Anal. Appl. 10, 1992).  z has one column per
+vertical direction of any GroupSpec.  simulate_paths and
+check_moment_vanishing each make one call over all their paths; a call
+groups its paths by step count.  The two kernel-based checks take the
+quaternionic spec only, since the kernel has three z coordinates.
+check_moment_vanishing computes both halves of its time integral with one
+array body, over a Leibniz term list per half, and reads only spec, seed and
+n_steps of its SimConfig.
 Kernel values come from the kernel layer's one row entry, _query_rows,
 which also serves the CLI rows and single queries: the checks simulate all
 their samples first and then make one call per time branch and Leibniz term
@@ -88,7 +96,13 @@ class SimConfig:
 @dataclass(frozen=True)
 class TerminalSamples:
     x: np.ndarray  # (n_paths, 4n)
-    z: np.ndarray  # (n_paths, 3)
+    z: np.ndarray  # (n_paths, r)
+
+
+def _require_quaternionic(spec):
+    """ValueError unless spec is quaternionic: the kernel takes three z coordinates."""
+    if not spec.quaternionic:
+        raise ValueError("the kernel checks need the quaternionic spec, got m = %d, r = %d" % (spec.m, spec.r))
 
 
 def _path_rng(seed, path_index):
@@ -103,15 +117,20 @@ def _simulate(spec, t, n_steps, seed, paths):
     step count, and a block of at most _BLOCK_PATH_STEPS path-steps of one
     group is one array pass.  The Philox of _path_rng(seed, 0), set back to
     its initial state (counter 0, empty buffer) with its path word re-keyed
-    to p, draws path p's normals as _path_rng(seed, p) would; x_pre @ J[i]
-    is exact (J[i] is a signed permutation) and z_i sums the path's
-    contiguous n_steps * m products, so a path gets the bits of a one-path
-    pass.  OverflowError when a terminal sample is not finite.
+    to p, draws path p's normals as _path_rng(seed, p) would.  With X the
+    inclusive cumsum of the increments dx, one batched matmul gives each
+    path's Levy matrix S = X^T dx (m x m) and z = 2 einsum(S, J) contracts it
+    with all spec.r bracket matrices at once.  This is the left-point Ito sum
+    exactly, since every J^i is skew (GroupSpec checks it in exact
+    arithmetic) and so dx^T J^i dx = 0; in floating point it moves z by
+    rounding only.  Batched and one-path products give the same bits, so a
+    path gets the bits of a one-path pass.  OverflowError when a terminal
+    sample is not finite.
     """
     J = spec.J_float()
     rng = _path_rng(seed, 0)
     state = rng.bit_generator.state
-    x, z = np.empty((len(paths), spec.m)), np.empty((len(paths), 3))
+    x, z = np.empty((len(paths), spec.m)), np.empty((len(paths), spec.r))
     with np.errstate(over="ignore", invalid="ignore"):
         # sorted(set(...)): a first np.unique call adds about 1.5 MB of resident memory (numpy 2.4)
         for k in sorted(set(n_steps.tolist())):
@@ -125,11 +144,9 @@ def _simulate(spec, t, n_steps, seed, paths):
                     rng.bit_generator.state = state
                     rng.standard_normal(out=dx[row])
                 dx *= np.sqrt(BROWNIAN_VARIANCE_FACTOR * (t[blk] / k))[:, None, None]
-                xs = np.zeros((len(dx), k + 1, spec.m))
-                np.cumsum(dx, axis=1, out=xs[:, 1:])
+                xs = np.cumsum(dx, axis=1)
                 x[blk] = xs[:, -1]
-                for i in range(3):
-                    z[blk, i] = 2.0 * np.sum(((xs[:, :-1] @ J[i]) * dx).reshape(len(dx), -1), axis=1)
+                z[blk] = 2.0 * np.einsum("bma,ima->bi", xs.transpose(0, 2, 1) @ dx, J)
     if not (np.isfinite(x).all() and np.isfinite(z).all()):
         raise OverflowError("a simulated path left the floating-point range")
     return x, z
@@ -186,8 +203,10 @@ def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=2024
     """Convolution identity at the origin: p(t+s,0,0) = E_{xi~p(t)}[p(s,xi,0)].
 
     Returns (mc_estimate, mc_stderr, direct_value, direct_err).  ValueError,
-    before any draw, for fewer than 2 paths, which leave no standard error.
+    before any draw, for a spec that is not quaternionic or for fewer than 2
+    paths, which leave no standard error.
     """
+    _require_quaternionic(spec)
     if n_paths < 2:
         raise ValueError("need at least 2 paths for a standard error, got %d" % n_paths)
     _check_point(s, ())
@@ -311,12 +330,14 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
 
     Of cfg only spec, seed and n_steps are read; a sample simulates
     max(8, ceil(n_steps * t_sim)) steps.  ValueError, before any draw, when
-    n_samples < 2 (no standard error) or n_samples * n_steps exceeds the
-    path-step budget.  A vanishing rule passes when |estimate| < 3 stderr; a
-    pattern surviving the parity classification must exceed 5 stderr.
+    the spec is not quaternionic, n_samples < 2 (no standard error) or
+    n_samples * n_steps exceeds the path-step budget.  A vanishing rule
+    passes when |estimate| < 3 stderr; a pattern surviving the parity
+    classification must exceed 5 stderr.
     """
-    _check_sample_count(n_samples, cfg.n_steps)
     spec = cfg.spec
+    _require_quaternionic(spec)
+    _check_sample_count(n_samples, cfg.n_steps)
     mono, deriv = rule_pattern(spec, rule_id, indices)
     vanishing = _moment_decomposition(mono, deriv, spec.m) == {}
     sign = (-1.0) ** sum(deriv)

@@ -162,12 +162,15 @@ def test_unopenable_paths_exit_2(tmp_path, capsys, argv):
     assert err.startswith("input error: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [["c0", "--n", "139"], ["cn", "--n", "200"]])
+@pytest.mark.parametrize("argv", [["c0", "--n", "139"], ["cn", "--n", "200"], ["cn", "--n", "140"]])
 def test_overflow_at_large_level_exits_3(capsys, argv):
+    # (4 pi)^(2n+3) in c0 and (4 pi)^(2n+2) in cn pass the largest double; the reason names the power and n
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
-    assert err.startswith("numeric failure: ") and len(err.splitlines()) == 1
+    assert err.startswith("numeric failure: out of floating-point range: ") and len(err.splitlines()) == 1
+    power = 2 * int(argv[2]) + (3 if argv[0] == "c0" else 2)
+    assert "(4 pi)^%d at n = %s" % (power, argv[2]) in err and "(34," not in err
 
 
 @pytest.mark.parametrize("t", ["1e308", "1e200"])

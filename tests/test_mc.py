@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from dataclasses import replace
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 import qcheat.mc as mc
-from qcheat.group import make_quaternionic_spec
+from qcheat.group import GroupSpec, make_quaternionic_spec
 from qcheat.kernel import KernelValue, QuadratureConfig, heat_kernel_point, kernel_marginal_moments
 from qcheat.mc import (
     MomentCheckReport,
@@ -49,46 +51,85 @@ def test_seeded_determinism():
     assert not np.array_equal(s1.x, s3.x)
 
 
-def _reference_path(cfg, p):
-    """Terminal (x, z) of path p rebuilt from its own Philox stream by a plain Euler loop."""
-    m = cfg.spec.m
-    J = [[[float(v) for v in row] for row in Ji] for Ji in cfg.spec.J]
-    key = np.array([cfg.seed, p], dtype=np.uint64)
-    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((cfg.n_steps, m))
-    scale = math.sqrt(2.0 * cfg.t / cfg.n_steps)
+def _reference_path(spec, t, n_steps, seed, p):
+    """Terminal (x, z) of path p rebuilt from its own Philox stream by a plain left-point Euler loop."""
+    m = spec.m
+    J = [[[float(v) for v in row] for row in Ji] for Ji in spec.J]
+    key = np.array([seed % 2**64, p], dtype=np.uint64)
+    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, m))
+    scale = math.sqrt(2.0 * t / n_steps)
     x = [0.0] * m
-    z = [0.0] * 3
-    for k in range(cfg.n_steps):
+    z = [0.0] * spec.r
+    for k in range(n_steps):
         dx = [scale * float(v) for v in xi[k]]
-        for i in range(3):
+        for i in range(spec.r):
             z[i] += 2.0 * sum(x[b] * J[i][b][a] * dx[a] for a in range(m) for b in range(m))
         x = [x[a] + dx[a] for a in range(m)]
     return np.array(x), np.array(z)
 
 
-def test_stream_layout_per_path_keys():
+def _assert_matches_euler_loop(spec, t, n_steps, seed, p, x, z):
+    ref_x, ref_z = _reference_path(spec, t, n_steps, seed, p)
+    np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(z, ref_z, rtol=1e-12, atol=1e-15)
+
+
+def test_stream_layout_per_path_keys(monkeypatch):
     """Path p draws its (n_steps, m) normals from Philox(key=[seed, p]), nothing else."""
-    cfg = small_cfg(seed=31, n_paths=12, n_steps=40, t=0.7)
+    for n in (1, 2):
+        cfg = SimConfig(spec=make_quaternionic_spec(n), t=0.7, n_paths=12, n_steps=40, seed=31)
+        samples = simulate_paths(cfg)
+        for p in (0, 1, 5, 11):
+            _assert_matches_euler_loop(cfg.spec, cfg.t, cfg.n_steps, cfg.seed, p, samples.x[p], samples.z[p])
+        # a path's samples do not depend on how many other paths are drawn
+        prefix = simulate_paths(replace(cfg, n_paths=3))
+        assert np.array_equal(prefix.x, samples.x[:3]) and np.array_equal(prefix.z, samples.z[:3])
+    # mixed step counts, several blocks per count, paths in no particular order
+    monkeypatch.setattr(mc, "_BLOCK_PATH_STEPS", 60)
+    rng = np.random.default_rng(5)
+    paths = rng.permutation(24) + 3
+    steps = rng.choice([8, 13, 30], size=len(paths))
+    t = rng.uniform(0.1, 1.0, size=len(paths))
+    for n in (1, 2):
+        spec = make_quaternionic_spec(n)
+        x, z = mc._simulate(spec, t, steps, -57, paths)
+        for row, (p, k, ts) in enumerate(zip(paths.tolist(), steps.tolist(), t.tolist())):
+            _assert_matches_euler_loop(spec, ts, k, -57, p, x[row], z[row])
+
+
+# the Heisenberg group (r = 1) and a rank-two group whose second bracket is no signed permutation
+_HEISENBERG = GroupSpec(m=2, r=1, J=(((F(0), F(1)), (F(-1), F(0))),))
+_RANK_TWO = GroupSpec(
+    m=4,
+    r=2,
+    J=(
+        ((F(0), F(1), F(0), F(0)), (F(-1), F(0), F(0), F(0)), (F(0), F(0), F(0), F(1)), (F(0), F(0), F(-1), F(0))),
+        ((F(0), F(0), F(1, 2), F(-3)), (F(0), F(0), F(2), F(0)), (F(-1, 2), F(-2), F(0), F(0)), (F(3), F(0), F(0), F(0))),
+    ),
+)
+
+
+@pytest.mark.parametrize("spec", [_HEISENBERG, _RANK_TWO], ids=["r1", "r2"])
+def test_any_vertical_rank_matches_euler_loop(spec):
+    cfg = SimConfig(spec=spec, t=0.6, n_paths=9, n_steps=50, seed=808)
     samples = simulate_paths(cfg)
-    for p in (0, 1, 5, 11):
-        x, z = _reference_path(cfg, p)
-        np.testing.assert_allclose(samples.x[p], x, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(samples.z[p], z, rtol=1e-12, atol=1e-15)
-    # a path's samples do not depend on how many other paths are drawn
-    prefix = simulate_paths(small_cfg(seed=31, n_paths=3, n_steps=40, t=0.7))
-    assert np.array_equal(prefix.x, samples.x[:3]) and np.array_equal(prefix.z, samples.z[:3])
+    assert samples.x.shape == (9, spec.m) and samples.z.shape == (9, spec.r)
+    for p in range(cfg.n_paths):
+        _assert_matches_euler_loop(spec, cfg.t, cfg.n_steps, cfg.seed, p, samples.x[p], samples.z[p])
+    assert [name for name, _, _ in moment_report(samples)][-2 * spec.r :] == (
+        ["E[z_%d]" % (i + 1) for i in range(spec.r)] + ["E[z_%d^2]" % (i + 1) for i in range(spec.r)]
+    )
 
 
 def _reference_simulate_one(spec, t, n_steps, seed, p):
     """Terminal (x, z) of path p by a one-path pass: a fresh Philox(key=[seed, p]),
-    cumsum, and one np.sum over the path's products per z_i."""
+    the inclusive cumsum X and one Levy matrix X^T dx, contracted with every J_i."""
     m = spec.m
-    J = spec.J_float()
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64)
     xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, m))
     dx = math.sqrt(2.0 * (t / n_steps)) * xi
-    xs = np.vstack([np.zeros((1, m)), np.cumsum(dx, axis=0)])
-    z = np.array([2.0 * float(np.sum((xs[:-1] @ J[i]) * dx)) for i in range(3)])
+    xs = np.cumsum(dx, axis=0)
+    z = 2.0 * np.einsum("ma,ima->i", xs.T @ dx, spec.J_float())
     return xs[-1], z
 
 
@@ -236,6 +277,20 @@ def test_check_rejects_sample_count_before_drawing(monkeypatch, n_samples):
     monkeypatch.setattr(mc, "_path_rng", no_draws)
     with pytest.raises(ValueError, match="samples at 300 steps"):
         check_moment_vanishing(small_cfg(n_paths=10, n_steps=300), 3, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("spec", [_HEISENBERG, _RANK_TWO], ids=["r1", "r2"])
+def test_kernel_checks_reject_non_quaternionic_spec_before_drawing(monkeypatch, spec):
+    # both checks send -z into the quaternionic kernel, which takes three z coordinates
+    def no_draws(*args):
+        raise AssertionError("drew before validating the spec")
+
+    monkeypatch.setattr(mc, "_path_rng", no_draws)
+    cfg = SimConfig(spec=spec, t=1.0, n_paths=10, n_steps=40, seed=1)
+    with pytest.raises(ValueError, match="quaternionic spec"):
+        check_moment_vanishing(cfg, 3, n_samples=20)
+    with pytest.raises(ValueError, match="quaternionic spec"):
+        mc.semigroup_convolution_check(spec, 0.8, 0.6, n_paths=20, n_steps=40)
 
 
 def _unit(*coords, nv=7):
