@@ -54,7 +54,7 @@ def _json_payload(payload):
 def _cmd_c0(args):
     from .invariants import c0_zeta_series, compute_c0
 
-    v, err = compute_c0(args.n, rel_tol=args.tol, abs_tol=args.tol * 1e-3)
+    v, err = compute_c0(args.n, tol=args.tol)
     oracle = c0_zeta_series(args.n)
     payload = {
         "config": _run_config(args, "c0"),
@@ -71,7 +71,7 @@ def _cmd_c0(args):
 def _cmd_cn(args):
     from .invariants import Cn_zeta_series, compute_Cn, sphere_kappa
 
-    v, err = compute_Cn(args.n, rel_tol=args.tol, abs_tol=args.tol * 1e-3)
+    v, err = compute_Cn(args.n, tol=args.tol)
     oracle = Cn_zeta_series(args.n)
     kappa = sphere_kappa(args.n)
     payload = {
@@ -104,12 +104,11 @@ def _read_csv_rows(path):
 
 def _cmd_kernel(args):
     from .group import make_quaternionic_spec
-    from .kernel import QuadratureConfig, batch_evaluate
+    from .kernel import batch_evaluate
 
     spec = make_quaternionic_spec(args.n)
     rows = _read_csv_rows(args.input)
-    cfg = QuadratureConfig(rel_tol=args.tol, abs_tol=args.tol * 1e-3)
-    results = batch_evaluate(spec, [r for r, _ in rows], cfg)
+    results = batch_evaluate(spec, [r for r, _ in rows], tol=args.tol)
     buf = io.StringIO()
     buf.write("# config: %s\n" % json.dumps(_run_config(args, "kernel"), sort_keys=True))
     buf.write("row,value,err,error\n")

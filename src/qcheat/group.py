@@ -5,6 +5,8 @@ brackets encoded by three skew matrices whose entries are the components
 I^i_{ab} = <I_i e_a, e_b> of the almost complex structures.  Structure
 constants are exact fractions so group-law and bracket identities can be
 asserted without floating-point noise; numeric code pulls a float view.
+A GroupSpec is built from its bracket matrices alone: m, r, whether the
+quaternion relations hold, and then the level n = m / 4, are read off them.
 
 Group law and measure normalization:
 
@@ -14,7 +16,7 @@ Group law and measure normalization:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -56,59 +58,53 @@ def _is_minus_identity(a):
 class GroupSpec:
     """A step-two Carnot group R^m x R^r with vertical bracket matrices J.
 
-    J[i][a][b] holds the exact rational component I^i_{ab}; for the
-    quaternionic spec these satisfy (J^i)^2 = J^1 J^2 J^3 = -Id.
+    J, r skew m x m matrices, is the only input: J[i][a][b] holds the exact
+    rational component I^i_{ab}.  m and r are read off its shape.  The spec
+    is quaternionic, of level n = m / 4, when r = 3, 4 divides m and the
+    quaternion relations (J^i)^2 = J^1 J^2 J^3 = -Id hold exactly; otherwise
+    n is None.
     """
 
-    m: int
-    r: int
     J: tuple  # r skew m x m matrices of Fraction
-    n: int | None = None  # quaternionic level, if applicable
-    quaternionic: bool = False
+    m: int = field(init=False)
+    r: int = field(init=False)
+    n: int | None = field(init=False)  # quaternionic level, if applicable
+    quaternionic: bool = field(init=False)
 
     def __post_init__(self):
-        if self.m < 1 or self.r < 1:
+        r = len(self.J)
+        m = len(self.J[0]) if r else 0
+        if m < 1 or r < 1:
             raise ValueError("need m >= 1 horizontal and r >= 1 vertical directions")
-        if len(self.J) != self.r:
-            raise ValueError("expected %d bracket matrices, got %d" % (self.r, len(self.J)))
         for Ji in self.J:
-            if len(Ji) != self.m or any(len(row) != self.m for row in Ji):
-                raise ValueError("bracket matrices must be %d x %d" % (self.m, self.m))
+            if len(Ji) != m or any(len(row) != m for row in Ji):
+                raise ValueError("bracket matrices must all be %d x %d" % (m, m))
             if not _is_skew(Ji):
                 raise ValueError("bracket matrices must be skew-symmetric")
-        if self.quaternionic:
-            if self.n is None or self.m != 4 * self.n or self.r != 3:
-                raise ValueError("quaternionic spec needs m = 4n, r = 3")
-            for Ji in self.J:
-                if not _is_minus_identity(_mat_mul(Ji, Ji)):
-                    raise ValueError("(J^i)^2 = -Id fails")
-            if not _is_minus_identity(_mat_mul(_mat_mul(self.J[0], self.J[1]), self.J[2])):
-                raise ValueError("J^1 J^2 J^3 = -Id fails")
+        quaternionic = (
+            r == 3
+            and m % 4 == 0
+            and all(_is_minus_identity(_mat_mul(Ji, Ji)) for Ji in self.J)
+            and _is_minus_identity(_mat_mul(_mat_mul(self.J[0], self.J[1]), self.J[2]))
+        )
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "n", m // 4 if quaternionic else None)
+        object.__setattr__(self, "quaternionic", quaternionic)
 
     @property
     def dim(self):
         return self.m + self.r
 
     @property
-    def Q(self):
-        """Homogeneous (Hausdorff) dimension m + 2r."""
-        return self.m + 2 * self.r
+    def haar_factor(self):
+        """Nilpotentized Popp density against Lebesgue, 1/(8 (16n)^{3/2}) = n^{-3/2} / 512.
 
-    @property
-    def haar_factor_exact(self):
-        """Nilpotentized Popp density against Lebesgue as (coefficient, power of n).
-
-        Value is coeff * n**power; for the quaternionic group this is
-        1/(8*(16n)^{3/2}) = (1/512) * n^{-3/2}.
+        ValueError unless the spec is quaternionic.
         """
         if not self.quaternionic:
-            raise ValueError("exact haar factor only defined for the quaternionic spec")
-        return (Fraction(1, 512), Fraction(-3, 2))
-
-    @property
-    def haar_factor(self):
-        coeff, power = self.haar_factor_exact
-        return float(coeff) * float(self.n) ** float(power)
+            raise ValueError("the haar factor is only defined for the quaternionic spec")
+        return 0.001953125 * float(self.n) ** -1.5
 
     def J_float(self):
         """Float view of the bracket matrices, shape (r, m, m)."""
@@ -157,7 +153,7 @@ def make_quaternionic_spec(n):
                     row[4 * k + b4] = Fraction(v)
             rows.append(tuple(row))
         J.append(tuple(rows))
-    return GroupSpec(m=m, r=3, J=tuple(J), n=n, quaternionic=True)
+    return GroupSpec(J=tuple(J))
 
 
 def group_mul(spec, h, hp):

@@ -135,16 +135,18 @@ def c0_zeta_series(n):
         return float(pref * integral)
 
 
-def _weight_integral(n, a, b, rel_tol, abs_tol):
+def _weight_integral(n, a, b, tol):
     """(Integral_0^inf (y/sinh y)^{2n} (a y^2 - b) dy, error) for a, b >= 0.
 
-    Far out the integrand is at most 2.02^{2n} (a + b) y^{2n+2} e^{-2n y},
+    tol is the relative tolerance and tol * 1e-3 the absolute floor.  Far
+    out the integrand is at most 2.02^{2n} (a + b) y^{2n+2} e^{-2n y},
     which bounds the tail beyond the truncation radius.
     """
+    abs_tol = tol * 1e-3
     bound = lambda R: _exp_tail(2.02 ** (2 * n) * (a + b), 2 * n + 2, 2.0 * n, R)
     R, tail = (float(v[0]) for v in _truncation_radius(bound, 8.0, abs_tol / 10.0, 300.0))
     f = lambda y: _rho_over_sinh_pow(y, 2 * n) * (a * y * y - b)
-    val, err, _ = adaptive_gk(f, 0.0, R, rel_tol=rel_tol, abs_tol=abs_tol, max_evals=_MAX_EVALS)
+    val, err, _ = adaptive_gk(f, 0.0, R, rel_tol=tol, abs_tol=abs_tol, max_evals=_MAX_EVALS)
     return val, err + tail
 
 
@@ -156,27 +158,27 @@ def _four_pi_power(e, n):
         raise OverflowError("(4 pi)^%d at n = %d is past the largest double" % (e, n)) from None
 
 
-def compute_c0(n, rel_tol=1e-11, abs_tol=1e-14):
-    """First heat invariant c0(n) by radial quadrature; returns (value, error)."""
+def compute_c0(n, tol=1e-11):
+    """First heat invariant c0(n) by radial quadrature to relative tolerance tol; returns (value, error)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    val, err = _weight_integral(n, 1, 0, rel_tol, abs_tol)
+    val, err = _weight_integral(n, 1, 0, tol)
     pref = (16.0 * n) ** 1.5 * 4.0 * math.pi / _four_pi_power(2 * n + 3, n)
     return pref * val, pref * err
 
 
-def bw_sphere_c1_integral(n, rel_tol=1e-11, abs_tol=1e-14):
+def bw_sphere_c1_integral(n, tol=1e-11):
     """The sphere's c1: (16 n)^{3/2} integral/(4 pi)^{2n+2}, by parts; returns (value, error)."""
-    val, err = _weight_integral(n, 4 * n * (n + 1), 2 * n + 1, rel_tol, abs_tol)
+    val, err = _weight_integral(n, 4 * n * (n + 1), 2 * n + 1, tol)
     pref = (16.0 * n) ** 1.5 / _four_pi_power(2 * n + 2, n)
     return pref * val, pref * err
 
 
-def compute_Cn(n, rel_tol=1e-11, abs_tol=1e-14):
-    """Universal second-invariant constant Cn; returns (value, error)."""
+def compute_Cn(n, tol=1e-11):
+    """Universal second-invariant constant Cn to relative tolerance tol; returns (value, error)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    c1, err = bw_sphere_c1_integral(n, rel_tol, abs_tol)
+    c1, err = bw_sphere_c1_integral(n, tol)
     kappa = sphere_kappa(n)
     return c1 / kappa, err / kappa
 

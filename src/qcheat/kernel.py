@@ -30,7 +30,8 @@ rows (batch_evaluate), single queries (heat_kernel_point, a one-row call) and
 the Monte Carlo checks of the mc layer, which send all samples of a time
 branch and Leibniz term in one call.  A row's value and error are the same
 bits whichever rows share its call.  Other base points follow from the group
-law, p(t, h, h') = p(t, 0, h^{-1} h').
+law, p(t, h, h') = p(t, 0, h^{-1} h').  The entries take a quaternionic spec
+only, and a query one relative tolerance tol, with the absolute floor tol * 1e-3.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import numpy as np
 from .quadrature import ToleranceError, composite_gk_nodes, gk_rows
 
 __all__ = [
-    "QuadratureConfig",
     "KernelValue",
     "BROWNIAN_VARIANCE_FACTOR",
     "action_function_matrix",
@@ -70,14 +70,11 @@ _OUT_OF_RANGE = "kernel value or error bound is out of floating-point range"
 _PLAIN = [(0, (0, 0, 0))]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+def _require_quaternionic(spec):
+    """ValueError unless spec is quaternionic, the one group the kernel and the mc checks evaluate."""
+    if not spec.quaternionic:
+        msg = "the kernel needs a quaternionic spec (r = 3, m = 4n, the quaternion relations), got m = %d, r = %d"
+        raise ValueError(msg % (spec.m, spec.r))
 
 
 def _check_point(t, coords):
@@ -374,15 +371,17 @@ def _make_integrand(spec, u, zc, uvec, keys, coeffs):
 
 def _auto_truncation(spec, u, keys, coeffs, tol):
     """(R, tail bound at R) per row for the kernel's radial integral."""
-    return _truncation_radius(_tail_bound(spec, u, keys, coeffs), 6.0 + 2.0 / max(spec.n, 1), tol, 400.0)
+    return _truncation_radius(_tail_bound(spec, u, keys, coeffs), 6.0 + 2.0 / spec.n, tol, 400.0)
 
 
-def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
+def _kernel_rows(spec, t, x, z, keys, coeffs, tol):
     """KernelValue, or ToleranceError, of p(t_r, 0, (x_r, z_r)) for each row r.
 
     t (N,), x (N, m) and z (N, 3) are float arrays; coeffs[r, j] is row r's
-    coefficient of the shared term keys[j] (see _make_integrand).
+    coefficient of the shared term keys[j] (see _make_integrand).  tol is
+    the relative tolerance and abs_tol = tol * 1e-3 the absolute floor.
     """
+    abs_tol = tol * 1e-3
     x = np.ascontiguousarray(x, dtype=float)
     z = np.ascontiguousarray(z, dtype=float)
     znorm = np.sqrt(np.einsum("ij,ij->i", z, z))
@@ -395,15 +394,13 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
     u[lost] = 0.0
     zc[lost] = 0.0
     uvec = z / np.where(znorm > 0.0, znorm, 1.0)[:, None]
-    R, tail = _auto_truncation(spec, u, keys, coeffs, cfg.abs_tol / 10.0)
+    R, tail = _auto_truncation(spec, u, keys, coeffs, abs_tol / 10.0)
     n_osc = R * zc / (2.0 * math.pi)
     # a float count, which gk_rows caps at its evaluation budget
     min_panels = np.maximum(4, np.maximum(np.ceil(R / 5.0), np.ceil(1.5 * n_osc)))
     pre = _prefactor(spec, t)
     f = _make_integrand(spec, u, zc, uvec, keys, coeffs)
-    results = gk_rows(
-        f, np.zeros_like(R), R, cfg.rel_tol, cfg.abs_tol / np.maximum(pre, 1.0), _MAX_EVALS, min_panels
-    )
+    results = gk_rows(f, np.zeros_like(R), R, tol, abs_tol / np.maximum(pre, 1.0), _MAX_EVALS, min_panels)
     out = []
     for res, p, tl, gone in zip(results, pre.tolist(), tail.tolist(), lost.tolist()):
         if gone:
@@ -420,11 +417,12 @@ def _kernel_rows(spec, t, x, z, keys, coeffs, cfg):
     return out
 
 
-def _query_rows(spec, t, x, z, derivative, cfg):
+def _query_rows(spec, t, x, z, derivative, tol):
     """KernelValue, or ToleranceError, of D p(t_r, 0, (x_r, z_r)) for each row r.
 
-    t (N,), x (N, m) and z (N, 3) are float arrays of checked points and
-    derivative a checked multi-index D, () for the kernel itself.  The
+    t (N,), x (N, m) and z (N, 3) are float arrays of checked points,
+    derivative a checked multi-index D, () for the kernel itself, and tol > 0
+    the relative tolerance.  The
     coefficients of all rows are real arrays made in one pass over the
     integrand terms of D: a term's coefficient, with the row's 1/2t factors,
     times its x-monomial at the row, summed per key (power of a(rho),
@@ -435,6 +433,8 @@ def _query_rows(spec, t, x, z, derivative, cfg):
     _ROW_BLOCK rows at a time, so a row's result is the same bits whichever
     rows share the call.
     """
+    if not tol > 0:
+        raise ValueError("tolerance must be positive")
     terms = _derivative_terms(spec, derivative, t)
     keys = list(dict.fromkeys((na, lam) for _, na, lam in terms))
     coeffs = np.zeros((len(t), len(keys)))
@@ -458,23 +458,23 @@ def _query_rows(spec, t, x, z, derivative, cfg):
     t, x, z, coeffs = t[live], x[live], z[live], coeffs[live]
     for s in range(0, len(live), _ROW_BLOCK):
         blk = slice(s, s + _ROW_BLOCK)
-        results = _kernel_rows(spec, t[blk], x[blk], z[blk], keys, coeffs[blk], cfg)
+        results = _kernel_rows(spec, t[blk], x[blk], z[blk], keys, coeffs[blk], tol)
         for r, res in zip(live[blk].tolist(), results):
             out[r] = res
     return out
 
 
-def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
+def heat_kernel_point(spec, t, x, z, derivative=(), tol=1e-9):
     """p(t, 0, (x, z)), or a spatial derivative of it at (x, z).
 
-    x has the spec's m coordinates and z three.  Derivatives are taken in
-    the target coordinates up to weighted order 4 (x counts 1, z counts 2).
-    Returns a KernelValue with an error estimate covering quadrature and
-    truncation; raises ToleranceError when the tolerance is not met or the
-    value or its error bound is out of floating-point range.
+    spec must be quaternionic; x has its m coordinates and z three.
+    Derivatives are taken in the target coordinates up to weighted order 4
+    (x counts 1, z counts 2).  Returns a KernelValue with an error estimate
+    covering quadrature and truncation, to the relative tolerance tol;
+    raises ToleranceError when it is not met or the value or its error
+    bound is out of floating-point range.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
+    _require_quaternionic(spec)
     x = np.array([float(v) for v in x])
     z = np.array([float(v) for v in z])
     if len(x) != spec.m or len(z) != 3:
@@ -483,7 +483,7 @@ def heat_kernel_point(spec, t, x, z, derivative=(), cfg=None):
     derivative = tuple(derivative)
     if _weighted_order(spec, derivative) > 4:
         raise ValueError("derivative queries above weighted order 4 are unsupported")
-    (res,) = _query_rows(spec, np.array([float(t)]), x[None], z[None], derivative, cfg)
+    (res,) = _query_rows(spec, np.array([float(t)]), x[None], z[None], derivative, tol)
     if isinstance(res, ToleranceError):
         raise res
     return res
@@ -549,20 +549,34 @@ def radial_expectation(spec, t, weights):
     The kernel is tabulated once on a fine and once on a coarse grid, shared
     by all weights; each estimate compares the two resolutions (a posteriori)
     and adds the propagated radial-quadrature errors.  Returns one
-    (value, error_estimate) pair per weight, in order.
+    (value, error_estimate) pair per weight, in order.  ValueError unless
+    spec is quaternionic and t positive and finite; OverflowError when the
+    kernel's prefactor 8 (16n)^{3/2} / (4 pi t)^{2n+3} at t, or an estimate,
+    is out of floating-point range.
     """
+    _require_quaternionic(spec)
+    _check_point(t, ())
+    if not 0.0 < _prefactor(spec, np.float64(t)) < math.inf:
+        raise OverflowError(
+            "kernel prefactor 8 (16n)^1.5 / (4 pi t)^%d at t = %r, n = %d is out of floating-point range"
+            % (2 * spec.n + 3, t, spec.n)
+        )
     n_rx, n_rz = 18, 26
     rx_max = 14.0 * math.sqrt(t) + 2.0
     sigma_z = math.sqrt(32.0 * spec.n) * t
     rz_max = 12.0 * sigma_z + 40.0 * t
-    fine = _grid_expectations(spec, t, weights, n_rx, n_rz, rx_max, rz_max)
-    coarse = _grid_expectations(
-        spec, t, weights, max(6, (2 * n_rx) // 3), max(6, (2 * n_rz) // 3), rx_max, rz_max
-    )
-    return [
+    with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports them
+        fine = _grid_expectations(spec, t, weights, n_rx, n_rz, rx_max, rz_max)
+        coarse = _grid_expectations(
+            spec, t, weights, max(6, (2 * n_rx) // 3), max(6, (2 * n_rz) // 3), rx_max, rz_max
+        )
+    out = [
         (val, 2.0 * abs(val - cval) + 1e-3 * inner + 1e-14 * abs(val))
         for (val, inner), (cval, _) in zip(fine, coarse)
     ]
+    if not all(math.isfinite(val) and math.isfinite(err) for val, err in out):
+        raise OverflowError("an expectation of p(t, 0, .) at t = %r is out of floating-point range" % t)
+    return out
 
 
 def _unit_weight(rx, rz):
@@ -588,18 +602,17 @@ def kernel_marginal_moments(spec, t):
     return {"mass": mass, "Exx_diag": ex2, "Ezz_diag": ez2}
 
 
-def batch_evaluate(spec, rows, cfg=None):
-    """Evaluate plain kernel rows (t, x_1..x_m, z_1..z_3); never raises per row.
+def batch_evaluate(spec, rows, tol=1e-9):
+    """Evaluate plain kernel rows (t, x_1..x_m, z_1..z_3) of a quaternionic spec; never raises per row.
 
     Each row is checked on its own: exactly 1 + m + 3 finite values, t > 0.
     The valid rows go through _query_rows together, and each gets the same
-    bits as heat_kernel_point on it.  Returns one dict per row with
+    bits as heat_kernel_point at the same tol.  Returns one dict per row with
     value/err, or with an error message and its kind: "input" for a row that
     failed the check, "numeric" for a row that missed the tolerance or whose
     value or error bound is out of floating-point range.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
+    _require_quaternionic(spec)
     m = spec.m
     out = [None] * len(rows)
     valid, points = [], []
@@ -615,7 +628,7 @@ def batch_evaluate(spec, rows, cfg=None):
         valid.append(i)
         points.append(vals)
     pts = np.array(points).reshape(-1, m + 4)
-    results = _query_rows(spec, pts[:, 0], pts[:, 1 : m + 1], pts[:, m + 1 :], (), cfg)
+    results = _query_rows(spec, pts[:, 0], pts[:, 1 : m + 1], pts[:, m + 1 :], (), tol)
     for i, res in zip(valid, results):
         if isinstance(res, ToleranceError):
             out[i] = {"ok": False, "kind": "numeric", "error": str(res)}

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import BROWNIAN_VARIANCE_FACTOR, QuadratureConfig, _check_point, _query_rows, heat_kernel_point
+from .kernel import BROWNIAN_VARIANCE_FACTOR, _check_point, _query_rows, _require_quaternionic, heat_kernel_point
 from .qc_expansion import _moment_decomposition, _pattern
 from .quadrature import ToleranceError
 
@@ -97,12 +97,6 @@ class SimConfig:
 class TerminalSamples:
     x: np.ndarray  # (n_paths, 4n)
     z: np.ndarray  # (n_paths, r)
-
-
-def _require_quaternionic(spec):
-    """ValueError unless spec is quaternionic: the kernel takes three z coordinates."""
-    if not spec.quaternionic:
-        raise ValueError("the kernel checks need the quaternionic spec, got m = %d, r = %d" % (spec.m, spec.r))
 
 
 def _path_rng(seed, path_index):
@@ -211,11 +205,10 @@ def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=2024
         raise ValueError("need at least 2 paths for a standard error, got %d" % n_paths)
     _check_point(s, ())
     sim = simulate_paths(SimConfig(spec=spec, t=t, n_paths=n_paths, n_steps=n_steps, seed=seed))
-    qcfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
     # p(s, xi, 0) = p(s, 0, xi^{-1}) = p(s, 0, (-x, -z)), all paths in one call
-    results = _query_rows(spec, np.full(n_paths, float(s)), -sim.x, -sim.z, (), qcfg)
+    results = _query_rows(spec, np.full(n_paths, float(s)), -sim.x, -sim.z, (), 1e-9)
     est, se = _mean_stderr(np.array([_value(res) for res in results]))
-    direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, cfg=qcfg)
+    direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, tol=1e-9)
     return est, se, direct.value, direct.err_estimate
 
 
@@ -342,7 +335,6 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     vanishing = _moment_decomposition(mono, deriv, spec.m) == {}
     sign = (-1.0) ** sum(deriv)
     inv_haar = 1.0 / spec.haar_factor
-    qcfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
 
     svals = _path_rng(cfg.seed, _TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
     late = svals >= 0.5
@@ -357,7 +349,8 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
         inv_x, inv_z = -x[rows], -z[rows]
         total = np.zeros(len(rows))
         for c, rest, d in terms:
-            values = np.array([_value(res) for res in _query_rows(spec, t_ker[rows], inv_x, inv_z, d, qcfg)])
+            results = _query_rows(spec, t_ker[rows], inv_x, inv_z, d, 1e-7)  # absolute floor 1e-10
+            values = np.array([_value(res) for res in results])
             total += c * _monomial_value(rest, inv_x, inv_z) * values
         outer = _monomial_value(mono, x[rows], z[rows]) if is_late else 1.0
         vals[rows] = inv_haar * outer * sign * total

@@ -475,7 +475,9 @@ def build_P2(spec, coeffs, div):
     first.update({("V", j): derived(coeffs.r_x, j) for j in range(r)})
     second = {k: v for k, v in second.items() if not v.is_zero()}
     first = {k: v for k, v in first.items() if not v.is_zero()}
-    return PerturbationOperator(m=m, r=r, second=second, first=first)
+    op = PerturbationOperator(m=m, r=r, second=second, first=first)
+    op.check_order_zero()
+    return op
 
 
 def _parity(e):
@@ -724,8 +726,9 @@ def _reduce_c1(spec, symbols):
             c = poly.terms[mono]
             decomp = _moment_decomposition(mono, deriv, m)
             if not decomp:
-                killed += 1
-                continue
+                # _coordinate_terms drops every parity mismatch, and every
+                # parity-consistent pattern has a class
+                raise InvariantError("pattern %s d%s passed the parity filter but has no moment class" % (mono, deriv))
             classified += 1
             for label, mult in decomp.items():
                 per_class_counts[label] = per_class_counts.get(label, 0) + 1

@@ -48,19 +48,25 @@ def test_quaternionic_matrix_identities(n):
 def _replace_J(spec, i, Ji):
     J = list(spec.J)
     J[i] = Ji
-    return GroupSpec(m=spec.m, r=3, J=tuple(J), n=spec.n, quaternionic=True)
+    return GroupSpec(J=tuple(J))
 
 
-def test_quaternionic_checks_reject_bad_J():
+def test_quaternion_relation_failures_make_a_plain_spec():
     spec = make_quaternionic_spec(2)
+    assert GroupSpec(J=spec.J) == spec
+    assert (spec.m, spec.r, spec.n, spec.quaternionic) == (8, 3, 2, True)
     # 2 J^1 is skew, but its square is -4 Id
     doubled = tuple(tuple(2 * v for v in row) for row in spec.J[0])
-    with pytest.raises(ValueError, match=r"\(J\^i\)\^2 = -Id fails"):
-        _replace_J(spec, 0, doubled)
     # -J^3 squares to -Id, but the triple product becomes +Id
     negated = tuple(tuple(-v for v in row) for row in spec.J[2])
-    with pytest.raises(ValueError, match=r"J\^1 J\^2 J\^3 = -Id fails"):
-        _replace_J(spec, 2, negated)
+    for bad in (_replace_J(spec, 0, doubled), _replace_J(spec, 2, negated)):
+        assert (bad.m, bad.r, bad.n, bad.quaternionic) == (8, 3, None, False)
+        with pytest.raises(ValueError, match="quaternionic spec"):
+            bad.haar_factor
+    # r = 2, or m = 6, which 4 does not divide, is not quaternionic either
+    for J in (spec.J[:2], tuple(tuple(tuple(row[:6]) for row in Ji[:6]) for Ji in spec.J)):
+        plain = GroupSpec(J=J)
+        assert plain.n is None and not plain.quaternionic
 
 
 def test_quaternionic_spec_builds_at_n40():
@@ -75,13 +81,12 @@ def test_frame_convention_entry():
     assert spec.J[0][0][1] == 1
 
 
-def test_hausdorff_dimension_and_haar():
-    assert make_quaternionic_spec(2).Q == 14
-    spec = make_quaternionic_spec(1)
-    assert spec.Q == 10
-    coeff, power = spec.haar_factor_exact
-    assert coeff == Fraction(1, 512) and power == Fraction(-3, 2)
-    assert spec.haar_factor == pytest.approx(1.0 / 512.0)
+def test_haar_factor():
+    # 1/(8 (16n)^{3/2}) = n^{-3/2} / 512, in the bits of float(1/512) * float(n) ** float(-3/2)
+    for n in (1, 2, 3, 7):
+        want = float(Fraction(1, 512)) * float(n) ** float(Fraction(-3, 2))
+        assert make_quaternionic_spec(n).haar_factor == want
+    assert make_quaternionic_spec(1).haar_factor == 1.0 / 512.0
 
 
 def test_rejects_bad_level():
@@ -119,7 +124,13 @@ def test_dimension_mismatch_rejected():
 
 
 def test_generic_step_two_spec():
-    heis = GroupSpec(m=2, r=1, J=(((0, 1), (-1, 0)),))
-    assert heis.m == 2 and heis.r == 1 and heis.Q == 4
-    with pytest.raises(ValueError):
-        GroupSpec(m=2, r=1, J=(((0, 1), (1, 0)),))  # not skew
+    heis = GroupSpec(J=(((0, 1), (-1, 0)),))
+    assert (heis.m, heis.r, heis.dim, heis.n, heis.quaternionic) == (2, 1, 3, None, False)
+    with pytest.raises(ValueError, match="skew"):
+        GroupSpec(J=(((0, 1), (1, 0)),))
+    with pytest.raises(ValueError, match="2 x 2"):
+        GroupSpec(J=(((0, 1), (-1, 0)), ((0,),)))  # matrices of two sizes
+    with pytest.raises(ValueError, match="m >= 1"):
+        GroupSpec(J=())
+    with pytest.raises(TypeError):
+        GroupSpec(J=heis.J, n=1)  # m, r, n and quaternionic are derived, not set

@@ -1,6 +1,7 @@
 """Heat-kernel quadrature: spec examples, invariants, and the generator PDE."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.integrate import quad
 from qcheat.group import GroupPoint, GroupSpec, group_inverse, group_mul, make_quaternionic_spec
 from qcheat.kernel import (
     KernelValue,
-    QuadratureConfig,
     action_function_matrix,
     batch_evaluate,
     heat_kernel_point,
@@ -79,7 +79,7 @@ def test_action_and_volume_match_matrix_route():
 
 
 def test_matrix_route_on_generic_step_two_spec():
-    heis = GroupSpec(m=2, r=1, J=(((0, 1), (-1, 0)),))
+    heis = GroupSpec(J=(((0, 1), (-1, 0)),))
     w = volume_element_matrix(heis, [0.7])
     # eigenvalues of i*Omega are +-2*0.7: W = (1.4/sinh 1.4)
     assert w == pytest.approx(1.4 / math.sinh(1.4), abs=1e-12)
@@ -122,7 +122,7 @@ def test_exact_homogeneity(spec):
 
 def test_dilation_covariance():
     rng = np.random.default_rng(7)
-    Q = SPEC1.Q
+    Q = SPEC1.m + 2 * SPEC1.r  # homogeneous dimension
     for _ in range(5):
         x = rng.normal(size=4) * 0.8
         z = rng.normal(size=3) * 0.8
@@ -403,13 +403,63 @@ def test_heat_equation_residual():
     assert dpdt == pytest.approx(tot, rel=1e-6)
 
 
+_BAD_QUATERNIONS = GroupSpec(J=(SPEC1.J[0], SPEC1.J[1], tuple(tuple(-v for v in row) for row in SPEC1.J[2])))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupSpec(J=(((0, 1), (-1, 0)),)), _BAD_QUATERNIONS],
+    ids=["heisenberg", "m4-r3-triple-product-plus-id"],
+)
+def test_kernel_entries_refuse_non_quaternionic_spec(monkeypatch, spec):
+    import qcheat.kernel as kernel_mod
+
+    def no_work(*args):
+        raise AssertionError("worked before validating the spec")
+
+    monkeypatch.setattr(kernel_mod, "_query_rows", no_work)
+    monkeypatch.setattr(kernel_mod, "_grid_expectations", no_work)
+    assert not spec.quaternionic
+    x, z = [0.0] * spec.m, [0.0] * 3
+    with pytest.raises(ValueError, match="quaternionic spec"):
+        heat_kernel_point(spec, 1.0, x, z)
+    with pytest.raises(ValueError, match="quaternionic spec"):
+        batch_evaluate(spec, [[1.0, *x, *z]])
+    with pytest.raises(ValueError, match="quaternionic spec"):
+        kernel_marginal_moments(spec, 1.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0, math.inf, math.nan])
+def test_radial_expectation_rejects_bad_time(t):
+    with pytest.raises(ValueError, match="time"):
+        kernel_marginal_moments(SPEC1, t)
+
+
+# pyproject turns every RuntimeWarning into an error, so these also check that none is raised
+@pytest.mark.parametrize("spec, t", [(SPEC1, 1e-200), (SPEC1, 1e-64), (SPEC1, 1e100), (SPEC2, 1e50)])
+def test_radial_expectation_out_of_range_time_raises_overflow(spec, t):
+    # (4 pi t)^(2n+3) leaves the double range: the prefactor is 0 or infinite
+    cause = "(4 pi t)^%d at t = %r, n = %d" % (2 * spec.n + 3, t, spec.n)
+    with pytest.raises(OverflowError, match=re.escape(cause)):
+        kernel_marginal_moments(spec, t)
+
+
+def test_radial_expectation_non_finite_estimate_raises_overflow():
+    def infinite(rx, rz):
+        return np.full(np.broadcast(rx, rz).shape, math.inf)
+
+    with pytest.raises(OverflowError, match="expectation of p"):
+        radial_expectation(SPEC1, 1.0, [infinite])
+
+
 def test_query_validation():
     with pytest.raises(ValueError, match="time must be positive"):
         heat_kernel_point(SPEC1, -1.0, [0] * 4, [0] * 3)
     with pytest.raises(ValueError, match="weighted order 4"):
         heat_kernel_point(SPEC1, 1.0, [0] * 4, [0] * 3, derivative=(1,) * 7)
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=-1)
+    for tol in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            heat_kernel_point(SPEC1, 1.0, [0] * 4, [0] * 3, tol=tol)
 
 
 @pytest.mark.parametrize(
@@ -433,9 +483,8 @@ def test_tolerance_failure_carries_best_estimate(monkeypatch):
     import qcheat.kernel as kernel_mod
 
     monkeypatch.setattr(kernel_mod, "_MAX_EVALS", 120)
-    cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300)
     with pytest.raises(ToleranceError) as exc:
-        heat_kernel_point(SPEC1, 1.0, [3.0, 0, 0, 0], [40.0, 0, 0], cfg=cfg)
+        heat_kernel_point(SPEC1, 1.0, [3.0, 0, 0, 0], [40.0, 0, 0], tol=1e-15)
     assert exc.value.value is not None
     assert exc.value.err is not None
 
@@ -502,9 +551,9 @@ def _mixed_rows(spec):
     return rows
 
 
-def _single(spec, row, cfg=None):
+def _single(spec, row, tol=1e-9):
     m = spec.m
-    kv = heat_kernel_point(spec, row[0], row[1 : m + 1], row[m + 1 : m + 4], cfg=cfg)
+    kv = heat_kernel_point(spec, row[0], row[1 : m + 1], row[m + 1 : m + 4], tol=tol)
     return {"ok": True, "value": kv.value, "err": kv.err_estimate}
 
 
@@ -535,17 +584,16 @@ def test_batch_failing_row_leaves_neighbours_unchanged(monkeypatch):
 
     # 600 evaluations: the far row's oscillation alone needs more panels
     monkeypatch.setattr(kernel_mod, "_MAX_EVALS", 600)
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
     rows = _mixed_rows(SPEC1)[:7]
     far = 6
-    out = batch_evaluate(SPEC1, rows, cfg)
+    out = batch_evaluate(SPEC1, rows, tol=1e-9)
     assert not out[far]["ok"] and "evaluations" in out[far]["error"]
     with pytest.raises(ToleranceError):
-        _single(SPEC1, rows[far], cfg)
+        _single(SPEC1, rows[far], tol=1e-9)
     for i, row in enumerate(rows):
         if i != far:
-            assert out[i] == _single(SPEC1, row, cfg)
-    alone = batch_evaluate(SPEC1, rows[:far], cfg)
+            assert out[i] == _single(SPEC1, row, tol=1e-9)
+    alone = batch_evaluate(SPEC1, rows[:far], tol=1e-9)
     assert out[:far] == alone
 
 
@@ -592,7 +640,7 @@ def test_kernel_grid_matches_query_rows(spec, t):
     x[:, 0] = np.repeat(rx, 4)
     z = np.zeros((16, 3))
     z[:, 0] = np.tile(rz, 4)
-    rows = _query_rows(spec, np.full(16, t), x, z, (), QuadratureConfig(rel_tol=1e-10, abs_tol=1e-16))
+    rows = _query_rows(spec, np.full(16, t), x, z, (), 1e-14)  # absolute floor 1e-17
     for r, row in enumerate(rows):
         i, j = divmod(r, 4)
         assert abs(grid[i, j] - row.value) <= grid_err[i, j] + row.err_estimate
@@ -606,11 +654,10 @@ def test_query_rows_match_single_queries_bit_for_bit(spec, names):
     t, x, z = _query_points(spec)
     assert len(t) > kernel_mod._ROW_BLOCK
     d = _deriv(spec, *names)
-    cfg = QuadratureConfig()
-    out = _query_rows(spec, t, x, z, d, cfg)
+    out = _query_rows(spec, t, x, z, d, 1e-9)
     assert len(out) == len(t)
     for r in range(len(t)):
-        assert out[r] == heat_kernel_point(spec, t[r], x[r], z[r], derivative=d, cfg=cfg)
+        assert out[r] == heat_kernel_point(spec, t[r], x[r], z[r], derivative=d)
     if names == ("x1", "x2"):
         # the one term, x_1 x_2 a(rho)^2 / 4t^2, drops out where x_1 = 0
         assert all(out[r] == KernelValue(0.0, 0.0, 0) for r in range(0, len(t), 7))
@@ -645,14 +692,13 @@ def test_query_rows_independent_of_order_and_blocks(monkeypatch):
     import qcheat.kernel as kernel_mod
 
     t, x, z = _query_points(SPEC1)
-    cfg = QuadratureConfig()
     order = np.random.default_rng(3).permutation(len(t))
     for names in (("x1", "x1"), ("x1", "x2", "z1")):
         d = _deriv(SPEC1, *names)
-        ref = _query_rows(SPEC1, t, x, z, d, cfg)
+        ref = _query_rows(SPEC1, t, x, z, d, 1e-9)
         for block in (1, 5, 64):
             monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", block)
-            out = _query_rows(SPEC1, t[order], x[order], z[order], d, cfg)
+            out = _query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9)
             assert [out[j] for j in np.argsort(order)] == ref
         monkeypatch.undo()
 
@@ -662,17 +708,16 @@ def test_query_rows_failing_row_returns_its_error_alone(monkeypatch):
 
     # 600 evaluations: the far row's oscillation alone needs more panels
     monkeypatch.setattr(kernel_mod, "_MAX_EVALS", 600)
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
     t, x, z = _query_points(SPEC1, 6)
     far = 3
     t[far], x[far], z[far] = 0.1, 0.0, [0.0, 30.0, 0.0]
     d = _deriv(SPEC1, "z2")
-    out = _query_rows(SPEC1, t, x, z, d, cfg)
+    out = _query_rows(SPEC1, t, x, z, d, 1e-9)
     assert isinstance(out[far], ToleranceError) and "evaluations" in str(out[far])
     with pytest.raises(ToleranceError):
-        heat_kernel_point(SPEC1, t[far], x[far], z[far], derivative=d, cfg=cfg)
+        heat_kernel_point(SPEC1, t[far], x[far], z[far], derivative=d, tol=1e-9)
     for r in range(len(t)):
         if r != far:
-            assert out[r] == heat_kernel_point(SPEC1, t[r], x[r], z[r], derivative=d, cfg=cfg)
+            assert out[r] == heat_kernel_point(SPEC1, t[r], x[r], z[r], derivative=d, tol=1e-9)
     keep = [r for r in range(len(t)) if r != far]
-    assert _query_rows(SPEC1, t[keep], x[keep], z[keep], d, cfg) == [out[r] for r in keep]
+    assert _query_rows(SPEC1, t[keep], x[keep], z[keep], d, 1e-9) == [out[r] for r in keep]

@@ -10,7 +10,7 @@ import pytest
 
 import qcheat.mc as mc
 from qcheat.group import GroupSpec, make_quaternionic_spec
-from qcheat.kernel import KernelValue, QuadratureConfig, heat_kernel_point, kernel_marginal_moments
+from qcheat.kernel import KernelValue, heat_kernel_point, kernel_marginal_moments
 from qcheat.mc import (
     MomentCheckReport,
     SimConfig,
@@ -98,10 +98,8 @@ def test_stream_layout_per_path_keys(monkeypatch):
 
 
 # the Heisenberg group (r = 1) and a rank-two group whose second bracket is no signed permutation
-_HEISENBERG = GroupSpec(m=2, r=1, J=(((F(0), F(1)), (F(-1), F(0))),))
+_HEISENBERG = GroupSpec(J=(((F(0), F(1)), (F(-1), F(0))),))
 _RANK_TWO = GroupSpec(
-    m=4,
-    r=2,
     J=(
         ((F(0), F(1), F(0), F(0)), (F(-1), F(0), F(0), F(0)), (F(0), F(0), F(0), F(1)), (F(0), F(0), F(-1), F(0))),
         ((F(0), F(0), F(1, 2), F(-3)), (F(0), F(0), F(2), F(0)), (F(-1, 2), F(-2), F(0), F(0)), (F(3), F(0), F(0), F(0))),
@@ -349,7 +347,6 @@ def _reference_check(cfg, mono, deriv, n_samples):
     spec = cfg.spec
     sign = (-1.0) ** sum(deriv)
     inv_haar = 1.0 / spec.haar_factor
-    qcfg = QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
     svals = mc._path_rng(cfg.seed, mc._TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
     vals = np.empty(n_samples)
     for p in range(n_samples):
@@ -358,7 +355,7 @@ def _reference_check(cfg, mono, deriv, n_samples):
             steps = max(8, int(math.ceil(cfg.n_steps * (1.0 - s))))
             x, z = _reference_simulate_one(spec, 1.0 - s, steps, cfg.seed, p)
             phi = _reference_monomial(mono, x, z)
-            dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, cfg=qcfg).value
+            dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, tol=1e-7).value
             vals[p] = inv_haar * phi * sign * dp
             continue
         steps = max(8, int(math.ceil(cfg.n_steps * s)))
@@ -372,7 +369,7 @@ def _reference_check(cfg, mono, deriv, n_samples):
                 coeff *= math.perm(e, j)
             rest = tuple(e - j for e, j in zip(mono, onto_mono))
             phi = _reference_monomial(rest, -x, -z)
-            gk = heat_kernel_point(spec, 1.0 - s, -x, -z, derivative=tuple(onto_kernel), cfg=qcfg).value
+            gk = heat_kernel_point(spec, 1.0 - s, -x, -z, derivative=tuple(onto_kernel), tol=1e-7).value
             total += w * coeff * phi * gk
         vals[p] = inv_haar * sign * total
     return mc._mean_stderr(vals)
@@ -446,9 +443,8 @@ def test_semigroup_check_matches_per_path_reference_bit_for_bit(n):
     t, s, n_paths, n_steps, seed = 0.8, 0.6, 150, 60, 99
     got = mc.semigroup_convolution_check(spec, t, s, n_paths=n_paths, n_steps=n_steps, seed=seed)
     sim = simulate_paths(SimConfig(spec=spec, t=t, n_paths=n_paths, n_steps=n_steps, seed=seed))
-    qcfg = QuadratureConfig(rel_tol=1e-8, abs_tol=1e-12)
-    vals = np.array([heat_kernel_point(spec, s, -sim.x[p], -sim.z[p], cfg=qcfg).value for p in range(n_paths)])
-    direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, cfg=qcfg)
+    vals = np.array([heat_kernel_point(spec, s, -sim.x[p], -sim.z[p], tol=1e-9).value for p in range(n_paths)])
+    direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, tol=1e-9)
     assert got == (*mc._mean_stderr(vals), direct.value, direct.err_estimate)
 
 

@@ -1,9 +1,11 @@
 """Every name a qcheat module exports in __all__, and every name the
-benchmark's tracer wraps, exists; every export has a caller or is a listed
-reference route; no module imports scipy, which only the tests use."""
+benchmark's tracer wraps, exists; every export, and every public method and
+property of an exported class, has a caller or is a listed reference route;
+no module imports scipy, which only the tests use."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -17,8 +19,9 @@ import qcheat
 MODULES = sorted(info.name for info in pkgutil.iter_modules(qcheat.__path__, "qcheat."))
 ROOT = Path(__file__).resolve().parents[1]
 
-# Exports that nothing in src/qcheat/ or perfbench/ calls, kept on purpose as
-# independent checks of the production path (the tests call them).
+# Exports, and methods named "Class.method", that nothing in src/qcheat/ or
+# perfbench/ calls, kept on purpose as independent checks of the production
+# path (the tests call them).
 REFERENCE_ROUTES = {
     "group_mul": "the exact group law; the kernel's base-point symmetry is checked through it",
     "group_inverse": "group inverse of that law, for the same symmetry checks",
@@ -31,6 +34,7 @@ REFERENCE_ROUTES = {
     "moment_exemplar": "one concrete pattern per moment class, for numeric moment estimates",
     "euler_field": "the grading generator P of those eigenvalue checks",
     "lie_derivative_form": "L_P on forms, the eigenvalue check of forms and coframe terms",
+    "SpectrumFile.dump": "the text form SpectrumFile.parse reads, for the parser's round-trip checks",
 }
 
 
@@ -99,14 +103,34 @@ def _referenced_names():
     return found
 
 
+def _public_api():
+    """{qualified name: the name a caller writes}: every __all__ name, and
+    "Class.member" for each public method or property an exported class defines."""
+    api = {}
+    for modname in MODULES:
+        module = importlib.import_module(modname)
+        for name in getattr(module, "__all__", ()):
+            api[name] = name
+            obj = getattr(module, name)
+            if not (isinstance(obj, type) and obj.__module__ == modname):
+                continue
+            for member, value in vars(obj).items():
+                routine = inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod))
+                if routine and not member.startswith("_"):
+                    api["%s.%s" % (name, member)] = member
+    return api
+
+
 def test_every_export_has_a_caller():
-    """No __all__ name is public API that only tests use, unless it is a listed reference route."""
-    exported = {name for modname in MODULES for name in getattr(importlib.import_module(modname), "__all__", ())}
+    """No __all__ name, and no public method or property of an exported class,
+    is API that only tests use, unless it is a listed reference route."""
+    api = _public_api()
     referenced = _referenced_names()
     routes = set(REFERENCE_ROUTES)
-    assert not sorted(exported - referenced - routes), "exports without a caller in src/qcheat/ or perfbench/"
-    assert not sorted(routes - exported), "REFERENCE_ROUTES names that are not exported"
-    assert not sorted(routes & referenced), "REFERENCE_ROUTES names that have a caller; drop them from the set"
+    uncalled = {qual for qual, name in api.items() if name not in referenced}
+    assert not sorted(uncalled - routes), "public API without a caller in src/qcheat/ or perfbench/"
+    assert not sorted(routes - set(api)), "REFERENCE_ROUTES names that are not public API"
+    assert not sorted(routes - uncalled), "REFERENCE_ROUTES names that have a caller; drop them from the set"
 
 
 def test_no_module_imports_scipy():

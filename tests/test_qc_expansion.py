@@ -30,7 +30,7 @@ from qcheat.qc_expansion import (
     moment_exemplar,
     reduce_c1,
 )
-from qcheat.tensors import LinearReducer, Sym, TensorSymbols, identity_relations
+from qcheat.tensors import InvariantError, LinearReducer, Sym, TensorSymbols, identity_relations
 
 SPEC = make_quaternionic_spec(1)
 SYM = TensorSymbols(SPEC)
@@ -70,7 +70,7 @@ def test_coframe_vanishing_orders():
 def test_symbolic_expansion_needs_integer_brackets():
     # the coefficients are integer numerators over a fixed denominator
     half = Fraction(1, 2)
-    spec = GroupSpec(m=2, r=1, J=(((0, half), (-half, 0)),))
+    spec = GroupSpec(J=(((0, half), (-half, 0)),))
     for build in (build_coframe, expansion_coefficients):
         with pytest.raises(ValueError, match="integer bracket matrices"):
             build(spec)
@@ -208,6 +208,23 @@ def test_p1_is_zero_and_p2_structure():
     assert all(not (a[0] == "V" and b[0] == "V") for a, b in op.second)
     flat = TensorSymbols(SPEC, zero_torsion=True, zero_curvature=True)
     assert _p2(flat).is_zero()
+
+
+def test_build_p2_checks_order_zero():
+    # a weight-0 constant in the divergence gives P2 a first-order X_1 term of the wrong weight
+    coeffs = expansion_coefficients(SPEC, SYM)
+    div = divergence_coefficient(SPEC, coeffs)
+    div[0] = div[0] + Poly.constant(SPEC.dim, Sym.rational(1))
+    with pytest.raises(InvariantError, match=r"first-order term \('X', 0\) is not weight-1 homogeneous"):
+        build_P2(SPEC, coeffs, div)
+
+
+def test_parity_survivor_without_a_class_raises(monkeypatch):
+    # the parity filter of _coordinate_terms and the classes of _moment_decomposition
+    # must agree: a surviving pattern that no class takes is an invariant violation
+    monkeypatch.setattr(qc_expansion, "_moment_decomposition", lambda mono, deriv, m: {})
+    with pytest.raises(InvariantError, match="passed the parity filter but has no moment class"):
+        reduce_c1(SPEC)
 
 
 def test_moment_decomposition_rules():
@@ -377,7 +394,7 @@ def test_coordinate_terms_cancelling_products_are_not_counted():
     # X_3's vertical component 2 (x_1 + x_2) times the coefficient x_1 - x_2
     # cancels its x_1 x_2 terms: a pattern that is never formed is not killed
     J = (((0, 0, 1, 1), (0, 0, 1, -1), (-1, -1, 0, 0), (-1, 1, 0, 0)),)
-    spec = GroupSpec(m=4, r=1, J=J)
+    spec = GroupSpec(J=J)
     nv = spec.m + spec.r
     x = [Poly.variable(nv, a) for a in range(nv)]
     coeff = x[0] - x[1]
