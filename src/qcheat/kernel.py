@@ -32,6 +32,11 @@ branch and Leibniz term in one call.  A row's value and error are the same
 bits whichever rows share its call.  Other base points follow from the group
 law, p(t, h, h') = p(t, 0, h^{-1} h').  The entries take a quaternionic spec
 only, and a query one relative tolerance tol, with the absolute floor tol * 1e-3.
+
+The mass and the marginal moments (radial_expectation) evaluate no pointwise
+value of p.  They integrate the radial form itself at t = 1, where x is
+Gaussian given rho and integrates in closed form, and |z| and rho take fixed
+Kronrod rules; the dilation (x, z) -> (sqrt(t) x, t z) carries them to any t.
 """
 
 from __future__ import annotations
@@ -172,7 +177,9 @@ def _j0(k):
         k2 = k * k
         return 1.0 - k2 / 6.0 + k2 * k2 / 120.0
 
-    return _series_where(k, np.abs(k) < 0.05, series, lambda k: np.sin(k) / k)
+    # sin(k) / k loses no digits at small k; the series only covers k near 0,
+    # where its dropped k^6 / 5040 is below 1e-27
+    return _series_where(k, np.abs(k) < 1e-4, series, lambda k: np.sin(k) / k)
 
 
 def _j1(k):
@@ -489,116 +496,100 @@ def heat_kernel_point(spec, t, x, z, derivative=(), tol=1e-9):
     return res
 
 
-def _kernel_grid(spec, t, rx, rz):
-    """Plain-kernel values on a radial grid, vectorized: P[i, j] = p(t, rx_i, rz_j).
+def _unit_time_moments(spec):
+    """(value, err) of the mass, E[x_a^2] and E[z_i^2] of p(1, 0, .) d(haar), from the kernel's rho-form.
 
-    Returns (values, errors); errors combine the embedded-Gauss difference of
-    the radial rule and the analytic tail bound.
+    At t = 1, in the radial form of the module docstring (rho = |2 tau|),
+    the integrand is Gaussian in x given rho:
+    integral exp(-a(rho) |x|^2 / 4) dx = (4 pi / a)^{2n} and
+    E[x_a^2 | rho] = 2 / a.  So with s = |z| each moment is
+
+        haar prefac(1) int_0^s_max 4 pi s^2 w(s) ds
+            int_0^R rho^2/8 W(rho) (4 pi / a)^{2n} v(rho) 4 pi j0(s rho / 4) drho,
+
+    with (w, v) = (1, 1), (1, 2/a) and (s^2/3, 1).  s takes the K15 rule on
+    26 panels of [0, 12 sqrt(32 n) + 40]; the z-marginal decays like
+    e^{-pi s / 8}, and at n = 1 the part past s_max is 6e-16 of the mass
+    and 8e-14 of E[z_i^2].  rho takes the K15 rule on [0, R], R from the
+    plain kernel's tail bound at tolerance 1e-14, with nr panels (one per
+    two oscillations of j0 at s_max, at least 16) and with 2 nr; the finer
+    value is reported.  Its error sums the nr-vs-2nr difference, the
+    s-rule's K15 - G7 difference, the rho-tail bound past R propagated
+    through x and s (on the tail a >= rho >= R, so (4 pi / a)^{2n} <=
+    (4 pi / R)^{2n} and 2/a <= 2/R) and a floor of 1e-14 |value|.  s-nodes
+    go _ROW_BLOCK at a time, which bounds the (rho, s) arrays.
     """
-    n = spec.n
-    rx = np.asarray(rx, dtype=float)
-    rz = np.asarray(rz, dtype=float)
-    u = rx * rx / (4.0 * t)
-    zc = rz / (4.0 * t)
-    ones = np.ones((len(u), 1))
-    R = float(_auto_truncation(spec, np.zeros(1), _PLAIN, ones[:1], 1e-14)[0][0])
-    kmax = R * float(zc.max(initial=0.0))
-    n_rho_panels = max(16, int(math.ceil(kmax / (2.0 * math.pi) / 2.0)))
-    rho, wk, wg = composite_gk_nodes(0.0, R, n_rho_panels)
-    q = _rho_over_sinh_pow(rho, 2 * n)
-    a = _rho_coth(rho)
-    base = (rho * rho / 8.0) * q * 4.0 * math.pi
-    E = np.exp(-np.outer(u, a))  # (Nx, Nrho)
-    J = _j0(np.outer(zc, rho))  # (Nz, Nrho)
-    pre = _prefactor(spec, t)
-    vals_k = pre * (E * (base * wk)) @ J.T
-    vals_g = pre * (E * (base * wg)) @ J.T
-    tails = pre * _tail_bound(spec, u, _PLAIN, ones)(R)
-    errs = np.abs(vals_k - vals_g) + tails[:, None]
-    return vals_k, errs
+    two_n = 2 * spec.n
+    R, tail = _auto_truncation(spec, np.zeros(1), _PLAIN, np.ones((1, 1)), 1e-14)
+    R, tail = float(R[0]), float(tail[0])
+    s_max = 12.0 * math.sqrt(32.0 * spec.n) + 40.0
+    s, wk, wg = composite_gk_nodes(0.0, s_max, 26)
+    # haar prefac(1) 4 pi s^2 w(s), one row per moment
+    shell = spec.haar_factor * _prefactor(spec, np.float64(1.0)) * 4.0 * math.pi * s * s
+    sw = np.stack([shell, shell, shell * s * s / 3.0])
+
+    def moments(panels):
+        """(K15, G7) s-rule sums of the three moments with the rho-rule on panels."""
+        rho, wr, _ = composite_gk_nodes(0.0, R, panels)
+        a = _rho_coth(rho)
+        g = wr * (rho * rho / 8.0) * _rho_over_sinh_pow(rho, two_n) * (4.0 * math.pi / a) ** two_n * 4.0 * math.pi
+        G = np.stack([g, g * 2.0 / a])
+        F = np.empty((2, len(s)))
+        for b in range(0, len(s), _ROW_BLOCK):
+            F[:, b : b + _ROW_BLOCK] = G @ _j0(np.outer(rho, s[b : b + _ROW_BLOCK] / 4.0))
+        F = sw * F[[0, 1, 0]]
+        return F @ wk, F @ wg
+
+    nr = max(16, int(math.ceil(R * s_max / 4.0 / (2.0 * math.pi) / 2.0)))
+    # past n = 138 the prefactor is 0 and then (4 pi / a)^{2n} overflows;
+    # radial_expectation fails the moments that leave the double range
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse, _ = moments(nr)
+        fine, fine_g = moments(2 * nr)
+        rho_tail = tail * (4.0 * math.pi / R) ** two_n * np.array([1.0, 2.0 / R, 1.0])
+        err = np.abs(fine - coarse) + np.abs(fine - fine_g) + rho_tail * (np.abs(wk) * sw).sum(axis=1)
+    err += 1e-14 * np.abs(fine)
+    return list(zip(fine.tolist(), err.tolist()))
 
 
-def _sphere_area(d):
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+def radial_expectation(spec, t):
+    """Mass, E[x_a^2] and E[z_i^2] of p(t, 0, .) against the Haar measure, each (value, err).
 
-
-def _grid_expectations(spec, t, weights, n_rx, n_rz, rx_max, rz_max):
-    """(value, propagated radial-quadrature error) per weight on one grid."""
-    rxn, wxk, _ = composite_gk_nodes(0.0, rx_max, n_rx)
-    rzn, wzk, _ = composite_gk_nodes(0.0, rz_max, n_rz)
-    P, Perr = _kernel_grid(spec, t, rxn, rzn)
-    geom = (
-        spec.haar_factor
-        * _sphere_area(spec.m)
-        * _sphere_area(3)
-        * np.outer(rxn ** (spec.m - 1), rzn**2)
-    )
-    out = []
-    for weight in weights:
-        wgt = weight(rxn[:, None], rzn[None, :])
-        F = P * wgt * geom
-        Ferr = Perr * np.abs(wgt) * geom
-        out.append((float(wxk @ F @ wzk), float(np.abs(wxk) @ Ferr @ np.abs(wzk))))
-    return out
-
-
-def radial_expectation(spec, t, weights):
-    """Integrals of p(t,0,.) * weight(rx, rz) against the Haar measure.
-
-    Each weight is vectorized over meshgrid arrays (rx[:, None], rz[None, :]).
-    The kernel is tabulated once on a fine and once on a coarse grid, shared
-    by all weights; each estimate compares the two resolutions (a posteriori)
-    and adds the propagated radial-quadrature errors.  Returns one
-    (value, error_estimate) pair per weight, in order.  ValueError unless
-    spec is quaternionic and t positive and finite; OverflowError when the
-    kernel's prefactor 8 (16n)^{3/2} / (4 pi t)^{2n+3} at t, or an estimate,
-    is out of floating-point range.
+    The table at t = 1 (_unit_time_moments) is scaled by the dilation
+    (x, z) -> (sqrt(t) x, t z): the mass stays, E[x_a^2] takes a factor t
+    and E[z_i^2] a factor t^2, exactly.  For reference the flat x-marginal
+    gives E[x_a^2] = 2t and the vertical variance is 32 n t^2.  ValueError
+    unless spec is quaternionic and t positive and finite; OverflowError,
+    naming the moment and t, when a scaled value or error is not finite or
+    below the smallest normal double.
     """
     _require_quaternionic(spec)
     _check_point(t, ())
-    if not 0.0 < _prefactor(spec, np.float64(t)) < math.inf:
-        raise OverflowError(
-            "kernel prefactor 8 (16n)^1.5 / (4 pi t)^%d at t = %r, n = %d is out of floating-point range"
-            % (2 * spec.n + 3, t, spec.n)
-        )
-    n_rx, n_rz = 18, 26
-    rx_max = 14.0 * math.sqrt(t) + 2.0
-    sigma_z = math.sqrt(32.0 * spec.n) * t
-    rz_max = 12.0 * sigma_z + 40.0 * t
-    with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports them
-        fine = _grid_expectations(spec, t, weights, n_rx, n_rz, rx_max, rz_max)
-        coarse = _grid_expectations(
-            spec, t, weights, max(6, (2 * n_rx) // 3), max(6, (2 * n_rz) // 3), rx_max, rz_max
-        )
-    out = [
-        (val, 2.0 * abs(val - cval) + 1e-3 * inner + 1e-14 * abs(val))
-        for (val, inner), (cval, _) in zip(fine, coarse)
-    ]
-    if not all(math.isfinite(val) and math.isfinite(err) for val, err in out):
-        raise OverflowError("an expectation of p(t, 0, .) at t = %r is out of floating-point range" % t)
+    t, tiny = float(t), np.finfo(float).tiny
+    out = []
+    for name, scale, (val, err) in zip(("mass", "E[x_a^2]", "E[z_i^2]"), (1.0, t, t * t), _unit_time_moments(spec)):
+        # Python floats: a product past the double range is inf or 0, without a warning
+        val, err = val * scale, err * scale
+        if not (tiny <= abs(val) < math.inf and tiny <= err < math.inf):
+            raise OverflowError(
+                "%s of p(t, 0, .) at t = %r is out of floating-point range: %r +- %r" % (name, t, val, err)
+            )
+        out.append((val, err))
     return out
-
-
-def _unit_weight(rx, rz):
-    return np.ones_like(rx * rz)
 
 
 def normalization_integral(spec, t):
     """Total mass of p(t, 0, .) against the Haar measure (should be 1)."""
-    return radial_expectation(spec, t, [_unit_weight])[0]
+    return radial_expectation(spec, t)[0]
 
 
 def kernel_marginal_moments(spec, t):
     """Mass and diagonal second marginal moments of p(t, 0, .) d(haar), each (value, err).
 
-    Odd moments vanish exactly in the radial reduction (parity); the mass and
-    the diagonal second moments come from one radial_expectation call.  For
-    reference the flat x-marginal gives E[x_a^2] = 2t and the vertical
-    variance is 32 n t^2.
+    Odd moments vanish exactly by parity; the mass and the diagonal second
+    moments are the three entries of radial_expectation.
     """
-    mass, ex2, ez2 = radial_expectation(
-        spec, t, [_unit_weight, lambda rx, rz: rx * rx / spec.m, lambda rx, rz: rz * rz / 3.0]
-    )
+    mass, ex2, ez2 = radial_expectation(spec, t)
     return {"mass": mass, "Exx_diag": ex2, "Ezz_diag": ez2}
 
 

@@ -19,7 +19,6 @@ from qcheat.kernel import (
     _j1,
     _j1_over_k,
     _j2,
-    _kernel_grid,
     _query_rows,
     _rho_coth,
     _rho_over_sinh_pow,
@@ -169,30 +168,39 @@ def test_marginal_moments_against_closed_forms():
 
 
 def test_moment_grids_built_once(monkeypatch):
-    """One fine and one coarse kernel table serve all three moment weights,
-    and sharing them changes no bit of any weight's result."""
+    """Each entry builds the t = 1 moment table once, and the three entries
+    agree bit for bit."""
     import qcheat.kernel as kernel_mod
 
     calls = []
-    real_grid = kernel_mod._kernel_grid
+    real_table = kernel_mod._unit_time_moments
 
-    def counting_grid(*args):
+    def counting_table(*args):
         calls.append(args)
-        return real_grid(*args)
+        return real_table(*args)
 
-    monkeypatch.setattr(kernel_mod, "_kernel_grid", counting_grid)
+    monkeypatch.setattr(kernel_mod, "_unit_time_moments", counting_table)
     mom = kernel_marginal_moments(SPEC1, 1.0)
-    assert len(calls) == 2
-    weights = [
-        lambda rx, rz: np.ones_like(rx * rz),
-        lambda rx, rz: rx * rx / SPEC1.m,
-        lambda rx, rz: rz * rz / 3.0,
-    ]
-    together = radial_expectation(SPEC1, 1.0, weights)
-    alone = [radial_expectation(SPEC1, 1.0, [w])[0] for w in weights]
-    assert together == alone
+    assert len(calls) == 1
+    together = radial_expectation(SPEC1, 1.0)
     assert [mom["mass"], mom["Exx_diag"], mom["Ezz_diag"]] == together
     assert normalization_integral(SPEC1, 1.0) == together[0]
+    assert len(calls) == 3
+
+
+def _moment_closed_forms(spec, t):
+    """Mass 1, E[x_a^2] = 2t and E[z_i^2] = 32 n t^2 of the flat kernel."""
+    return [1.0, 2.0 * t, 32.0 * spec.n * t * t]
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5, 1e-5, 1e-20, 1e-60])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_moments_match_closed_forms_at_every_t(n, t):
+    """Within the error at every t, and the error stays below 1e-9 of the value."""
+    spec = make_quaternionic_spec(n)
+    for (val, err), exact in zip(radial_expectation(spec, t), _moment_closed_forms(spec, t)):
+        assert abs(val - exact) <= err
+        assert err <= 1e-9 * exact
 
 
 def test_exp_tail_and_truncation_radius():
@@ -239,7 +247,7 @@ def _ref_rho_over_sinh_pow(rho, two_n):
 
 
 def _ref_j0(k):
-    small = np.abs(k) < 0.05
+    small = np.abs(k) < 1e-4
     safe = np.where(small, 1.0, k)
     k2 = k * k
     return np.where(small, 1.0 - k2 / 6.0 + k2 * k2 / 120.0, np.sin(safe) / safe)
@@ -418,7 +426,7 @@ def test_kernel_entries_refuse_non_quaternionic_spec(monkeypatch, spec):
         raise AssertionError("worked before validating the spec")
 
     monkeypatch.setattr(kernel_mod, "_query_rows", no_work)
-    monkeypatch.setattr(kernel_mod, "_grid_expectations", no_work)
+    monkeypatch.setattr(kernel_mod, "_unit_time_moments", no_work)
     assert not spec.quaternionic
     x, z = [0.0] * spec.m, [0.0] * 3
     with pytest.raises(ValueError, match="quaternionic spec"):
@@ -436,20 +444,27 @@ def test_radial_expectation_rejects_bad_time(t):
 
 
 # pyproject turns every RuntimeWarning into an error, so these also check that none is raised
-@pytest.mark.parametrize("spec, t", [(SPEC1, 1e-200), (SPEC1, 1e-64), (SPEC1, 1e100), (SPEC2, 1e50)])
+@pytest.mark.parametrize(
+    "spec, t", [(SPEC1, 1e-200), (SPEC1, 1e-64), (SPEC1, 1e100), (SPEC2, 1e50), (SPEC1, 1e200), (SPEC1, 1e-151)]
+)
 def test_radial_expectation_out_of_range_time_raises_overflow(spec, t):
-    # (4 pi t)^(2n+3) leaves the double range: the prefactor is 0 or infinite
-    cause = "(4 pi t)^%d at t = %r, n = %d" % (2 * spec.n + 3, t, spec.n)
-    with pytest.raises(OverflowError, match=re.escape(cause)):
-        kernel_marginal_moments(spec, t)
+    """E[z_i^2] = 32 n t^2 leaves the double range at t = 1e-200 and 1e200, and
+    at t = 1e-151 its error does (about 1e-311), so those raise by name.
+    1e-64, 1e100 (n = 1) and 1e50 (n = 2) raised while the range check was on
+    the prefactor (4 pi t)^(2n+3); the moments scale from t = 1 now, so there
+    they are in range and give the closed forms within their errors."""
+    if t in (1e-200, 1e200, 1e-151):
+        with pytest.raises(OverflowError, match=re.escape("E[z_i^2] of p(t, 0, .) at t = %r" % t)):
+            kernel_marginal_moments(spec, t)
+        return
+    for (val, err), exact in zip(radial_expectation(spec, t), _moment_closed_forms(spec, t)):
+        assert abs(val - exact) <= err
 
 
 def test_radial_expectation_non_finite_estimate_raises_overflow():
-    def infinite(rx, rz):
-        return np.full(np.broadcast(rx, rz).shape, math.inf)
-
-    with pytest.raises(OverflowError, match="expectation of p"):
-        radial_expectation(SPEC1, 1.0, [infinite])
+    # at t = 1e155 the t = 1 table is finite, and t^2 times it is not
+    with pytest.raises(OverflowError, match=re.escape("at t = 1e+155 is out of floating-point range: inf")):
+        radial_expectation(SPEC1, 1e155)
 
 
 def test_query_validation():
@@ -628,22 +643,44 @@ def _deriv(spec, *names):
 QUERY_DERIVS = [("x1", "x1"), ("x1", "x2"), ("z1",), ("z1", "z2"), ("x1", "x2", "z1")]
 
 
+def _radial_quad(n, t, rx, rz):
+    """p(t, 0, (x, z)) at |x| = rx, |z| = rz by scipy's quad of the radial integral, with its abserr.
+
+    p = 8 (16n)^{3/2} / (4 pi t)^{2n+3} int_0^inf rho^2/8 (rho / sinh rho)^{2n}
+        exp(-rho coth(rho) rx^2 / 4t) 4 pi j0(rho rz / 4t) drho,
+    written out here with math alone; past rho = 60 the integrand is below 1e-40.
+    """
+    u, zc = rx * rx / (4.0 * t), rz / (4.0 * t)
+
+    def f(rho):
+        k = zc * rho
+        return (
+            rho * rho / 8.0
+            * (rho / math.sinh(rho)) ** (2 * n)
+            * math.exp(-rho / math.tanh(rho) * u)
+            * 4.0 * math.pi * (math.sin(k) / k if k else 1.0)
+        )
+
+    val, abserr = quad(f, 0.0, 60.0, epsabs=1e-16, epsrel=1e-13, limit=400)
+    pre = 8.0 * (16.0 * n) ** 1.5 / (4.0 * math.pi * t) ** (2 * n + 3)
+    return pre * val, pre * abserr
+
+
 @pytest.mark.parametrize("t", [1.0, 0.3])
 @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
-def test_kernel_grid_matches_query_rows(spec, t):
-    """The fixed-rule grid behind criterion 4's mass and criterion 11's E[z^2]
-    agrees with the adaptive production rows within their summed errors."""
+def test_query_rows_match_radial_quad(spec, t):
+    """Plain off-diagonal rows agree with an independent scipy quadrature of
+    the radial integral within the two errors."""
     rx = np.array([0.0, 0.7, 2.0, 5.0])
     rz = np.array([0.0, 0.5, 3.0, 9.0]) * t
-    grid, grid_err = _kernel_grid(spec, t, rx, rz)
     x = np.zeros((16, spec.m))
     x[:, 0] = np.repeat(rx, 4)
     z = np.zeros((16, 3))
     z[:, 0] = np.tile(rz, 4)
     rows = _query_rows(spec, np.full(16, t), x, z, (), 1e-14)  # absolute floor 1e-17
     for r, row in enumerate(rows):
-        i, j = divmod(r, 4)
-        assert abs(grid[i, j] - row.value) <= grid_err[i, j] + row.err_estimate
+        ref, ref_err = _radial_quad(spec.n, t, rx[r // 4], rz[r % 4])
+        assert abs(row.value - ref) <= row.err_estimate + ref_err
 
 
 @pytest.mark.parametrize("names", QUERY_DERIVS)
