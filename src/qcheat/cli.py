@@ -96,7 +96,7 @@ def _read_csv_rows(path):
             if not line:
                 continue
             try:
-                rows.append(([float(v) for v in line.replace(",", " ").split()], ln))
+                rows.append([float(v) for v in line.replace(",", " ").split()])
             except ValueError as exc:
                 raise ValueError("line %d: %s" % (ln, exc)) from exc
     return rows
@@ -107,8 +107,7 @@ def _cmd_kernel(args):
     from .kernel import batch_evaluate
 
     spec = make_quaternionic_spec(args.n)
-    rows = _read_csv_rows(args.input)
-    results = batch_evaluate(spec, [r for r, _ in rows], tol=args.tol)
+    results = batch_evaluate(spec, _read_csv_rows(args.input), tol=args.tol)
     buf = io.StringIO()
     buf.write("# config: %s\n" % json.dumps(_run_config(args, "kernel"), sort_keys=True))
     buf.write("row,value,err,error\n")

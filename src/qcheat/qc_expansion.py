@@ -425,11 +425,6 @@ class PerturbationOperator:
     second: dict
     first: dict
 
-    def is_zero(self):
-        return all(p.is_zero() for p in self.second.values()) and all(
-            p.is_zero() for p in self.first.values()
-        )
-
     def check_order_zero(self):
         def label_weight(lbl):
             return 1 if lbl[0] == "X" else 2
@@ -496,11 +491,12 @@ def _coordinate_terms(spec, op):
     duplicates combined and derivative indices global coordinates.  A
     monomial whose per-coordinate parity differs from its derivative's is a
     moment the flat kernel's invariance kills (the first test of
-    _moment_decomposition), so it is dropped before its coefficient is
-    multiplied out; killed counts the distinct (derivative, monomial)
-    patterns dropped that way.  Parity adds under multiplication, so a term
-    of coeff * A.comps[a] is multiplied out only when some term of B can
-    still complete it to a survivor.
+    _moment_decomposition).  Parity adds under multiplication, so each
+    coefficient term is paired with each term of a frame-component product
+    and only the pairs of the derivative's parity are multiplied out.
+    killed counts the distinct (derivative, monomial) patterns that some
+    coefficient * component product forms without cancelling; cancellation
+    between different products on one pattern is not seen.
     """
     m, r = spec.m, spec.r
     nv = m + r
@@ -527,45 +523,22 @@ def _coordinate_terms(spec, op):
         """The terms of poly as (packed exponents, coefficient, parity mask) triples."""
         return [(pack(e), c, _parity(e)) for e, c in poly.terms.items()]
 
-    def derivative(*coords):
-        """(multi-index, its parity, its packed key shifted past every monomial's)."""
-        e = _exponent(nv, *coords)
-        return e, _parity(e), pack(e) << (bits * nv)
-
-    split_comps = {lbl: [split(p) for p in F.comps] for lbl, F in fields.items()}
+    split_comps = {lbl: [(c, split(p)) for c, p in enumerate(F.comps) if not p.is_zero()] for lbl, F in fields.items()}
     acc = {}
     killed = set()
 
-    def product(left, right, live):
-        """left * right as split terms; a term whose parity is not in live keeps
-        coefficient None, and is kept only where its products do not cancel."""
-        terms, dead = {}, {}
-        for e1, c1, p1 in left:
-            for e2, c2, p2 in right:
-                e = e1 + e2
-                p = p1 ^ p2
-                if p in live:
-                    c = c1 * c2
-                    prev = terms.get(e)
-                    terms[e] = (c, p) if prev is None else (prev[0] + c, p)
-                else:
-                    dead.setdefault(e, (p, []))[1].append((c1, c2))
-        out = [(e, c, p) for e, (c, p) in terms.items() if c]
-        # one product of nonzero factors cannot vanish; several may cancel
-        for e, (p, pairs) in dead.items():
-            if len(pairs) == 1 or sum(c1 * c2 for c1, c2 in pairs):
-                out.append((e, None, p))
-        return out
-
-    def add(deriv, left, right):
-        """Accumulate left * right (split polys) under deriv, multiplying survivors only."""
-        key, want, dkey = deriv
-        terms = acc.setdefault(key, {})
+    def add(coords, left, right):
+        """Accumulate left * right (split polys) under the derivative d/dx_coords,
+        multiplying only the pairs of the derivative's parity."""
+        deriv = _exponent(nv, *coords)
+        want = _parity(deriv)
+        terms = acc.setdefault(deriv, {})
+        dead = {}
         for e1, c1, p1 in left:
             for e2, c2, p2 in right:
                 e = e1 + e2
                 if p1 ^ p2 != want:
-                    killed.add(dkey + e)
+                    dead.setdefault(e, []).append((c1, c2))
                     continue
                 c = c1 * c2
                 prev = terms.pop(e, None)
@@ -573,29 +546,29 @@ def _coordinate_terms(spec, op):
                     c = prev + c
                 if c:
                     terms[e] = c
+        # one product of nonzero factors cannot vanish; several may cancel
+        dkey = pack(deriv) << (bits * nv)
+        for e, pairs in dead.items():
+            if len(pairs) == 1 or sum(c1 * c2 for c1, c2 in pairs):
+                killed.add(dkey + e)
 
     for (la, lb), coeff in op.second.items():
         A, B = fields[la], fields[lb]
         left = split(coeff)
-        rights = [(b, right) for b, right in enumerate(split_comps[lb]) if right]
-        for a, factor in enumerate(split_comps[la]):
-            if not factor:
-                continue
-            derivs = [(derivative(a, b), right) for b, right in rights]
-            live = {want ^ p2 for (_, want, _), right in derivs for _, _, p2 in right}
-            coeff_a = product(left, factor, live)
-            for deriv, right in derivs:
-                add(deriv, coeff_a, right)
+        for a, comp_a in split_comps[la]:
+            for b, comp_b in split_comps[lb]:
+                # A^a B^b with like terms left apart: add sums the products per pattern
+                comp_ab = [(e1 + e2, c1 * c2, p1 ^ p2) for e1, c1, p1 in comp_a for e2, c2, p2 in comp_b]
+                add((a, b), left, comp_ab)
         # A acting on B's coefficients: first-order remainder
         for b in range(nv):
             inner = A.apply(B.comps[b])
             if not inner.is_zero():
-                add(derivative(b), left, split(inner))
+                add((b,), left, split(inner))
     for lbl, coeff in op.first.items():
         left = split(coeff)
-        for a, right in enumerate(split_comps[lbl]):
-            if right:
-                add(derivative(a), left, right)
+        for a, comp in split_comps[lbl]:
+            add((a,), left, comp)
 
     def unpack(e):
         return tuple((e >> (bits * c)) & mask for c in range(nv))
@@ -614,16 +587,12 @@ def _moment_decomposition(mono, deriv, m):
     when it survives, and raises UnclassifiedMomentError outside the cases
     established for the flat kernel.
     """
+    if _parity(mono) != _parity(deriv):
+        return {}
     mu = mono[:m]
     nu = mono[m:]
     kx = deriv[:m]
     kz = deriv[m:]
-    for a in range(m):
-        if (mu[a] + kx[a]) % 2:
-            return {}
-    for i in range(len(nu)):
-        if (nu[i] + kz[i]) % 2:
-            return {}
     sig = (sum(mu), sum(nu), sum(kx), sum(kz))
 
     def expand(exps):

@@ -207,7 +207,8 @@ def test_p1_is_zero_and_p2_structure():
     assert op.check_order_zero()
     assert all(not (a[0] == "V" and b[0] == "V") for a, b in op.second)
     flat = TensorSymbols(SPEC, zero_torsion=True, zero_curvature=True)
-    assert _p2(flat).is_zero()
+    flat_op = _p2(flat)
+    assert not flat_op.second and not flat_op.first
 
 
 def test_build_p2_checks_order_zero():
@@ -390,15 +391,22 @@ def test_coordinate_terms_match_unpruned_expansion():
         assert pruned == killed == want_killed
 
 
-def test_coordinate_terms_cancelling_products_are_not_counted():
-    # X_3's vertical component 2 (x_1 + x_2) times the coefficient x_1 - x_2
-    # cancels its x_1 x_2 terms: a pattern that is never formed is not killed
+@pytest.mark.parametrize("cancelling", ["coefficient", "components"])
+def test_coordinate_terms_cancelling_products_are_not_counted(cancelling):
+    # a pattern that is never formed is not killed.  coefficient: X_3's vertical
+    # component 2 (x_1 + x_2) times the coefficient x_1 - x_2 cancels its x_1 x_2
+    # terms; components: X_3's and X_4's vertical components 2 (x_1 + x_2) and
+    # 2 (x_1 - x_2) multiply to no x_1 x_2 term
     J = (((0, 0, 1, 1), (0, 0, 1, -1), (-1, -1, 0, 0), (-1, 1, 0, 0)),)
     spec = GroupSpec(J=J)
     nv = spec.m + spec.r
     x = [Poly.variable(nv, a) for a in range(nv)]
-    coeff = x[0] - x[1]
-    op = PerturbationOperator(m=4, r=1, second={(("X", 2), ("X", 0)): coeff}, first={("X", 1): coeff})
+    if cancelling == "coefficient":
+        coeff = x[0] - x[1]
+        op = PerturbationOperator(m=4, r=1, second={(("X", 2), ("X", 0)): coeff}, first={("X", 1): coeff})
+    else:
+        one = Poly.constant(nv, Sym.rational(1))
+        op = PerturbationOperator(m=4, r=1, second={(("X", 2), ("X", 3)): one}, first={})
 
     def parity_survives(mono, deriv):
         return all((a + b) % 2 == 0 for a, b in zip(mono, deriv))
