@@ -262,7 +262,12 @@ def build_parser():
     sp.add_argument("--t", type=_positive(float), default=1.0)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--paths", type=_positive(int), default=10000)
-    sp.add_argument("--steps", type=_positive(int), default=300)
+    sp.add_argument(
+        "--steps",
+        type=_positive(int),
+        default=300,
+        help="sets K = ceil(sqrt(steps)), the Fourier modes of each path's Levy area",
+    )
     sp.add_argument("--rule", type=int, default=None, choices=(1, 2, 3, 4))
     sp.add_argument("--indices", default=None, help="comma-separated rule indices")
     sp.add_argument("--samples", type=_positive(int), default=2000)

@@ -8,29 +8,37 @@ coordinates follow the Ito integral
 
 whose Ito correction vanishes (the z-coefficients are linear in x with skew
 I, so a field applied to its own vertical coefficient hits the zero diagonal
-I^i_{aa}).  Euler-Maruyama with exact Gaussian x-increments is therefore
-unbiased in x and weakly biased O(dt) in z only.
+I^i_{aa}).  With x = sqrt(2) W, z_i = 4 int W^T J^i dW depends on the path
+only through its increment and its Levy area, so a path is sampled without
+time steps.  At unit time x = sqrt(2) xi with xi = W(1) standard normal, and
+the Fourier expansion of the Brownian bridge (Kloeden-Platen-Wright, Stoch.
+Anal. Appl. 10, 1992) gives
+
+    z_i = (4/pi) sum_{k>=1} zeta_k^T J^i v_k / k,   v_k = eta_k + sqrt(2) xi,
+
+with zeta_k, eta_k independent standard normal m-vectors.  The first K
+modes are drawn.  Given xi, the dropped modes have the covariance
+(4/pi)^2 a_K (tr(J^i J^jT) + 2 (J^i xi).(J^j xi)), a_K = pi^2/6 -
+sum_{k<=K} 1/k^2, and a Gaussian of exactly that covariance stands in for
+them (Wiktorsson, Ann. Appl. Probab. 11, 2001).  So E[z_i z_j] =
+8 t^2 tr(J^i J^jT) holds at every K, and the law misses only the tail's
+fourth cumulant, O(K^-3).  A path at time t is the unit-time path under
+the dilation, x sqrt(t) and z t.  K = ceil(sqrt(n_steps)): n_steps keeps
+its meaning as the accuracy and budget knob of SimConfig.  z has one column
+per vertical direction of any GroupSpec.
 
 Randomness is counter-based: each path draws from Philox keyed by
-(seed, path index), with steps consumed in order inside the path, so a
-path's samples do not depend on which other paths are drawn or in what
-order they are evaluated; the uniform time draws of the convolution
-estimators use a reserved stream key.  The simulator, _simulate, works on
-a block of paths that share a step count in one array pass: one Philox is
-re-keyed per path instead of built per path, which draws the same stream,
-and every path's terminal (x, z) has the bits of a one-path pass.  z comes
-from one Levy matrix per path, S = X^T dx with X the inclusive running sum
-of the increments (its skew part is the path's Levy area), as
-z_i = 2 sum_{b,a} S_{ba} J^i_{ba}: each J^i is skew, so dx^T J^i dx = 0 and
-sum_t X(t)^T J^i dx(t) is the left-point Ito sum sum_t X(t-)^T J^i dx(t)
-(Kloeden-Platen-Wright, Stoch. Anal. Appl. 10, 1992).  z has one column per
-vertical direction of any GroupSpec.  simulate_paths and
-check_moment_vanishing each make one call over all their paths; a call
-groups its paths by step count.  The two kernel-based checks take the
-quaternionic spec only, since the kernel has three z coordinates.
-check_moment_vanishing computes both halves of its time integral with one
-array body, over a Leibniz term list per half, and reads only spec, seed and
-n_steps of its SimConfig.
+(seed, path index), so a path's samples do not depend on which other paths
+are drawn or in what order they are evaluated; the uniform time draws of the
+convolution estimators use a reserved stream key.  The simulator, _simulate,
+works on a block of paths in one array pass: one Philox is re-keyed per path
+instead of built per path, which draws the same stream, and every path's
+terminal (x, z) has the bits of a one-path pass.  simulate_paths and
+check_moment_vanishing each make one call over all their paths, at one K.
+The two kernel-based checks take the quaternionic spec only, since the
+kernel has three z coordinates.  check_moment_vanishing computes both halves
+of its time integral with one array body, over a Leibniz term list per half,
+and reads only spec, seed and n_steps of its SimConfig.
 Kernel values come from the kernel layer's one row entry, _query_rows,
 which also serves the CLI rows and single queries: the checks simulate all
 their samples first and then make one call per time branch and Leibniz term
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +76,17 @@ __all__ = [
 
 _TIME_STREAM = 0x5EED_71AE_0000_0000  # reserved path index of the s-draw stream
 _PATH_STEP_BUDGET = 200_000_000  # ceiling on n_paths * n_steps
-_BLOCK_PATH_STEPS = 25_600  # path-steps per array pass of _simulate; bounds its arrays
+_BLOCK_NORMALS = 102_400  # normals per array pass of _simulate; bounds its arrays
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One seeded simulation; n_paths * n_steps is capped at 2e8 path-steps."""
+    """One seeded simulation; n_paths * n_steps is capped at 2e8 path-steps.
+
+    A path samples its Levy area from ceil(sqrt(n_steps)) Fourier modes.  The
+    seed is any integer (numpy integers too), taken modulo 2^64; ValueError
+    for a seed that is not an integer.
+    """
 
     spec: object
     t: float
@@ -86,6 +100,10 @@ class SimConfig:
             raise ValueError("need positive path/step counts")
         if self.seed is None:
             raise ValueError("seed is mandatory for reproducibility")
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ValueError("seed must be an integer, got %r" % (self.seed,)) from None
         if self.n_paths * self.n_steps > _PATH_STEP_BUDGET:
             raise ValueError(
                 "simulation budget exceeded: %d * %d > %d"
@@ -104,53 +122,83 @@ def _path_rng(seed, path_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _simulate(spec, t, n_steps, seed, paths):
-    """Terminal (x, z) of each path paths[r], run to time t[r] in n_steps[r] Euler steps.
+def _n_modes(n_steps):
+    """K = ceil(sqrt(n_steps)), the Fourier modes a path draws for n_steps."""
+    return math.isqrt(n_steps - 1) + 1
 
-    The paths are taken in groups that share a step count, in increasing
-    step count, and a block of at most _BLOCK_PATH_STEPS path-steps of one
-    group is one array pass.  The Philox of _path_rng(seed, 0), set back to
-    its initial state (counter 0, empty buffer) with its path word re-keyed
-    to p, draws path p's normals as _path_rng(seed, p) would.  With X the
-    inclusive cumsum of the increments dx, one batched matmul gives each
-    path's Levy matrix S = X^T dx (m x m) and z = 2 einsum(S, J) contracts it
-    with all spec.r bracket matrices at once.  This is the left-point Ito sum
-    exactly, since every J^i is skew (GroupSpec checks it in exact
-    arithmetic) and so dx^T J^i dx = 0; in floating point it moves z by
-    rounding only.  Batched and one-path products give the same bits, so a
-    path gets the bits of a one-path pass.  OverflowError when a terminal
-    sample is not finite.
+
+def _simulate(spec, t, n_modes, seed, paths):
+    """Terminal (x, z) of each path paths[r] at time t[r], its Levy area from n_modes Fourier modes.
+
+    Path p draws from _path_rng(seed, p), in this order: xi (m normals); the
+    tail normals, u (one per pair a < b of horizontal indices) and then h
+    (m); then, for each mode k = 1..K, the pair (zeta_k, eta_k) (2m).  So the
+    K-mode stream is a prefix of the (K+1)-mode one, and x does not depend
+    on K.  At unit time x = sqrt(2) xi and z_i = (4/pi) sum_ab S_ab J^i_ab,
+    with
+
+        S = sum_{k<=K} zeta_k v_k^T / k + sqrt(2 a_K) (h xi^T + U),
+
+    v_k = eta_k + sqrt(2) xi, and U the strictly upper triangular matrix
+    holding u.  The tail term contracts with J^i to a Gaussian, given xi, of
+    covariance 2 a_K ((J^i xi).(J^j xi) + sum_{a<b} J^i_ab J^j_ab) =
+    a_K (2 (J^i xi).(J^j xi) + tr(J^i J^jT)), the exact conditional
+    covariance of the dropped modes, for every spec and without a matrix
+    factorization.  Then x is scaled by sqrt(2 t) and z by 4t/pi, after
+    the unit-time path is complete, so a huge t overflows only there.
+
+    A block of at most _BLOCK_NORMALS normals is one array pass.  The Philox
+    of _path_rng(seed, 0), set back to its initial state (counter 0, empty
+    buffer) with its path word re-keyed to p, draws path p's normals as
+    _path_rng(seed, p) would.  Batched and one-path products give the same
+    bits, so a path gets the bits of a one-path pass.  OverflowError when a
+    terminal sample is not finite.
     """
+    m, K = spec.m, n_modes
     J = spec.J_float()
+    upper = np.triu_indices(m, 1)
+    n_u = len(upper[0])
+    width = 2 * m + n_u + 2 * m * K
+    tail_scale = math.sqrt(2.0 * (math.pi**2 / 6.0 - math.fsum(1.0 / k**2 for k in range(1, K + 1))))
+    inv_k = 1.0 / np.arange(1, K + 1)
     rng = _path_rng(seed, 0)
     state = rng.bit_generator.state
-    x, z = np.empty((len(paths), spec.m)), np.empty((len(paths), spec.r))
+    size = max(1, _BLOCK_NORMALS // width)
+    x, z = np.empty((len(paths), m)), np.empty((len(paths), spec.r))
+    for s in range(0, len(paths), size):
+        block = paths[s : s + size].tolist()
+        draws = np.empty((len(block), width))
+        for row, p in enumerate(block):
+            state["state"]["key"][1] = p
+            rng.bit_generator.state = state
+            rng.standard_normal(out=draws[row])
+        xi = draws[:, :m]
+        modes = draws[:, 2 * m + n_u :].reshape(-1, K, 2, m)
+        v = modes[:, :, 1] + math.sqrt(2.0) * xi[:, None, :]
+        S = (modes[:, :, 0] * inv_k[:, None]).transpose(0, 2, 1) @ v
+        tail = draws[:, m + n_u : 2 * m + n_u, None] * xi[:, None, :]  # h xi^T
+        tail[:, upper[0], upper[1]] += draws[:, m : m + n_u]  # + U
+        S += tail_scale * tail
+        x[s : s + size] = xi
+        z[s : s + size] = np.einsum("bma,ima->bi", S, J)
     with np.errstate(over="ignore", invalid="ignore"):
-        # sorted(set(...)): a first np.unique call adds about 1.5 MB of resident memory (numpy 2.4)
-        for k in sorted(set(n_steps.tolist())):
-            group = np.flatnonzero(n_steps == k)
-            size = max(1, _BLOCK_PATH_STEPS // k)
-            for s in range(0, len(group), size):
-                blk = group[s : s + size]
-                dx = np.empty((len(blk), k, spec.m))
-                for row, p in enumerate(paths[blk].tolist()):
-                    state["state"]["key"][1] = p
-                    rng.bit_generator.state = state
-                    rng.standard_normal(out=dx[row])
-                dx *= np.sqrt(BROWNIAN_VARIANCE_FACTOR * (t[blk] / k))[:, None, None]
-                xs = np.cumsum(dx, axis=1)
-                x[blk] = xs[:, -1]
-                z[blk] = 2.0 * np.einsum("bma,ima->bi", xs.transpose(0, 2, 1) @ dx, J)
+        x *= np.sqrt(BROWNIAN_VARIANCE_FACTOR * t)[:, None]
+        z *= (t * (2.0 * BROWNIAN_VARIANCE_FACTOR / math.pi))[:, None]
     if not (np.isfinite(x).all() and np.isfinite(z).all()):
         raise OverflowError("a simulated path left the floating-point range")
     return x, z
 
 
 def simulate_paths(cfg):
-    """Terminal samples of the horizontal diffusion at time cfg.t; OverflowError when one is not finite."""
+    """Terminal samples of the horizontal diffusion at time cfg.t, one path per Philox key (seed, p).
+
+    Each path samples its Levy area from K = ceil(sqrt(cfg.n_steps)) Fourier
+    modes and an exact-covariance Gaussian tail (see _simulate); there are no
+    time steps.  OverflowError when a sample is not finite.
+    """
     n = cfg.n_paths
-    t, steps = np.full(n, float(cfg.t)), np.full(n, cfg.n_steps)
-    return TerminalSamples(*_simulate(cfg.spec, t, steps, cfg.seed, np.arange(n)))
+    t = np.full(n, float(cfg.t))
+    return TerminalSamples(*_simulate(cfg.spec, t, _n_modes(cfg.n_steps), cfg.seed, np.arange(n)))
 
 
 def _mean_stderr(values):
@@ -321,8 +369,9 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     kernel row that misses tolerance raises the first ToleranceError met, in
     branch, term, row order.
 
-    Of cfg only spec, seed and n_steps are read; a sample simulates
-    max(8, ceil(n_steps * t_sim)) steps.  ValueError, before any draw, when
+    Of cfg only spec, seed and n_steps are read; every sample draws the same
+    K = ceil(sqrt(n_steps)) Fourier modes, since the sampler's relative
+    accuracy does not depend on t_sim.  ValueError, before any draw, when
     the spec is not quaternionic, n_samples < 2 (no standard error) or
     n_samples * n_steps exceeds the path-step budget.  A vanishing rule
     passes when |estimate| < 3 stderr; a pattern surviving the parity
@@ -340,8 +389,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     late = svals >= 0.5
     t_sim = np.where(late, 1.0 - svals, svals)
     t_ker = np.where(late, svals, 1.0 - svals)
-    steps = np.maximum(8, np.ceil(cfg.n_steps * t_sim)).astype(int)
-    x, z = _simulate(spec, t_sim, steps, cfg.seed, np.arange(n_samples))
+    x, z = _simulate(spec, t_sim, _n_modes(cfg.n_steps), cfg.seed, np.arange(n_samples))
 
     vals = np.empty(n_samples)
     for is_late, terms in ((True, [(1, (), deriv)]), (False, _ibp_terms(mono, deriv))):

@@ -304,8 +304,8 @@ def test_criterion_11_diffusion_moments():
     details.append("Ex2 ok")
     mom = kernel_marginal_moments(spec, 1.0)
     qz, qz_err = mom["Ezz_diag"]
-    # Euler with exact Gaussian increments and orthogonal J: E[z_i^2] = 32 n t^2 (1 - 1/n_steps) exactly
-    exact = 32.0 * spec.n * cfg.t**2 * (1.0 - 1.0 / cfg.n_steps)
+    # the Fourier-mode sampler with its exact-covariance tail and orthogonal J: E[z_i^2] = 32 n t^2 exactly
+    exact = 32.0 * spec.n * cfg.t**2
     for i in range(3):
         vals = samples.z[:, i] ** 2
         est = float(np.mean(vals))
@@ -317,7 +317,7 @@ def test_criterion_11_diffusion_moments():
     ok = ok and elapsed < 120.0
     _report(
         11,
-        "E[x^2]=2t, E[z^2] vs quadrature and vs the exact Euler value within 3 sigma at 1e5 paths, < 2 min",
+        "E[x^2]=2t, E[z^2] vs quadrature and vs the exact value 32nt^2 within 3 sigma at 1e5 paths, < 2 min",
         ok,
         "; ".join(details) + " qz=%.2f exact=%.4f t=%.0fs" % (qz, exact, elapsed),
     )

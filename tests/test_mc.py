@@ -39,6 +39,9 @@ def test_config_validation():
         SimConfig(spec=SPEC, t=1, n_paths=0, n_steps=10, seed=1)
     with pytest.raises(ValueError):
         SimConfig(spec=SPEC, t=1, n_paths=10, n_steps=10, seed=None)
+    for seed in (7.0, "7"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(spec=SPEC, t=1, n_paths=10, n_steps=10, seed=seed)
     with pytest.raises(ValueError):
         SimConfig(spec=SPEC, t=1, n_paths=10**6, n_steps=10**6, seed=1)
 
@@ -51,50 +54,99 @@ def test_seeded_determinism():
     assert not np.array_equal(s1.x, s3.x)
 
 
-def _reference_path(spec, t, n_steps, seed, p):
-    """Terminal (x, z) of path p rebuilt from its own Philox stream by a plain left-point Euler loop."""
-    m = spec.m
+def test_numpy_integer_seed_matches_python_int():
+    ref = simulate_paths(small_cfg(seed=5, n_paths=20))
+    for seed in (np.int64(5), np.uint8(5)):
+        cfg = small_cfg(seed=seed, n_paths=20)
+        assert type(cfg.seed) is int
+        got = simulate_paths(cfg)
+        assert np.array_equal(got.x, ref.x) and np.array_equal(got.z, ref.z)
+    # a numpy seed at the top of the uint64 range is taken modulo 2^64 like a Python int
+    wrapped = simulate_paths(small_cfg(seed=np.uint64(2**64 - 1), n_paths=20))
+    neg = simulate_paths(small_cfg(seed=-1, n_paths=20))
+    assert np.array_equal(wrapped.z, neg.z)
+
+
+def _reference_path(spec, t, n_modes, seed, p, n_drawn=None):
+    """Terminal (x, z) of path p by a plain loop over its Levy-area modes.
+
+    Path p's Philox(key=[seed, p]) stream is drawn for n_drawn >= n_modes
+    modes and read in order, only as far as n_modes modes need: xi, the tail
+    normals u (one per pair a < b) and h, then (zeta_k, eta_k) per mode.
+    """
+    m, K = spec.m, n_modes
     J = [[[float(v) for v in row] for row in Ji] for Ji in spec.J]
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     key = np.array([seed % 2**64, p], dtype=np.uint64)
-    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, m))
-    scale = math.sqrt(2.0 * t / n_steps)
-    x = [0.0] * m
-    z = [0.0] * spec.r
-    for k in range(n_steps):
-        dx = [scale * float(v) for v in xi[k]]
+    n_normals = 2 * m + len(pairs) + 2 * m * (n_drawn or K)
+    draws = iter(np.random.Generator(np.random.Philox(key=key)).standard_normal(n_normals).tolist())
+    xi = [next(draws) for _ in range(m)]
+    u = [next(draws) for _ in pairs]
+    h = [next(draws) for _ in range(m)]
+    w = [0.0] * spec.r
+    for k in range(1, K + 1):
+        zeta = [next(draws) for _ in range(m)]
+        v = [next(draws) + math.sqrt(2.0) * xi[b] for b in range(m)]
         for i in range(spec.r):
-            z[i] += 2.0 * sum(x[b] * J[i][b][a] * dx[a] for a in range(m) for b in range(m))
-        x = [x[a] + dx[a] for a in range(m)]
-    return np.array(x), np.array(z)
+            w[i] += sum(zeta[a] * J[i][a][b] * v[b] for a in range(m) for b in range(m)) / k
+    # the dropped modes: given xi, a Gaussian of covariance a_K (tr(J^i J^jT) + 2 (J^i xi).(J^j xi))
+    a_K = math.pi**2 / 6 - sum(1.0 / k**2 for k in range(1, K + 1))
+    for i in range(spec.r):
+        tail = sum(h[a] * J[i][a][b] * xi[b] for a in range(m) for b in range(m))
+        tail += sum(uab * J[i][a][b] for uab, (a, b) in zip(u, pairs))
+        w[i] += math.sqrt(2.0 * a_K) * tail
+    return math.sqrt(2.0 * t) * np.array(xi), 4.0 * t / math.pi * np.array(w)
 
 
-def _assert_matches_euler_loop(spec, t, n_steps, seed, p, x, z):
-    ref_x, ref_z = _reference_path(spec, t, n_steps, seed, p)
+def _assert_matches_reference_loop(spec, t, n_modes, seed, p, x, z, n_drawn=None):
+    ref_x, ref_z = _reference_path(spec, t, n_modes, seed, p, n_drawn)
     np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(z, ref_z, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(z, ref_z, rtol=1e-12, atol=1e-13 * t)
+
+
+def _one_path(spec, t, n_modes, seed, p):
+    """Terminal (x, z) of path p from a one-path pass of the simulator."""
+    x, z = mc._simulate(spec, np.array([float(t)]), n_modes, seed, np.array([p]))
+    return x[0], z[0]
 
 
 def test_stream_layout_per_path_keys(monkeypatch):
-    """Path p draws its (n_steps, m) normals from Philox(key=[seed, p]), nothing else."""
+    """Path p draws its normals from Philox(key=[seed, p]), nothing else."""
     for n in (1, 2):
         cfg = SimConfig(spec=make_quaternionic_spec(n), t=0.7, n_paths=12, n_steps=40, seed=31)
         samples = simulate_paths(cfg)
         for p in (0, 1, 5, 11):
-            _assert_matches_euler_loop(cfg.spec, cfg.t, cfg.n_steps, cfg.seed, p, samples.x[p], samples.z[p])
+            _assert_matches_reference_loop(cfg.spec, cfg.t, 7, cfg.seed, p, samples.x[p], samples.z[p])
         # a path's samples do not depend on how many other paths are drawn
         prefix = simulate_paths(replace(cfg, n_paths=3))
         assert np.array_equal(prefix.x, samples.x[:3]) and np.array_equal(prefix.z, samples.z[:3])
-    # mixed step counts, several blocks per count, paths in no particular order
-    monkeypatch.setattr(mc, "_BLOCK_PATH_STEPS", 60)
+    # mixed times, several blocks, paths in no particular order
+    monkeypatch.setattr(mc, "_BLOCK_NORMALS", 400)
     rng = np.random.default_rng(5)
     paths = rng.permutation(24) + 3
-    steps = rng.choice([8, 13, 30], size=len(paths))
     t = rng.uniform(0.1, 1.0, size=len(paths))
     for n in (1, 2):
         spec = make_quaternionic_spec(n)
-        x, z = mc._simulate(spec, t, steps, -57, paths)
-        for row, (p, k, ts) in enumerate(zip(paths.tolist(), steps.tolist(), t.tolist())):
-            _assert_matches_euler_loop(spec, ts, k, -57, p, x[row], z[row])
+        x, z = mc._simulate(spec, t, 6, -57, paths)
+        for row, (p, ts) in enumerate(zip(paths.tolist(), t.tolist())):
+            _assert_matches_reference_loop(spec, ts, 6, -57, p, x[row], z[row])
+            one_x, one_z = _one_path(spec, ts, 6, -57, p)
+            assert np.array_equal(x[row], one_x) and np.array_equal(z[row], one_z)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mode_streams_nest(n):
+    # at K modes a path reads a prefix of its (K+1)-mode stream: x keeps its bits, and z
+    # follows the reference loop that reads K modes of a stream drawn for K + 1
+    spec = make_quaternionic_spec(n)
+    t, seed, paths = 0.8, 4242, np.arange(5)
+    for K in (1, 4, 20):
+        x0, z0 = mc._simulate(spec, np.full(5, t), K, seed, paths)
+        x1, z1 = mc._simulate(spec, np.full(5, t), K + 1, seed, paths)
+        assert np.array_equal(x0, x1) and not np.array_equal(z0, z1)
+        for p in paths.tolist():
+            _assert_matches_reference_loop(spec, t, K, seed, p, x0[p], z0[p], n_drawn=K + 1)
+            _assert_matches_reference_loop(spec, t, K + 1, seed, p, x1[p], z1[p])
 
 
 # the Heisenberg group (r = 1) and a rank-two group whose second bracket is no signed permutation
@@ -108,38 +160,28 @@ _RANK_TWO = GroupSpec(
 
 
 @pytest.mark.parametrize("spec", [_HEISENBERG, _RANK_TWO], ids=["r1", "r2"])
-def test_any_vertical_rank_matches_euler_loop(spec):
+def test_any_vertical_rank_matches_reference_loop(spec):
     cfg = SimConfig(spec=spec, t=0.6, n_paths=9, n_steps=50, seed=808)
     samples = simulate_paths(cfg)
     assert samples.x.shape == (9, spec.m) and samples.z.shape == (9, spec.r)
     for p in range(cfg.n_paths):
-        _assert_matches_euler_loop(spec, cfg.t, cfg.n_steps, cfg.seed, p, samples.x[p], samples.z[p])
+        _assert_matches_reference_loop(spec, cfg.t, 8, cfg.seed, p, samples.x[p], samples.z[p])
     assert [name for name, _, _ in moment_report(samples)][-2 * spec.r :] == (
         ["E[z_%d]" % (i + 1) for i in range(spec.r)] + ["E[z_%d^2]" % (i + 1) for i in range(spec.r)]
     )
-
-
-def _reference_simulate_one(spec, t, n_steps, seed, p):
-    """Terminal (x, z) of path p by a one-path pass: a fresh Philox(key=[seed, p]),
-    the inclusive cumsum X and one Levy matrix X^T dx, contracted with every J_i."""
-    m = spec.m
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, p], dtype=np.uint64)
-    xi = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, m))
-    dx = math.sqrt(2.0 * (t / n_steps)) * xi
-    xs = np.cumsum(dx, axis=0)
-    z = 2.0 * np.einsum("ma,ima->i", xs.T @ dx, spec.J_float())
-    return xs[-1], z
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_simulate_paths_matches_per_path_reference_bit_for_bit(n):
     spec = make_quaternionic_spec(n)
     n_steps = 400
-    block = mc._BLOCK_PATH_STEPS // n_steps  # paths per array pass
+    K = 20
+    width = 2 * spec.m + spec.m * (spec.m - 1) // 2 + 2 * spec.m * K  # normals per path
+    block = mc._BLOCK_NORMALS // width  # paths per array pass
     for n_paths in (block - 1, block + 1, 2 * block + 3):
         cfg = SimConfig(spec=spec, t=0.9, n_paths=n_paths, n_steps=n_steps, seed=-424242)
         got = simulate_paths(cfg)
-        ref = [_reference_simulate_one(spec, cfg.t, n_steps, cfg.seed, p) for p in range(n_paths)]
+        ref = [_one_path(spec, cfg.t, K, cfg.seed, p) for p in range(n_paths)]
         assert np.array_equal(got.x, np.array([x for x, _ in ref]))
         assert np.array_equal(got.z, np.array([z for _, z in ref]))
 
@@ -152,8 +194,8 @@ def test_simulate_paths_overflow_raises_without_warnings():
 
 
 def test_check_samples_match_per_sample_reference_bit_for_bit(monkeypatch):
-    # 40 path-steps per block: a step count with several samples spans several blocks
-    monkeypatch.setattr(mc, "_BLOCK_PATH_STEPS", 40)
+    # 18 modes at 300 steps, 158 normals per sample: four samples per block, so many blocks
+    monkeypatch.setattr(mc, "_BLOCK_NORMALS", 700)
     sent = []
 
     def record_rows(spec, t, x, z, derivative, cfg):
@@ -167,9 +209,7 @@ def test_check_samples_match_per_sample_reference_bit_for_bit(monkeypatch):
     s = mc._path_rng(cfg.seed, mc._TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
     late = s >= 0.5
     t_sim = np.where(late, 1.0 - s, s).tolist()
-    steps = [max(8, math.ceil(cfg.n_steps * ts)) for ts in t_sim]
-    assert len(set(steps)) > 100 and steps.count(8) > 40 // 8  # the 8-step samples span several blocks
-    ref = [_reference_simulate_one(SPEC, ts, k, cfg.seed, p) for p, (ts, k) in enumerate(zip(t_sim, steps))]
+    ref = [_one_path(SPEC, ts, 18, cfg.seed, p) for p, ts in enumerate(t_sim)]
     x, z = np.array([x for x, _ in ref]), np.array([z for _, z in ref])
     assert len(sent) == 2
     for (got_x, got_z), rows in zip(sent, (late, ~late)):
@@ -187,6 +227,27 @@ def test_first_and_second_moments():
     for i in range(3):
         est, se = rows["E[z_%d]" % (i + 1)]
         assert abs(est) < 3.5 * se
+
+
+@pytest.mark.parametrize("n, t, seed", [(1, 1.0, 2601), (2, 1.0, 2602), (1, 0.6, 2603)])
+def test_z_fourth_moment_matches_sech_law(n, t, seed):
+    # z_i has characteristic function sech(4 lambda t)^(2n): E[z_i^4] = (1024 n + 3072 n^2) t^4
+    samples = simulate_paths(SimConfig(spec=make_quaternionic_spec(n), t=t, n_paths=100_000, n_steps=400, seed=seed))
+    exact = (1024 * n + 3072 * n**2) * t**4
+    est, se = mc._mean_stderr(samples.z[:, 0] ** 4)
+    assert abs(est - exact) < 3.0 * se
+
+
+@pytest.mark.parametrize("spec, seed", [(_HEISENBERG, 2611), (_RANK_TWO, 2612)], ids=["r1", "r2"])
+def test_z_covariance_matches_bracket_traces(spec, seed):
+    # E[z_i z_j] = 8 t^2 tr(J^i J^jT) for any spec, exactly at every mode count
+    t = 0.7
+    samples = simulate_paths(SimConfig(spec=spec, t=t, n_paths=100_000, n_steps=400, seed=seed))
+    for i in range(spec.r):
+        for j in range(i, spec.r):
+            trace = sum(a * b for row_i, row_j in zip(spec.J[i], spec.J[j]) for a, b in zip(row_i, row_j))
+            est, se = mc._mean_stderr(samples.z[:, i] * samples.z[:, j])
+            assert abs(est - 8.0 * t**2 * float(trace)) < 3.0 * se
 
 
 def test_z_variance_matches_quadrature():
@@ -348,18 +409,17 @@ def _reference_check(cfg, mono, deriv, n_samples):
     sign = (-1.0) ** sum(deriv)
     inv_haar = 1.0 / spec.haar_factor
     svals = mc._path_rng(cfg.seed, mc._TIME_STREAM).uniform(0.0, 1.0, size=n_samples)
+    K = math.isqrt(cfg.n_steps - 1) + 1  # ceil(sqrt(n_steps)) modes for every sample
     vals = np.empty(n_samples)
     for p in range(n_samples):
         s = float(svals[p])
         if s >= 0.5:
-            steps = max(8, int(math.ceil(cfg.n_steps * (1.0 - s))))
-            x, z = _reference_simulate_one(spec, 1.0 - s, steps, cfg.seed, p)
+            x, z = _one_path(spec, 1.0 - s, K, cfg.seed, p)
             phi = _reference_monomial(mono, x, z)
             dp = heat_kernel_point(spec, s, -x, -z, derivative=deriv, tol=1e-7).value
             vals[p] = inv_haar * phi * sign * dp
             continue
-        steps = max(8, int(math.ceil(cfg.n_steps * s)))
-        x, z = _reference_simulate_one(spec, s, steps, cfg.seed, p)
+        x, z = _one_path(spec, s, K, cfg.seed, p)
         total = 0.0
         for onto_mono, onto_kernel, w in _reference_splits(deriv):
             if any(j > e for j, e in zip(onto_mono, mono)):
@@ -375,8 +435,10 @@ def _reference_check(cfg, mono, deriv, n_samples):
     return mc._mean_stderr(vals)
 
 
-# seeds at which summing the terms in another order changes the estimate's last bit
-@pytest.mark.parametrize("indices, seed", [((1, 1, 1, 1), 770), ((1, 2, 1, 2), 777)])
+# at seeds 773 and 780 summing the terms in another order changes the estimate's last bit
+@pytest.mark.parametrize(
+    "indices, seed", [((1, 1, 1, 1), 770), ((1, 2, 1, 2), 777), ((1, 1, 1, 1), 773), ((1, 2, 1, 2), 780)]
+)
 def test_check_matches_per_split_reference_bit_for_bit(indices, seed):
     cfg = SimConfig(spec=make_quaternionic_spec(2), t=1.0, n_paths=10, n_steps=100, seed=seed)
     rep = check_moment_vanishing(cfg, 2, indices, n_samples=300)
@@ -446,16 +508,3 @@ def test_semigroup_check_matches_per_path_reference_bit_for_bit(n):
     vals = np.array([heat_kernel_point(spec, s, -sim.x[p], -sim.z[p], tol=1e-9).value for p in range(n_paths)])
     direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, tol=1e-9)
     assert got == (*mc._mean_stderr(vals), direct.value, direct.err_estimate)
-
-
-def test_simulate_groups_mixed_step_counts_bit_for_bit(monkeypatch):
-    # paths in no particular order with interleaved step counts, several blocks per count
-    monkeypatch.setattr(mc, "_BLOCK_PATH_STEPS", 60)
-    rng = np.random.default_rng(3)
-    paths = rng.permutation(40) + 5
-    steps = rng.choice([8, 13, 30], size=len(paths))
-    t = rng.uniform(0.1, 1.0, size=len(paths))
-    x, z = mc._simulate(SPEC, t, steps, -91, paths)
-    for row, (p, k, ts) in enumerate(zip(paths.tolist(), steps.tolist(), t.tolist())):
-        ref_x, ref_z = _reference_simulate_one(SPEC, ts, k, -91, p)
-        assert np.array_equal(x[row], ref_x) and np.array_equal(z[row], ref_z)
