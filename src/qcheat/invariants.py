@@ -158,13 +158,26 @@ def _four_pi_power(e, n):
         raise OverflowError("(4 pi)^%d at n = %d is past the largest double" % (e, n)) from None
 
 
+def _in_normal_range(name, n, val, err):
+    """(val, err), or an OverflowError naming the quantity and n when either is not finite or below the smallest normal double."""
+    tiny = np.finfo(float).tiny
+    if not (tiny <= abs(val) < math.inf and tiny <= err < math.inf):
+        raise OverflowError("%s at n = %d is out of floating-point range: %r +- %r" % (name, n, val, err))
+    return val, err
+
+
 def compute_c0(n, tol=1e-11):
-    """First heat invariant c0(n) by radial quadrature to relative tolerance tol; returns (value, error)."""
+    """First heat invariant c0(n) by radial quadrature to relative tolerance tol; returns (value, error).
+
+    OverflowError past the double range: the error bound is below the
+    smallest normal double from n = 135 at tol 1e-11 (136 at 1e-10), and
+    (4 pi)^(2n+3) overflows from n = 139.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     val, err = _weight_integral(n, 1, 0, tol)
     pref = (16.0 * n) ** 1.5 * 4.0 * math.pi / _four_pi_power(2 * n + 3, n)
-    return pref * val, pref * err
+    return _in_normal_range("c0", n, pref * val, pref * err)
 
 
 def bw_sphere_c1_integral(n, tol=1e-11):
@@ -175,12 +188,17 @@ def bw_sphere_c1_integral(n, tol=1e-11):
 
 
 def compute_Cn(n, tol=1e-11):
-    """Universal second-invariant constant Cn to relative tolerance tol; returns (value, error)."""
+    """Universal second-invariant constant Cn to relative tolerance tol; returns (value, error).
+
+    OverflowError past the double range: the error bound is below the
+    smallest normal double from n = 135, and (4 pi)^(2n+2) overflows from
+    n = 140.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     c1, err = bw_sphere_c1_integral(n, tol)
     kappa = sphere_kappa(n)
-    return c1 / kappa, err / kappa
+    return _in_normal_range("Cn", n, c1 / kappa, err / kappa)
 
 
 def sphere_kappa(n):

@@ -24,12 +24,13 @@ Gauss-Kronrod panels with an explicit incomplete-gamma tail bound.
 Every pointwise query of p(t, 0, .) or of a derivative of it goes through
 one row entry, _query_rows: a row is (t, x, z), the real coefficients of all
 rows on the derivative's shared list of integrand terms are worked out as
-arrays in one pass, and blocks of _ROW_BLOCK rows are refined together by
-_kernel_rows and quadrature.gk_rows.  The same entry serves the CLI `kernel`
-rows (batch_evaluate), single queries (heat_kernel_point, a one-row call) and
-the Monte Carlo checks of the mc layer, which send all samples of a time
-branch and Leibniz term in one call.  A row's value and error are the same
-bits whichever rows share its call.  Other base points follow from the group
+arrays in one pass, and blocks of up to _ROW_BLOCK rows go to _kernel_rows
+and quadrature.gk_rows, which refines them in groups bounded by their
+panels.  The same entry serves the CLI `kernel` rows (batch_evaluate),
+single queries (heat_kernel_point, a one-row call) and the Monte Carlo
+checks of the mc layer, which send all samples of a time branch and Leibniz
+term in one call.  A row's value and error are the same bits whichever rows
+share its call.  Other base points follow from the group
 law, p(t, h, h') = p(t, 0, h^{-1} h').  The entries take a quaternionic spec
 only, and a query one relative tolerance tol, with the absolute floor tol * 1e-3.
 
@@ -63,8 +64,12 @@ __all__ = [
 # variance 2t per horizontal coordinate; shared with the simulation layer.
 BROWNIAN_VARIANCE_FACTOR = 2.0
 
-# rows per _kernel_rows call in _query_rows; bounds the node arrays
-_ROW_BLOCK = 64
+# most rows per _kernel_rows call in _query_rows: bounds the truncation
+# arrays, which grow with the rows of a call (gk_rows bounds its own panels)
+_ROW_BLOCK = 512
+
+# s-nodes per block in _unit_time_moments; bounds its (rho, s) arrays
+_NODE_BLOCK = 64
 
 # integrand evaluations allowed per kernel row
 _MAX_EVALS = 400_000
@@ -356,9 +361,8 @@ def _make_integrand(spec, u, zc, uvec, keys, coeffs):
     wts = coeffs * signs
 
     def f(rows, rho):
-        q = _rho_over_sinh_pow(rho, two_n)
         a = _rho_coth(rho)
-        base = (rho * rho / 8.0) * q * np.exp(-a * u[rows, None])
+        base = (rho * rho / 8.0) * _rho_over_sinh_pow(rho, two_n) * np.exp(-a * u[rows, None])
         k = zc[rows, None] * rho
         uv, w = uvec[rows], wts[rows]
         cache = {}
@@ -437,8 +441,8 @@ def _query_rows(spec, t, x, z, derivative, tol):
     exactly 0, or out of range like any row when the kernel's prefactor at
     its t is 0 or not finite, or when a term underflowed to 0 although no
     coordinate of its monomial is 0.  The other rows go through _kernel_rows
-    _ROW_BLOCK rows at a time, so a row's result is the same bits whichever
-    rows share the call.
+    in blocks of up to _ROW_BLOCK rows; a row's result is the same bits
+    whichever rows share its block or the call.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -517,7 +521,7 @@ def _unit_time_moments(spec):
     s-rule's K15 - G7 difference, the rho-tail bound past R propagated
     through x and s (on the tail a >= rho >= R, so (4 pi / a)^{2n} <=
     (4 pi / R)^{2n} and 2/a <= 2/R) and a floor of 1e-14 |value|.  s-nodes
-    go _ROW_BLOCK at a time, which bounds the (rho, s) arrays.
+    go _NODE_BLOCK at a time, which bounds the (rho, s) arrays.
     """
     two_n = 2 * spec.n
     R, tail = _auto_truncation(spec, np.zeros(1), _PLAIN, np.ones((1, 1)), 1e-14)
@@ -535,8 +539,8 @@ def _unit_time_moments(spec):
         g = wr * (rho * rho / 8.0) * _rho_over_sinh_pow(rho, two_n) * (4.0 * math.pi / a) ** two_n * 4.0 * math.pi
         G = np.stack([g, g * 2.0 / a])
         F = np.empty((2, len(s)))
-        for b in range(0, len(s), _ROW_BLOCK):
-            F[:, b : b + _ROW_BLOCK] = G @ _j0(np.outer(rho, s[b : b + _ROW_BLOCK] / 4.0))
+        for b in range(0, len(s), _NODE_BLOCK):
+            F[:, b : b + _NODE_BLOCK] = G @ _j0(np.outer(rho, s[b : b + _NODE_BLOCK] / 4.0))
         F = sw * F[[0, 1, 0]]
         return F @ wk, F @ wg
 

@@ -84,8 +84,9 @@ class SimConfig:
     """One seeded simulation; n_paths * n_steps is capped at 2e8 path-steps.
 
     A path samples its Levy area from ceil(sqrt(n_steps)) Fourier modes.  The
-    seed is any integer (numpy integers too), taken modulo 2^64; ValueError
-    for a seed that is not an integer.
+    seed is any integer (numpy integers too), taken modulo 2^64.  n_paths,
+    n_steps and the seed are stored as Python ints; ValueError for any of
+    them that is not an integer.
     """
 
     spec: object
@@ -96,14 +97,15 @@ class SimConfig:
 
     def __post_init__(self):
         _check_point(self.t, ())
-        if self.n_paths < 1 or self.n_steps < 1:
-            raise ValueError("need positive path/step counts")
         if self.seed is None:
             raise ValueError("seed is mandatory for reproducibility")
-        try:
-            object.__setattr__(self, "seed", operator.index(self.seed))
-        except TypeError:
-            raise ValueError("seed must be an integer, got %r" % (self.seed,)) from None
+        for name in ("n_paths", "n_steps", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError("%s must be an integer, got %r" % (name, getattr(self, name))) from None
+        if self.n_paths < 1 or self.n_steps < 1:
+            raise ValueError("need positive path/step counts")
         if self.n_paths * self.n_steps > _PATH_STEP_BUDGET:
             raise ValueError(
                 "simulation budget exceeded: %d * %d > %d"

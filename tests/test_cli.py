@@ -162,15 +162,32 @@ def test_unopenable_paths_exit_2(tmp_path, capsys, argv):
     assert err.startswith("input error: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [["c0", "--n", "139"], ["cn", "--n", "200"], ["cn", "--n", "140"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["c0", "--n", "139"],
+        ["cn", "--n", "200"],
+        ["cn", "--n", "140"],
+        ["c0", "--n", "136"],
+        ["c0", "--n", "138"],
+        ["cn", "--n", "135"],
+        ["cn", "--n", "139"],
+    ],
+)
 def test_overflow_at_large_level_exits_3(capsys, argv):
-    # (4 pi)^(2n+3) in c0 and (4 pi)^(2n+2) in cn pass the largest double; the reason names the power and n
+    # (4 pi)^(2n+3) in c0 and (4 pi)^(2n+2) in cn pass the largest double; a
+    # few levels below, the error bound is below the smallest normal double.
+    # The reason names the power, or the quantity, and n
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == ""
     assert err.startswith("numeric failure: out of floating-point range: ") and len(err.splitlines()) == 1
-    power = 2 * int(argv[2]) + (3 if argv[0] == "c0" else 2)
-    assert "(4 pi)^%d at n = %s" % (power, argv[2]) in err and "(34," not in err
+    n = int(argv[2])
+    power = 2 * n + (3 if argv[0] == "c0" else 2)
+    if n >= (139 if argv[0] == "c0" else 140):
+        assert "(4 pi)^%d at n = %d" % (power, n) in err and "(34," not in err
+    else:
+        assert "%s at n = %d is out of floating-point range" % ({"c0": "c0", "cn": "Cn"}[argv[0]], n) in err
 
 
 @pytest.mark.parametrize("t", ["1e308", "1e200"])

@@ -31,7 +31,8 @@ def test_c0_n1_closed_form():
     assert abs(oracle - 1.0 / 120.0) < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 80, 138])
+# 134 is the largest level whose c0 error bound at the default tol is a normal double
+@pytest.mark.parametrize("n", [1, 2, 3, 80, 134])
 def test_c0_quadrature_vs_zeta_oracle(n):
     # the series terms cancel about n digits, so a fixed working precision fails at large n
     v, err = compute_c0(n)

@@ -622,9 +622,8 @@ def test_batch_rejects_non_finite_rows():
 
 
 def _query_points(spec, n_rows=70):
-    """Rows of mixed t, more than one _ROW_BLOCK holds; every seventh has
-    x_1 = 0 exactly, so the terms with a power of x_1 drop out there, and
-    row 5 is the origin."""
+    """Rows of mixed t; every seventh has x_1 = 0 exactly, so the terms with
+    a power of x_1 drop out there, and row 5 is the origin."""
     rng = np.random.default_rng(23)
     t = rng.choice([0.3, 0.7, 1.0, 1.6], size=n_rows)
     x = rng.normal(0.0, 1.0, (n_rows, spec.m)) * np.sqrt(2.0 * t)[:, None]
@@ -685,11 +684,12 @@ def test_query_rows_match_radial_quad(spec, t):
 
 @pytest.mark.parametrize("names", QUERY_DERIVS)
 @pytest.mark.parametrize("spec", [SPEC1, SPEC2])
-def test_query_rows_match_single_queries_bit_for_bit(spec, names):
+def test_query_rows_match_single_queries_bit_for_bit(monkeypatch, spec, names):
     import qcheat.kernel as kernel_mod
 
+    monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", 32)
     t, x, z = _query_points(spec)
-    assert len(t) > kernel_mod._ROW_BLOCK
+    assert len(t) > 2 * kernel_mod._ROW_BLOCK  # three blocks, the last one short
     d = _deriv(spec, *names)
     out = _query_rows(spec, t, x, z, d, 1e-9)
     assert len(out) == len(t)
@@ -727,6 +727,7 @@ def test_derivative_row_zero_on_a_zero_coordinate_stays_exact(x):
 
 def test_query_rows_independent_of_order_and_blocks(monkeypatch):
     import qcheat.kernel as kernel_mod
+    import qcheat.quadrature as quadrature_mod
 
     t, x, z = _query_points(SPEC1)
     order = np.random.default_rng(3).permutation(len(t))
@@ -737,6 +738,11 @@ def test_query_rows_independent_of_order_and_blocks(monkeypatch):
             monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", block)
             out = _query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9)
             assert [out[j] for j in np.argsort(order)] == ref
+        # one block, refined by gk_rows in groups of a few rows
+        monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", len(t))
+        monkeypatch.setattr(quadrature_mod, "_GROUP_PANELS", 16)
+        out = _query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9)
+        assert [out[j] for j in np.argsort(order)] == ref
         monkeypatch.undo()
 
 

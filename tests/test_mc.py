@@ -46,6 +46,20 @@ def test_config_validation():
         SimConfig(spec=SPEC, t=1, n_paths=10**6, n_steps=10**6, seed=1)
 
 
+@pytest.mark.parametrize("counts", [{"n_paths": 2.5, "n_steps": 10}, {"n_paths": 10, "n_steps": 9.5}])
+def test_config_rejects_non_integer_counts(counts):
+    # at construction, not with a TypeError at draw time
+    name = "n_paths" if isinstance(counts["n_paths"], float) else "n_steps"
+    with pytest.raises(ValueError, match="%s must be an integer" % name):
+        SimConfig(spec=SPEC, t=1.0, seed=1, **counts)
+
+
+def test_config_stores_python_int_counts():
+    cfg = SimConfig(spec=SPEC, t=1.0, n_paths=np.int64(12), n_steps=np.int32(40), seed=np.uint8(3))
+    assert [type(v) for v in (cfg.n_paths, cfg.n_steps, cfg.seed)] == [int, int, int]
+    assert simulate_paths(cfg).x.shape == (12, SPEC.m)
+
+
 def test_seeded_determinism():
     s1 = simulate_paths(small_cfg(n_paths=500))
     s2 = simulate_paths(small_cfg(n_paths=500))
@@ -474,6 +488,7 @@ def test_check_batches_kernel_rows_per_branch_and_term(monkeypatch):
         raise AssertionError("check_moment_vanishing made a single kernel query")
 
     monkeypatch.setattr(kernel_mod, "_kernel_rows", counting_rows)
+    monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", 64)  # each time branch spans blocks
     monkeypatch.setattr(kernel_mod, "heat_kernel_point", no_single_queries)
     monkeypatch.setattr(mc, "heat_kernel_point", no_single_queries)
     cfg = small_cfg(seed=61, n_paths=10, n_steps=40)
