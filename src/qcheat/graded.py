@@ -11,12 +11,23 @@ torsion/curvature symbols over the rationals (plain rationals are the
 symbol-free ones).  A coefficient is zero exactly when it is falsy.
 Equality is syntactic after dropping zero terms, so all identity checks are
 exact.
+
+A Poly keys its terms by packed exponents: one int holding an 8-bit field
+(_FIELD) per coordinate, coordinate 0 in the highest field.  A product's key is
+the sum of its factors' keys, a derivative's a shift and a subtract, and
+int order is the order of the exponent tuples.  An exponent may reach
+MAX_EXPONENT; the top bit of each field is a guard, so a sum of two keys
+never carries into the next field, and every product, constructor and
+from_packed call raises OverflowError when a result exponent leaves the
+range.  The tuple-keyed `terms` view and constructor serve the edges
+(tests, moment patterns, printing).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 from .tensors import InvariantError, Sym
 
@@ -35,10 +46,57 @@ __all__ = [
 ]
 
 
-class Poly:
-    """Sparse polynomial: dict of exponent tuples to ring coefficients."""
+# bits per coordinate of a packed exponent key; the top bit of each field
+# is the guard that catches an exponent past MAX_EXPONENT
+_FIELD = 8
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
-    __slots__ = ("nvars", "terms")
+
+@lru_cache(maxsize=None)
+def _out_of_field(nvars):
+    """The bits no valid key of nvars coordinates sets: the guards, everything
+    above the top field, and (as an infinite run of ones) the sign."""
+    return ~int.from_bytes(bytes([MAX_EXPONENT]) * nvars, "big")
+
+
+@lru_cache(maxsize=None)
+def parity_mask(nvars):
+    """The low bit of every field: key & parity_mask(nvars) is the key's odd-exponent pattern."""
+    return int.from_bytes(b"\x01" * nvars, "big")
+
+
+def _shift(nvars, a):
+    return _FIELD * (nvars - 1 - a)
+
+
+def _check_keys(nvars, keys):
+    if keys and reduce(operator.or_, keys) & _out_of_field(nvars):
+        raise OverflowError("an exponent leaves the range 0..%d of its %d-bit field" % (MAX_EXPONENT, _FIELD))
+
+
+def pack_exponents(e):
+    """The packed key of an exponent tuple (its length is the number of coordinates)."""
+    try:
+        key = int.from_bytes(bytes(e), "big")
+    except ValueError:  # an exponent outside 0..255
+        key = -1
+    _check_keys(len(e), [key])
+    return key
+
+
+def unpack_exponents(key, nvars):
+    """The exponent tuple of a packed key."""
+    return tuple(key.to_bytes(nvars, "big"))
+
+
+class Poly:
+    """Sparse polynomial: dict of packed exponent keys to ring coefficients.
+
+    Poly(nvars, terms) takes exponent tuples, and the terms property gives
+    them back; the arithmetic works on the packed dict.
+    """
+
+    __slots__ = ("nvars", "packed")
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -46,51 +104,73 @@ class Poly:
         if terms:
             for e, c in terms.items():
                 if c:
-                    t[e] = c
-        self.terms = t
+                    if len(e) != nvars:
+                        raise ValueError("exponent %r needs %d entries" % (e, nvars))
+                    t[pack_exponents(e)] = c
+        self.packed = t
+
+    @classmethod
+    def _of(cls, nvars, packed):
+        """A Poly that takes packed, a dict of valid keys to nonzero coefficients, as is."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.packed = packed
+        return out
+
+    @classmethod
+    def from_packed(cls, nvars, packed):
+        """A Poly of the nonzero entries of a packed-key dict; OverflowError on an invalid key."""
+        t = {e: c for e, c in packed.items() if c}
+        _check_keys(nvars, t)
+        return cls._of(nvars, t)
+
+    @property
+    def terms(self):
+        """The terms as a new dict of exponent tuples to coefficients."""
+        nv = self.nvars
+        return {unpack_exponents(e, nv): c for e, c in self.packed.items()}
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return cls._of(nvars, {})
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: c})
+        return cls._of(nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, nvars, a):
-        e = [0] * nvars
-        e[a] = 1
-        return cls(nvars, {tuple(e): Sym.rational(1)})
+        return cls._of(nvars, {1 << _shift(nvars, a): Sym.rational(1)})
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed
+
+    def max_exponent(self):
+        """The largest exponent of any coordinate in any term (0 for the zero polynomial)."""
+        nv = self.nvars
+        return max((max(e.to_bytes(nv, "big")) for e in self.packed), default=0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return self.nvars == other.nvars and self.packed == other.packed
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, frozenset(self.packed.items())))
 
     def __add__(self, other):
-        t = dict(self.terms)
-        for e, c in other.terms.items():
+        t = dict(self.packed)
+        for e, c in other.packed.items():
             s = t.get(e)
             s = c if s is None else s + c
             if not s:
                 t.pop(e, None)
             else:
                 t[e] = s
-        out = Poly(self.nvars)
-        out.terms = t
-        return out
+        return Poly._of(self.nvars, t)
 
     def __neg__(self):
-        out = Poly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Poly._of(self.nvars, {e: -c for e, c in self.packed.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -101,39 +181,40 @@ class Poly:
         return _sum_of_products(self.nvars, [(self, other)])
 
     def scale(self, c):
-        if not c:
-            return Poly(self.nvars)
-        out = Poly(self.nvars)
-        out.terms = {}
-        for e, v in self.terms.items():
-            s = v * c
-            if s:
-                out.terms[e] = s
-        return out
+        t = {}
+        if c:
+            for e, v in self.packed.items():
+                s = v * c
+                if s:
+                    t[e] = s
+        return Poly._of(self.nvars, t)
 
     def diff(self, a):
+        shift = _shift(self.nvars, a)
+        unit = 1 << shift
+        field = (1 << _FIELD) - 1
         t = {}
-        for e, c in self.terms.items():
-            k = e[a]
+        for e, c in self.packed.items():
+            k = (e >> shift) & field
             if k:
-                e2 = list(e)
-                e2[a] = k - 1
-                t[tuple(e2)] = c * k
-        out = Poly(self.nvars)
-        out.terms = t
-        return out
+                t[e - unit] = c * k
+        return Poly._of(self.nvars, t)
 
 
 def _sum_of_products(nvars, pairs):
-    """sum of f * g over the (f, g) pairs of Polys, gathered in one dict."""
+    """sum of f * g over the (f, g) pairs of Polys, gathered in one dict.
+
+    A product key is the sum of two valid keys, so each field holds the true
+    exponent (below 2 ** _FIELD, no carry); the keys are checked once at the end.
+    """
     t = {}
     for f, g in pairs:
-        g_terms = g.terms.items()
+        g_terms = g.packed.items()
         if not g_terms:
             continue
-        for e1, c1 in f.terms.items():
+        for e1, c1 in f.packed.items():
             for e2, c2 in g_terms:
-                e = tuple(map(operator.add, e1, e2))
+                e = e1 + e2
                 c = c1 * c2
                 s = t.get(e)
                 s = c if s is None else s + c
@@ -141,17 +222,18 @@ def _sum_of_products(nvars, pairs):
                     t.pop(e, None)
                 else:
                     t[e] = s
-    out = Poly(nvars)
-    out.terms = t
-    return out
+    _check_keys(nvars, t)
+    return Poly._of(nvars, t)
 
 
 def _weights(m, r):
     return (1,) * m + (2,) * r
 
 
-def monomial_weight(e, weights):
-    return sum(map(operator.mul, e, weights))
+def _key_weight(e, nvars, m):
+    """Weight of the monomial of packed key e: its first m coordinates weigh 1, the rest 2."""
+    b = e.to_bytes(nvars, "big")
+    return sum(b) + sum(b[m:])
 
 
 @dataclass(frozen=True)
@@ -262,10 +344,8 @@ def left_invariant_frame(spec):
             for b in range(m):
                 v = spec.J[i][b][a]
                 if v:
-                    e = [0] * nv
-                    e[b] = 1
-                    coeffs[tuple(e)] = Sym.rational(2 * v)
-            comps[m + i] = comps[m + i] + Poly(nv, coeffs)
+                    coeffs[1 << _shift(nv, b)] = Sym.rational(2 * v)
+            comps[m + i] = comps[m + i] + Poly._of(nv, coeffs)
         Xs.append(GradedVectorField(m, r, tuple(comps)))
     Vs = []
     for i in range(r):
@@ -312,20 +392,17 @@ def homogeneous_part(obj, l, m=None, r=None):
     if isinstance(obj, Poly):
         if m is None or r is None:
             raise TypeError("polynomial input needs the m/r weight split")
-        return _poly_weight_part(obj, _weights(m, r), l)
+        return _poly_weight_part(obj, m, l)
     if not isinstance(obj, _Graded):
         raise TypeError("unsupported object: %r" % type(obj))
     w, sign = obj.weights, obj.direction_sign
-    comps = tuple(_poly_weight_part(p, w, l - sign * w[a]) for a, p in enumerate(obj.comps))
+    comps = tuple(_poly_weight_part(p, obj.m, l - sign * w[a]) for a, p in enumerate(obj.comps))
     return type(obj)(obj.m, obj.r, comps)
 
 
-def _poly_weight_part(p, weights, want):
-    out = Poly(p.nvars)
-    for e, c in p.terms.items():
-        if monomial_weight(e, weights) == want:
-            out.terms[e] = c
-    return out
+def _poly_weight_part(p, m, want):
+    nv = p.nvars
+    return Poly._of(nv, {e: c for e, c in p.packed.items() if _key_weight(e, nv, m) == want})
 
 
 def homogeneous_orders(obj):
@@ -335,8 +412,8 @@ def homogeneous_orders(obj):
     w, sign = obj.weights, obj.direction_sign
     orders = set()
     for a, p in enumerate(obj.comps):
-        for e in p.terms:
-            orders.add(monomial_weight(e, w) + sign * w[a])
+        for e in p.packed:
+            orders.add(_key_weight(e, p.nvars, obj.m) + sign * w[a])
     return sorted(orders)
 
 

@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .kernel import _exp_tail, _rho_over_sinh_pow, _truncation_radius
@@ -114,6 +113,8 @@ def _zeta_integral(terms, n):
     |B_j| (2 pi)^j / (2 j!) at even j.  The difference is about n^-j
     times its terms, so it runs with floor(j_max log10 n) + 5 more digits.
     """
+    import mpmath
+
     powers = _zeta_powers(terms, n)
     with mpmath.extradps(int(max(powers) * math.log10(n)) + 5):
         prec = mpmath.mp.prec
@@ -129,6 +130,8 @@ def _zeta_integral(terms, n):
 
 def c0_zeta_series(n):
     """Exact series evaluation of c0(n); for n=1 this is the zeta(4) value."""
+    import mpmath
+
     with mpmath.workdps(_ZETA_DPS + n):
         integral = _zeta_integral([(1, 2 * n + 2, 2 * n, 0)], n)
         pref = (16 * n) ** mpmath.mpf("1.5") * 4 * mpmath.pi / (4 * mpmath.pi) ** (2 * n + 3)
@@ -218,6 +221,8 @@ def Cn_zeta_series(n):
         (2 * n * (2 * n + 1), 2 * n, 2 * n, 0),
         (-2 * n * (2 * n + 1), 2 * n + 1, 2 * n + 1, 1),
     ]
+    import mpmath
+
     with mpmath.workdps(_ZETA_DPS + n):
         integral = _zeta_integral(terms, n)
         pref = (16 * n) ** mpmath.mpf("1.5") / (sphere_kappa(n) * (4 * mpmath.pi) ** (2 * n + 2))

@@ -440,29 +440,36 @@ def _query_rows(spec, t, x, z, derivative, tol):
     tau-monomial) in term order.  A row whose coefficients are all zero is
     exactly 0, or out of range like any row when the kernel's prefactor at
     its t is 0 or not finite, or when a term underflowed to 0 although no
-    coordinate of its monomial is 0.  The other rows go through _kernel_rows
-    in blocks of up to _ROW_BLOCK rows; a row's result is the same bits
-    whichever rows share its block or the call.
+    coordinate of its monomial is 0.  A row with a coefficient that is not
+    finite is out of range before any quadrature.  The other rows go
+    through _kernel_rows in blocks of up to _ROW_BLOCK rows; a row's result
+    is the same bits whichever rows share its block or the call.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    terms = _derivative_terms(spec, derivative, t)
-    keys = list(dict.fromkeys((na, lam) for _, na, lam in terms))
-    coeffs = np.zeros((len(t), len(keys)))
-    underflow = np.zeros(len(t), dtype=bool)
-    for (px, na, lam), c in terms.items():
-        xm = 1.0
-        on_zero = np.zeros(len(t), dtype=bool)  # a coordinate of the monomial is 0
-        for a, e in enumerate(px):
-            if e:
-                xm = xm * x[:, a] ** e
-                on_zero |= x[:, a] == 0.0
-        term = c * xm
-        underflow |= (term == 0.0) & (c != 0.0) & ~on_zero
-        coeffs[:, keys.index((na, lam))] += term
+    # a 1/2t power or monomial past the double range gives inf or NaN here
+    # without a warning; those rows fail below
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _derivative_terms(spec, derivative, t)
+        keys = list(dict.fromkeys((na, lam) for _, na, lam in terms))
+        coeffs = np.zeros((len(t), len(keys)))
+        underflow = np.zeros(len(t), dtype=bool)
+        for (px, na, lam), c in terms.items():
+            xm = 1.0
+            on_zero = np.zeros(len(t), dtype=bool)  # a coordinate of the monomial is 0
+            for a, e in enumerate(px):
+                if e:
+                    xm = xm * x[:, a] ** e
+                    on_zero |= x[:, a] == 0.0
+            term = c * xm
+            underflow |= (term == 0.0) & (c != 0.0) & ~on_zero
+            coeffs[:, keys.index((na, lam))] += term
     out = [KernelValue(0.0, 0.0, 0)] * len(t)
+    finite = np.isfinite(coeffs).all(axis=1)
+    for r in np.flatnonzero(~finite).tolist():
+        out[r] = ToleranceError(_OUT_OF_RANGE)
     nonzero = coeffs.any(axis=1)
-    live, dead = np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+    live, dead = np.flatnonzero(nonzero & finite), np.flatnonzero(~nonzero)
     for r, p in zip(dead.tolist(), _prefactor(spec, t[dead]).tolist()):
         if underflow[r] or not 0.0 < p < math.inf:
             out[r] = ToleranceError(_OUT_OF_RANGE)

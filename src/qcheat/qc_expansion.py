@@ -19,11 +19,13 @@ A surviving non-kappa symbol is a hard failure.
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from .graded import (
+    MAX_EXPONENT,
     GradedForm,
     Poly,
     _sum_of_products,
@@ -32,6 +34,8 @@ from .graded import (
     homogeneous_orders,
     homogeneous_part,
     left_invariant_frame,
+    pack_exponents,
+    parity_mask,
 )
 from .tensors import (
     InvariantError,
@@ -118,6 +122,11 @@ def _exponent(nv, *coords):
     return tuple(e)
 
 
+def _key(nv, *coords):
+    """Packed Poly key of the product of x_c over coords."""
+    return pack_exponents(_exponent(nv, *coords))
+
+
 def _bracket_entries(spec):
     """Per vertical index i, the nonzero entries (a, b, I^i_ab) of spec.J as ints."""
     out = []
@@ -132,8 +141,8 @@ def _bracket_entries(spec):
 class _Numerators:
     """Polynomial over the tensor symbols as integer numerators over a fixed denominator.
 
-    terms maps an exponent tuple to {atom monomial: integer numerator}; sums
-    stay integer work, and poly() makes each coefficient Sym once.
+    terms maps a packed exponent key to {atom monomial: integer numerator};
+    sums stay integer work, and poly() makes each coefficient Sym once.
     """
 
     __slots__ = ("nv", "den", "terms")
@@ -155,13 +164,14 @@ class _Numerators:
 
     def add_shifted(self, other, c, num):
         """Add num * x_c * other, other's numerators read over this denominator."""
+        unit = _key(self.nv, c)
         for e, atoms in other.terms.items():
-            t = self.terms.setdefault(e[:c] + (e[c] + 1,) + e[c + 1 :], {})
+            t = self.terms.setdefault(e + unit, {})
             for mono, k in atoms.items():
                 t[mono] = t.get(mono, 0) + num * k
 
     def poly(self):
-        return Poly(self.nv, {e: Sym.from_numerators(t, self.den) for e, t in self.terms.items()})
+        return Poly.from_packed(self.nv, {e: Sym.from_numerators(t, self.den) for e, t in self.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -199,8 +209,8 @@ def build_coframe(spec, symbols=None):
     m, r = spec.m, spec.r
     nv = m + r
     R, T = partial(symbols._atom, "R"), partial(symbols._atom, "T")
-    x1 = [_exponent(nv, a) for a in range(nv)]
-    x2 = [[_exponent(nv, a, b) for b in range(nv)] for a in range(nv)]
+    x1 = [_key(nv, a) for a in range(nv)]
+    x2 = [[_key(nv, a, b) for b in range(nv)] for a in range(nv)]
     J = _bracket_entries(spec)
 
     def form(comps):
@@ -214,8 +224,8 @@ def build_coframe(spec, symbols=None):
         terms = [{} for _ in range(nv)]
         for a, b, v in J[i]:
             terms[b][x1[a]] = Sym.rational(-v)
-        terms[m + i][(0,) * nv] = Sym.rational(Fraction(1, 2))
-        eta.append({2: GradedForm(m, r, tuple(Poly(nv, t) for t in terms))})
+        terms[m + i][0] = Sym.rational(Fraction(1, 2))
+        eta.append({2: GradedForm(m, r, tuple(Poly.from_packed(nv, t) for t in terms))})
 
     # theta^(3) as integer numerators over 24 (its terms carry 1/6 and 1/3),
     # eta^(4) over 48 (1/8, 1/4, and -1/2 times theta^(3)'s)
@@ -284,9 +294,9 @@ def _closed_form_coefficients(spec, symbols):
     nv = m + r
     J = _bracket_entries(spec)
     R, T = partial(symbols._atom, "R"), partial(symbols._atom, "T")
-    x1 = [_exponent(nv, a) for a in range(nv)]
-    x2 = [[_exponent(nv, a, b) for b in range(nv)] for a in range(nv)]
-    x3 = [[[_exponent(nv, a, b, c) for c in range(m)] for b in range(m)] for a in range(m)]
+    x1 = [_key(nv, a) for a in range(nv)]
+    x2 = [[_key(nv, a, b) for b in range(nv)] for a in range(nv)]
+    x3 = [[[_key(nv, a, b, c) for c in range(m)] for b in range(m)] for a in range(m)]
 
     # each coefficient is a sum of -1/6, -1/3, -1/8, v/12, v/6, 1/3, -1/4 and
     # -v/6 times a symbol (v an integer entry of I), so an integer over 24
@@ -475,15 +485,6 @@ def build_P2(spec, coeffs, div):
     return op
 
 
-def _parity(e):
-    """Bit mask of the coordinates carrying an odd exponent."""
-    mask = 0
-    for c, k in enumerate(e):
-        if k & 1:
-            mask |= 1 << c
-    return mask
-
-
 def _coordinate_terms(spec, op):
     """Expand a frame-form operator into parity-surviving coordinate terms.
 
@@ -504,80 +505,85 @@ def _coordinate_terms(spec, op):
     fields = {("X", a): X for a, X in enumerate(Xs)}
     fields.update({("V", i): V for i, V in enumerate(Vs)})
 
-    # Exponents are packed into one int, `bits` bits per coordinate, so a
-    # product's exponents are the sum of its factors'.  No exponent exceeds a
-    # coefficient's degree plus two frame components' degrees, nor a
-    # derivative's 2.
-    def degree(polys):
-        return max((sum(e) for p in polys for e in p.terms), default=0)
+    # Poly keys are packed exponents: a product's key is the sum of its
+    # factors', and its parity pattern key & low.  The sums below are not
+    # checked term by term, so the exponents are bounded first: none exceeds
+    # a coefficient's plus two frame components'.
+    def top(polys):
+        return max((p.max_exponent() for p in polys), default=0)
 
-    coeff_degree = max(degree(op.second.values()), degree(op.first.values()))
-    top = coeff_degree + 2 * degree(p for F in fields.values() for p in F.comps)
-    bits = max(top, 2).bit_length()
-    mask = (1 << bits) - 1
+    coeff_top = max(top(op.second.values()), top(op.first.values()))
+    if coeff_top + 2 * top(p for F in fields.values() for p in F.comps) > MAX_EXPONENT:
+        raise OverflowError("P2's coordinate terms would hold an exponent above %d" % MAX_EXPONENT)
+    low = parity_mask(nv)
 
-    def pack(e):
-        return sum(k << (bits * c) for c, k in enumerate(e))
+    def by_parity(coeff):
+        """(coeff's keys, its (key, coefficient) items grouped by parity pattern)."""
+        groups = {}
+        for e, c in coeff.packed.items():
+            groups.setdefault(e & low, []).append((e, c))
+        return coeff.packed, groups
 
-    def split(poly):
-        """The terms of poly as (packed exponents, coefficient, parity mask) triples."""
-        return [(pack(e), c, _parity(e)) for e, c in poly.terms.items()]
-
-    split_comps = {lbl: [(c, split(p)) for c, p in enumerate(F.comps) if not p.is_zero()] for lbl, F in fields.items()}
+    comps = {lbl: [(c, list(p.packed.items())) for c, p in enumerate(F.comps) if not p.is_zero()] for lbl, F in fields.items()}
     acc = {}
-    killed = set()
+    formed = {}  # derivative -> keys of the monomials some product forms without cancelling
 
     def add(coords, left, right):
-        """Accumulate left * right (split polys) under the derivative d/dx_coords,
-        multiplying only the pairs of the derivative's parity."""
+        """Accumulate the coefficient left (a by_parity result) times right, a
+        list of (key, coefficient) terms with like terms apart, under the
+        derivative d/dx_coords.  A product survives when its parity pattern is
+        the derivative's, so only the left terms of one pattern are
+        multiplied by each right term; the keys of all products are kept."""
         deriv = _exponent(nv, *coords)
-        want = _parity(deriv)
+        want = pack_exponents(deriv) & low
         terms = acc.setdefault(deriv, {})
-        dead = {}
-        for e1, c1, p1 in left:
-            for e2, c2, p2 in right:
+        keys = formed.setdefault(deriv, set())
+        left_terms, groups = left
+        for e2, c2 in right:
+            for e1, c1 in groups.get((e2 & low) ^ want, ()):
                 e = e1 + e2
-                if p1 ^ p2 != want:
-                    dead.setdefault(e, []).append((c1, c2))
-                    continue
                 c = c1 * c2
                 prev = terms.pop(e, None)
                 if prev is not None:
                     c = prev + c
                 if c:
                     terms[e] = c
-        # one product of nonzero factors cannot vanish; several may cancel
-        dkey = pack(deriv) << (bits * nv)
-        for e, pairs in dead.items():
-            if len(pairs) == 1 or sum(c1 * c2 for c1, c2 in pairs):
-                killed.add(dkey + e)
+        # one product of nonzero factors cannot vanish, so with one right
+        # term every key counts; several products on one key may cancel
+        if len(right) == 1:
+            keys.update(map(right[0][0].__add__, left_terms))
+            return
+        count = Counter()
+        for e2, _ in right:
+            count.update(map(e2.__add__, left_terms))
+        for e, k in count.items():
+            # the products on e: the right terms whose complement e - e2 is a left key
+            if k == 1 or sum(left_terms[e - e2] * c2 for e2, c2 in right if e - e2 in left_terms):
+                keys.add(e)
 
     for (la, lb), coeff in op.second.items():
         A, B = fields[la], fields[lb]
-        left = split(coeff)
-        for a, comp_a in split_comps[la]:
-            for b, comp_b in split_comps[lb]:
+        left = by_parity(coeff)
+        for a, comp_a in comps[la]:
+            for b, comp_b in comps[lb]:
                 # A^a B^b with like terms left apart: add sums the products per pattern
-                comp_ab = [(e1 + e2, c1 * c2, p1 ^ p2) for e1, c1, p1 in comp_a for e2, c2, p2 in comp_b]
-                add((a, b), left, comp_ab)
+                add((a, b), left, [(e1 + e2, c1 * c2) for e1, c1 in comp_a for e2, c2 in comp_b])
         # A acting on B's coefficients: first-order remainder
         for b in range(nv):
             inner = A.apply(B.comps[b])
             if not inner.is_zero():
-                add((b,), left, split(inner))
+                add((b,), left, list(inner.packed.items()))
     for lbl, coeff in op.first.items():
-        left = split(coeff)
-        for a, comp in split_comps[lbl]:
+        left = by_parity(coeff)
+        for a, comp in comps[lbl]:
             add((a,), left, comp)
 
-    def unpack(e):
-        return tuple((e >> (bits * c)) & mask for c in range(nv))
-
-    coord = {}
-    for key, terms in acc.items():
-        if terms:
-            coord[key] = Poly(nv, {unpack(e): c for e, c in terms.items()})
-    return coord, len(killed)
+    coord = {key: Poly.from_packed(nv, terms) for key, terms in acc.items() if terms}
+    killed = 0
+    for deriv, keys in formed.items():
+        want = pack_exponents(deriv) & low
+        killed += sum(1 for e in keys if e & low != want)
+    return coord, killed
 
 
 def _moment_decomposition(mono, deriv, m):
@@ -587,7 +593,7 @@ def _moment_decomposition(mono, deriv, m):
     when it survives, and raises UnclassifiedMomentError outside the cases
     established for the flat kernel.
     """
-    if _parity(mono) != _parity(deriv):
+    if any((a + b) & 1 for a, b in zip(mono, deriv)):
         return {}
     mu = mono[:m]
     nu = mono[m:]

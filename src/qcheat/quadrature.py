@@ -104,6 +104,8 @@ _GROUP_PANELS = 1024
 
 _TINY = np.finfo(float).tiny
 
+_NOT_FINITE = "quadrature integrand is not finite on this row (value %r, err %r)"
+
 
 class ToleranceError(RuntimeError):
     """Quadrature failed to reach the requested tolerance.
@@ -153,12 +155,19 @@ def _exact_round(vs, es, n_evals, starved, wanted, abs_tol, rel_tol, max_evals):
     Returns the row's result, (value, err, n_evals) or a ToleranceError, or
     the slot of the panel to split next.
     """
-    total = math.fsum(vs)
-    err_sum = math.fsum(es)
-    # panel error estimates cannot resolve below the round-off floor of
-    # the magnitude sum; demanding more would loop forever
-    noise_floor = 1e-13 * math.fsum(map(abs, vs))
+    try:
+        total = math.fsum(vs)
+        err_sum = math.fsum(es)
+        # panel error estimates cannot resolve below the round-off floor of
+        # the magnitude sum; demanding more would loop forever
+        noise_floor = 1e-13 * math.fsum(map(abs, vs))
+    except (ValueError, OverflowError):  # +inf and -inf among the values, or a sum past the float range
+        total, err_sum = sum(vs), sum(es)
+        return ToleranceError(_NOT_FINITE % (total, err_sum), value=total, err=err_sum)
     target = max(abs_tol, rel_tol * abs(total), noise_floor)
+    if math.isnan(total) or math.isnan(err_sum):
+        # no split makes a NaN panel finite again
+        return ToleranceError(_NOT_FINITE % (total, err_sum), value=total, err=err_sum)
     if starved:
         msg = "quadrature needs more than %d evaluations for %.4g initial panels" % (max_evals, wanted)
         return ToleranceError(msg, value=total, err=err_sum)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcheat.graded import (
+    MAX_EXPONENT,
     GradedForm,
     GradedVectorField,
     Poly,
@@ -18,7 +19,9 @@ from qcheat.graded import (
     left_invariant_frame,
     lie_bracket,
     lie_derivative_form,
+    pack_exponents,
     pair,
+    unpack_exponents,
     zero_form,
 )
 from qcheat.group import make_quaternionic_spec
@@ -162,9 +165,6 @@ def test_bracket_order_additivity():
 
 def test_pairing_order_additivity():
     rng = random.Random(29)
-    from qcheat.graded import monomial_weight
-
-    weights = (1,) * M + (2,) * R
     for _ in range(20):
         w = homogeneous_part(rand_form(rng), rng.choice([1, 2, 3]))
         X = homogeneous_part(rand_vf(rng), rng.choice([-2, -1, 0]))
@@ -174,7 +174,7 @@ def test_pairing_order_additivity():
         (kx,) = homogeneous_orders(X)
         f = pair(w, X)
         for e in f.terms:
-            assert monomial_weight(e, weights) == kw + kx
+            assert sum(e[:M]) + 2 * sum(e[M:]) == kw + kx
 
 
 def test_duality_pairings():
@@ -247,3 +247,40 @@ def test_homogeneous_part_of_polynomial():
     with pytest.raises(TypeError):
         homogeneous_part(f, 1)
 
+
+def test_packed_keys_round_trip_through_the_tuple_view():
+    rng = random.Random(31)
+    for _ in range(30):
+        p = rand_poly(rng, max_deg=5)
+        terms = p.terms
+        assert Poly(NV, terms) == p and Poly(NV, terms).terms == terms
+        assert Poly.from_packed(NV, p.packed) == p
+        # int order of the packed keys is the order of the exponent tuples
+        assert [unpack_exponents(e, NV) for e in sorted(p.packed)] == sorted(terms)
+    e = (3, 0, 127, 1, 0, 0, 2)
+    assert unpack_exponents(pack_exponents(e), NV) == e
+    x0 = Poly.variable(NV, 0)
+    assert x0.terms == {(1, 0, 0, 0, 0, 0, 0): 1} and (x0 * x0).diff(0) == x0.scale(2)
+
+
+def test_exponent_field_guard():
+    x = Poly.variable(NV, 2)
+    p = x
+    for _ in range(6):
+        p = p * p  # x^64
+    top = p * (p.diff(2).scale(Fraction(1, 64)))  # x^127, the largest exponent a field holds
+    assert top.terms == {(0, 0, 127, 0, 0, 0, 0): 1} and top.max_exponent() == MAX_EXPONENT
+    with pytest.raises(OverflowError):
+        p * p  # x^128 would reach the field's guard bit
+    with pytest.raises(OverflowError):
+        top * x
+    with pytest.raises(OverflowError):
+        pair(GradedForm(M, R, tuple(top if a == 2 else Poly.zero(NV) for a in range(NV))), euler_field(M, R))
+    for bad in ((128, 0, 0, 0, 0, 0, 0), (0, -1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 300)):
+        with pytest.raises(OverflowError):
+            Poly(NV, {bad: Fraction(1)})
+    with pytest.raises(ValueError):
+        Poly(NV, {(1, 0): Fraction(1)})
+    for key in (1 << 8 * NV, 0x80, -1):  # past the top field, a guard bit, negative
+        with pytest.raises(OverflowError):
+            Poly.from_packed(NV, {key: Fraction(1)})

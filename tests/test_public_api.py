@@ -1,7 +1,8 @@
 """Every name a qcheat module exports in __all__, and every name the
 benchmark's tracer wraps, exists; every export, and every public method and
 property of an exported class, has a caller or is a listed reference route;
-no module imports scipy, which only the tests use."""
+no module imports scipy, which only the tests use, and importing the CLI or
+the numeric modules loads neither scipy nor mpmath."""
 
 import ast
 import importlib
@@ -149,15 +150,26 @@ def test_no_module_imports_scipy():
     assert not found, "scipy imported at %s" % found
 
 
-def test_cli_and_numeric_modules_import_no_scipy():
-    """Importing the CLI and the numeric modules loads no scipy module: it is
-    not a runtime dependency, and at import time it would add about 20 MB to
-    every command's peak memory."""
+def _loaded_at_import(package):
+    """The modules of package that importing the CLI and the numeric modules loads, in a fresh interpreter."""
     code = (
         "import sys, qcheat.cli, qcheat.kernel, qcheat.invariants, qcheat.mc\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == %r))" % package
     )
     src = str(Path(qcheat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_and_numeric_modules_import_no_scipy():
+    """Importing the CLI and the numeric modules loads no scipy module: it is
+    not a runtime dependency, and at import time it would add about 20 MB to
+    every command's peak memory."""
+    assert _loaded_at_import("scipy") == "[]"
+
+
+def test_cli_and_numeric_modules_import_no_mpmath():
+    """mpmath serves only the zeta-series oracles, which import it when
+    called: importing the CLI, kernel, invariants or mc loads none of it."""
+    assert _loaded_at_import("mpmath") == "[]"

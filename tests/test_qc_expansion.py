@@ -315,9 +315,30 @@ def test_reduce_c1_n3_golden_with_route_check(reductions):
     assert (red.classified_terms, red.parity_killed_terms) == (483, 30204)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduce_c1_n4_golden_with_route_check(reductions):
+    red = reductions(4)
+    assert red.final_line() == (
+        "c1 = ((-2/3)*M[x.dx] + (1/3)*M[xx.dxdx;pp] + (-1/3)*M[xx.dxdx;cross]"
+        " + (6)*M[xxxx.dzdz]) * kappa"
+    )
+    assert (red.classified_terms, red.parity_killed_terms) == (835, 85902)
+
+
+@pytest.mark.slow
+def test_reduce_c1_n5_golden_with_route_check():
+    red = reduce_c1(make_quaternionic_spec(5))
+    assert red.final_line() == (
+        "c1 = ((-2/3)*M[x.dx] + (1/3)*M[xx.dxdx;pp] + (-1/3)*M[xx.dxdx;cross]"
+        " + (44/7)*M[xxxx.dzdz]) * kappa"
+    )
+    assert (red.classified_terms, red.parity_killed_terms) == (1283, 197376)
+    digest = "5a035d2e6083c6d166d7451632031ebf7183ff3980ff1b32edd1d0963c047475"
+    assert hashlib.sha256("\n".join(red.log).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_reduce_c1_quartic_coefficient_in_closed_form(reductions, n):
-    # the n-dependence of M[xxxx.dzdz]: 4, 5, 28/5 at n = 1, 2, 3
+    # the n-dependence of M[xxxx.dzdz]: 4, 5, 28/5, 6 at n = 1, 2, 3, 4
     assert reductions(n).kappa_coefficients[M_X4DZDZ] == Fraction(4 * (2 * n + 1), n + 2)
 
 
@@ -327,6 +348,7 @@ def test_reduce_c1_quartic_coefficient_in_closed_form(reductions, n):
         (1, "2aac53c30d1d5e72f85f86aa1342c6940954d1a63b653f5c61684d0399a03bc5"),
         (2, "6795fede1d5090838b61df48c759c82d4df31e60d1afdea4aa040f5346275821"),
         (3, "1366c8df7bae2491f82819e3734803cd6066a8392ed1a66526dde147b6835d7f"),
+        (4, "fe75503640377556f6d80532c1356bed728186e6d4f4274c459f906d56c744a8"),
     ],
 )
 def test_reduce_c1_log_pinned(reductions, n, digest):
@@ -415,6 +437,22 @@ def test_coordinate_terms_cancelling_products_are_not_counted(cancelling):
     coord, pruned = _coordinate_terms(spec, op)
     assert {d: p.terms for d, p in coord.items()} == survivors
     assert pruned == killed > 0
+
+
+def test_coordinate_terms_bound_their_exponents():
+    # a coefficient's exponent plus two frame components' (degree 1 each) must
+    # stay within 127, the most a packed field holds: x_1^124 passes (its
+    # X_1 X_1 term survives parity as is), x_1^126 could reach 128
+    nv = SPEC.m + SPEC.r
+    for power, fits in ((124, True), (126, False)):
+        coeff = Poly(nv, {(power,) + (0,) * (nv - 1): Sym.rational(1)})
+        op = PerturbationOperator(m=SPEC.m, r=SPEC.r, second={(("X", 0), ("X", 0)): coeff}, first={})
+        if fits:
+            coord, _ = _coordinate_terms(SPEC, op)
+            assert coord[(2, 0, 0, 0, 0, 0, 0)] == coeff
+        else:
+            with pytest.raises(OverflowError, match="exponent above 127"):
+                _coordinate_terms(SPEC, op)
 
 
 def test_reduce_c1_rewrite_order_independent():

@@ -146,10 +146,18 @@ def _reference_gk_rows(f, a, b, rel_tol, abs_tol, max_evals, min_panels):
         p_row, p_slot, p_lo, p_hi = [], [], [], []
         for r in active:
             vs, es = val[r], err[r]
-            total = math.fsum(vs)
-            err_sum = math.fsum(es)
-            noise_floor = 1e-13 * math.fsum(map(abs, vs))
+            try:
+                total = math.fsum(vs)
+                err_sum = math.fsum(es)
+                noise_floor = 1e-13 * math.fsum(map(abs, vs))
+            except (ValueError, OverflowError):
+                total, err_sum = sum(vs), sum(es)
+                out[r] = ToleranceError(quadrature_mod._NOT_FINITE % (total, err_sum), value=total, err=err_sum)
+                continue
             target = max(abs_tol[r], rel_tol * abs(total), noise_floor)
+            if math.isnan(total) or math.isnan(err_sum):
+                out[r] = ToleranceError(quadrature_mod._NOT_FINITE % (total, err_sum), value=total, err=err_sum)
+                continue
             if starved[r]:
                 msg = "quadrature needs more than %d evaluations for %.4g initial panels" % (max_evals, wanted[r])
                 out[r] = ToleranceError(msg, value=total, err=err_sum)
@@ -259,8 +267,8 @@ def test_zero_starved_and_over_budget_rows_match_the_reference():
 
 
 def test_non_finite_rows_match_the_reference():
-    # a NaN at one node of one panel, an inf in another row: their sums are not
-    # finite, so the rows run out of budget by today's rules
+    # a NaN at one node of one panel, an inf in another row: their error sums
+    # are NaN, so both rows fail in their first round
     def f(rows, x):
         y = np.cos(x)
         y[(rows[:, None] == 0) & (np.abs(x - 1.3) < 0.2)] = np.nan
@@ -271,6 +279,59 @@ def test_non_finite_rows_match_the_reference():
         ref = _assert_matches_reference(f, [0.0] * 3, [2.0] * 3, 1e-10, [1e-13] * 3, 900, [4] * 3)
     assert isinstance(ref[0], ToleranceError) and isinstance(ref[1], ToleranceError)
     assert not isinstance(ref[2], ToleranceError)
+
+
+def _poisoned(value, row=0):
+    """cos(x) on every row, with value at the nodes of row `row` within 0.2 of 1.3."""
+
+    def f(rows, x):
+        y = np.cos(x)
+        y[(rows[:, None] == row) & (np.abs(x - 1.3) < 0.2)] = value
+        return y
+
+    return f
+
+
+def test_nan_row_fails_in_its_first_round():
+    # no split makes a NaN panel finite: the row fails after the call of its
+    # initial panels, the other rows keep their bits and refine on without it
+    calls = []
+    f = _poisoned(np.nan)
+    args = ([0.0] * 3, [2.0, 2.0, 30.0], 1e-12, [1e-15] * 3, 400_000, [4] * 3)
+    out = gk_rows(lambda rows, x: calls.append(set(rows.tolist())) or f(rows, x), *args)
+    assert isinstance(out[0], ToleranceError) and "not finite" in str(out[0])
+    assert math.isnan(out[0].value) and math.isnan(out[0].err)
+    assert calls[0] == {0, 1, 2} and len(calls) > 1 and all(0 not in c for c in calls[1:])
+    finite = gk_rows(lambda rows, x: f(rows + 1, x), [0.0] * 2, [2.0, 30.0], 1e-12, [1e-15] * 2, 400_000, [4] * 2)
+    assert out[1:] == finite
+
+
+def test_row_with_both_infinities_fails_alone():
+    # +inf and -inf among one row's panel values: its exact sum is undefined
+    # (fsum raises), so that row fails and the other keeps (value, err, n_evals)
+    def f(rows, x):
+        y = _poisoned(np.inf)(rows, x)
+        y[(rows[:, None] == 0) & (np.abs(x - 0.2) < 0.1)] = -np.inf
+        return y
+
+    with np.errstate(invalid="ignore"):  # inf - inf in the panel error estimate
+        out = _assert_matches_reference(f, [0.0] * 2, [2.0] * 2, 1e-10, [1e-13] * 2, 900, [4] * 2)
+    assert isinstance(out[0], ToleranceError) and "not finite" in str(out[0])
+    assert out[1] == adaptive_gk(np.cos, 0.0, 2.0, 1e-10, 1e-13, 900, 4)
+
+
+def test_kernel_query_past_the_double_range_fails_at_once(monkeypatch):
+    # -1/2t at t = 1e-160 squares past the double range: the row is out of
+    # range before any quadrature, without a warning (they are errors here)
+    from qcheat.group import make_quaternionic_spec
+    from qcheat.kernel import heat_kernel_point
+
+    calls = []
+    gk15 = quadrature_mod._gk15
+    monkeypatch.setattr(quadrature_mod, "_gk15", lambda *a: calls.append(1) or gk15(*a))
+    with pytest.raises(ToleranceError, match="out of floating-point range"):
+        heat_kernel_point(make_quaternionic_spec(1), 1e-160, [1e-80, 0, 0, 0], [0, 0, 0], derivative=(2, 0, 0, 0, 0, 0, 0))
+    assert calls == []
 
 
 def test_mixed_panel_counts_in_one_batch_match_the_reference():
