@@ -24,15 +24,16 @@ Gauss-Kronrod panels with an explicit incomplete-gamma tail bound.
 Every pointwise query of p(t, 0, .) or of a derivative of it goes through
 one row entry, _query_rows: a row is (t, x, z), the real coefficients of all
 rows on the derivative's shared list of integrand terms are worked out as
-arrays in one pass, and blocks of up to _ROW_BLOCK rows go to _kernel_rows
-and quadrature.gk_rows, which refines them in groups bounded by their
-panels.  The same entry serves the CLI `kernel` rows (batch_evaluate),
-single queries (heat_kernel_point, a one-row call) and the Monte Carlo
-checks of the mc layer, which send all samples of a time branch and Leibniz
-term in one call.  A row's value and error are the same bits whichever rows
-share its call.  Other base points follow from the group
-law, p(t, h, h') = p(t, 0, h^{-1} h').  The entries take a quaternionic spec
-only, and a query one relative tolerance tol, with the absolute floor tol * 1e-3.
+arrays in one pass, which also decides each row that is exactly 0 or out of
+floating-point range, and blocks of up to _ROW_BLOCK of the other rows go to
+quadrature.gk_rows, which refines them in groups bounded by their panels.
+The same entry serves the CLI `kernel` rows (batch_evaluate), single queries
+(heat_kernel_point, a one-row call) and the Monte Carlo checks of the mc
+layer, which send all samples of a time branch and Leibniz term in one
+call.  A row's value and error are the same bits whichever rows share its
+call.  Other base points follow from the group law, p(t, h, h') =
+p(t, 0, h^{-1} h').  The entries take a quaternionic spec only, and a query
+one relative tolerance tol, with the absolute floor tol * 1e-3.
 
 The mass and the marginal moments (radial_expectation) evaluate no pointwise
 value of p.  They integrate the radial form itself at t = 1, where x is
@@ -64,8 +65,8 @@ __all__ = [
 # variance 2t per horizontal coordinate; shared with the simulation layer.
 BROWNIAN_VARIANCE_FACTOR = 2.0
 
-# most rows per _kernel_rows call in _query_rows: bounds the truncation
-# arrays, which grow with the rows of a call (gk_rows bounds its own panels)
+# most rows per gk_rows call in _query_rows: bounds the truncation arrays,
+# which grow with the rows of a call (gk_rows bounds its own panels)
 _ROW_BLOCK = 512
 
 # s-nodes per block in _unit_time_moments; bounds its (rho, s) arrays
@@ -75,9 +76,6 @@ _NODE_BLOCK = 64
 _MAX_EVALS = 400_000
 
 _OUT_OF_RANGE = "kernel value or error bound is out of floating-point range"
-
-# the plain kernel's integrand terms: a(rho)^0 times the tau-monomial 1
-_PLAIN = [(0, (0, 0, 0))]
 
 
 def _require_quaternionic(spec):
@@ -111,13 +109,14 @@ def _series_where(x, small, series, direct):
     forms are built from elementwise ufuncs, so each entry gets the same
     expression, and the same bits, as np.where(small, series(x),
     direct(safe)) with safe = 1 at the small entries and x at the others.
-    x may be 0-d; small is x's mask, an array or a numpy bool.
+    x may be 0-d; small is x's mask, an array or a numpy bool.  Both forms
+    may also return several functions at once, stacked along a leading axis.
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.asarray(direct(x))
     if small.any():
-        out[small] = series(x[small])
+        out[..., small] = series(x[small])
     return out
 
 
@@ -173,10 +172,6 @@ def _truncation_radius(bound, R0, tol, R_max):
     return radii[first], tails[first, np.arange(tails.shape[1])]
 
 
-def _j1_direct(k):
-    return np.sin(k) / (k * k) - np.cos(k) / k
-
-
 def _j0(k):
     def series(k):
         k2 = k * k
@@ -187,31 +182,42 @@ def _j0(k):
     return _series_where(k, np.abs(k) < 1e-4, series, lambda k: np.sin(k) / k)
 
 
-def _j1(k):
+def _j1_over_k_and_j2(k):
+    """(j1(k) / k, j2(k)), stacked along a leading axis, elementwise; k an array or 0-d.
+
+    Below |k| = 1 both come from the series j_l(k) / k^l = sum_i
+    (-k^2/2)^i / (i! (2l + 2i + 1)!!), nine terms in Horner form (the first
+    dropped term is below 1e-17 of the sum); elsewhere from
+    sin k and cos k by upward recurrence, j1 / k = (j0 - cos k) / k / k and
+    j2 = 3 j1 / k - j0.  Against 50-digit values, j1 / k is within 5.3e-16
+    and j2 within 7.2e-15 relative at every |k| < 4 (j2 loses most just
+    above |k| = 1, where the recurrence cancels), and both within
+    4.5e-16 max(1, |k|) absolute.
+    """
+
     def series(k):
         k2 = k * k
-        return k / 3.0 - k * k2 / 30.0 + k * k2 * k2 / 840.0
-
-    return _series_where(k, np.abs(k) < 0.05, series, _j1_direct)
-
-
-def _j1_over_k(k):
-    def series(k):
-        k2 = k * k
-        return 1.0 / 3.0 - k2 / 30.0 + k2 * k2 / 840.0
-
-    return _series_where(k, np.abs(k) < 0.05, series, lambda k: _j1_direct(k) / k)
-
-
-def _j2(k):
-    def series(k):
-        k2 = k * k
-        return k2 / 15.0 - k2 * k2 / 210.0
+        out = np.empty((2,) + k.shape)
+        for l, acc in zip((1, 2), out):
+            # the a_i of sum_i a_i k^2i: a_0 = 1 / (2l + 1)!!, a_i / a_(i-1) = -1 / (2i (2l + 2i + 1))
+            a = [1.0 / math.prod(range(1, 2 * l + 2, 2))]
+            for i in range(1, 9):
+                a.append(a[-1] * -0.5 / (i * (2 * l + 2 * i + 1)))
+            acc[...] = a[8]
+            for c in a[7::-1]:
+                acc *= k2
+                acc += c
+        out[1] *= k2
+        return out
 
     def direct(k):
-        return (3.0 / (k * k) - 1.0) * np.sin(k) / k - 3.0 * np.cos(k) / (k * k)
+        out = np.empty((2,) + k.shape)
+        j0 = np.sin(k) / k
+        out[0] = (j0 - np.cos(k)) / k / k
+        out[1] = 3.0 * out[0] - j0
+        return out
 
-    return _series_where(k, np.abs(k) < 0.05, series, direct)
+    return _series_where(k, np.abs(k) < 1.0, series, direct)
 
 
 def _omega_matrix(spec, tau):
@@ -250,7 +256,7 @@ def volume_element_matrix(spec, tau):
 def _prefactor(spec, t):
     n = spec.n
     # a power that leaves the double range gives inf or 0 here without a
-    # warning; _kernel_rows fails those rows
+    # warning; _query_rows fails those rows
     with np.errstate(divide="ignore", over="ignore"):
         return 8.0 * (16.0 * n) ** 1.5 / (4.0 * math.pi * t) ** (2 * n + 3)
 
@@ -276,31 +282,20 @@ def _derivative_terms(spec, deriv, t):
     """
     m = spec.m
     terms = {((0,) * m, 0, (0, 0, 0)): np.ones_like(t)}
-    if not deriv:
-        return terms
     w = -1.0 / (2.0 * t)
-    for alpha in range(m):
-        for _ in range(deriv[alpha]):
+    for a, d in enumerate(deriv):
+        for _ in range(d):
             new = {}
             for (px, na, lam), c in terms.items():
-                e = list(px)
-                e[alpha] += 1
-                key = (tuple(e), na + 1, lam)
-                new[key] = new.get(key, 0.0) + c * w
-                if px[alpha] > 0:
-                    e2 = list(px)
-                    e2[alpha] -= 1
-                    key2 = (tuple(e2), na, lam)
-                    new[key2] = new.get(key2, 0.0) + c * px[alpha]
-            terms = new
-    for i in range(3):
-        for _ in range(deriv[m + i]):
-            new = {}
-            for (px, na, lam), c in terms.items():
-                ll = list(lam)
-                ll[i] += 1
-                key = (px, na, tuple(ll))
-                new[key] = new.get(key, 0.0) + c * w
+                if a < m:
+                    parts = [((px[:a] + (px[a] + 1,) + px[a + 1 :], na + 1, lam), c * w)]
+                    if px[a] > 0:
+                        parts.append(((px[:a] + (px[a] - 1,) + px[a + 1 :], na, lam), c * px[a]))
+                else:
+                    i = a - m
+                    parts = [((px, na, lam[:i] + (lam[i] + 1,) + lam[i + 1 :]), c * w)]
+                for key, v in parts:
+                    new[key] = new.get(key, 0.0) + v
             terms = new
     return terms
 
@@ -309,22 +304,27 @@ def _angular(lam, k, uvec, cache):
     """Real factor A of the integral of omega^lam exp(-i k <omega, u>) over the unit sphere.
 
     The integral is A for even |lam| and -i A for odd |lam|.  uvec holds one
-    unit vector u per row of k.
+    unit vector u per row of k.  cache holds the factors of one k, and under
+    the key "j" the pair (j1(k) / k, j2(k)) the orders 1 and 2 share.
     """
     if lam in cache:
         return cache[lam]
     total = sum(lam)
     if total == 0:
         out = 4.0 * math.pi * _j0(k)
-    elif total == 1:
-        out = 4.0 * math.pi * _j1(k) * uvec[:, lam.index(1), None]
     else:
-        i, j = [i for i in range(3) for _ in range(lam[i])]
-        ui, uj = uvec[:, i, None], uvec[:, j, None]
-        if i == j:
-            out = 4.0 * math.pi * (_j1_over_k(k) - _j2(k) * ui * ui)
+        if "j" not in cache:
+            cache["j"] = _j1_over_k_and_j2(k)
+        j1_k, j2 = cache["j"]
+        if total == 1:
+            out = 4.0 * math.pi * (k * j1_k) * uvec[:, lam.index(1), None]
         else:
-            out = -4.0 * math.pi * _j2(k) * ui * uj
+            i, j = [i for i in range(3) for _ in range(lam[i])]
+            ui, uj = uvec[:, i, None], uvec[:, j, None]
+            if i == j:
+                out = 4.0 * math.pi * (j1_k - j2 * ui * ui)
+            else:
+                out = -4.0 * math.pi * j2 * ui * uj
     cache[lam] = out
     return out
 
@@ -380,75 +380,33 @@ def _make_integrand(spec, u, zc, uvec, keys, coeffs):
     return f
 
 
-def _auto_truncation(spec, u, keys, coeffs, tol):
-    """(R, tail bound at R) per row for the kernel's radial integral."""
-    return _truncation_radius(_tail_bound(spec, u, keys, coeffs), 6.0 + 2.0 / spec.n, tol, 400.0)
-
-
-def _kernel_rows(spec, t, x, z, keys, coeffs, tol):
-    """KernelValue, or ToleranceError, of p(t_r, 0, (x_r, z_r)) for each row r.
-
-    t (N,), x (N, m) and z (N, 3) are float arrays; coeffs[r, j] is row r's
-    coefficient of the shared term keys[j] (see _make_integrand).  tol is
-    the relative tolerance and abs_tol = tol * 1e-3 the absolute floor.
-    """
-    abs_tol = tol * 1e-3
-    x = np.ascontiguousarray(x, dtype=float)
-    z = np.ascontiguousarray(z, dtype=float)
-    znorm = np.sqrt(np.einsum("ij,ij->i", z, z))
-    # a row whose |x|^2 / 4t, |z|^2 or |z| / 4t overflows is integrated at
-    # x = z = 0, then failed as out of range
-    with np.errstate(over="ignore"):
-        u = np.einsum("ij,ij->i", x, x) / (4.0 * t)
-        zc = znorm / (4.0 * t)
-    lost = ~(np.isfinite(u) & np.isfinite(zc))
-    u[lost] = 0.0
-    zc[lost] = 0.0
-    uvec = z / np.where(znorm > 0.0, znorm, 1.0)[:, None]
-    R, tail = _auto_truncation(spec, u, keys, coeffs, abs_tol / 10.0)
-    n_osc = R * zc / (2.0 * math.pi)
-    # a float count, which gk_rows caps at its evaluation budget
-    min_panels = np.maximum(4, np.maximum(np.ceil(R / 5.0), np.ceil(1.5 * n_osc)))
-    pre = _prefactor(spec, t)
-    f = _make_integrand(spec, u, zc, uvec, keys, coeffs)
-    results = gk_rows(f, np.zeros_like(R), R, tol, abs_tol / np.maximum(pre, 1.0), _MAX_EVALS, min_panels)
-    out = []
-    for res, p, tl, gone in zip(results, pre.tolist(), tail.tolist(), lost.tolist()):
-        if gone:
-            out.append(ToleranceError(_OUT_OF_RANGE))
-        elif isinstance(res, ToleranceError):
-            out.append(ToleranceError(str(res), value=p * res.value, err=p * res.err + p * tl))
-        else:
-            val, err, n_evals = res
-            value, bound = p * val, p * (err + tl)
-            if p > 0.0 and math.isfinite(value) and math.isfinite(bound):
-                out.append(KernelValue(value, bound, n_evals))
-            else:
-                out.append(ToleranceError(_OUT_OF_RANGE))
-    return out
-
-
 def _query_rows(spec, t, x, z, derivative, tol):
     """KernelValue, or ToleranceError, of D p(t_r, 0, (x_r, z_r)) for each row r.
 
     t (N,), x (N, m) and z (N, 3) are float arrays of checked points,
     derivative a checked multi-index D, () for the kernel itself, and tol > 0
-    the relative tolerance.  The
+    the relative tolerance, with the absolute floor tol * 1e-3.  The
     coefficients of all rows are real arrays made in one pass over the
     integrand terms of D: a term's coefficient, with the row's 1/2t factors,
     times its x-monomial at the row, summed per key (power of a(rho),
-    tau-monomial) in term order.  A row whose coefficients are all zero is
-    exactly 0, or out of range like any row when the kernel's prefactor at
-    its t is 0 or not finite, or when a term underflowed to 0 although no
-    coordinate of its monomial is 0.  A row with a coefficient that is not
-    finite is out of range before any quadrature.  The other rows go
-    through _kernel_rows in blocks of up to _ROW_BLOCK rows; a row's result
-    is the same bits whichever rows share its block or the call.
+    tau-monomial) in term order.  Each row's fate is then decided before any
+    quadrature.  A row is out of range when the kernel's prefactor at its t
+    is 0 or not finite; when a coefficient is not finite, or |x|^2 / 4t,
+    |z|^2 or |z| / 4t overflows; or, for a row whose coefficients are all
+    zero, when a term underflowed to 0 although no coordinate of its
+    monomial is 0.  Any other row whose coefficients are all zero is exactly
+    0.  The rest go through quadrature.gk_rows in blocks of up to _ROW_BLOCK
+    rows, and fail as out of range only when their value or error bound is
+    not finite; a row's result is the same bits whichever rows share its
+    block or the call.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    # a 1/2t power or monomial past the double range gives inf or NaN here
-    # without a warning; those rows fail below
+    abs_tol = tol * 1e-3
+    x = np.ascontiguousarray(x, dtype=float)
+    z = np.ascontiguousarray(z, dtype=float)
+    # a 1/2t power, monomial, |x|^2 / 4t, |z|^2 or |z| / 4t past the double
+    # range gives inf or NaN here without a warning; those rows fail below
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _derivative_terms(spec, derivative, t)
         keys = list(dict.fromkeys((na, lam) for _, na, lam in terms))
@@ -464,21 +422,34 @@ def _query_rows(spec, t, x, z, derivative, tol):
             term = c * xm
             underflow |= (term == 0.0) & (c != 0.0) & ~on_zero
             coeffs[:, keys.index((na, lam))] += term
-    out = [KernelValue(0.0, 0.0, 0)] * len(t)
-    finite = np.isfinite(coeffs).all(axis=1)
-    for r in np.flatnonzero(~finite).tolist():
-        out[r] = ToleranceError(_OUT_OF_RANGE)
+        znorm = np.sqrt(np.einsum("ij,ij->i", z, z))
+        u = np.einsum("ij,ij->i", x, x) / (4.0 * t)
+        zc = znorm / (4.0 * t)
+    pre = _prefactor(spec, t)
     nonzero = coeffs.any(axis=1)
-    live, dead = np.flatnonzero(nonzero & finite), np.flatnonzero(~nonzero)
-    for r, p in zip(dead.tolist(), _prefactor(spec, t[dead]).tolist()):
-        if underflow[r] or not 0.0 < p < math.inf:
-            out[r] = ToleranceError(_OUT_OF_RANGE)
-    t, x, z, coeffs = t[live], x[live], z[live], coeffs[live]
+    in_range = np.isfinite(coeffs).all(axis=1) & np.isfinite(u) & np.isfinite(zc)
+    fails = ~((0.0 < pre) & (pre < math.inf)) | np.where(nonzero, ~in_range, underflow)
+    out = [KernelValue(0.0, 0.0, 0)] * len(t)
+    for r in np.flatnonzero(fails).tolist():
+        out[r] = ToleranceError(_OUT_OF_RANGE)
+    live = np.flatnonzero(nonzero & ~fails)
     for s in range(0, len(live), _ROW_BLOCK):
-        blk = slice(s, s + _ROW_BLOCK)
-        results = _kernel_rows(spec, t[blk], x[blk], z[blk], keys, coeffs[blk], tol)
-        for r, res in zip(live[blk].tolist(), results):
-            out[r] = res
+        rows = live[s : s + _ROW_BLOCK]
+        u_b, zc_b, pre_b, coeffs_b = u[rows], zc[rows], pre[rows], coeffs[rows]
+        R, tail = _truncation_radius(_tail_bound(spec, u_b, keys, coeffs_b), 6.0 + 2.0 / spec.n, abs_tol / 10.0, 400.0)
+        # a float count, which gk_rows caps at its evaluation budget
+        min_panels = np.maximum(4, np.maximum(np.ceil(R / 5.0), np.ceil(1.5 * (R * zc_b / (2.0 * math.pi)))))
+        uvec = z[rows] / np.where(znorm[rows] > 0.0, znorm[rows], 1.0)[:, None]
+        f = _make_integrand(spec, u_b, zc_b, uvec, keys, coeffs_b)
+        results = gk_rows(f, np.zeros_like(R), R, tol, abs_tol / np.maximum(pre_b, 1.0), _MAX_EVALS, min_panels)
+        for r, res, p, tl in zip(rows.tolist(), results, pre_b.tolist(), tail.tolist()):
+            if isinstance(res, ToleranceError):
+                out[r] = ToleranceError(str(res), value=p * res.value, err=p * res.err + p * tl)
+                continue
+            val, err, n_evals = res
+            value, bound = p * val, p * (err + tl)
+            finite = math.isfinite(value) and math.isfinite(bound)
+            out[r] = KernelValue(value, bound, n_evals) if finite else ToleranceError(_OUT_OF_RANGE)
     return out
 
 
@@ -531,7 +502,9 @@ def _unit_time_moments(spec):
     go _NODE_BLOCK at a time, which bounds the (rho, s) arrays.
     """
     two_n = 2 * spec.n
-    R, tail = _auto_truncation(spec, np.zeros(1), _PLAIN, np.ones((1, 1)), 1e-14)
+    # the plain kernel's one integrand term: a(rho)^0 times the tau-monomial 1
+    bound = _tail_bound(spec, np.zeros(1), [(0, (0, 0, 0))], np.ones((1, 1)))
+    R, tail = _truncation_radius(bound, 6.0 + 2.0 / spec.n, 1e-14, 400.0)
     R, tail = float(R[0]), float(tail[0])
     s_max = 12.0 * math.sqrt(32.0 * spec.n) + 40.0
     s, wk, wg = composite_gk_nodes(0.0, s_max, 26)

@@ -697,8 +697,8 @@ def _reduce_c1(spec, symbols):
     classified = 0
     per_class_counts = {}
     for deriv, poly in sorted(coord.items()):
-        for mono in sorted(poly.terms):
-            c = poly.terms[mono]
+        # one read of terms, a property that builds a new dict each time
+        for mono, c in sorted(poly.terms.items()):
             decomp = _moment_decomposition(mono, deriv, m)
             if not decomp:
                 # _coordinate_terms drops every parity mismatch, and every

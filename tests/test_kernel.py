@@ -16,9 +16,7 @@ from qcheat.kernel import (
     kernel_marginal_moments,
     _exp_tail,
     _j0,
-    _j1,
-    _j1_over_k,
-    _j2,
+    _j1_over_k_and_j2,
     _query_rows,
     _rho_coth,
     _rho_over_sinh_pow,
@@ -253,29 +251,6 @@ def _ref_j0(k):
     return np.where(small, 1.0 - k2 / 6.0 + k2 * k2 / 120.0, np.sin(safe) / safe)
 
 
-def _ref_j1(k):
-    small = np.abs(k) < 0.05
-    safe = np.where(small, 1.0, k)
-    k2 = k * k
-    series = k / 3.0 - k * k2 / 30.0 + k * k2 * k2 / 840.0
-    return np.where(small, series, np.sin(safe) / (safe * safe) - np.cos(safe) / safe)
-
-
-def _ref_j1_over_k(k):
-    small = np.abs(k) < 0.05
-    safe = np.where(small, 1.0, k)
-    k2 = k * k
-    return np.where(small, 1.0 / 3.0 - k2 / 30.0 + k2 * k2 / 840.0, _ref_j1(safe) / safe)
-
-
-def _ref_j2(k):
-    small = np.abs(k) < 0.05
-    safe = np.where(small, 1.0, k)
-    k2 = k * k
-    direct = (3.0 / (safe * safe) - 1.0) * np.sin(safe) / safe - 3.0 * np.cos(safe) / (safe * safe)
-    return np.where(small, k2 / 15.0 - k2 * k2 / 210.0, direct)
-
-
 def _special_grid(negative_huge):
     tiny = [5e-324, 1e-300, 1e-20, 1e-9]
     cuts = [np.nextafter(c, d) for c in (1e-8, 1e-4, 0.05) for d in (0.0, c, 1.0)]
@@ -292,11 +267,8 @@ def _special_grid(negative_huge):
         (lambda r: _rho_over_sinh_pow(r, 2), lambda r: _ref_rho_over_sinh_pow(r, 2), False),
         (lambda r: _rho_over_sinh_pow(r, 6), lambda r: _ref_rho_over_sinh_pow(r, 6), False),
         (_j0, _ref_j0, True),
-        (_j1, _ref_j1, True),
-        (_j1_over_k, _ref_j1_over_k, True),
-        (_j2, _ref_j2, True),
     ],
-    ids=["rho_coth", "rho_over_sinh_pow-2", "rho_over_sinh_pow-6", "j0", "j1", "j1_over_k", "j2"],
+    ids=["rho_coth", "rho_over_sinh_pow-2", "rho_over_sinh_pow-6", "j0"],
 )
 def test_special_functions_same_bits_as_two_branch_forms(new, ref, negative_huge):
     """Same bits as the two-branch forms at 0, +-tiny, each switch point +-1 ulp,
@@ -310,6 +282,58 @@ def test_special_functions_same_bits_as_two_branch_forms(new, ref, negative_huge
             want = ref(x)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want), x
+
+
+def _mp_spherical_bessel(name, k):
+    """j1(k), j1(k) / k or j2(k) at 50 digits, from the half-integer Bessel
+    function at |k| and j_l(-k) = (-1)^l j_l(k)."""
+    import mpmath
+
+    l = 2 if name == "j2" else 1
+    k = mpmath.mpf(k)
+    if not k:
+        return mpmath.mpf(1) / 3 if name == "j1_over_k" else mpmath.mpf(0)
+    j = mpmath.sqrt(mpmath.pi / (2 * abs(k))) * mpmath.besselj(l + 0.5, abs(k)) * mpmath.sign(k) ** l
+    return j / k if name == "j1_over_k" else j
+
+
+@pytest.mark.parametrize(
+    "name, pick, rel",
+    [
+        ("j1", lambda k, j1_k, j2: k * j1_k, 1e-15),
+        ("j1_over_k", lambda k, j1_k, j2: j1_k, 1e-15),
+        ("j2", lambda k, j1_k, j2: j2, 8e-15),
+    ],
+    ids=["j1", "j1_over_k", "j2"],
+)
+def test_spherical_bessel_pair_matches_mpmath(name, pick, rel):
+    """j1, j1 / k and j2 from _j1_over_k_and_j2 against 50-digit mpmath on the
+    special-function grid plus the series switch at |k| = 1 +- 1 ulp: within
+    rel relative where |k| < 4 (and the value is a normal double), and within
+    4.5e-16 max(1, |k|) absolute everywhere.  0-d inputs keep their shape,
+    and no RuntimeWarning (an error under the test filter) is raised."""
+    import mpmath
+
+    cuts = [np.nextafter(1.0, d) for d in (0.0, 2.0)] + [1.0]
+    grid = np.concatenate([_special_grid(True), cuts, [-c for c in cuts], [2.5, -3.9, 12.0]])
+    got = pick(grid, *_j1_over_k_and_j2(grid))
+    with mpmath.workdps(50):
+        for k, v in zip(grid, got):
+            ref = _mp_spherical_bessel(name, k)
+            err = abs(mpmath.mpf(float(v)) - ref)
+            assert err <= 4.5e-16 * max(1.0, abs(k)), k
+            if abs(k) < 4.0 and abs(ref) >= np.finfo(float).tiny:
+                assert err <= rel * abs(ref), k
+    # a column, 0-d arrays and floats: the same shape as the input, the same bits
+    col = grid.reshape(-1, 1)
+    pair = _j1_over_k_and_j2(col)
+    assert pair[0].shape == pair[1].shape == col.shape
+    assert np.array_equal(pick(col, *pair).ravel(), got)
+    for k, v in zip(grid, got):
+        for x in (np.array(k), float(k)):
+            pair = _j1_over_k_and_j2(x)
+            assert np.shape(pair[0]) == np.shape(pair[1]) == ()
+            assert pick(x, *pair) == v
 
 
 def test_derivatives_match_finite_differences():
@@ -723,6 +747,60 @@ def test_derivative_row_zero_on_a_zero_coordinate_stays_exact(x):
     for names in (("x1",), ("x1", "x2")):
         res = heat_kernel_point(SPEC1, 1.0, x, [0, 0, 0], derivative=_deriv(SPEC1, *names))
         assert (res.value, res.err_estimate, res.n_evals) == (0.0, 0.0, 0)
+
+
+def test_rows_known_out_of_range_skip_quadrature(monkeypatch):
+    """Rows whose |x|^2 / 4t overflows, or whose prefactor leaves the double
+    range (t = 1e200, t = 1e-300), fail as out of range before quadrature:
+    only the other rows reach gk_rows, with the bits of their single queries."""
+    import qcheat.kernel as kernel_mod
+
+    sent = []
+    real_rows = kernel_mod.gk_rows
+
+    def counting_rows(*args):
+        sent.append(len(args[1]))  # the rows' lower limits, one per row
+        return real_rows(*args)
+
+    monkeypatch.setattr(kernel_mod, "gk_rows", counting_rows)
+    t, x, z = _query_points(SPEC1, 8)
+    bad = [1, 4, 6]
+    t[1], t[6] = 1e200, 1e-300
+    x[4, 0] = 1e200
+    for d in ((), _deriv(SPEC1, "z1"), _deriv(SPEC1, "x1", "x2")):
+        sent.clear()
+        out = _query_rows(SPEC1, t, x, z, d, 1e-9)
+        live = [r for r in range(len(t)) if r not in bad and not out[r] == KernelValue(0.0, 0.0, 0)]
+        assert sum(sent) == len(live)
+        for r in range(len(t)):
+            if r in bad:
+                assert isinstance(out[r], ToleranceError) and "out of floating-point range" in str(out[r])
+            else:
+                assert out[r] == heat_kernel_point(SPEC1, t[r], x[r], z[r], derivative=d)
+
+
+def test_near_field_derivative_row_matches_mpmath():
+    """d/dz1 d/dz2 p at n = 1, t = 1, x = (5, 0, 0, 0), z = (0.1, 0.1, 0),
+    whose integrand takes j2 at k = |z| rho / 4 < 1 on most of its mass,
+    within 1e-12 relative of a 30-digit mpmath quadrature of the radial form:
+    p_z1z2 = prefac int_0^inf rho^2/8 (rho / sinh rho)^2 exp(-rho coth(rho) |x|^2 / 4)
+             rho^2 / 16 4 pi u1 u2 j2(|z| rho / 4) drho, u = z / |z|."""
+    import mpmath
+
+    res = heat_kernel_point(SPEC1, 1.0, [5.0, 0, 0, 0], [0.1, 0.1, 0.0], derivative=_deriv(SPEC1, "z1", "z2"))
+    with mpmath.workdps(30):
+        zn = mpmath.sqrt(mpmath.mpf("0.02"))
+        u1u2 = mpmath.mpf("0.01") / zn**2
+
+        def f(rho):
+            k = zn * rho / 4
+            j2 = mpmath.sqrt(mpmath.pi / (2 * k)) * mpmath.besselj(2.5, k)
+            w = (rho / mpmath.sinh(rho)) ** 2 * mpmath.exp(-rho * mpmath.coth(rho) * 25 / 4)
+            return rho**2 / 8 * w * rho**2 / 16 * 4 * mpmath.pi * u1u2 * j2
+
+        pre = 8 * mpmath.mpf(16) ** 1.5 / (4 * mpmath.pi) ** 5
+        ref = pre * mpmath.quad(f, [0, 0.5, 1, 2, 4, 8, 16, 32])
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
 def test_query_rows_independent_of_order_and_blocks(monkeypatch):

@@ -478,16 +478,16 @@ def test_check_batches_kernel_rows_per_branch_and_term(monkeypatch):
     import qcheat.kernel as kernel_mod
 
     calls = []
-    real_rows = kernel_mod._kernel_rows
+    real_rows = kernel_mod.gk_rows
 
     def counting_rows(*args):
-        calls.append(len(args[1]))
+        calls.append(len(args[1]))  # the rows' lower limits, one per row
         return real_rows(*args)
 
     def no_single_queries(*args, **kwargs):
         raise AssertionError("check_moment_vanishing made a single kernel query")
 
-    monkeypatch.setattr(kernel_mod, "_kernel_rows", counting_rows)
+    monkeypatch.setattr(kernel_mod, "gk_rows", counting_rows)
     monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", 64)  # each time branch spans blocks
     monkeypatch.setattr(kernel_mod, "heat_kernel_point", no_single_queries)
     monkeypatch.setattr(mc, "heat_kernel_point", no_single_queries)
