@@ -6,30 +6,39 @@ coordinate directions carry weight -1 / -2 as vector fields and +1 / +2 as
 1-forms, so every object decomposes into eigenparts of the Lie derivative
 along the grading generator P = sum x_a d/dx_a + 2 sum z_i d/dz_i.
 
-Coefficients are exact tensors.Sym values, polynomials in the free
-torsion/curvature symbols over the rationals (plain rationals are the
-symbol-free ones).  A coefficient is zero exactly when it is falsy.
-Equality is syntactic after dropping zero terms, so all identity checks are
-exact.
+Coefficients are polynomials in the free torsion/curvature symbols of
+tensors over the rationals.  A Poly holds them as one dict from int keys to
+integer numerators, over one positive Poly-wide denominator in lowest terms,
+so each value has a single representation: equality is syntactic, and all
+identity checks are exact.
 
-A Poly keys its terms by packed exponents: one int holding an 8-bit field
-(_FIELD) per coordinate, coordinate 0 in the highest field.  A product's key is
-the sum of its factors' keys, a derivative's a shift and a subtract, and
-int order is the order of the exponent tuples.  An exponent may reach
-MAX_EXPONENT; the top bit of each field is a guard, so a sum of two keys
-never carries into the next field, and every product, constructor and
-from_packed call raises OverflowError when a result exponent leaves the
-range.  The tuple-keyed `terms` view and constructor serve the edges
-(tests, moment patterns, printing).
+A key packs one term's monomial.  Its low _FIELD * nvars bits hold the
+exponents, an 8-bit field per coordinate, coordinate 0 in the highest
+field; above them sits the interned id (tensors._monomial_id) of the term's
+atom monomial, 0 for the symbol-free one.  A product with a symbol-free
+factor has key key1 + key2 and numerator num1 * num2, with no Sym built.  A
+product of two symbolic factors adds the exponent fields and looks the
+product monomial up in tensors' cached product table, so Poly stays a ring
+over the symbols.  A derivative's key is a subtract from one field, and int
+order of symbol-free keys is the order of the exponent tuples.  An exponent
+may reach MAX_EXPONENT; the top bit of each field is a guard, so a sum of two
+keys never carries into the next field, and every product, constructor and
+from_packed call raises OverflowError when a result exponent leaves the range.
+
+Sym stays the type at the edges: the constructors take Sym or rational
+coefficients, and the packed view (packed exponent keys) and terms view
+(exponent tuples) give one Sym per monomial, for tests, moment patterns and
+printing.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .tensors import InvariantError, Sym
+from .tensors import _MONOMIALS, InvariantError, Sym, _monomial_id, _monomial_product
 
 __all__ = [
     "Poly",
@@ -54,15 +63,27 @@ MAX_EXPONENT = (1 << (_FIELD - 1)) - 1
 
 @lru_cache(maxsize=None)
 def _out_of_field(nvars):
-    """The bits no valid key of nvars coordinates sets: the guards, everything
-    above the top field, and (as an infinite run of ones) the sign."""
+    """The bits no packed exponent key of nvars coordinates sets: the guards,
+    everything above the top field, and (as an infinite run of ones) the sign."""
     return ~int.from_bytes(bytes([MAX_EXPONENT]) * nvars, "big")
 
 
 @lru_cache(maxsize=None)
-def parity_mask(nvars):
-    """The low bit of every field: key & parity_mask(nvars) is the key's odd-exponent pattern."""
-    return int.from_bytes(b"\x01" * nvars, "big")
+def _guards(nvars):
+    """The guard bit of every field: a sum of two keys sets one exactly when an exponent reaches 2 ** (_FIELD - 1)."""
+    return int.from_bytes(bytes([1 << (_FIELD - 1)]) * nvars, "big")
+
+
+@lru_cache(maxsize=None)
+def key_masks(nvars):
+    """(exponents, parity) masks of the keys of a Poly in nvars coordinates.
+
+    key & exponents is the key's exponent pattern, its atom monomial id
+    masked off (a packed exponent key); key & parity is its odd-exponent
+    pattern, the low bit of every field.  Parity adds under multiplication:
+    a product's pattern is the xor of its factors'.
+    """
+    return (1 << (_FIELD * nvars)) - 1, int.from_bytes(b"\x01" * nvars, "big")
 
 
 def _shift(nvars, a):
@@ -71,6 +92,12 @@ def _shift(nvars, a):
 
 def _check_keys(nvars, keys):
     if keys and reduce(operator.or_, keys) & _out_of_field(nvars):
+        raise OverflowError("an exponent leaves the range 0..%d of its %d-bit field" % (MAX_EXPONENT, _FIELD))
+
+
+def _check_sums(nvars, keys):
+    """Raise OverflowError when a key made as a sum of two valid keys has an exponent past MAX_EXPONENT."""
+    if keys and reduce(operator.or_, keys) & _guards(nvars):
         raise OverflowError("an exponent leaves the range 0..%d of its %d-bit field" % (MAX_EXPONENT, _FIELD))
 
 
@@ -89,46 +116,100 @@ def unpack_exponents(key, nvars):
     return tuple(key.to_bytes(nvars, "big"))
 
 
-class Poly:
-    """Sparse polynomial: dict of packed exponent keys to ring coefficients.
+def _monomial_offset(nvars, mono):
+    """What a symbol-free key plus it is the key of: the same term times the atom monomial mono."""
+    return _monomial_id(mono) << (_FIELD * nvars)
 
-    Poly(nvars, terms) takes exponent tuples, and the terms property gives
-    them back; the arithmetic works on the packed dict.
+
+class Poly:
+    """Sparse polynomial: integer numerators of packed keys over one denominator.
+
+    Poly(nvars, terms) takes exponent tuples and Sym or rational
+    coefficients, and the terms property gives them back; the arithmetic
+    works on the numerators.
     """
 
-    __slots__ = ("nvars", "packed")
+    __slots__ = ("nvars", "_nums", "_den")
 
     def __init__(self, nvars, terms=None):
-        self.nvars = nvars
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    if len(e) != nvars:
-                        raise ValueError("exponent %r needs %d entries" % (e, nvars))
-                    t[pack_exponents(e)] = c
-        self.packed = t
+        items = []
+        for e, c in (terms or {}).items():
+            if c:
+                if len(e) != nvars:
+                    raise ValueError("exponent %r needs %d entries" % (e, nvars))
+                items.append((pack_exponents(e), c))
+        p = Poly._from_coefficients(nvars, items)
+        self.nvars, self._nums, self._den = nvars, p._nums, p._den
 
     @classmethod
-    def _of(cls, nvars, packed):
-        """A Poly that takes packed, a dict of valid keys to nonzero coefficients, as is."""
+    def _of(cls, nvars, nums, den=1):
+        """A Poly that takes nums, nonzero numerators of valid keys over den in lowest terms, as is."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.packed = packed
+        out._nums = nums
+        out._den = den
         return out
 
     @classmethod
+    def _from_numerators(cls, nvars, nums, den):
+        """The Poly of nums, integer numerators of valid keys over den > 0, zeros dropped, in lowest terms."""
+        if 0 in nums.values():
+            nums = {k: n for k, n in nums.items() if n}
+        if not nums:
+            return cls._of(nvars, nums)
+        if den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: n // g for k, n in nums.items()}
+                den //= g
+        return cls._of(nvars, nums, den)
+
+    @classmethod
+    def _from_coefficients(cls, nvars, items):
+        """The Poly of (packed exponent key, Sym or rational coefficient) pairs, keys distinct."""
+        shift = _FIELD * nvars
+        parts = []
+        for e, c in items:
+            nums, den = (c if isinstance(c, Sym) else Sym.rational(c)).numerators
+            if nums:
+                parts.append((e, nums, den))
+        # each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it
+        den = math.lcm(1, *(d for _, _, d in parts))
+        t = {}
+        for e, nums, d in parts:
+            k = den // d
+            for mono, n in nums.items():
+                t[e | (_monomial_id(mono) << shift)] = n * k
+        return cls._of(nvars, t, den)
+
+    @classmethod
     def from_packed(cls, nvars, packed):
-        """A Poly of the nonzero entries of a packed-key dict; OverflowError on an invalid key."""
+        """A Poly of a dict of packed exponent keys to Sym or rational coefficients; OverflowError on an invalid key."""
         t = {e: c for e, c in packed.items() if c}
         _check_keys(nvars, t)
-        return cls._of(nvars, t)
+        return cls._from_coefficients(nvars, t.items())
+
+    @property
+    def packed(self):
+        """The terms as a new dict of packed exponent keys to Sym coefficients."""
+        shift = _FIELD * self.nvars
+        exponents = (1 << shift) - 1
+        groups = {}
+        for k, n in self._nums.items():
+            groups.setdefault(k & exponents, {})[_MONOMIALS[k >> shift]] = n
+        return {e: Sym.from_numerators(nums, self._den) for e, nums in groups.items()}
 
     @property
     def terms(self):
-        """The terms as a new dict of exponent tuples to coefficients."""
+        """The terms as a new dict of exponent tuples to Sym coefficients."""
         nv = self.nvars
         return {unpack_exponents(e, nv): c for e, c in self.packed.items()}
+
+    def _numerators(self, den):
+        """The numerators over den, a multiple of the denominator, as a dict; the Poly's own dict when den is it."""
+        k = den // self._den
+        return self._nums if k == 1 else {e: n * k for e, n in self._nums.items()}
 
     @classmethod
     def zero(cls, nvars):
@@ -136,41 +217,46 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars, c):
-        return cls._of(nvars, {0: c} if c else {})
+        return cls._from_coefficients(nvars, [(0, c)])
 
     @classmethod
     def variable(cls, nvars, a):
-        return cls._of(nvars, {1 << _shift(nvars, a): Sym.rational(1)})
+        return cls._of(nvars, {1 << _shift(nvars, a): 1})
 
     def is_zero(self):
-        return not self.packed
+        return not self._nums
 
     def max_exponent(self):
         """The largest exponent of any coordinate in any term (0 for the zero polynomial)."""
         nv = self.nvars
-        return max((max(e.to_bytes(nv, "big")) for e in self.packed), default=0)
+        exponents = (1 << (_FIELD * nv)) - 1
+        return max((max(e.to_bytes(nv, "big")) for e in {k & exponents for k in self._nums}), default=0)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.nvars == other.nvars and self.packed == other.packed
+            return self.nvars == other.nvars and self._den == other._den and self._nums == other._nums
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.packed.items())))
+        return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
     def __add__(self, other):
-        t = dict(self.packed)
-        for e, c in other.packed.items():
-            s = t.get(e)
-            s = c if s is None else s + c
-            if not s:
-                t.pop(e, None)
-            else:
-                t[e] = s
-        return Poly._of(self.nvars, t)
+        if not other._nums:
+            return self
+        if not self._nums:
+            return other
+        d1, d2 = self._den, other._den
+        g = math.gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        t = {e: n * f1 for e, n in self._nums.items()} if f1 != 1 else dict(self._nums)
+        get = t.get
+        for e, n in other._nums.items():
+            t[e] = get(e, 0) + n * f2
+        return Poly._from_numerators(self.nvars, t, d1 * f1)
 
     def __neg__(self):
-        return Poly._of(self.nvars, {e: -c for e, c in self.packed.items()})
+        # negating the numerators keeps the value in lowest terms
+        return Poly._of(self.nvars, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -181,49 +267,68 @@ class Poly:
         return _sum_of_products(self.nvars, [(self, other)])
 
     def scale(self, c):
-        t = {}
-        if c:
-            for e, v in self.packed.items():
-                s = v * c
-                if s:
-                    t[e] = s
-        return Poly._of(self.nvars, t)
+        """self * c for a Sym or rational c."""
+        return _sum_of_products(self.nvars, [(self, Poly.constant(self.nvars, c))])
 
     def diff(self, a):
         shift = _shift(self.nvars, a)
         unit = 1 << shift
         field = (1 << _FIELD) - 1
         t = {}
-        for e, c in self.packed.items():
+        for e, n in self._nums.items():
             k = (e >> shift) & field
             if k:
-                t[e - unit] = c * k
-        return Poly._of(self.nvars, t)
+                t[e - unit] = n * k
+        return Poly._from_numerators(self.nvars, t, self._den)
+
+
+def _denominator(polys):
+    """The lcm of the denominators of polys: each one's numerators can be read over it."""
+    return math.lcm(1, *(p._den for p in polys))
 
 
 def _sum_of_products(nvars, pairs):
-    """sum of f * g over the (f, g) pairs of Polys, gathered in one dict.
+    """sum of f * g over the (f, g) pairs of Polys, gathered in one dict over one denominator.
 
-    A product key is the sum of two valid keys, so each field holds the true
-    exponent (below 2 ** _FIELD, no carry); the keys are checked once at the end.
+    The common denominator is the lcm of the pairs' denominator products.  A
+    pair with a symbol-free factor adds keys; a pair of two symbolic factors
+    adds the exponent fields and takes the product monomial from the table.
+    A product's exponent fields hold the true exponents (below 2 ** _FIELD, no
+    carry into the field above); they are checked once at the end.
     """
+    pairs = [(f, g) for f, g in pairs if f._nums and g._nums]
+    if not pairs:
+        return Poly.zero(nvars)
+    shift = _FIELD * nvars
+    plain = 1 << shift  # the keys of symbol-free terms are the ones below it
+    den = math.lcm(*{f._den * g._den for f, g in pairs})
     t = {}
+    get = t.get
     for f, g in pairs:
-        g_terms = g.packed.items()
-        if not g_terms:
+        k = den // (f._den * g._den)
+        g_terms = g._nums.items()
+        if max(g._nums) < plain or max(f._nums) < plain:
+            for e1, c1 in f._nums.items():
+                if k != 1:
+                    c1 *= k
+                for e2, c2 in g_terms:
+                    e = e1 + e2
+                    t[e] = get(e, 0) + c1 * c2
             continue
-        for e1, c1 in f.packed.items():
+        exponents = plain - 1
+        for e1, c1 in f._nums.items():
+            if k != 1:
+                c1 *= k
+            i1 = e1 >> shift
             for e2, c2 in g_terms:
-                e = e1 + e2
-                c = c1 * c2
-                s = t.get(e)
-                s = c if s is None else s + c
-                if not s:
-                    t.pop(e, None)
+                i2 = e2 >> shift
+                if i1 and i2:
+                    e = (_monomial_product(i1, i2) << shift) | ((e1 & exponents) + (e2 & exponents))
                 else:
-                    t[e] = s
-    _check_keys(nvars, t)
-    return Poly._of(nvars, t)
+                    e = e1 + e2
+                t[e] = get(e, 0) + c1 * c2
+    _check_sums(nvars, t)
+    return Poly._from_numerators(nvars, t, den)
 
 
 def _weights(m, r):
@@ -231,9 +336,16 @@ def _weights(m, r):
 
 
 def _key_weight(e, nvars, m):
-    """Weight of the monomial of packed key e: its first m coordinates weigh 1, the rest 2."""
+    """Weight of the monomial of packed exponent key e: its first m coordinates weigh 1, the rest 2."""
     b = e.to_bytes(nvars, "big")
     return sum(b) + sum(b[m:])
+
+
+def _poly_weights(p, m):
+    """{key: weight} over the distinct exponent patterns of p's keys."""
+    nv = p.nvars
+    exponents = (1 << (_FIELD * nv)) - 1
+    return {e: _key_weight(e, nv, m) for e in {k & exponents for k in p._nums}}
 
 
 @dataclass(frozen=True)
@@ -340,12 +452,8 @@ def left_invariant_frame(spec):
         comps = [Poly.zero(nv) for _ in range(nv)]
         comps[a] = Poly.constant(nv, Sym.rational(1))
         for i in range(r):
-            coeffs = {}
-            for b in range(m):
-                v = spec.J[i][b][a]
-                if v:
-                    coeffs[1 << _shift(nv, b)] = Sym.rational(2 * v)
-            comps[m + i] = comps[m + i] + Poly._of(nv, coeffs)
+            coeffs = {1 << _shift(nv, b): 2 * spec.J[i][b][a] for b in range(m)}
+            comps[m + i] = comps[m + i] + Poly.from_packed(nv, coeffs)
         Xs.append(GradedVectorField(m, r, tuple(comps)))
     Vs = []
     for i in range(r):
@@ -401,19 +509,27 @@ def homogeneous_part(obj, l, m=None, r=None):
 
 
 def _poly_weight_part(p, m, want):
-    nv = p.nvars
-    return Poly._of(nv, {e: c for e, c in p.packed.items() if _key_weight(e, nv, m) == want})
+    weights = _poly_weights(p, m)
+    exponents = (1 << (_FIELD * p.nvars)) - 1
+    return Poly._from_numerators(p.nvars, {e: n for e, n in p._nums.items() if weights[e & exponents] == want}, p._den)
 
 
-def homogeneous_orders(obj):
-    """Sorted list of orders on which the object has nonzero components."""
+def homogeneous_orders(obj, m=None, r=None):
+    """Sorted list of orders on which the object has nonzero components.
+
+    Accepts fields, forms, or plain polynomials with the m/r split, as
+    homogeneous_part does.
+    """
+    if isinstance(obj, Poly):
+        if m is None or r is None:
+            raise TypeError("polynomial input needs the m/r weight split")
+        return sorted(set(_poly_weights(obj, m).values()))
     if not isinstance(obj, _Graded):
         raise TypeError("unsupported object: %r" % type(obj))
     w, sign = obj.weights, obj.direction_sign
     orders = set()
     for a, p in enumerate(obj.comps):
-        for e in p.packed:
-            orders.add(_key_weight(e, p.nvars, obj.m) + sign * w[a])
+        orders.update(v + sign * w[a] for v in _poly_weights(p, obj.m).values())
     return sorted(orders)
 
 

@@ -28,14 +28,15 @@ from .graded import (
     MAX_EXPONENT,
     GradedForm,
     Poly,
+    _denominator,
+    _monomial_offset,
     _sum_of_products,
     basis_form,
     frame_inversion,
     homogeneous_orders,
-    homogeneous_part,
+    key_masks,
     left_invariant_frame,
     pack_exponents,
-    parity_mask,
 )
 from .tensors import (
     InvariantError,
@@ -138,40 +139,22 @@ def _bracket_entries(spec):
     return out
 
 
-class _Numerators:
-    """Polynomial over the tensor symbols as integer numerators over a fixed denominator.
+def _term_adder(nv):
+    """add(nums, e, hit, num): nums[key] += num times the term atom * x^e of a Poly
+    numerator dict, for a packed exponent key e and a TensorSymbols._atom
+    result hit = (atom monomial, sign) (None adds nothing)."""
+    offsets = {}
 
-    terms maps a packed exponent key to {atom monomial: integer numerator};
-    sums stay integer work, and poly() makes each coefficient Sym once.
-    """
+    def add(nums, e, hit, num):
+        if hit is not None:
+            mono, sign = hit
+            offset = offsets.get(mono)
+            if offset is None:
+                offset = offsets[mono] = _monomial_offset(nv, mono)
+            key = e + offset
+            nums[key] = nums.get(key, 0) + sign * num
 
-    __slots__ = ("nv", "den", "terms")
-
-    def __init__(self, nv, den):
-        self.nv = nv
-        self.den = den
-        self.terms = {}
-
-    def add(self, e, atom, num):
-        """Add num / den * atom * x^e; atom is a TensorSymbols._atom result (None adds nothing)."""
-        if atom is not None:
-            mono, sign = atom
-            t = self.terms.get(e)
-            if t is None:
-                self.terms[e] = {mono: sign * num}
-            else:
-                t[mono] = t.get(mono, 0) + sign * num
-
-    def add_shifted(self, other, c, num):
-        """Add num * x_c * other, other's numerators read over this denominator."""
-        unit = _key(self.nv, c)
-        for e, atoms in other.terms.items():
-            t = self.terms.setdefault(e + unit, {})
-            for mono, k in atoms.items():
-                t[mono] = t.get(mono, 0) + num * k
-
-    def poly(self):
-        return Poly.from_packed(self.nv, {e: Sym.from_numerators(t, self.den) for e, t in self.terms.items()})
+    return add
 
 
 @dataclass(frozen=True)
@@ -209,12 +192,13 @@ def build_coframe(spec, symbols=None):
     m, r = spec.m, spec.r
     nv = m + r
     R, T = partial(symbols._atom, "R"), partial(symbols._atom, "T")
+    add = _term_adder(nv)
     x1 = [_key(nv, a) for a in range(nv)]
     x2 = [[_key(nv, a, b) for b in range(nv)] for a in range(nv)]
     J = _bracket_entries(spec)
 
-    def form(comps):
-        return GradedForm(m, r, tuple(c.poly() for c in comps))
+    def form(comps, den):
+        return GradedForm(m, r, tuple(Poly._from_numerators(nv, c, den) for c in comps))
 
     theta = []
     for a in range(m):
@@ -223,47 +207,51 @@ def build_coframe(spec, symbols=None):
     for i in range(r):
         terms = [{} for _ in range(nv)]
         for a, b, v in J[i]:
-            terms[b][x1[a]] = Sym.rational(-v)
-        terms[m + i][0] = Sym.rational(Fraction(1, 2))
+            terms[b][x1[a]] = -v
+        terms[m + i][0] = Fraction(1, 2)
         eta.append({2: GradedForm(m, r, tuple(Poly.from_packed(nv, t) for t in terms))})
 
-    # theta^(3) as integer numerators over 24 (its terms carry 1/6 and 1/3),
-    # eta^(4) over 48 (1/8, 1/4, and -1/2 times theta^(3)'s)
+    # theta^(3) as Poly numerator dicts over 24 (its terms carry 1/6 and
+    # 1/3), eta^(4) over 48 (1/8, 1/4, and -1/2 times theta^(3)'s)
     theta3 = []
     for a in range(m):
-        comps = [_Numerators(nv, 24) for _ in range(nv)]
+        comps = [{} for _ in range(nv)]
         for b in range(m):
             for d in range(m):
                 for g in range(m):
-                    comps[d].add(x2[g][b], R(a, g, d, b), 4)
+                    add(comps[d], x2[g][b], R(a, g, d, b), 4)
         for i in range(r):
             for g in range(m):
                 t = T(a, m + i, g)
-                comps[m + i].add(x1[g], t, -4)
+                add(comps[m + i], x1[g], t, -4)
                 for ap, d, v in J[i]:
-                    comps[d].add(x2[g][ap], t, 8 * v)
+                    add(comps[d], x2[g][ap], t, 8 * v)
             for b in range(m):
-                comps[b].add(x1[m + i], T(a, m + i, b), 8)
+                add(comps[b], x1[m + i], T(a, m + i, b), 8)
         theta3.append(comps)
-        th = form(comps)
+        th = form(comps, 24)
         if not th.is_zero():
             theta[a][3] = th
 
     for i in range(r):
-        comps = [_Numerators(nv, 48) for _ in range(nv)]
+        comps = [{} for _ in range(nv)]
         for j in range(r):
             for d in range(m):
                 for g in range(m):
-                    comps[d].add(x2[g][m + j], R(m + i, g, d, m + j), 6)
+                    add(comps[d], x2[g][m + j], R(m + i, g, d, m + j), 6)
             for k in range(r):
                 t = T(m + i, m + j, m + k)
-                comps[m + k].add(x1[m + j], t, 6)
+                add(comps[m + k], x1[m + j], t, 6)
                 for ap, d, v in J[k]:
-                    comps[d].add(x2[ap][m + j], t, -12 * v)
+                    add(comps[d], x2[ap][m + j], t, -12 * v)
         for a, b, v in J[i]:
+            # x_a times theta^(3)_b's terms: a symbol-free key added to each
             for d, th in enumerate(theta3[b]):
-                comps[d].add_shifted(th, a, -v)
-        e4 = form(comps)
+                acc = comps[d]
+                for e, num in th.items():
+                    key = e + x1[a]
+                    acc[key] = acc.get(key, 0) - v * num
+        e4 = form(comps, 48)
         if not e4.is_zero():
             eta[i][4] = e4
 
@@ -294,50 +282,54 @@ def _closed_form_coefficients(spec, symbols):
     nv = m + r
     J = _bracket_entries(spec)
     R, T = partial(symbols._atom, "R"), partial(symbols._atom, "T")
+    add = _term_adder(nv)
     x1 = [_key(nv, a) for a in range(nv)]
     x2 = [[_key(nv, a, b) for b in range(nv)] for a in range(nv)]
     x3 = [[[_key(nv, a, b, c) for c in range(m)] for b in range(m)] for a in range(m)]
 
     # each coefficient is a sum of -1/6, -1/3, -1/8, v/12, v/6, 1/3, -1/4 and
     # -v/6 times a symbol (v an integer entry of I), so an integer over 24
+    def poly(nums):
+        return Poly._from_numerators(nv, nums, 24)
+
     s_x, r_x, s_v, r_v = {}, {}, {}, {}
     for alpha in range(m):
         for beta in range(m):
-            acc = _Numerators(nv, 24)
+            acc = {}
             for g in range(m):
                 for d in range(m):
-                    acc.add(x2[g][d], R(beta, g, alpha, d), -4)
+                    add(acc, x2[g][d], R(beta, g, alpha, d), -4)
             for i in range(r):
-                acc.add(x1[m + i], T(beta, m + i, alpha), -8)
-            s_x[(alpha, beta)] = acc.poly()
+                add(acc, x1[m + i], T(beta, m + i, alpha), -8)
+            s_x[(alpha, beta)] = poly(acc)
     for alpha in range(m):
         for j in range(r):
-            acc = _Numerators(nv, 24)
+            acc = {}
             for g in range(m):
                 for i in range(r):
-                    acc.add(x2[g][m + i], R(m + j, g, alpha, m + i), -3)
+                    add(acc, x2[g][m + i], R(m + j, g, alpha, m + i), -3)
             for gp, dp, v in J[j]:
                 for g in range(m):
                     for d in range(m):
-                        acc.add(x3[gp][g][d], R(dp, d, alpha, g), 2 * v)
+                        add(acc, x3[gp][g][d], R(dp, d, alpha, g), 2 * v)
                 for k in range(r):
-                    acc.add(x2[gp][m + k], T(dp, m + k, alpha), 4 * v)
-            r_x[(alpha, j)] = acc.poly()
+                    add(acc, x2[gp][m + k], T(dp, m + k, alpha), 4 * v)
+            r_x[(alpha, j)] = poly(acc)
     for i in range(r):
         for beta in range(m):
-            acc = _Numerators(nv, 24)
+            acc = {}
             for g in range(m):
-                acc.add(x1[g], T(beta, m + i, g), 8)
-            s_v[(i, beta)] = acc.poly()
+                add(acc, x1[g], T(beta, m + i, g), 8)
+            s_v[(i, beta)] = poly(acc)
     for i in range(r):
         for j in range(r):
-            acc = _Numerators(nv, 24)
+            acc = {}
             for k in range(r):
-                acc.add(x1[m + k], T(m + j, m + k, m + i), -6)
+                add(acc, x1[m + k], T(m + j, m + k, m + i), -6)
             for g, d, v in J[j]:
                 for dp in range(m):
-                    acc.add(x2[g][dp], T(d, m + i, dp), -4 * v)
-            r_v[(i, j)] = acc.poly()
+                    add(acc, x2[g][dp], T(d, m + i, dp), -4 * v)
+            r_v[(i, j)] = poly(acc)
     return ExpansionCoefficients(m=m, s_x=s_x, r_x=r_x, s_v=s_v, r_v=r_v)
 
 
@@ -441,11 +433,11 @@ class PerturbationOperator:
 
         for (la, lb), poly in self.second.items():
             want = label_weight(la) + label_weight(lb)
-            if homogeneous_part(poly, want, self.m, self.r) != poly:
+            if homogeneous_orders(poly, self.m, self.r) not in ([], [want]):
                 raise InvariantError("second-order term %s is not weight-%d homogeneous" % ((la, lb), want))
         for lbl, poly in self.first.items():
             want = label_weight(lbl)
-            if homogeneous_part(poly, want, self.m, self.r) != poly:
+            if homogeneous_orders(poly, self.m, self.r) not in ([], [want]):
                 raise InvariantError("first-order term %s is not weight-%d homogeneous" % (lbl, want))
         return True
 
@@ -462,7 +454,6 @@ def build_P2(spec, coeffs, div):
     m, r = spec.m, spec.r
     nv = m + r
     Xs, _ = left_invariant_frame(spec)
-    two = Sym.rational(2)
     # s_x[a, b] enters both X X orders; each X_beta / V_j coefficient is one
     # sum over alpha of the derivation products of X_alpha
     second = {}
@@ -470,7 +461,7 @@ def build_P2(spec, coeffs, div):
         for beta in range(m):
             second[(("X", alpha), ("X", beta))] = coeffs.s_x[(alpha, beta)] + coeffs.s_x[(beta, alpha)]
         for j in range(r):
-            second[(("X", alpha), ("V", j))] = coeffs.r_x[(alpha, j)].scale(two)
+            second[(("X", alpha), ("V", j))] = coeffs.r_x[(alpha, j)].scale(2)
 
     def derived(table, key):
         pairs = [pq for alpha in range(m) for pq in Xs[alpha]._apply_pairs(table[(alpha, key)])]
@@ -505,61 +496,73 @@ def _coordinate_terms(spec, op):
     fields = {("X", a): X for a, X in enumerate(Xs)}
     fields.update({("V", i): V for i, V in enumerate(Vs)})
 
-    # Poly keys are packed exponents: a product's key is the sum of its
-    # factors', and its parity pattern key & low.  The sums below are not
-    # checked term by term, so the exponents are bounded first: none exceeds
-    # a coefficient's plus two frame components'.
+    # The frame components are symbol-free, so a product's key is the sum of
+    # its factors' keys, and its parity pattern key & low.  The sums below are
+    # not checked term by term, so the exponents are bounded first: none
+    # exceeds a coefficient's plus two frame components'.
     def top(polys):
         return max((p.max_exponent() for p in polys), default=0)
 
     coeff_top = max(top(op.second.values()), top(op.first.values()))
     if coeff_top + 2 * top(p for F in fields.values() for p in F.comps) > MAX_EXPONENT:
         raise OverflowError("P2's coordinate terms would hold an exponent above %d" % MAX_EXPONENT)
-    low = parity_mask(nv)
+    exponents, low = key_masks(nv)
+    # the coefficients' numerators over one denominator; with integer bracket
+    # matrices the frame components, and so their products, are integer
+    _bracket_entries(spec)
+    den = _denominator([*op.second.values(), *op.first.values()])
 
     def by_parity(coeff):
-        """(coeff's keys, its (key, coefficient) items grouped by parity pattern)."""
-        groups = {}
-        for e, c in coeff.packed.items():
-            groups.setdefault(e & low, []).append((e, c))
-        return coeff.packed, groups
+        """coeff's (key, numerator) items grouped by exponent pattern and by parity pattern."""
+        by_exponents, groups = {}, {}
+        for e, c in coeff._numerators(den).items():
+            by_exponents.setdefault(e & exponents, []).append((e, c))
+        for p, terms in by_exponents.items():
+            groups.setdefault(p & low, []).extend(terms)
+        return by_exponents, groups
 
-    comps = {lbl: [(c, list(p.packed.items())) for c, p in enumerate(F.comps) if not p.is_zero()] for lbl, F in fields.items()}
+    comps = {
+        lbl: [(c, list(p._numerators(1).items())) for c, p in enumerate(F.comps) if not p.is_zero()]
+        for lbl, F in fields.items()
+    }
     acc = {}
-    formed = {}  # derivative -> keys of the monomials some product forms without cancelling
+    formed = {}  # derivative -> exponent patterns some product forms without cancelling
 
     def add(coords, left, right):
         """Accumulate the coefficient left (a by_parity result) times right, a
-        list of (key, coefficient) terms with like terms apart, under the
-        derivative d/dx_coords.  A product survives when its parity pattern is
-        the derivative's, so only the left terms of one pattern are
-        multiplied by each right term; the keys of all products are kept."""
+        list of integer (key, numerator) terms with like terms apart,
+        under the derivative d/dx_coords.  A product survives when its parity
+        pattern is the derivative's, so only the left terms of one pattern are
+        multiplied by each right term; the exponent patterns of all products
+        are kept."""
         deriv = _exponent(nv, *coords)
         want = pack_exponents(deriv) & low
         terms = acc.setdefault(deriv, {})
         keys = formed.setdefault(deriv, set())
-        left_terms, groups = left
+        left_exponents, groups = left
         for e2, c2 in right:
             for e1, c1 in groups.get((e2 & low) ^ want, ()):
                 e = e1 + e2
-                c = c1 * c2
-                prev = terms.pop(e, None)
-                if prev is not None:
-                    c = prev + c
-                if c:
-                    terms[e] = c
+                terms[e] = terms.get(e, 0) + c1 * c2
         # one product of nonzero factors cannot vanish, so with one right
-        # term every key counts; several products on one key may cancel
+        # term every pattern counts; several products on one pattern may cancel
         if len(right) == 1:
-            keys.update(map(right[0][0].__add__, left_terms))
+            keys.update(map(right[0][0].__add__, left_exponents))
             return
         count = Counter()
         for e2, _ in right:
-            count.update(map(e2.__add__, left_terms))
-        for e, k in count.items():
-            # the products on e: the right terms whose complement e - e2 is a left key
-            if k == 1 or sum(left_terms[e - e2] * c2 for e2, c2 in right if e - e2 in left_terms):
-                keys.add(e)
+            count.update(map(e2.__add__, left_exponents))
+        for p, k in count.items():
+            if k == 1:
+                keys.add(p)
+                continue
+            # the products on p: the right terms whose complement p - e2 is a left pattern
+            sums = Counter()
+            for e2, c2 in right:
+                for e1, c1 in left_exponents.get(p - e2, ()):
+                    sums[e1 + e2] += c1 * c2
+            if any(sums.values()):
+                keys.add(p)
 
     for (la, lb), coeff in op.second.items():
         A, B = fields[la], fields[lb]
@@ -572,13 +575,17 @@ def _coordinate_terms(spec, op):
         for b in range(nv):
             inner = A.apply(B.comps[b])
             if not inner.is_zero():
-                add((b,), left, list(inner.packed.items()))
+                add((b,), left, list(inner._numerators(1).items()))
     for lbl, coeff in op.first.items():
         left = by_parity(coeff)
         for a, comp in comps[lbl]:
             add((a,), left, comp)
 
-    coord = {key: Poly.from_packed(nv, terms) for key, terms in acc.items() if terms}
+    coord = {}
+    for deriv, terms in acc.items():
+        poly = Poly._from_numerators(nv, terms, den)
+        if not poly.is_zero():
+            coord[deriv] = poly
     killed = 0
     for deriv, keys in formed.items():
         want = pack_exponents(deriv) & low

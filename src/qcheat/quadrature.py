@@ -271,12 +271,19 @@ def gk_rows(f, a, b, rel_tol, abs_tol, max_evals, min_panels):
         mid = 0.5 * (lo[left] + hi[left])
         right_hi = hi[left]
         hi[left] = mid
-        ends = start + size
-        row, lo, hi = np.insert(row, ends, live), np.insert(lo, ends, mid), np.insert(hi, ends, right_hi)
-        val, err = np.insert(val, ends, 0.0), np.insert(err, ends, 0.0)
         shift = np.arange(len(live))
+        kept = np.arange(len(row)) + np.repeat(shift, size)
+        right = start + size + shift
+
+        def grown(panels, halves):
+            both = np.empty(len(panels) + len(live), panels.dtype)
+            both[kept] = panels
+            both[right] = halves
+            return both
+
+        row, lo, hi, val, err = grown(row, live), grown(lo, mid), grown(hi, right_hi), grown(val, 0.0), grown(err, 0.0)
         start += shift
-        pending = np.stack([left + shift, ends + shift], axis=1).ravel()
+        pending = np.stack([left + shift, right], axis=1).ravel()
         size = size + 1
         n_evals[live] += 30
     return out

@@ -15,6 +15,14 @@ pivot row holds another pivot's atom, and that form is unique for the span
 of the relations, so neither the order of the relations nor the order of
 the eliminations can change the normal form; the confluence tests permute
 the relations explicitly.
+
+Sym is the type at the edges of the exact layer: the coefficients that
+graded.Poly takes and gives back one per monomial, the per-class sums of the
+c1 reduction, the LinearReducer rows and the results.  Inside a Poly the
+coefficients are integer numerators keyed by interned atom monomials: this
+module gives each distinct monomial an int id on first use and caches the
+products of two ids, by the same rule as Sym's product.  No output sorts by
+an id.
 """
 
 from __future__ import annotations
@@ -39,6 +47,39 @@ _KIND_RANK = {"R": 0, "T": 1, "kap": 2, "M": 3}
 
 def _atom_key(atom):
     return (_KIND_RANK[atom[0]], atom)
+
+
+def _times(m1, m2):
+    """The product of two atom monomials: with both nonempty, its atoms in _atom_key order."""
+    return tuple(sorted(m1 + m2, key=_atom_key)) if m1 and m2 else m1 + m2
+
+
+# Atom monomials are interned: each distinct monomial gets an int id, in order
+# of first use, with 0 for the empty monomial.  graded.Poly keys its terms by
+# these ids, so the tables are one per process and grow with the distinct
+# monomials used.  Nothing sorts by an id: printing, Sym.__str__ and the
+# reducer's pivots sort atoms by _atom_key, so the order of first use never
+# reaches output.
+_MONOMIALS = [()]  # id -> monomial
+_MONOMIAL_IDS = {(): 0}  # monomial -> id
+_PRODUCT_IDS = {}  # (id, id) -> id of the product monomial
+
+
+def _monomial_id(mono):
+    """The interned id of an atom monomial, assigned on first use."""
+    i = _MONOMIAL_IDS.get(mono)
+    if i is None:
+        i = _MONOMIAL_IDS[mono] = len(_MONOMIALS)
+        _MONOMIALS.append(mono)
+    return i
+
+
+def _monomial_product(i, j):
+    """The id of the product of the monomials of ids i and j, by Sym's product rule."""
+    k = _PRODUCT_IDS.get((i, j))
+    if k is None:
+        k = _PRODUCT_IDS[(i, j)] = _monomial_id(_times(_MONOMIALS[i], _MONOMIALS[j]))
+    return k
 
 
 def _sym(nums, den):
@@ -106,6 +147,12 @@ class Sym:
     def from_numerators(cls, nums, den):
         """The sum of nums[mono] / den * mono, for integer numerators and den > 0."""
         return _sym({mono: n for mono, n in nums.items() if n}, den)
+
+    @property
+    def numerators(self):
+        """(numerators, den): the Sym's own dict {monomial: integer numerator}, not to be
+        changed, and its positive denominator, in lowest terms."""
+        return self._nums, self._den
 
     @property
     def terms(self):
@@ -198,7 +245,7 @@ class Sym:
         t = {}
         for m1, c1 in self._nums.items():
             for m2, c2 in other._nums.items():
-                mono = tuple(sorted(m1 + m2, key=_atom_key)) if m1 and m2 else m1 + m2
+                mono = _times(m1, m2)
                 s = t.get(mono, 0) + c1 * c2
                 if s:
                     t[mono] = s

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcheat.graded import (
     MAX_EXPONENT,
@@ -25,6 +27,7 @@ from qcheat.graded import (
     zero_form,
 )
 from qcheat.group import make_quaternionic_spec
+from qcheat.tensors import Sym, _atom_key, _monomial_id
 
 SPEC = make_quaternionic_spec(1)
 M, R = SPEC.m, SPEC.r
@@ -284,3 +287,90 @@ def test_exponent_field_guard():
     for key in (1 << 8 * NV, 0x80, -1):  # past the top field, a guard bit, negative
         with pytest.raises(OverflowError):
             Poly.from_packed(NV, {key: Fraction(1)})
+
+
+# symbolic Poly arithmetic against a reference that keeps one Sym per
+# coefficient, built through the terms view and Sym arithmetic
+
+ATOMS = [("R", 0, 0, 1, 2), ("R", 1, 0, 2, 3), ("T", 4, 0, 1), ("T", 0, 4, 1), ("kap",)]
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+syms = st.dictionaries(
+    st.lists(st.sampled_from(ATOMS), max_size=2).map(lambda atoms: tuple(sorted(atoms, key=_atom_key))),
+    rationals,
+    max_size=3,
+).map(Sym)
+exponents = st.tuples(*[st.integers(0, 2)] * NV)
+sym_terms = st.dictionaries(exponents, syms, max_size=5).map(lambda t: {e: c for e, c in t.items() if c})
+rational_terms = st.dictionaries(exponents, rationals.map(Sym.rational), max_size=4).map(
+    lambda t: {e: c for e, c in t.items() if c}
+)
+SYMBOLIC = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def _ref_clean(t):
+    return {e: c for e, c in t.items() if c}
+
+
+def _ref_sum(*terms):
+    out = {}
+    for t in terms:
+        for e, c in t.items():
+            out[e] = out.get(e, Sym.zero()) + c
+    return _ref_clean(out)
+
+
+def _ref_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, Sym.zero()) + c1 * c2
+    return _ref_clean(out)
+
+
+@SYMBOLIC
+@given(sym_terms, sym_terms, rational_terms, rationals, syms, st.integers(0, NV - 1), st.integers(0, 8))
+def test_symbolic_poly_arithmetic_matches_per_coefficient_reference(a, b, c, q, s, var, w):
+    pa, pb, pc = Poly(NV, a), Poly(NV, b), Poly(NV, c)
+    assert pa.terms == a and Poly(NV, pa.terms) == pa
+    assert (pa + pb).terms == _ref_sum(a, b)
+    assert (pa - pb).terms == _ref_sum(a, {e: -v for e, v in b.items()})
+    # one symbol-free factor, then two symbolic ones
+    assert (pa * pc).terms == (pc * pa).terms == _ref_product(a, c)
+    assert (pa * pb).terms == (pb * pa).terms == _ref_product(a, b)
+    want = {}
+    for e, v in a.items():
+        if e[var]:
+            want[e[:var] + (e[var] - 1,) + e[var + 1 :]] = v * e[var]
+    assert pa.diff(var).terms == want
+    assert pa.scale(q).terms == _ref_clean({e: v * q for e, v in a.items()})
+    assert pa.scale(s).terms == _ref_clean({e: v * s for e, v in a.items()})
+    weight = {e: sum(e[:M]) + 2 * sum(e[M:]) for e in a}
+    assert homogeneous_part(pa, w, m=M, r=R).terms == {e: v for e, v in a.items() if weight[e] == w}
+    # one representation per value: == and hash hold after cancellation
+    back = (pa + pb) - pb
+    assert back == pa and hash(back) == hash(pa)
+    zero = pa * pb - pb * pa
+    assert zero == Poly.zero(NV) and hash(zero) == hash(Poly.zero(NV))
+    assert (pa + pb) * pc == pa * pc + pb * pc
+
+
+def test_exponent_field_guard_with_monomial_ids():
+    kappa = Sym.symbol(("kap",))
+    x = Poly.variable(NV, 0)
+    unit = (1,) + (0,) * (NV - 1)
+    top = Poly(NV, {(127,) + (0,) * (NV - 1): kappa})
+    with pytest.raises(OverflowError):
+        top * x  # one symbolic factor
+    with pytest.raises(OverflowError):
+        top * Poly(NV, {unit: Sym.symbol(("T", 4, 0, 1))})  # two
+    # ids above 255 sit above the exponent fields and set no guard bit
+    fresh = [("M", "guard[%d]" % i) for i in range(300)]
+    s = Sym({(atom,): Fraction(1, i + 1) for i, atom in enumerate(fresh)})
+    p = Poly(NV, {(126,) + (0,) * (NV - 1): s})
+    assert _monomial_id((fresh[-1],)) > 255
+    got = p * x
+    assert got.terms == {(127,) + (0,) * (NV - 1): s} and got.max_exponent() == MAX_EXPONENT
+    assert (p * Poly(NV, {unit: kappa})).terms == {(127,) + (0,) * (NV - 1): s * kappa}
+    with pytest.raises(OverflowError):
+        got * x

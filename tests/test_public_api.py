@@ -34,6 +34,7 @@ REFERENCE_ROUTES = {
     "lie_bracket": "the coordinate bracket of the graded bracket tests and of the popp divergence route",
     "moment_exemplar": "one concrete pattern per moment class, for numeric moment estimates",
     "euler_field": "the grading generator P of those eigenvalue checks",
+    "homogeneous_part": "the order-l eigenpart those eigenvalue and order-additivity checks split objects into",
     "lie_derivative_form": "L_P on forms, the eigenvalue check of forms and coframe terms",
     "SpectrumFile.dump": "the text form SpectrumFile.parse reads, for the parser's round-trip checks",
 }

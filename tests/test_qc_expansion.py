@@ -2,8 +2,12 @@
 
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -342,18 +346,48 @@ def test_reduce_c1_quartic_coefficient_in_closed_form(reductions, n):
     assert reductions(n).kappa_coefficients[M_X4DZDZ] == Fraction(4 * (2 * n + 1), n + 2)
 
 
-@pytest.mark.parametrize(
-    "n, digest",
-    [
-        (1, "2aac53c30d1d5e72f85f86aa1342c6940954d1a63b653f5c61684d0399a03bc5"),
-        (2, "6795fede1d5090838b61df48c759c82d4df31e60d1afdea4aa040f5346275821"),
-        (3, "1366c8df7bae2491f82819e3734803cd6066a8392ed1a66526dde147b6835d7f"),
-        (4, "fe75503640377556f6d80532c1356bed728186e6d4f4274c459f906d56c744a8"),
-    ],
-)
+LOG_DIGESTS = {
+    1: "2aac53c30d1d5e72f85f86aa1342c6940954d1a63b653f5c61684d0399a03bc5",
+    2: "6795fede1d5090838b61df48c759c82d4df31e60d1afdea4aa040f5346275821",
+    3: "1366c8df7bae2491f82819e3734803cd6066a8392ed1a66526dde147b6835d7f",
+    4: "fe75503640377556f6d80532c1356bed728186e6d4f4274c459f906d56c744a8",
+}
+
+
+@pytest.mark.parametrize("n, digest", sorted(LOG_DIGESTS.items()))
 def test_reduce_c1_log_pinned(reductions, n, digest):
     # every line of the derivation log, each elimination and its provenance included
     assert hashlib.sha256("\n".join(reductions(n).log).encode()).hexdigest() == digest
+
+
+def test_interned_monomial_ids_set_no_order_that_reaches_output(reductions):
+    # a fresh interpreter interns every atom of the n = 2 spec in reverse
+    # _atom_key order first, so the ids run against that order; printing,
+    # Sym.__str__ and the reducer's pivots and "eliminated" lines sort by
+    # _atom_key, so the log and the result print as before
+    code = """
+import hashlib
+from qcheat.group import make_quaternionic_spec
+from qcheat.qc_expansion import MOMENT_LABELS, reduce_c1
+from qcheat.tensors import KAPPA, _atom_key, _monomial_id
+
+nv = 11
+slots = [(a, b) for a in range(nv) for b in range(a + 1, nv)]
+atoms = [("T", c, a, b) for c in range(nv) for a, b in slots]
+atoms += [("R", d, a, b, c) for d in range(nv) for a, b in slots for c in range(nv)]
+atoms += [KAPPA] + [("M", label) for label in MOMENT_LABELS]
+for atom in sorted(atoms, key=_atom_key, reverse=True):
+    _monomial_id((atom,))
+red = reduce_c1(make_quaternionic_spec(2))
+print(hashlib.sha256("\\n".join(red.log).encode()).hexdigest())
+print(red.result)
+"""
+    src = str(Path(qc_expansion.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    digest, result = out.stdout.splitlines()
+    assert digest == LOG_DIGESTS[2]
+    assert result == str(reductions(2).result)
 
 
 def test_reduce_c1_torsion_only_is_zero():
