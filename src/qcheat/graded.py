@@ -17,9 +17,9 @@ exponents, an 8-bit field per coordinate, coordinate 0 in the highest
 field; above them sits the interned id (tensors._monomial_id) of the term's
 atom monomial, 0 for the symbol-free one.  A product with a symbol-free
 factor has key key1 + key2 and numerator num1 * num2, with no Sym built.  A
-product of two symbolic factors adds the exponent fields and looks the
-product monomial up in tensors' cached product table, so Poly stays a ring
-over the symbols.  A derivative's key is a subtract from one field, and int
+product of two symbolic factors adds the exponent fields and takes the id of
+the product monomial, made by Sym's product rule, so Poly stays a ring over
+the symbols.  A derivative's key is a subtract from one field, and int
 order of symbol-free keys is the order of the exponent tuples.  An exponent
 may reach MAX_EXPONENT; the top bit of each field is a guard, so a sum of two
 keys never carries into the next field, and every product, constructor and
@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .tensors import _MONOMIALS, InvariantError, Sym, _monomial_id, _monomial_product
+from .tensors import _MONOMIALS, InvariantError, Sym, _monomial_id, _times
 
 __all__ = [
     "Poly",
@@ -117,7 +117,7 @@ def unpack_exponents(key, nvars):
 
 
 def _monomial_offset(nvars, mono):
-    """What a symbol-free key plus it is the key of: the same term times the atom monomial mono."""
+    """The bits above the exponent fields that make a symbol-free key the key of the same term times the atom monomial mono."""
     return _monomial_id(mono) << (_FIELD * nvars)
 
 
@@ -291,43 +291,40 @@ def _sum_of_products(nvars, pairs):
     """sum of f * g over the (f, g) pairs of Polys, gathered in one dict over one denominator.
 
     The common denominator is the lcm of the pairs' denominator products.  A
-    pair with a symbol-free factor adds keys; a pair of two symbolic factors
-    adds the exponent fields and takes the product monomial from the table.
-    A product's exponent fields hold the true exponents (below 2 ** _FIELD, no
-    carry into the field above); they are checked once at the end.
+    product of two terms one of which is symbol-free has the sum of their keys;
+    a product of two symbolic terms adds the exponent fields and takes the id
+    of the product monomial.  A product's exponent fields hold the true
+    exponents (below 2 ** _FIELD, no carry into the field above); they are
+    checked once at the end.
     """
     pairs = [(f, g) for f, g in pairs if f._nums and g._nums]
     if not pairs:
         return Poly.zero(nvars)
     shift = _FIELD * nvars
     plain = 1 << shift  # the keys of symbol-free terms are the ones below it
+    exponents = plain - 1
     den = math.lcm(*{f._den * g._den for f, g in pairs})
     t = {}
     get = t.get
     for f, g in pairs:
         k = den // (f._den * g._den)
         g_terms = g._nums.items()
-        if max(g._nums) < plain or max(f._nums) < plain:
-            for e1, c1 in f._nums.items():
-                if k != 1:
-                    c1 *= k
-                for e2, c2 in g_terms:
-                    e = e1 + e2
-                    t[e] = get(e, 0) + c1 * c2
-            continue
-        exponents = plain - 1
         for e1, c1 in f._nums.items():
             if k != 1:
                 c1 *= k
-            i1 = e1 >> shift
+            symbolic = e1 >= plain
             for e2, c2 in g_terms:
-                i2 = e2 >> shift
-                if i1 and i2:
-                    e = (_monomial_product(i1, i2) << shift) | ((e1 & exponents) + (e2 & exponents))
+                if symbolic and e2 >= plain:
+                    mono = _times(_MONOMIALS[e1 >> shift], _MONOMIALS[e2 >> shift])
+                    e = (_monomial_id(mono) << shift) | ((e1 & exponents) + (e2 & exponents))
                 else:
                     e = e1 + e2
                 t[e] = get(e, 0) + c1 * c2
     _check_sums(nvars, t)
+    # CPython allocates a sum one digit longer than its value may need;
+    # | 0 copies each kept key at its own size (a 48- instead of a 64-byte
+    # block per term at n = 4)
+    t = {e | 0: n for e, n in t.items() if n}
     return Poly._from_numerators(nvars, t, den)
 
 
@@ -514,16 +511,8 @@ def _poly_weight_part(p, m, want):
     return Poly._from_numerators(p.nvars, {e: n for e, n in p._nums.items() if weights[e & exponents] == want}, p._den)
 
 
-def homogeneous_orders(obj, m=None, r=None):
-    """Sorted list of orders on which the object has nonzero components.
-
-    Accepts fields, forms, or plain polynomials with the m/r split, as
-    homogeneous_part does.
-    """
-    if isinstance(obj, Poly):
-        if m is None or r is None:
-            raise TypeError("polynomial input needs the m/r weight split")
-        return sorted(set(_poly_weights(obj, m).values()))
+def homogeneous_orders(obj):
+    """Sorted list of orders on which the object has nonzero components."""
     if not isinstance(obj, _Graded):
         raise TypeError("unsupported object: %r" % type(obj))
     w, sign = obj.weights, obj.direction_sign

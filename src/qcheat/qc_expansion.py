@@ -30,6 +30,7 @@ from .graded import (
     Poly,
     _denominator,
     _monomial_offset,
+    _poly_weights,
     _sum_of_products,
     basis_form,
     frame_inversion,
@@ -151,7 +152,9 @@ def _term_adder(nv):
             offset = offsets.get(mono)
             if offset is None:
                 offset = offsets[mono] = _monomial_offset(nv, mono)
-            key = e + offset
+            # disjoint bits: | sizes the int to its value, where + allocates
+            # one more digit (a 64- instead of a 48-byte block at n = 4)
+            key = e | offset
             nums[key] = nums.get(key, 0) + sign * num
 
     return add
@@ -249,7 +252,7 @@ def build_coframe(spec, symbols=None):
             for d, th in enumerate(theta3[b]):
                 acc = comps[d]
                 for e, num in th.items():
-                    key = e + x1[a]
+                    key = (e + x1[a]) | 0  # at its own size, as in _term_adder
                     acc[key] = acc.get(key, 0) - v * num
         e4 = form(comps, 48)
         if not e4.is_zero():
@@ -433,11 +436,11 @@ class PerturbationOperator:
 
         for (la, lb), poly in self.second.items():
             want = label_weight(la) + label_weight(lb)
-            if homogeneous_orders(poly, self.m, self.r) not in ([], [want]):
+            if not set(_poly_weights(poly, self.m).values()) <= {want}:
                 raise InvariantError("second-order term %s is not weight-%d homogeneous" % ((la, lb), want))
         for lbl, poly in self.first.items():
             want = label_weight(lbl)
-            if homogeneous_orders(poly, self.m, self.r) not in ([], [want]):
+            if not set(_poly_weights(poly, self.m).values()) <= {want}:
                 raise InvariantError("first-order term %s is not weight-%d homogeneous" % (lbl, want))
         return True
 

@@ -20,9 +20,8 @@ Sym is the type at the edges of the exact layer: the coefficients that
 graded.Poly takes and gives back one per monomial, the per-class sums of the
 c1 reduction, the LinearReducer rows and the results.  Inside a Poly the
 coefficients are integer numerators keyed by interned atom monomials: this
-module gives each distinct monomial an int id on first use and caches the
-products of two ids, by the same rule as Sym's product.  No output sorts by
-an id.
+module gives each distinct monomial an int id on first use, and a product
+of two monomials follows Sym's own product rule.  No output sorts by an id.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ def _times(m1, m2):
 # reaches output.
 _MONOMIALS = [()]  # id -> monomial
 _MONOMIAL_IDS = {(): 0}  # monomial -> id
-_PRODUCT_IDS = {}  # (id, id) -> id of the product monomial
 
 
 def _monomial_id(mono):
@@ -72,14 +70,6 @@ def _monomial_id(mono):
         i = _MONOMIAL_IDS[mono] = len(_MONOMIALS)
         _MONOMIALS.append(mono)
     return i
-
-
-def _monomial_product(i, j):
-    """The id of the product of the monomials of ids i and j, by Sym's product rule."""
-    k = _PRODUCT_IDS.get((i, j))
-    if k is None:
-        k = _PRODUCT_IDS[(i, j)] = _monomial_id(_times(_MONOMIALS[i], _MONOMIALS[j]))
-    return k
 
 
 def _sym(nums, den):
