@@ -30,10 +30,13 @@ The zeta-series oracles write each integrand as a term list, a term
 a list into exact rational coefficients of Hurwitz zeta values zeta(j, n),
 all at even j.  Each is evaluated by the integer shift
 
-    zeta(j, n) = zeta(j) - sum_{u<n} u^{-j},   zeta(j) = |B_j| (2 pi)^j / (2 j!),
+    zeta(j, n) = zeta(j) - sum_{u<n} u^{-j},   zeta(2k) = k T_k pi^{2k} / ((4^k - 1) (2k)!),
 
+with T_k the tangent numbers (zeta(2k) = |B_2k| (2 pi)^{2k} / (2 (2k)!)),
 which cancels about j log10 n digits, so it runs with
-floor(j_max log10 n) + 5 digits on top of the oracle's _ZETA_DPS + n.
+floor(j_max log10 n) + 5 digits on top of the oracle's _ZETA_DPS + n, in
+integers scaled by a power of two; pi comes from Machin's formula, so the
+oracles need no arbitrary-precision library.
 
 spectral_extract fits a truncated heat trace of a manifold of dimension
 4n+3 to t^{-(2n+3)} (A + B t + C t^2 + ...): the exponent Q/2 = 2n+3 is
@@ -68,7 +71,7 @@ __all__ = [
 ]
 
 _MAX_EVALS = 200_000  # evaluation cap of the c0 and sphere-integral quadratures
-# mpmath digits of the zeta-series oracles beyond the n digits their terms
+# decimal digits of the zeta-series oracles beyond the n digits their terms
 # cancel; each zeta(j, n) = zeta(j) - sum_{u<n} u^-j adds
 # floor(j_max log10 n) + 5 digits for its own cancellation
 _ZETA_DPS = 50
@@ -106,36 +109,72 @@ def _zeta_powers(terms, n):
     return powers
 
 
-def _zeta_integral(terms, n):
-    """Integral_0^inf of a sum of terms as an mpf at the caller's precision (see _zeta_powers).
+def _pi_scaled(bits):
+    """pi 2^bits within 2, from Machin's pi = 16 atan(1/5) - 4 atan(1/239).
 
-    Each zeta(j, n) is zeta(j) - sum_{u<n} u^-j, with zeta(j) =
-    |B_j| (2 pi)^j / (2 j!) at even j.  The difference is about n^-j
-    times its terms, so it runs with floor(j_max log10 n) + 5 more digits.
+    Each atan series floors fewer than bits terms, so extra guard bits keep
+    their sum within 1 of the scaled pi.
     """
-    import mpmath
+    extra = bits.bit_length() + 6
+    guard = bits + extra
 
+    def atan_inv(x):  # atan(1/x) 2^guard, each of its terms floored
+        total, power, k = 0, (1 << guard) // x, 1
+        while power:
+            total += (-1) ** (k // 2) * (power // k)
+            power //= x * x
+            k += 2
+        return total
+
+    return (16 * atan_inv(5) - 4 * atan_inv(239)) >> extra
+
+
+def _tangent_numbers(m):
+    """[T_1, ..., T_m], the integers with tan x = sum_k T_k x^(2k-1) / (2k-1)! (Brent and Harvey)."""
+    t = [1]
+    for k in range(1, m):
+        t.append(k * t[-1])
+    for k in range(1, m):
+        for j in range(k, m):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _zeta_oracle(terms, n, scale):
+    """float(scale sqrt(n) pi^-(2n+2) Integral_0^inf of a sum of terms), from _zeta_powers.
+
+    Each zeta(j, n) is zeta(j) - sum_{u<n} u^-j, with zeta(2k) =
+    k T_k pi^(2k) / ((4^k - 1) (2k)!) from the tangent numbers, all in
+    integers scaled by 2^bits: bits covers the oracle's _ZETA_DPS + n digits
+    and floor(j_max log10 n) + 5 more for the cancellation of the
+    difference, which is about n^-j times its terms.  The result is the
+    float nearest the scaled quotient.
+    """
     powers = _zeta_powers(terms, n)
-    with mpmath.extradps(int(max(powers) * math.log10(n)) + 5):
-        prec = mpmath.mp.prec
-        total = mpmath.mpf(0)
-        for j, c in powers.items():
-            num, den = mpmath.bernfrac(j)
-            zeta = abs(mpmath.mpf(num)) / den * (2 * mpmath.pi) ** j / (2 * math.factorial(j))
-            # sum_{u<n} u^-j from its terms floored to multiples of 2^-prec: within n 2^-prec
-            head = mpmath.ldexp(sum((1 << prec) // u**j for u in range(1, n)), -prec)
-            total += mpmath.mpf(c.numerator) / c.denominator * (zeta - head)
-    return +total
+    j_max = max(max(powers), 2 * n + 2)
+    bits = math.ceil((_ZETA_DPS + n + int(j_max * math.log10(n)) + 5) * math.log2(10))
+    pi = _pi_scaled(bits)
+    tangent = _tangent_numbers(j_max // 2)
+    pi_pow = [1 << bits]  # pi^(2k) 2^bits
+    for _ in range(j_max // 2):
+        pi_pow.append(pi_pow[-1] * pi * pi >> 2 * bits)
+    total = 0
+    for j, c in powers.items():
+        k = j // 2
+        zeta = k * tangent[k - 1] * pi_pow[k] // ((4**k - 1) * math.factorial(j))
+        # sum_{u<n} u^-j from its terms floored to multiples of 2^-bits: within n 2^-bits
+        head = sum((1 << bits) // u**j for u in range(1, n))
+        total += c * (zeta - head)
+    root = math.isqrt(n << 2 * bits)  # sqrt(n) 2^bits
+    return float(scale * root * total / (pi_pow[n + 1] << bits))
 
 
 def c0_zeta_series(n):
-    """Exact series evaluation of c0(n); for n=1 this is the zeta(4) value."""
-    import mpmath
+    """Exact series evaluation of c0(n); for n=1 this is the zeta(4) value.
 
-    with mpmath.workdps(_ZETA_DPS + n):
-        integral = _zeta_integral([(1, 2 * n + 2, 2 * n, 0)], n)
-        pref = (16 * n) ** mpmath.mpf("1.5") * 4 * mpmath.pi / (4 * mpmath.pi) ** (2 * n + 3)
-        return float(pref * integral)
+    (16 n)^{3/2} 4 pi / (4 pi)^{2n+3} = 64 n sqrt(n) / (4^{2n+2} pi^{2n+2}).
+    """
+    return _zeta_oracle([(1, 2 * n + 2, 2 * n, 0)], n, Fraction(64 * n, 4 ** (2 * n + 2)))
 
 
 def _weight_integral(n, a, b, tol):
@@ -221,12 +260,8 @@ def Cn_zeta_series(n):
         (2 * n * (2 * n + 1), 2 * n, 2 * n, 0),
         (-2 * n * (2 * n + 1), 2 * n + 1, 2 * n + 1, 1),
     ]
-    import mpmath
-
-    with mpmath.workdps(_ZETA_DPS + n):
-        integral = _zeta_integral(terms, n)
-        pref = (16 * n) ** mpmath.mpf("1.5") / (sphere_kappa(n) * (4 * mpmath.pi) ** (2 * n + 2))
-        return float(pref * integral)
+    # (16 n)^{3/2} / (kappa (4 pi)^{2n+2}) with kappa = 16 n (n+2)
+    return _zeta_oracle(terms, n, Fraction(4, (n + 2) * 4 ** (2 * n + 2)))
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,9 @@ formula uses exp(-phi(tau, h)/t) with phi = i<tau,z> + a |x|^2 / 2, which is
 this kernel precomposed with the dilation (x, z) -> (sqrt2 x, 2 z); diagonal
 quantities (homogeneity, c0) are identical, but only the present scaling is a
 probability density with E[x_a^2] = 2t and the semigroup property, which the
-moment and simulation layers rely on.  action_function_matrix evaluates the
-displayed phi itself, as an independent reference form.
+moment and simulation layers rely on.  The tests check a(rho) and W(tau)
+against matrix forms of the displayed phi and of the volume element, which
+hold for any step-two group.
 
 Angular integration is analytic (spherical Bessel factors up to order two,
 covering derivative queries of weighted order <= 4); the remaining radial
@@ -26,7 +27,8 @@ one row entry, _query_rows: a row is (t, x, z), the real coefficients of all
 rows on the derivative's shared list of integrand terms are worked out as
 arrays in one pass, which also decides each row that is exactly 0 or out of
 floating-point range, and blocks of up to _ROW_BLOCK of the other rows go to
-quadrature.gk_rows, which refines them in groups bounded by their panels.
+quadrature.gk_rows, which streams them through one window of panels: a
+row that finishes frees its room for the next rows of the block at once.
 The same entry serves the CLI `kernel` rows (batch_evaluate), single queries
 (heat_kernel_point, a one-row call) and the Monte Carlo checks of the mc
 layer, which send all samples of a time branch and Leibniz term in one
@@ -53,8 +55,6 @@ from .quadrature import ToleranceError, composite_gk_nodes, gk_rows
 __all__ = [
     "KernelValue",
     "BROWNIAN_VARIANCE_FACTOR",
-    "action_function_matrix",
-    "volume_element_matrix",
     "heat_kernel_point",
     "kernel_marginal_moments",
     "normalization_integral",
@@ -66,7 +66,8 @@ __all__ = [
 BROWNIAN_VARIANCE_FACTOR = 2.0
 
 # most rows per gk_rows call in _query_rows: bounds the truncation arrays,
-# which grow with the rows of a call (gk_rows bounds its own panels)
+# which grow with the rows of a call (gk_rows bounds the panels of each round
+# and the rows live at once by its window)
 _ROW_BLOCK = 512
 
 # s-nodes per block in _unit_time_moments; bounds its (rho, s) arrays
@@ -218,39 +219,6 @@ def _j1_over_k_and_j2(k):
         return out
 
     return _series_where(k, np.abs(k) < 1.0, series, direct)
-
-
-def _omega_matrix(spec, tau):
-    J = spec.J_float()
-    return 2.0 * np.einsum("i,iab->ab", np.asarray(tau, dtype=float), J)
-
-
-def action_function_matrix(spec, tau, x, z):
-    """phi(tau, (x, z)) = i <tau, z> + <x, (i Omega) coth(i Omega) x> / 2 for any step-two spec.
-
-    On the quaternionic spec this is i <tau, z> + a(|2 tau|) |x|^2 / 2, the
-    action the kernel integrates with _rho_coth.
-    """
-    x = np.asarray(x, dtype=float)
-    om = _omega_matrix(spec, tau)
-    herm = 1j * om
-    vals, vecs = np.linalg.eigh(herm)
-    f = np.where(np.abs(vals) < 1e-12, 1.0, vals / np.tanh(np.where(np.abs(vals) < 1e-12, 1.0, vals)))
-    mat = (vecs * f) @ vecs.conj().T
-    quad = np.real(np.dot(x, mat @ x))
-    return 1j * float(np.dot(np.asarray(tau, dtype=float), z)) + 0.5 * quad
-
-
-def volume_element_matrix(spec, tau):
-    """W(tau) = det^{1/2}(i Omega / sinh(i Omega)) for any step-two spec.
-
-    On the quaternionic spec this is (|2 tau| / sinh |2 tau|)^{2n}, the
-    weight the kernel integrates with _rho_over_sinh_pow.
-    """
-    om = _omega_matrix(spec, tau)
-    vals = np.linalg.eigvalsh(1j * om)
-    ratio = np.where(np.abs(vals) < 1e-12, 1.0, vals / np.sinh(np.where(np.abs(vals) < 1e-12, 1.0, vals)))
-    return float(np.sqrt(np.prod(ratio)))
 
 
 def _prefactor(spec, t):

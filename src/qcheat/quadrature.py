@@ -8,15 +8,17 @@ errors is below max(abs_tol, rel_tol |value|, the round-off floor of the
 panel magnitudes), or fails with ToleranceError when the next split would
 exceed max_evals.  The budget covers the initial panels too: a row that asks
 for more gets only the panels it covers and fails after one round, so no row
-costs more than max_evals evaluations.  Only the work is batched: the rows
-refine in groups of consecutive rows that start with about _GROUP_PANELS
-panels, and each refinement round evaluates every pending panel of every
-active row of the group in one integrand call, first all initial panels,
-then both halves of each row's split, in calls of at most _PANEL_CHUNK
-panels.  The integrand takes a
-(rows, nodes) pair with nodes of shape (P, 15), and the panel sums are
-row-wise reductions, so a row's result is the same bits whatever rows share
-its batch and in whatever order.  `adaptive_gk` is the one-row entry point.
+costs more than max_evals evaluations.  Only the work is batched, through
+one streaming window of about _WINDOW panels: the rows wait in row order,
+and each round evaluates, in calls of at most _PANEL_CHUNK panels, both
+halves of each live row's split and then the initial panels of as many
+waiting rows as fit in the rest of the window.  So a row that finishes
+frees its room for the next rows at once, and each round's panels, and so
+the rows live at once, stay bounded whatever the number of rows.  The
+integrand takes a (rows, nodes) pair with nodes of shape (P, 15), and the
+panel sums are row-wise reductions, so a row's result is the same bits
+whatever rows share its batch and in whatever order.  `adaptive_gk` is the
+one-row entry point.
 
 The bookkeeping of a round is array work too.  The panels of the live rows
 sit in flat arrays (row, ends, value, error), grouped by row with each row's
@@ -98,9 +100,9 @@ _WG15[1::2] = _WG
 # evaluated in slices of this size
 _PANEL_CHUNK = 512
 
-# gk_rows refines its rows in groups of consecutive rows that start with
-# about this many panels: bounds the panel state and the rows of one round
-_GROUP_PANELS = 1024
+# panels of one gk_rows round: the split halves of the live rows plus the
+# initial panels of the rows admitted beside them; bounds the rows live at once
+_WINDOW = 2048
 
 _TINY = np.finfo(float).tiny
 
@@ -193,38 +195,74 @@ def gk_rows(f, a, b, rel_tol, abs_tol, max_evals, min_panels):
     estimate when max_evals runs out first.  A row whose min_panels (a float
     may exceed any int) exceeds max_evals / 15 gets the max_evals // 15
     panels the budget covers and fails after that round with their estimate.
+
+    The rows stream through one window of _WINDOW panels.  They wait in row
+    order; a round evaluates both halves of each live row's split, then the
+    initial panels of the waiting rows that fit in the rest of the window,
+    where a row takes max(its initial panels, 2), room for the halves of its
+    own first split.  When no row is live the next row is admitted even if
+    it does not fit.  So a round evaluates at most max(_WINDOW, the initial
+    panels of a row admitted alone) panels, in integrand calls of at most
+    _PANEL_CHUNK, and at most _WINDOW / 2 rows are live at once, each with
+    at most max_evals / 15 panels.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     abs_tol = np.asarray(abs_tol, dtype=float)
     wanted = np.asarray(min_panels, dtype=float)
     counts = np.minimum(wanted, max(max_evals // 15, 1)).astype(int)
-    # groups of consecutive rows that start with about _GROUP_PANELS panels
-    # are refined one after another, each in a call of its own
-    cuts = np.flatnonzero(np.diff((np.cumsum(counts) - counts) // _GROUP_PANELS)) + 1
-    if len(cuts):
-        out = []
-        for g in np.split(np.arange(len(b)), cuts):
-            out += gk_rows(
-                lambda rows, x, first=g[0]: f(rows + first, x), a[g], b[g], rel_tol, abs_tol[g], max_evals, wanted[g]
-            )
-        return out
+    step = (b - a) / counts
     starved = 15.0 * wanted > max_evals
     n_evals = 15 * counts
+    # room[r]: the window rows 0..r take on admission, max(initial panels, 2) each
+    room = np.cumsum(np.maximum(counts, 2))
     out = [None] * len(b)
     # the panels of the live rows, grouped by row in row order, each row's
-    # in creation order; row `live[i]` holds `size[i]` panels from `start[i]`
-    live = np.arange(len(b))
-    size = counts
-    start = np.cumsum(size) - size
-    row = np.repeat(live, size)
-    # the edges of np.linspace(a_r, b_r, p + 1), same arithmetic
-    lo = (np.arange(len(row)) - start[row]) * ((b - a) / counts)[row] + a[row]
-    hi = np.empty_like(lo)
-    hi[:-1] = lo[1:]
-    hi[start + size - 1] = b
-    val, err = np.zeros_like(lo), np.zeros_like(lo)
-    pending = np.arange(len(row))
-    while len(live):
+    # in creation order; row `live[i]` holds `size[i]` panels, and panel
+    # `worst[i]` of them splits next
+    live = size = worst = np.zeros(0, dtype=int)
+    row, lo, hi, val, err = live, np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)
+    queued = 0  # the rows before this one have been admitted
+    while len(live) or queued < len(b):
+        # the waiting rows that fit beside the halves of the live rows' splits;
+        # with no row live, at least the next one
+        used = room[queued - 1] if queued else 0
+        admit = int(np.searchsorted(room, used + _WINDOW - 2 * len(live), side="right"))
+        new = np.arange(queued, max(admit, queued + (not len(live))))
+        queued += len(new)
+        # each panel shifts by the live rows before its own, each row's right
+        # half goes after its last panel, and the admitted rows' initial
+        # panels go after all of them
+        start = np.cumsum(size) - size
+        left = start + worst
+        mid = 0.5 * (lo[left] + hi[left])
+        right_hi = hi[left]
+        hi[left] = mid
+        shift = np.arange(len(live))
+        kept = np.arange(len(row)) + np.repeat(shift, size)
+        right = start + size + shift
+        end = len(row) + len(live)
+        new_size = counts[new]
+        first = np.cumsum(new_size) - new_size
+        new_row = np.repeat(new, new_size)
+        # the edges of np.linspace(a_r, b_r, p + 1), same arithmetic
+        new_lo = (np.arange(len(new_row)) - np.repeat(first, new_size)) * step[new_row] + a[new_row]
+        new_hi = np.empty_like(new_lo)
+        new_hi[:-1] = new_lo[1:]
+        new_hi[first + new_size - 1] = b[new]
+
+        def grown(panels, halves, initial):
+            both = np.empty(end + len(new_row), panels.dtype)
+            both[kept] = panels
+            both[right] = halves
+            both[end:] = initial
+            return both
+
+        row, lo, hi = grown(row, live, new_row), grown(lo, mid, new_lo), grown(hi, right_hi, new_hi)
+        val, err = grown(val, 0.0, 0.0), grown(err, 0.0, 0.0)
+        pending = np.concatenate([np.stack([left + shift, right], axis=1).ravel(), np.arange(end, len(row))])
+        n_evals[live] += 30
+        live, size = np.concatenate([live, new]), np.concatenate([size + 1, new_size])
+        start = np.cumsum(size) - size
         for c in range(0, len(pending), _PANEL_CHUNK):
             p = pending[c : c + _PANEL_CHUNK]
             val[p], err[p] = _gk15(f, row[p], lo[p], hi[p])
@@ -261,31 +299,9 @@ def gk_rows(f, a, b, rel_tol, abs_tol, max_evals, min_panels):
                 splits[i], worst[i] = True, res
             else:
                 out[r] = res
-        # keep the splitting rows; each panel shifts by the splitting rows
-        # before its own, and each row's right half goes after its last panel
         keep = np.repeat(splits, size)
         live, size, worst = live[splits], size[splits], worst[splits]
         row, lo, hi, val, err = row[keep], lo[keep], hi[keep], val[keep], err[keep]
-        start = np.cumsum(size) - size
-        left = start + worst
-        mid = 0.5 * (lo[left] + hi[left])
-        right_hi = hi[left]
-        hi[left] = mid
-        shift = np.arange(len(live))
-        kept = np.arange(len(row)) + np.repeat(shift, size)
-        right = start + size + shift
-
-        def grown(panels, halves):
-            both = np.empty(len(panels) + len(live), panels.dtype)
-            both[kept] = panels
-            both[right] = halves
-            return both
-
-        row, lo, hi, val, err = grown(row, live), grown(lo, mid), grown(hi, right_hi), grown(val, 0.0), grown(err, 0.0)
-        start += shift
-        pending = np.stack([left + shift, right], axis=1).ravel()
-        size = size + 1
-        n_evals[live] += 30
     return out
 
 

@@ -12,6 +12,8 @@ from qcheat.invariants import (
     _ZETA_DPS,
     Cn_zeta_series,
     SpectrumFile,
+    _pi_scaled,
+    _tangent_numbers,
     _zeta_powers,
     c0_zeta_series,
     compute_Cn,
@@ -221,3 +223,11 @@ def test_spectrum_parse_round_trip():
     assert back.eigenvalues == sp.eigenvalues and back.multiplicities == sp.multiplicities
     with pytest.raises(ValueError):
         SpectrumFile.parse("1.0 2 3\n")
+
+
+def test_integer_pi_and_tangent_numbers():
+    """The zeta oracles' two integer inputs: pi 2^bits within 2, and T_1..T_6."""
+    with mpmath.workdps(400):
+        for bits in (10, 64, 1000):
+            assert abs(_pi_scaled(bits) - mpmath.pi * 2**bits) < 2
+    assert _tangent_numbers(6) == [1, 2, 16, 272, 7936, 353792]

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from qcheat.group import GroupPoint, GroupSpec, group_inverse, group_mul, make_quaternionic_spec
 from qcheat.kernel import (
     KernelValue,
-    action_function_matrix,
     batch_evaluate,
     heat_kernel_point,
     kernel_marginal_moments,
@@ -23,9 +22,10 @@ from qcheat.kernel import (
     _truncation_radius,
     normalization_integral,
     radial_expectation,
-    volume_element_matrix,
 )
 from qcheat.quadrature import ToleranceError
+
+from matrix_routes import action_function_matrix, volume_element_matrix
 
 SPEC1 = make_quaternionic_spec(1)
 SPEC2 = make_quaternionic_spec(2)
@@ -816,9 +816,9 @@ def test_query_rows_independent_of_order_and_blocks(monkeypatch):
             monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", block)
             out = _query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9)
             assert [out[j] for j in np.argsort(order)] == ref
-        # one block, refined by gk_rows in groups of a few rows
+        # one block, streamed by gk_rows through a window of a few rows
         monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", len(t))
-        monkeypatch.setattr(quadrature_mod, "_GROUP_PANELS", 16)
+        monkeypatch.setattr(quadrature_mod, "_WINDOW", 16)
         out = _query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9)
         assert [out[j] for j in np.argsort(order)] == ref
         monkeypatch.undo()

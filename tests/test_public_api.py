@@ -1,8 +1,8 @@
 """Every name a qcheat module exports in __all__, and every name the
 benchmark's tracer wraps, exists; every export, and every public method and
 property of an exported class, has a caller or is a listed reference route;
-no module imports scipy, which only the tests use, and importing the CLI or
-the numeric modules loads neither scipy nor mpmath."""
+no module imports scipy or mpmath, which only the tests use, and importing
+the CLI or the numeric modules loads neither."""
 
 import ast
 import importlib
@@ -26,8 +26,6 @@ ROOT = Path(__file__).resolve().parents[1]
 REFERENCE_ROUTES = {
     "group_mul": "the exact group law; the kernel's base-point symmetry is checked through it",
     "group_inverse": "group inverse of that law, for the same symmetry checks",
-    "action_function_matrix": "the action phi as a matrix function, against the kernel's a(rho)",
-    "volume_element_matrix": "W(tau) as a determinant, against the kernel's radial weight",
     "normalization_integral": "mass of p(t, 0, .), acceptance criterion 4",
     "semigroup_convolution_check": "Monte Carlo semigroup identity at the origin, acceptance criterion 4",
     "frame_data_from_spec": "the group's own frame as Popp input, acceptance criterion 5",
@@ -135,9 +133,8 @@ def test_every_export_has_a_caller():
     assert not sorted(routes - uncalled), "REFERENCE_ROUTES names that have a caller; drop them from the set"
 
 
-def test_no_module_imports_scipy():
-    """scipy is a test dependency only: no module under src/qcheat/ imports it,
-    at the top or inside a function."""
+def _imports_of(package):
+    """Where a module under src/qcheat/ imports package, at the top or inside a function."""
     found = []
     for path in sorted((ROOT / "src" / "qcheat").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -147,8 +144,21 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            found += ["%s:%d" % (path.name, node.lineno) for name in names if name.split(".")[0] == "scipy"]
+            found += ["%s:%d" % (path.name, node.lineno) for name in names if name.split(".")[0] == package]
+    return found
+
+
+def test_no_module_imports_scipy():
+    """scipy is a test dependency only: no module under src/qcheat/ imports it."""
+    found = _imports_of("scipy")
     assert not found, "scipy imported at %s" % found
+
+
+def test_no_module_imports_mpmath():
+    """mpmath is a test dependency only: the zeta-series oracles work in
+    Python integers, and no module under src/qcheat/ imports it."""
+    found = _imports_of("mpmath")
+    assert not found, "mpmath imported at %s" % found
 
 
 def _loaded_at_import(package):
@@ -171,6 +181,5 @@ def test_cli_and_numeric_modules_import_no_scipy():
 
 
 def test_cli_and_numeric_modules_import_no_mpmath():
-    """mpmath serves only the zeta-series oracles, which import it when
-    called: importing the CLI, kernel, invariants or mc loads none of it."""
+    """Importing the CLI, kernel, invariants or mc loads no mpmath module."""
     assert _loaded_at_import("mpmath") == "[]"

@@ -56,14 +56,32 @@ def test_panel_slices_change_no_bit(monkeypatch):
     assert gk_rows(*args) == whole
 
 
-def test_row_groups_change_no_bit(monkeypatch):
-    args = (integrand, [0.0] * 4, B, 1e-10, [1e-13] * 4, 100_000, [4, 40, 6, 4])
-    whole = gk_rows(*args)
-    # rows 0, 1 and rows 2, 3 refine apart: row 2 starts past 40 panels
+def test_window_changes_no_bit(monkeypatch):
+    # rows 0..5 integrate rows 3, 1, 0, 2, 3, 1 above: rows 0 and 4 refine for
+    # many rounds, and row 5's 50 initial panels exceed a window of 40
+    which = np.array([3, 1, 0, 2, 3, 1])
+    min_panels = [4, 30, 4, 6, 4, 50]
+    args = ([0.0] * 6, B[which], 1e-10, [1e-13] * 6, 100_000, min_panels)
     calls = []
-    monkeypatch.setattr(quadrature_mod, "_GROUP_PANELS", 40)
-    assert gk_rows(lambda rows, x: calls.append(set(rows.tolist())) or integrand(rows, x), *args[1:]) == whole
-    assert all(c <= {0, 1} or c <= {2, 3} for c in calls) and {2, 3} in calls
+
+    def f(rows, x):
+        calls.append(dict(zip(*np.unique(rows, return_counts=True))))
+        return integrand(which[rows], x)
+
+    monkeypatch.setattr(quadrature_mod, "_WINDOW", 10**6)
+    whole = gk_rows(f, *args)
+    assert len(calls[0]) == 6  # this window holds every row at once
+    calls.clear()
+    monkeypatch.setattr(quadrature_mod, "_WINDOW", 40)
+    assert gk_rows(f, *args) == whole
+    # row 0's split halves share a call with the initial panels of rows 3
+    # and 4, admitted once rows 1 and 2 finished
+    assert calls[:2] == [{0: 4, 1: 30, 2: 4}, {0: 2, 3: 6, 4: 4}]
+    # row 5 waits until no row is live, then runs alone
+    assert {5: 50} in calls
+    # the bound of the gk_rows docstring: at most the window, or the initial
+    # panels of a row admitted alone
+    assert all(sum(c.values()) <= 40 or c == {5: 50} for c in calls)
 
 
 def test_failing_row_is_reported_alone():
