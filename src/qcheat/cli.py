@@ -89,16 +89,28 @@ def _cmd_cn(args):
 
 
 def _read_csv_rows(path):
+    """The rows of numbers of a kernel input file, one array of doubles per line.
+
+    Numbers are separated by whitespace or commas, '#' starts a comment to
+    the end of its line, and lines left blank are skipped.  ValueError,
+    naming the line, for a token float() rejects.  A row holds its values
+    as 8-byte doubles, not as float objects.
+    """
+    from array import array
+
     rows = []
     with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line.replace(",", " ").split()])
-            except ValueError as exc:
-                raise ValueError("line %d: %s" % (ln, exc)) from exc
+        for ln, line in enumerate(fh, 1):
+            if "#" in line:
+                line = line[: line.index("#")]
+            if "," in line:
+                line = line.replace(",", " ")
+            fields = line.split()
+            if fields:
+                try:
+                    rows.append(array("d", map(float, fields)))
+                except ValueError as exc:
+                    raise ValueError("line %d: %s" % (ln, exc)) from exc
     return rows
 
 
@@ -108,17 +120,15 @@ def _cmd_kernel(args):
 
     spec = make_quaternionic_spec(args.n)
     results = batch_evaluate(spec, _read_csv_rows(args.input), tol=args.tol)
-    buf = io.StringIO()
-    buf.write("# config: %s\n" % json.dumps(_run_config(args, "kernel"), sort_keys=True))
-    buf.write("row,value,err,error\n")
-    failed = set()
-    for i, res in enumerate(results):
-        if res["ok"]:
-            buf.write("%d,%.17g,%.3g,\n" % (i + 1, res["value"], res["err"]))
-        else:
-            failed.add(res["kind"])
-            buf.write('%d,,,"%s"\n' % (i + 1, res["error"].replace('"', "'")))
-    _emit(buf.getvalue(), args.out)
+    lines = ["# config: %s\nrow,value,err,error\n" % json.dumps(_run_config(args, "kernel"), sort_keys=True)]
+    lines += [
+        "%d,%.17g,%.3g,\n" % (i, res["value"], res["err"])
+        if res["ok"]
+        else '%d,,,"%s"\n' % (i, res["error"].replace('"', "'"))
+        for i, res in enumerate(results, 1)
+    ]
+    _emit("".join(lines), args.out)
+    failed = {res["kind"] for res in results if not res["ok"]}
     if failed:
         print("kernel: some rows failed", file=sys.stderr)
         return EXIT_USAGE if "input" in failed else EXIT_NUMERIC

@@ -32,10 +32,14 @@ row that finishes frees its room for the next rows of the block at once.
 The same entry serves the CLI `kernel` rows (batch_evaluate), single queries
 (heat_kernel_point, a one-row call) and the Monte Carlo checks of the mc
 layer, which send all samples of a time branch and Leibniz term in one
-call.  A row's value and error are the same bits whichever rows share its
-call.  Other base points follow from the group law, p(t, h, h') =
-p(t, 0, h^{-1} h').  The entries take a quaternionic spec only, and a query
-one relative tolerance tol, with the absolute floor tol * 1e-3.
+call.  Rows stay arrays from the engine to the callers: _query_rows returns
+value, error and evaluation arrays plus a dict of the failed rows, and only
+heat_kernel_point makes a KernelValue; batch_evaluate checks its rows with
+masks on one float array and builds only the dicts it returns.  A row's
+value and error are the same bits whichever rows share its call.  Other
+base points follow from the group law, p(t, h, h') = p(t, 0, h^{-1} h').
+The entries take a quaternionic spec only, and a query one relative
+tolerance tol, with the absolute floor tol * 1e-3.
 
 The mass and the marginal moments (radial_expectation) evaluate no pointwise
 value of p.  They integrate the radial form itself at t = 1, where x is
@@ -349,7 +353,14 @@ def _make_integrand(spec, u, zc, uvec, keys, coeffs):
 
 
 def _query_rows(spec, t, x, z, derivative, tol):
-    """KernelValue, or ToleranceError, of D p(t_r, 0, (x_r, z_r)) for each row r.
+    """D p(t_r, 0, (x_r, z_r)) for each row r, as arrays: (value, err, n_evals, failed).
+
+    value and err are (N,) float arrays of each row's value and error bound,
+    n_evals an (N,) int array of its integrand evaluations (0 for a row
+    decided before quadrature), and failed a dict {r: ToleranceError} of the
+    rows that missed the tolerance or are out of floating-point range; their
+    value and err are NaN.  The error of a row that missed the tolerance
+    carries the best estimate, scaled like a value, and its bound.
 
     t (N,), x (N, m) and z (N, 3) are float arrays of checked points,
     derivative a checked multi-index D, () for the kernel itself, and tol > 0
@@ -364,9 +375,10 @@ def _query_rows(spec, t, x, z, derivative, tol):
     zero, when a term underflowed to 0 although no coordinate of its
     monomial is 0.  Any other row whose coefficients are all zero is exactly
     0.  The rest go through quadrature.gk_rows in blocks of up to _ROW_BLOCK
-    rows, and fail as out of range only when their value or error bound is
-    not finite; a row's result is the same bits whichever rows share its
-    block or the call.
+    rows; the prefactor, the truncation tail and the finiteness check apply
+    to a block's arrays at once, and a row fails as out of range only when
+    its value or error bound is not finite.  A row's result is the same bits
+    whichever rows share its block or the call.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
@@ -397,9 +409,8 @@ def _query_rows(spec, t, x, z, derivative, tol):
     nonzero = coeffs.any(axis=1)
     in_range = np.isfinite(coeffs).all(axis=1) & np.isfinite(u) & np.isfinite(zc)
     fails = ~((0.0 < pre) & (pre < math.inf)) | np.where(nonzero, ~in_range, underflow)
-    out = [KernelValue(0.0, 0.0, 0)] * len(t)
-    for r in np.flatnonzero(fails).tolist():
-        out[r] = ToleranceError(_OUT_OF_RANGE)
+    value, err, n_evals = np.zeros(len(t)), np.zeros(len(t)), np.zeros(len(t), dtype=int)
+    failed = {r: ToleranceError(_OUT_OF_RANGE) for r in np.flatnonzero(fails).tolist()}
     live = np.flatnonzero(nonzero & ~fails)
     for s in range(0, len(live), _ROW_BLOCK):
         rows = live[s : s + _ROW_BLOCK]
@@ -409,16 +420,20 @@ def _query_rows(spec, t, x, z, derivative, tol):
         min_panels = np.maximum(4, np.maximum(np.ceil(R / 5.0), np.ceil(1.5 * (R * zc_b / (2.0 * math.pi)))))
         uvec = z[rows] / np.where(znorm[rows] > 0.0, znorm[rows], 1.0)[:, None]
         f = _make_integrand(spec, u_b, zc_b, uvec, keys, coeffs_b)
-        results = gk_rows(f, np.zeros_like(R), R, tol, abs_tol / np.maximum(pre_b, 1.0), _MAX_EVALS, min_panels)
-        for r, res, p, tl in zip(rows.tolist(), results, pre_b.tolist(), tail.tolist()):
-            if isinstance(res, ToleranceError):
-                out[r] = ToleranceError(str(res), value=p * res.value, err=p * res.err + p * tl)
-                continue
-            val, err, n_evals = res
-            value, bound = p * val, p * (err + tl)
-            finite = math.isfinite(value) and math.isfinite(bound)
-            out[r] = KernelValue(value, bound, n_evals) if finite else ToleranceError(_OUT_OF_RANGE)
-    return out
+        val, quad_err, n_evals[rows], missed = gk_rows(
+            f, np.zeros_like(R), R, tol, abs_tol / np.maximum(pre_b, 1.0), _MAX_EVALS, min_panels
+        )
+        # a product past the double range is inf here without a warning; the row fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            value[rows], err[rows] = pre_b * val, pre_b * (quad_err + tail)
+        for k in np.flatnonzero(~(np.isfinite(value[rows]) & np.isfinite(err[rows]))).tolist():
+            failed[int(rows[k])] = ToleranceError(_OUT_OF_RANGE)
+        for k, exc in missed.items():
+            p, tl = float(pre_b[k]), float(tail[k])
+            failed[int(rows[k])] = ToleranceError(str(exc), value=p * exc.value, err=p * exc.err + p * tl)
+    if failed:
+        value[list(failed)] = err[list(failed)] = math.nan
+    return value, err, n_evals, failed
 
 
 def heat_kernel_point(spec, t, x, z, derivative=(), tol=1e-9):
@@ -440,10 +455,10 @@ def heat_kernel_point(spec, t, x, z, derivative=(), tol=1e-9):
     derivative = tuple(derivative)
     if _weighted_order(spec, derivative) > 4:
         raise ValueError("derivative queries above weighted order 4 are unsupported")
-    (res,) = _query_rows(spec, np.array([float(t)]), x[None], z[None], derivative, tol)
-    if isinstance(res, ToleranceError):
-        raise res
-    return res
+    value, err, n_evals, failed = _query_rows(spec, np.array([float(t)]), x[None], z[None], derivative, tol)
+    if failed:
+        raise failed[0]
+    return KernelValue(float(value[0]), float(err[0]), int(n_evals[0]))
 
 
 def _unit_time_moments(spec):
@@ -545,36 +560,63 @@ def kernel_marginal_moments(spec, t):
     return {"mass": mass, "Exx_diag": ex2, "Ezz_diag": ez2}
 
 
+def _input_error(row, m):
+    """The message of the input check of one kernel row (t, x_1..x_m, z_1..z_3), or None if it passes.
+
+    The values go through float() first, then the row needs exactly m + 4 of
+    them and _check_point.
+    """
+    try:
+        vals = [float(v) for v in row]
+        if len(vals) != m + 4:
+            raise ValueError("expected %d coordinates" % (m + 3))
+        _check_point(vals[0], vals[1:])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def batch_evaluate(spec, rows, tol=1e-9):
     """Evaluate plain kernel rows (t, x_1..x_m, z_1..z_3) of a quaternionic spec; never raises per row.
 
-    Each row is checked on its own: exactly 1 + m + 3 finite values, t > 0.
-    The valid rows go through _query_rows together, and each gets the same
-    bits as heat_kernel_point at the same tol.  Returns one dict per row with
+    rows is a sequence of sequences of numbers (or of anything float()
+    takes).  Each row is checked on its own: exactly 1 + m + 3 values, each
+    one float() accepts, t > 0 and all finite.  The check runs as masks on
+    one float array of the rows of the right length; only a row that fails
+    it goes through _input_error, for its message.  The valid rows go
+    through _query_rows together, and each gets the same bits as
+    heat_kernel_point at the same tol.  Returns one dict per row with
     value/err, or with an error message and its kind: "input" for a row that
     failed the check, "numeric" for a row that missed the tolerance or whose
     value or error bound is out of floating-point range.
     """
+    from itertools import chain
+
     _require_quaternionic(spec)
-    m = spec.m
+    m, width = spec.m, spec.m + 4
+    fits = np.fromiter(map(len, rows), int, len(rows)) == width
+
+    def read():
+        sized = np.flatnonzero(fits)
+        chosen = rows if len(sized) == len(rows) else map(rows.__getitem__, sized.tolist())
+        return sized, np.fromiter(map(float, chain.from_iterable(chosen)), float, len(sized) * width)
+
+    try:
+        sized, pts = read()
+    except ValueError:  # a value float() rejects: leave out the rows that fail the check, read the others
+        for i in np.flatnonzero(fits).tolist():
+            fits[i] = _input_error(rows[i], m) is None
+        sized, pts = read()
+    pts = pts.reshape(-1, width)
+    passed = (pts[:, 0] > 0.0) & np.isfinite(pts).all(axis=1)
     out = [None] * len(rows)
-    valid, points = [], []
-    for i, row in enumerate(rows):
-        try:
-            vals = [float(v) for v in row]
-            if len(vals) != m + 4:
-                raise ValueError("expected %d coordinates" % (m + 3))
-            _check_point(vals[0], vals[1:])
-        except ValueError as exc:
-            out[i] = {"ok": False, "kind": "input", "error": str(exc)}
-            continue
-        valid.append(i)
-        points.append(vals)
-    pts = np.array(points).reshape(-1, m + 4)
-    results = _query_rows(spec, pts[:, 0], pts[:, 1 : m + 1], pts[:, m + 1 :], (), tol)
-    for i, res in zip(valid, results):
-        if isinstance(res, ToleranceError):
-            out[i] = {"ok": False, "kind": "numeric", "error": str(res)}
-        else:
-            out[i] = {"ok": True, "value": res.value, "err": res.err_estimate}
+    for i in np.flatnonzero(~fits).tolist() + sized[~passed].tolist():
+        out[i] = {"ok": False, "kind": "input", "error": _input_error(rows[i], m)}
+    if not passed.all():
+        pts, sized = pts[passed], sized[passed]
+    value, err, _, failed = _query_rows(spec, pts[:, 0], pts[:, 1 : m + 1], pts[:, m + 1 :], (), tol)
+    for i, v, e in zip(sized.tolist(), value.tolist(), err.tolist()):
+        out[i] = {"ok": True, "value": v, "err": e}
+    for k, exc in failed.items():
+        out[sized[k]] = {"ok": False, "kind": "numeric", "error": str(exc)}
     return out

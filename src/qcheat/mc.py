@@ -43,11 +43,12 @@ Kernel values come from the kernel layer's one row entry, _query_rows,
 which also serves the CLI rows and single queries: the checks simulate all
 their samples first and then make one call per time branch and Leibniz term
 (semigroup_convolution_check one call on all its paths), never one per
-sample.  A failing kernel row raises the first ToleranceError met, in
-branch, term, row order.  Antithetic pairing is deliberately not used for the
-vanishing-rule estimators: those integrands are odd under the path sign
-flip, and pairing would force the estimate to exactly zero, making the null
-check vacuous.
+sample, and read the value arrays it returns.  A failing kernel row raises
+the first ToleranceError met, in branch, term, row order: a call raises
+the error of its lowest failing row before the next call.  Antithetic
+pairing is deliberately not used for the vanishing-rule estimators: those
+integrands are odd under the path sign flip, and pairing would force the
+estimate to exactly zero, making the null check vacuous.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import numpy as np
 
 from .kernel import BROWNIAN_VARIANCE_FACTOR, _check_point, _query_rows, _require_quaternionic, heat_kernel_point
 from .qc_expansion import _moment_decomposition, _pattern
-from .quadrature import ToleranceError
 
 __all__ = [
     "SimConfig",
@@ -236,11 +236,12 @@ def moment_report(samples):
     return rows
 
 
-def _value(res):
-    """The value of one _query_rows result; a ToleranceError is raised."""
-    if isinstance(res, ToleranceError):
-        raise res
-    return res.value
+def _values(res):
+    """The value array of one _query_rows result; its first failing row's ToleranceError is raised."""
+    value, _, _, failed = res
+    if failed:
+        raise failed[min(failed)]
+    return value
 
 
 def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=20240801):
@@ -256,8 +257,7 @@ def semigroup_convolution_check(spec, t, s, n_paths=2000, n_steps=200, seed=2024
     _check_point(s, ())
     sim = simulate_paths(SimConfig(spec=spec, t=t, n_paths=n_paths, n_steps=n_steps, seed=seed))
     # p(s, xi, 0) = p(s, 0, xi^{-1}) = p(s, 0, (-x, -z)), all paths in one call
-    results = _query_rows(spec, np.full(n_paths, float(s)), -sim.x, -sim.z, (), 1e-9)
-    est, se = _mean_stderr(np.array([_value(res) for res in results]))
+    est, se = _mean_stderr(_values(_query_rows(spec, np.full(n_paths, float(s)), -sim.x, -sim.z, (), 1e-9)))
     direct = heat_kernel_point(spec, t + s, [0.0] * spec.m, [0.0] * 3, tol=1e-9)
     return est, se, direct.value, direct.err_estimate
 
@@ -367,9 +367,10 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
     derivative on phi first.  The split keeps the variance finite.  All
     samples are simulated first; then each branch (late first) sends its
     samples, with their own t_ker, through one kernel _query_rows call per
-    term and adds the term to the branch's array of sums, in term order.  A
-    kernel row that misses tolerance raises the first ToleranceError met, in
-    branch, term, row order.
+    term and adds the term's value array to the branch's array of sums, in
+    term order.  A kernel row that misses tolerance raises the first
+    ToleranceError met, in branch, term, row order: a call raises the error
+    of its lowest failing row before the next call.
 
     Of cfg only spec, seed and n_steps are read; every sample draws the same
     K = ceil(sqrt(n_steps)) Fourier modes, since the sampler's relative
@@ -399,8 +400,7 @@ def check_moment_vanishing(cfg, rule_id, indices=None, n_samples=4000):
         inv_x, inv_z = -x[rows], -z[rows]
         total = np.zeros(len(rows))
         for c, rest, d in terms:
-            results = _query_rows(spec, t_ker[rows], inv_x, inv_z, d, 1e-7)  # absolute floor 1e-10
-            values = np.array([_value(res) for res in results])
+            values = _values(_query_rows(spec, t_ker[rows], inv_x, inv_z, d, 1e-7))  # absolute floor 1e-10
             total += c * _monomial_value(rest, inv_x, inv_z) * values
         outer = _monomial_value(mono, x[rows], z[rows]) if is_late else 1.0
         vals[rows] = inv_haar * outer * sign * total

@@ -220,6 +220,18 @@ def test_kernel_parse_error_exit_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_read_csv_rows_comments_commas_blanks_and_bad_tokens(tmp_path):
+    from qcheat.cli import _read_csv_rows
+
+    inp = tmp_path / "rows.csv"
+    inp.write_text("# t x z\n1.0, 2 ,3\n\n   \n4 5#6 7\n# only a comment\n8,,9 1e-3 -inf +7\r\n  10\t11")
+    rows = [[1.0, 2.0, 3.0], [4.0, 5.0], [8.0, 9.0, 1e-3, -math.inf, 7.0], [10.0, 11.0]]
+    assert [list(row) for row in _read_csv_rows(inp)] == rows
+    inp.write_text("1 2\n# comment\n\n3 four 5\n")
+    with pytest.raises(ValueError, match="^line 4: could not convert string to float: 'four'$"):
+        _read_csv_rows(inp)
+
+
 def test_popp_subcommand(tmp_path, capsys):
     doc = {"m": 2, "k": 1, "b": [[["0/1", "1/1"], ["-1/1", "0/1"]]]}
     inp = tmp_path / "frame.json"

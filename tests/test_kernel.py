@@ -557,6 +557,50 @@ def test_batch_evaluate_row_errors():
     assert out[4] == {"ok": False, "kind": "numeric", "error": "kernel value or error bound is out of floating-point range"}
 
 
+def test_batch_evaluate_every_bad_row_kind_between_valid_rows():
+    # every row is checked as the one-row-at-a-time check did: float() on each
+    # value first, then the length, then t > 0, then finiteness
+    nan, inf = math.nan, math.inf
+    rows = [
+        [1.0] + [0.0] * 7,
+        [1.0, "abc"] + [0.0] * 6,  # a value float() rejects
+        ["0.5", "0.1", " 0 ", "0", "0", "0", "0", "1_0"],  # values float() takes
+        [1.0, 0.1],
+        [1.0] + [0.0] * 8,
+        [1.0, "x"],  # too short, and float() rejects a value: its message wins
+        [0.0] + [0.1] * 7,
+        [nan] + [0.0] * 7,
+        [-inf] + [0.0] * 7,
+        [inf] + [0.0] * 7,
+        [1.0, 0.0, nan] + [0.0] * 5,
+        [1.0] + [0.0] * 6 + [-inf],
+        [1e-300] + [0.0] * 7,  # valid input, out of floating-point range
+        (0.7, 0.3, -0.2, 0.1, 0.4, 1.0, -0.5, 0.25),
+    ]
+    out = batch_evaluate(SPEC1, rows)
+    valid = [_single(SPEC1, [float(v) for v in rows[i]]) for i in (0, 2, 13)]
+    short = {"ok": False, "kind": "input", "error": "expected 7 coordinates"}
+    positive = {"ok": False, "kind": "input", "error": "time must be positive"}
+    finite = {"ok": False, "kind": "input", "error": "time and coordinates must be finite"}
+    assert out == [
+        valid[0],
+        {"ok": False, "kind": "input", "error": "could not convert string to float: 'abc'"},
+        valid[1],
+        short,
+        short,
+        {"ok": False, "kind": "input", "error": "could not convert string to float: 'x'"},
+        positive,
+        positive,
+        positive,
+        finite,
+        finite,
+        finite,
+        {"ok": False, "kind": "numeric", "error": "kernel value or error bound is out of floating-point range"},
+        valid[2],
+    ]
+    assert valid[1]["value"] == 1.0010296807667788e-06
+
+
 # (spec, t, x, z, derivative) -> n_evals of the adaptive policy; these counts
 # predate the row-batched engine, which must refine every row the same way
 POLICY_CASES = [
@@ -645,6 +689,13 @@ def test_batch_rejects_non_finite_rows():
         heat_kernel_point(SPEC1, 1.0, [0.0] * 4, [0.0, float("inf"), 0.0])
 
 
+def _per_row(res):
+    """A _query_rows result as a list with one entry per row: its KernelValue or its ToleranceError."""
+    value, err, n_evals, failed = res
+    rows = zip(value.tolist(), err.tolist(), n_evals.tolist())
+    return [failed[r] if r in failed else KernelValue(*row) for r, row in enumerate(rows)]
+
+
 def _query_points(spec, n_rows=70):
     """Rows of mixed t; every seventh has x_1 = 0 exactly, so the terms with
     a power of x_1 drop out there, and row 5 is the origin."""
@@ -700,7 +751,7 @@ def test_query_rows_match_radial_quad(spec, t):
     x[:, 0] = np.repeat(rx, 4)
     z = np.zeros((16, 3))
     z[:, 0] = np.tile(rz, 4)
-    rows = _query_rows(spec, np.full(16, t), x, z, (), 1e-14)  # absolute floor 1e-17
+    rows = _per_row(_query_rows(spec, np.full(16, t), x, z, (), 1e-14))  # absolute floor 1e-17
     for r, row in enumerate(rows):
         ref, ref_err = _radial_quad(spec.n, t, rx[r // 4], rz[r % 4])
         assert abs(row.value - ref) <= row.err_estimate + ref_err
@@ -715,7 +766,7 @@ def test_query_rows_match_single_queries_bit_for_bit(monkeypatch, spec, names):
     t, x, z = _query_points(spec)
     assert len(t) > 2 * kernel_mod._ROW_BLOCK  # three blocks, the last one short
     d = _deriv(spec, *names)
-    out = _query_rows(spec, t, x, z, d, 1e-9)
+    out = _per_row(_query_rows(spec, t, x, z, d, 1e-9))
     assert len(out) == len(t)
     for r in range(len(t)):
         assert out[r] == heat_kernel_point(spec, t[r], x[r], z[r], derivative=d)
@@ -769,7 +820,7 @@ def test_rows_known_out_of_range_skip_quadrature(monkeypatch):
     x[4, 0] = 1e200
     for d in ((), _deriv(SPEC1, "z1"), _deriv(SPEC1, "x1", "x2")):
         sent.clear()
-        out = _query_rows(SPEC1, t, x, z, d, 1e-9)
+        out = _per_row(_query_rows(SPEC1, t, x, z, d, 1e-9))
         live = [r for r in range(len(t)) if r not in bad and not out[r] == KernelValue(0.0, 0.0, 0)]
         assert sum(sent) == len(live)
         for r in range(len(t)):
@@ -811,15 +862,15 @@ def test_query_rows_independent_of_order_and_blocks(monkeypatch):
     order = np.random.default_rng(3).permutation(len(t))
     for names in (("x1", "x1"), ("x1", "x2", "z1")):
         d = _deriv(SPEC1, *names)
-        ref = _query_rows(SPEC1, t, x, z, d, 1e-9)
+        ref = _per_row(_query_rows(SPEC1, t, x, z, d, 1e-9))
         for block in (1, 5, 64):
             monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", block)
-            out = _query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9)
+            out = _per_row(_query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9))
             assert [out[j] for j in np.argsort(order)] == ref
         # one block, streamed by gk_rows through a window of a few rows
         monkeypatch.setattr(kernel_mod, "_ROW_BLOCK", len(t))
         monkeypatch.setattr(quadrature_mod, "_WINDOW", 16)
-        out = _query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9)
+        out = _per_row(_query_rows(SPEC1, t[order], x[order], z[order], d, 1e-9))
         assert [out[j] for j in np.argsort(order)] == ref
         monkeypatch.undo()
 
@@ -833,7 +884,7 @@ def test_query_rows_failing_row_returns_its_error_alone(monkeypatch):
     far = 3
     t[far], x[far], z[far] = 0.1, 0.0, [0.0, 30.0, 0.0]
     d = _deriv(SPEC1, "z2")
-    out = _query_rows(SPEC1, t, x, z, d, 1e-9)
+    out = _per_row(_query_rows(SPEC1, t, x, z, d, 1e-9))
     assert isinstance(out[far], ToleranceError) and "evaluations" in str(out[far])
     with pytest.raises(ToleranceError):
         heat_kernel_point(SPEC1, t[far], x[far], z[far], derivative=d, tol=1e-9)
@@ -841,4 +892,4 @@ def test_query_rows_failing_row_returns_its_error_alone(monkeypatch):
         if r != far:
             assert out[r] == heat_kernel_point(SPEC1, t[r], x[r], z[r], derivative=d, tol=1e-9)
     keep = [r for r in range(len(t)) if r != far]
-    assert _query_rows(SPEC1, t[keep], x[keep], z[keep], d, 1e-9) == [out[r] for r in keep]
+    assert _per_row(_query_rows(SPEC1, t[keep], x[keep], z[keep], d, 1e-9)) == [out[r] for r in keep]

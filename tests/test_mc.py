@@ -21,6 +21,7 @@ from qcheat.mc import (
     simulate_paths,
 )
 from qcheat.qc_expansion import M_X4DZDZ, M_XXDXDX_CROSS, M_XXDXDX_PP, moment_exemplar
+from qcheat.quadrature import ToleranceError
 
 SPEC = make_quaternionic_spec(1)
 
@@ -207,6 +208,12 @@ def test_simulate_paths_overflow_raises_without_warnings():
             simulate_paths(small_cfg(t=1e308, n_paths=10, n_steps=10))
 
 
+def _as_arrays(results):
+    """Per-row KernelValues as a _query_rows result: value, err and n_evals arrays, no failed rows."""
+    value, err, n_evals = zip(*((kv.value, kv.err_estimate, kv.n_evals) for kv in results))
+    return np.array(value), np.array(err), np.array(n_evals), {}
+
+
 def test_check_samples_match_per_sample_reference_bit_for_bit(monkeypatch):
     # 18 modes at 300 steps, 158 normals per sample: four samples per block, so many blocks
     monkeypatch.setattr(mc, "_BLOCK_NORMALS", 700)
@@ -214,7 +221,7 @@ def test_check_samples_match_per_sample_reference_bit_for_bit(monkeypatch):
 
     def record_rows(spec, t, x, z, derivative, cfg):
         sent.append((x, z))
-        return [KernelValue(1.0, 0.0, 0)] * len(t)
+        return _as_arrays([KernelValue(1.0, 0.0, 0)] * len(t))
 
     monkeypatch.setattr(mc, "_query_rows", record_rows)
     cfg = small_cfg(seed=-77, n_paths=10, n_steps=300)
@@ -228,6 +235,22 @@ def test_check_samples_match_per_sample_reference_bit_for_bit(monkeypatch):
     assert len(sent) == 2
     for (got_x, got_z), rows in zip(sent, (late, ~late)):
         assert np.array_equal(got_x, -x[rows]) and np.array_equal(got_z, -z[rows])
+
+
+def test_check_raises_the_first_failing_row_in_branch_term_row_order(monkeypatch):
+    # the late branch's one call succeeds; the early branch's first term
+    # fails on rows 7 and 3, so row 3's error is raised and no call follows
+    calls = []
+
+    def failing_rows(spec, t, x, z, derivative, tol):
+        calls.append(derivative)
+        failed = {7: ToleranceError("row 7"), 3: ToleranceError("row 3")} if len(calls) == 2 else {}
+        return np.ones(len(t)), np.zeros(len(t)), np.zeros(len(t), dtype=int), failed
+
+    monkeypatch.setattr(mc, "_query_rows", failing_rows)
+    with pytest.raises(ToleranceError, match="^row 3$"):
+        check_moment_vanishing(small_cfg(seed=5, n_paths=10, n_steps=40), 2, (1, 2, 1, 2), n_samples=40)
+    assert len(calls) == 2
 
 
 def test_first_and_second_moments():

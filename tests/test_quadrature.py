@@ -14,6 +14,12 @@ W = np.array([0.0, 7.0, 1.0, 25.0])
 B = np.array([5.0, 9.0, 2.0, 6.0])
 
 
+def _per_row(res):
+    """A gk_rows result as a list with one entry per row: (value, err, n_evals) or its ToleranceError."""
+    value, err, n_evals, failed = res
+    return [failed.get(r, row) for r, row in enumerate(zip(value.tolist(), err.tolist(), n_evals.tolist()))]
+
+
 def integrand(rows, x):
     return np.exp(-C[rows, None] * x) * np.cos(W[rows, None] * x)
 
@@ -25,7 +31,7 @@ def exact(r):
 
 
 def test_rows_match_one_row_calls_bit_for_bit():
-    out = gk_rows(integrand, [0.0] * 4, B, 1e-10, [1e-13] * 4, 100_000, [4, 4, 6, 4])
+    out = _per_row(gk_rows(integrand, [0.0] * 4, B, 1e-10, [1e-13] * 4, 100_000, [4, 4, 6, 4]))
     for r, (value, err, n_evals) in enumerate(out):
         one = lambda x, r=r: np.exp(-C[r] * x) * np.cos(W[r] * x)
         mp = 6 if r == 2 else 4
@@ -41,7 +47,7 @@ def test_one_integrand_call_per_round():
         return integrand(rows, x)
 
     min_panels = [4, 4, 6, 4]
-    out = gk_rows(counted, [0.0] * 4, B, 1e-10, [1e-13] * 4, 100_000, min_panels)
+    out = _per_row(gk_rows(counted, [0.0] * 4, B, 1e-10, [1e-13] * 4, 100_000, min_panels))
     splits = [(n_evals - 15 * mp) // 30 for (_, _, n_evals), mp in zip(out, min_panels)]
     # all initial panels first, then one call per round of splits
     assert len(calls) == 1 + max(splits)
@@ -51,9 +57,9 @@ def test_one_integrand_call_per_round():
 
 def test_panel_slices_change_no_bit(monkeypatch):
     args = (integrand, [0.0] * 4, B, 1e-10, [1e-13] * 4, 100_000, [4, 40, 6, 4])
-    whole = gk_rows(*args)
+    whole = _per_row(gk_rows(*args))
     monkeypatch.setattr(quadrature_mod, "_PANEL_CHUNK", 5)
-    assert gk_rows(*args) == whole
+    assert _per_row(gk_rows(*args)) == whole
 
 
 def test_window_changes_no_bit(monkeypatch):
@@ -69,11 +75,11 @@ def test_window_changes_no_bit(monkeypatch):
         return integrand(which[rows], x)
 
     monkeypatch.setattr(quadrature_mod, "_WINDOW", 10**6)
-    whole = gk_rows(f, *args)
+    whole = _per_row(gk_rows(f, *args))
     assert len(calls[0]) == 6  # this window holds every row at once
     calls.clear()
     monkeypatch.setattr(quadrature_mod, "_WINDOW", 40)
-    assert gk_rows(f, *args) == whole
+    assert _per_row(gk_rows(f, *args)) == whole
     # row 0's split halves share a call with the initial panels of rows 3
     # and 4, admitted once rows 1 and 2 finished
     assert calls[:2] == [{0: 4, 1: 30, 2: 4}, {0: 2, 3: 6, 4: 4}]
@@ -85,7 +91,7 @@ def test_window_changes_no_bit(monkeypatch):
 
 
 def test_failing_row_is_reported_alone():
-    out = gk_rows(integrand, [0.0] * 4, B, 1e-14, [1e-300] * 4, 200, [4, 4, 4, 4])
+    out = _per_row(gk_rows(integrand, [0.0] * 4, B, 1e-14, [1e-300] * 4, 200, [4, 4, 4, 4]))
     for r, res in enumerate(out):
         if isinstance(res, ToleranceError):
             assert res.value is not None and res.err is not None
@@ -106,7 +112,7 @@ def test_budget_covers_the_initial_panels():
         calls.append(np.bincount(rows, minlength=4).tolist())
         return integrand(rows, x)
 
-    out = gk_rows(counted, [0.0] * 4, B, 1e-6, [1e-8] * 4, 150, [4, 11, 4, 1e30])
+    out = _per_row(gk_rows(counted, [0.0] * 4, B, 1e-6, [1e-8] * 4, 150, [4, 11, 4, 1e30]))
     assert calls[0] == [4, 10, 4, 10]
     for r in (1, 3):
         assert isinstance(out[r], ToleranceError) and "150 evaluations" in str(out[r])
@@ -219,7 +225,7 @@ def _bits(res):
 
 
 def _assert_matches_reference(f, *args):
-    got, ref = gk_rows(f, *args), _reference_gk_rows(f, *args)
+    got, ref = _per_row(gk_rows(f, *args)), _reference_gk_rows(f, *args)
     assert [_bits(r) for r in got] == [_bits(r) for r in ref]
     return ref
 
@@ -316,11 +322,13 @@ def test_nan_row_fails_in_its_first_round():
     calls = []
     f = _poisoned(np.nan)
     args = ([0.0] * 3, [2.0, 2.0, 30.0], 1e-12, [1e-15] * 3, 400_000, [4] * 3)
-    out = gk_rows(lambda rows, x: calls.append(set(rows.tolist())) or f(rows, x), *args)
+    out = _per_row(gk_rows(lambda rows, x: calls.append(set(rows.tolist())) or f(rows, x), *args))
     assert isinstance(out[0], ToleranceError) and "not finite" in str(out[0])
     assert math.isnan(out[0].value) and math.isnan(out[0].err)
     assert calls[0] == {0, 1, 2} and len(calls) > 1 and all(0 not in c for c in calls[1:])
-    finite = gk_rows(lambda rows, x: f(rows + 1, x), [0.0] * 2, [2.0, 30.0], 1e-12, [1e-15] * 2, 400_000, [4] * 2)
+    finite = _per_row(
+        gk_rows(lambda rows, x: f(rows + 1, x), [0.0] * 2, [2.0, 30.0], 1e-12, [1e-15] * 2, 400_000, [4] * 2)
+    )
     assert out[1:] == finite
 
 
@@ -378,3 +386,41 @@ def test_row_on_the_edge_of_its_target_takes_the_fsum_test(monkeypatch):
     ref = _assert_matches_reference(_row_ids, [0.0] * 4, [1.0] * 4, 0.0, abs_tol, 15_300, [1000] * 4)
     assert [r[1:] for r in ref[:2]] == [(v, 15_000) for v in fsums]
     assert all("15300 evaluations" in str(r) for r in ref[2:])
+
+
+def test_one_round_of_every_verdict_matches_the_reference(monkeypatch):
+    # One round finishes rows of every kind together, each on its own bits:
+    # rows 0 and 8 are done (row 8 by the round-off floor of its magnitude
+    # sum, its values +-1e10 cancelling), row 1 splits, row 2 is starved,
+    # row 3 runs out of budget, row 4 has a NaN panel, row 5 +inf and -inf
+    # panels (fsum raises), rows 6 and 7 one +inf or -inf panel (their sums
+    # are infinite, and so is their target), row 9 a value sum past the float
+    # range and row 10 a magnitude sum past it (fsum raises on each)
+    special = {4: math.nan, 5: math.inf, 6: math.inf, 7: -math.inf, 9: 1e308, 10: 1e308}
+
+    def panel(rows, lo, hi):
+        w = hi - lo
+        first = lo == 0.0  # the first panel of each row
+        value = np.where(rows == 8, np.where(first | (lo == 0.5), 1e10, -1e10), w)
+        for r, v in special.items():
+            value = np.where((rows == r) & first, v, value)
+        value = np.where((rows == 5) & (lo == 0.25), -math.inf, value)
+        value = np.where((rows == 9) & (lo == 0.25), 1e308, value)
+        value = np.where((rows == 10) & (lo == 0.25), -1e308, value)
+        err = np.where(rows == 1, w * w, np.where(rows == 3, 1.0, np.where(rows == 8, 1e-4 * w, 1e-20 * w)))
+        return value, err
+
+    _prescribe(monkeypatch, panel)
+    min_panels = [4, 4, 1e6, 39, 4, 4, 4, 4, 4, 4, 4]
+    abs_tol = [1e-12, 0.1] + [1e-12] * 9
+    n = len(min_panels)
+    out = _assert_matches_reference(_row_ids, [0.0] * n, [1.0] * n, 1e-10, abs_tol, 600, min_panels)
+    assert out[0] == (1.0, 1e-20, 60) and out[8] == (0.0, 1e-4, 60)
+    assert out[1][0] == 1.0 and out[1][1] <= 0.1 and out[1][2] > 60
+    assert str(out[2]) == "quadrature needs more than 600 evaluations for 1e+06 initial panels"
+    assert str(out[3]) == "quadrature needs more than 600 evaluations (err 3.900e+01 > target 1.000e-10)"
+    nan_row = "quadrature integrand is not finite on this row (value nan, err 1e-20)"
+    assert str(out[4]) == str(out[5]) == nan_row
+    assert out[6] == (math.inf, 1e-20, 60) and out[7] == (-math.inf, 1e-20, 60)
+    assert str(out[9]) == "quadrature integrand is not finite on this row (value inf, err 1e-20)"
+    assert str(out[10]) == "quadrature integrand is not finite on this row (value 0.5, err 1e-20)"
