@@ -32,7 +32,7 @@ EXIT_INVARIANT = 4
 
 def _run_config(args, subcommand):
     cfg = {"subcommand": subcommand, "version": __version__}
-    for key in ("n", "tol", "t", "seed", "paths", "steps", "samples", "rule"):
+    for key in ("n", "tol", "t", "seed", "paths", "steps", "samples", "rule", "indices"):
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v

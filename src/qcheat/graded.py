@@ -14,21 +14,26 @@ identity checks are exact.
 
 A key packs one term's monomial.  Its low _FIELD * nvars bits hold the
 exponents, an 8-bit field per coordinate, coordinate 0 in the highest
-field; above them sits the interned id (tensors._monomial_id) of the term's
-atom monomial, 0 for the symbol-free one.  A product with a symbol-free
-factor has key key1 + key2 and numerator num1 * num2, with no Sym built.  A
-product of two symbolic factors adds the exponent fields and takes the id of
-the product monomial, made by Sym's product rule, so Poly stays a ring over
-the symbols.  A derivative's key is a subtract from one field, and int
-order of symbol-free keys is the order of the exponent tuples.  An exponent
-may reach MAX_EXPONENT; the top bit of each field is a guard, so a sum of two
-keys never carries into the next field, and every product, constructor and
-from_packed call raises OverflowError when a result exponent leaves the range.
+field; above them sits the interned id (_monomial_id) of the term's atom
+monomial, 0 for the symbol-free one.  A product with a symbol-free factor
+has key key1 + key2 and numerator num1 * num2.  A product of two symbolic
+factors adds the exponent fields and takes the id of the product monomial
+(_times), so Poly is a ring over the symbols.  A derivative's key is a
+subtract from one field, and int order of symbol-free keys is the order of
+the exponent tuples.  An exponent may reach MAX_EXPONENT; the top bit of
+each field is a guard, so a sum of two keys never carries into the next
+field, and every product, constructor and from_packed call raises
+OverflowError when a result exponent leaves the range.
 
-Sym stays the type at the edges: the constructors take Sym or rational
-coefficients, and the packed view (packed exponent keys) and terms view
-(exponent tuples) give one Sym per monomial, for tests, moment patterns and
-printing.
+A Sym, a polynomial in the symbols alone, is a Poly in no coordinates: its
+keys are the ids themselves.  It is the type at the edges: the constructors
+take Sym or rational coefficients, moving each Sym key above the exponent
+fields, and the packed view (packed exponent keys) and terms view (exponent
+tuples) shift each key back down to give one Sym per monomial, for tests,
+moment patterns and printing.  Interned ids are one per process and grow
+with the distinct monomials used; nothing sorts by an id, since printing
+and the reducer's pivots sort atoms by _atom_key, so the order of first use
+never reaches output.
 """
 
 from __future__ import annotations
@@ -36,9 +41,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache, reduce
-
-from .tensors import _MONOMIALS, InvariantError, Sym, _monomial_id, _times
 
 __all__ = [
     "Poly",
@@ -53,6 +57,58 @@ __all__ = [
     "lie_derivative_form",
     "frame_inversion",
 ]
+
+
+class InvariantError(ValueError):
+    """A violated invariant of a derivation or of its input (the CLI's exit code 4)."""
+
+
+_KIND_RANK = {"R": 0, "T": 1, "kap": 2, "M": 3}
+
+
+def _atom_key(atom):
+    return (_KIND_RANK[atom[0]], atom)
+
+
+def _times(m1, m2):
+    """The product of two atom monomials: with both nonempty, its atoms in _atom_key order."""
+    return tuple(sorted(m1 + m2, key=_atom_key)) if m1 and m2 else m1 + m2
+
+
+def atom_str(atom):
+    kind = atom[0]
+    if kind == "kap":
+        return "kappa"
+    if kind == "M":
+        return atom[1]
+    if kind == "T":
+        return "T[%d;%d,%d]" % (atom[1] + 1, atom[2] + 1, atom[3] + 1)
+    if kind == "R":
+        return "R[%d;%d,%d,%d]" % (atom[1] + 1, atom[2] + 1, atom[3] + 1, atom[4] + 1)
+    raise ValueError(atom)
+
+
+# the interned atom monomials, in order of first use, 0 for the empty one
+_MONOMIALS = [()]  # id -> monomial
+_MONOMIAL_IDS = {(): 0}  # monomial -> id
+
+
+def _monomial_id(mono):
+    """The interned id of an atom monomial, assigned on first use."""
+    i = _MONOMIAL_IDS.get(mono)
+    if i is None:
+        i = _MONOMIAL_IDS[mono] = len(_MONOMIALS)
+        _MONOMIALS.append(mono)
+    return i
+
+
+def _ratio(q):
+    """(numerator, denominator) of a rational number."""
+    if isinstance(q, int):
+        return q, 1
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    return q.numerator, q.denominator
 
 
 # bits per coordinate of a packed exponent key; the top bit of each field
@@ -166,11 +222,18 @@ class Poly:
 
     @classmethod
     def _from_coefficients(cls, nvars, items):
-        """The Poly of (packed exponent key, Sym or rational coefficient) pairs, keys distinct."""
+        """The Poly of (packed exponent key, Sym or rational coefficient) pairs, keys distinct.
+
+        A Sym coefficient's keys, its monomial ids, move above the exponent fields.
+        """
         shift = _FIELD * nvars
         parts = []
         for e, c in items:
-            nums, den = (c if isinstance(c, Sym) else Sym.rational(c)).numerators
+            if isinstance(c, Sym):
+                nums, den = c._nums, c._den
+            else:
+                p, den = _ratio(c)
+                nums = {0: p} if p else {}
             if nums:
                 parts.append((e, nums, den))
         # each coefficient is in lowest terms, so over the lcm of their
@@ -179,8 +242,8 @@ class Poly:
         t = {}
         for e, nums, d in parts:
             k = den // d
-            for mono, n in nums.items():
-                t[e | (_monomial_id(mono) << shift)] = n * k
+            for i, n in nums.items():
+                t[e | (i << shift)] = n * k
         return cls._of(nvars, t, den)
 
     @classmethod
@@ -197,8 +260,8 @@ class Poly:
         exponents = (1 << shift) - 1
         groups = {}
         for k, n in self._nums.items():
-            groups.setdefault(k & exponents, {})[_MONOMIALS[k >> shift]] = n
-        return {e: Sym.from_numerators(nums, self._den) for e, nums in groups.items()}
+            groups.setdefault(k & exponents, {})[k >> shift] = n
+        return {e: Sym._from_numerators(0, nums, self._den) for e, nums in groups.items()}
 
     @property
     def terms(self):
@@ -241,6 +304,8 @@ class Poly:
         return hash((self.nvars, self._den, frozenset(self._nums.items())))
 
     def __add__(self, other):
+        if other.nvars != self.nvars:
+            raise ValueError("operands in %d and %d coordinates" % (self.nvars, other.nvars))
         if not other._nums:
             return self
         if not self._nums:
@@ -252,11 +317,11 @@ class Poly:
         get = t.get
         for e, n in other._nums.items():
             t[e] = get(e, 0) + n * f2
-        return Poly._from_numerators(self.nvars, t, d1 * f1)
+        return type(self)._from_numerators(self.nvars, t, d1 * f1)
 
     def __neg__(self):
         # negating the numerators keeps the value in lowest terms
-        return Poly._of(self.nvars, {e: -n for e, n in self._nums.items()}, self._den)
+        return type(self)._of(self.nvars, {e: -n for e, n in self._nums.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -264,11 +329,14 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        return _sum_of_products(self.nvars, [(self, other)])
+        return _sum_of_products(self.nvars, [(self, other)], type(self))
 
     def scale(self, c):
         """self * c for a Sym or rational c."""
-        return _sum_of_products(self.nvars, [(self, Poly.constant(self.nvars, c))])
+        if isinstance(c, Sym):
+            return self * type(self).constant(self.nvars, c)
+        p, d = _ratio(c)
+        return type(self)._from_numerators(self.nvars, {e: n * p for e, n in self._nums.items()}, self._den * d)
 
     def diff(self, a):
         shift = _shift(self.nvars, a)
@@ -282,13 +350,102 @@ class Poly:
         return Poly._from_numerators(self.nvars, t, self._den)
 
 
+class Sym(Poly):
+    """Polynomial in free tensor symbols with exact rational coefficients: a
+    Poly in no coordinates, keyed by the interned ids of its atom monomials.
+
+    It takes monomials in and gives Fractions out (terms), and it takes ints
+    and Fractions as operands of + - * and ==; a symbol-free Sym hashes as
+    its rational value.  A Poly in coordinates is no operand of a Sym: both
+    orders raise TypeError.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        """From a dict {monomial: rational}; zero coefficients are dropped."""
+        p = Poly._from_coefficients(0, [(_monomial_id(mono), q) for mono, q in (terms or {}).items() if q])
+        self.nvars, self._nums, self._den = 0, p._nums, p._den
+
+    @classmethod
+    def zero(cls):
+        return cls._of(0, {})
+
+    @classmethod
+    def rational(cls, q):
+        return cls.constant(0, q)
+
+    @classmethod
+    def symbol(cls, atom, coeff=1):
+        return cls({(atom,): coeff})
+
+    @property
+    def terms(self):
+        """The coefficients as a dict {monomial: Fraction}."""
+        return {_MONOMIALS[i]: Fraction(n, self._den) for i, n in self._nums.items()}
+
+    def atoms(self):
+        return set().union(*(_MONOMIALS[i] for i in self._nums))
+
+    def __bool__(self):
+        return bool(self._nums)
+
+    def _operand(self, other):
+        """other as a Sym: TypeError for a Poly in coordinates."""
+        if isinstance(other, Sym):
+            return other
+        if isinstance(other, Poly):
+            raise TypeError("a Sym and a Poly in %d coordinates do not combine" % other.nvars)
+        return Sym.rational(other)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Sym.rational(other)
+        return Poly.__eq__(self, other)
+
+    def __hash__(self):
+        if self._nums.keys() <= {0}:
+            return hash(Fraction(self._nums.get(0, 0), self._den))
+        return Poly.__hash__(self)
+
+    def __add__(self, other):
+        return Poly.__add__(self, self._operand(other))
+
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        # Poly.__mul__ scales by a rational
+        return Poly.__mul__(self, self._operand(other) if isinstance(other, Poly) else other)
+
+    __rmul__ = __mul__
+
+    def __str__(self):
+        if not self._nums:
+            return "0"
+        terms = self.terms
+        parts = []
+        for mono in sorted(terms, key=lambda m: tuple(_atom_key(a) for a in m)):
+            c = terms[mono]
+            if mono:
+                parts.append("(%s)*%s" % (c, "*".join(atom_str(a) for a in mono)))
+            else:
+                parts.append("(%s)" % c)
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
 def _denominator(polys):
     """The lcm of the denominators of polys: each one's numerators can be read over it."""
     return math.lcm(1, *(p._den for p in polys))
 
 
-def _sum_of_products(nvars, pairs):
-    """sum of f * g over the (f, g) pairs of Polys, gathered in one dict over one denominator.
+def _sum_of_products(nvars, pairs, cls=Poly):
+    """sum of f * g over the (f, g) pairs of Polys in nvars coordinates, as a cls
+    gathered in one dict over one denominator; ValueError for a Poly in other coordinates.
 
     The common denominator is the lcm of the pairs' denominator products.  A
     product of two terms one of which is symbol-free has the sum of their keys;
@@ -297,9 +454,15 @@ def _sum_of_products(nvars, pairs):
     exponents (below 2 ** _FIELD, no carry into the field above); they are
     checked once at the end.
     """
-    pairs = [(f, g) for f, g in pairs if f._nums and g._nums]
+    kept = []
+    for f, g in pairs:
+        if f.nvars != nvars or g.nvars != nvars:
+            raise ValueError("operands in %d and %d coordinates where %d are expected" % (f.nvars, g.nvars, nvars))
+        if f._nums and g._nums:
+            kept.append((f, g))
+    pairs = kept
     if not pairs:
-        return Poly.zero(nvars)
+        return cls._of(nvars, {})
     shift = _FIELD * nvars
     plain = 1 << shift  # the keys of symbol-free terms are the ones below it
     exponents = plain - 1
@@ -325,7 +488,7 @@ def _sum_of_products(nvars, pairs):
     # | 0 copies each kept key at its own size (a 48- instead of a 64-byte
     # block per term at n = 4)
     t = {e | 0: n for e, n in t.items() if n}
-    return Poly._from_numerators(nvars, t, den)
+    return cls._from_numerators(nvars, t, den)
 
 
 def _weights(m, r):
@@ -418,14 +581,14 @@ def zero_form(m, r):
 def basis_vf(m, r, a):
     nv = m + r
     comps = [Poly.zero(nv) for _ in range(nv)]
-    comps[a] = Poly.constant(nv, Sym.rational(1))
+    comps[a] = Poly.constant(nv, 1)
     return GradedVectorField(m, r, tuple(comps))
 
 
 def basis_form(m, r, a):
     nv = m + r
     comps = [Poly.zero(nv) for _ in range(nv)]
-    comps[a] = Poly.constant(nv, Sym.rational(1))
+    comps[a] = Poly.constant(nv, 1)
     return GradedForm(m, r, tuple(comps))
 
 
@@ -447,7 +610,7 @@ def left_invariant_frame(spec):
     Xs = []
     for a in range(m):
         comps = [Poly.zero(nv) for _ in range(nv)]
-        comps[a] = Poly.constant(nv, Sym.rational(1))
+        comps[a] = Poly.constant(nv, 1)
         for i in range(r):
             coeffs = {1 << _shift(nv, b): 2 * spec.J[i][b][a] for b in range(m)}
             comps[m + i] = comps[m + i] + Poly.from_packed(nv, coeffs)
@@ -455,7 +618,7 @@ def left_invariant_frame(spec):
     Vs = []
     for i in range(r):
         comps = [Poly.zero(nv) for _ in range(nv)]
-        comps[m + i] = Poly.constant(nv, Sym.rational(2))
+        comps[m + i] = Poly.constant(nv, 2)
         Vs.append(GradedVectorField(m, r, tuple(comps)))
     return Xs, Vs
 
@@ -550,7 +713,6 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
     """
     m, r = len(frame_x), len(frame_v)
     nv = frame_x[0].nvars
-    one = Sym.rational(1)
     forms = list(theta_exp) + list(eta_exp)  # theta^g is form g, eta^i is form m + i
     fields = list(frame_x) + list(frame_v)  # X_b is field b, V_j is field m + j
 
@@ -561,7 +723,7 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
     # duality at lowest order
     for g in range(m):
         for b in range(m):
-            want = Poly.constant(nv, one) if g == b else Poly.zero(nv)
+            want = Poly.constant(nv, 1) if g == b else Poly.zero(nv)
             if lowest(theta_exp[g], 1, frame_x[b]) != want:
                 raise InvariantError("theta^(1) and the horizontal frame are not dual")
         for j in range(r):
@@ -569,7 +731,7 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
                 raise InvariantError("theta^(1) must annihilate the vertical frame")
     for i in range(r):
         for j in range(r):
-            want = Poly.constant(nv, one) if i == j else Poly.zero(nv)
+            want = Poly.constant(nv, 1) if i == j else Poly.zero(nv)
             if lowest(eta_exp[i], 2, frame_v[j]) != want:
                 raise InvariantError("eta^(2) and the vertical frame are not dual")
 
@@ -607,9 +769,9 @@ def frame_inversion(theta_exp, eta_exp, frame_x, frame_v, max_order):
         s = {}
         rr = {}
         for g in range(m):
-            s[(g, 0)] = Poly.constant(nv, one) if (target < m and g == target) else Poly.zero(nv)
+            s[(g, 0)] = Poly.constant(nv, 1) if (target < m and g == target) else Poly.zero(nv)
         for j in range(r):
-            rr[(j, 0)] = Poly.constant(nv, one) if (target >= m and j == target - m) else Poly.zero(nv)
+            rr[(j, 0)] = Poly.constant(nv, 1) if (target >= m and j == target - m) else Poly.zero(nv)
         for l in range(1, top + 1):
             for i in range(r):
                 rr[(i, l)] = entry(m + i, l, s, rr, l)

@@ -11,7 +11,7 @@ first-order sublaplacian coefficients are the structure-function traces
 sum_a c^a_{a alpha}; entries may be numbers or exact polynomials (a test
 traces the symbolic normal-frame data of the expansion layer through it).
 
-A frame file is a JSON object with integer m and k, b as k matrices of
+A frame file is a JSON object with integers m, k >= 1, b as k matrices of
 m x m numbers and, optionally, c as an (m+k) x (m+k) x m array of numbers.
 A number is a JSON integer, a finite JSON float, or a string such as "1/2",
 which becomes an exact Fraction.
@@ -66,6 +66,8 @@ class AdaptedFrameData:
     c: tuple | None = None
 
     def __post_init__(self):
+        if self.m < 1 or self.k < 1:
+            raise ValueError("need m >= 1 horizontal and k >= 1 vertical directions")
         if len(self.b) != self.k:
             raise ValueError("expected %d vertical bracket matrices" % self.k)
         for i, bi in enumerate(self.b, 1):

@@ -404,7 +404,7 @@ def divergence_coefficient(spec, coeffs):
     nv = m + r
     Xs, Vs = left_invariant_frame(spec)
     # X_a is linear, so the two traces enter as one, negated
-    one = Poly.constant(nv, Sym.rational(1))
+    one = Poly.constant(nv, 1)
     diag = [coeffs.s_x[(beta, beta)] for beta in range(m)] + [coeffs.r_v[(i, i)] for i in range(r)]
     neg_trace = -_sum_of_products(nv, [(one, p) for p in diag])
     out = []

@@ -16,18 +16,18 @@ of the relations, so neither the order of the relations nor the order of
 the eliminations can change the normal form; the confluence tests permute
 the relations explicitly.
 
-Sym is the type at the edges of the exact layer: the coefficients that
-graded.Poly takes and gives back one per monomial, the per-class sums of the
-c1 reduction, the LinearReducer rows and the results.  Inside a Poly the
-coefficients are integer numerators keyed by interned atom monomials: this
-module gives each distinct monomial an int id on first use, and a product
-of two monomials follows Sym's own product rule.  No output sorts by an id.
+Sym, a polynomial in the symbols alone, is graded.Poly in no coordinates;
+it and the atom order (_atom_key) live in graded beside Poly and are
+re-exported here.  Sym is the type at the edges of the exact layer: the
+coefficients that Poly takes and gives back one per monomial, the per-class
+sums of the c1 reduction, the LinearReducer rows and the results.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+
+from .graded import InvariantError, Sym, _atom_key, _monomial_id, atom_str
 
 __all__ = [
     "Sym",
@@ -40,244 +40,6 @@ __all__ = [
 ]
 
 KAPPA = ("kap",)
-
-_KIND_RANK = {"R": 0, "T": 1, "kap": 2, "M": 3}
-
-
-def _atom_key(atom):
-    return (_KIND_RANK[atom[0]], atom)
-
-
-def _times(m1, m2):
-    """The product of two atom monomials: with both nonempty, its atoms in _atom_key order."""
-    return tuple(sorted(m1 + m2, key=_atom_key)) if m1 and m2 else m1 + m2
-
-
-# Atom monomials are interned: each distinct monomial gets an int id, in order
-# of first use, with 0 for the empty monomial.  graded.Poly keys its terms by
-# these ids, so the tables are one per process and grow with the distinct
-# monomials used.  Nothing sorts by an id: printing, Sym.__str__ and the
-# reducer's pivots sort atoms by _atom_key, so the order of first use never
-# reaches output.
-_MONOMIALS = [()]  # id -> monomial
-_MONOMIAL_IDS = {(): 0}  # monomial -> id
-
-
-def _monomial_id(mono):
-    """The interned id of an atom monomial, assigned on first use."""
-    i = _MONOMIAL_IDS.get(mono)
-    if i is None:
-        i = _MONOMIAL_IDS[mono] = len(_MONOMIALS)
-        _MONOMIALS.append(mono)
-    return i
-
-
-def _sym(nums, den):
-    """Sym with nonzero integer numerators over den > 0, put in lowest terms."""
-    if den != 1:
-        g = math.gcd(den, *nums.values())
-        if g != 1:
-            nums = {mono: n // g for mono, n in nums.items()}
-            den //= g
-    return _lowest(nums, den)
-
-
-def _lowest(nums, den):
-    """Sym with nonzero integer numerators over den > 0 already in lowest terms."""
-    out = object.__new__(Sym)
-    out._nums = nums
-    out._den = den
-    return out
-
-
-def _ratio(q):
-    """(numerator, denominator) of a rational number."""
-    if isinstance(q, int):
-        return q, 1
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    return q.numerator, q.denominator
-
-
-class Sym:
-    """Polynomial in free tensor symbols with exact rational coefficients.
-
-    The coefficients are held as integer numerators over one positive common
-    denominator, in lowest terms, so each value has a single representation
-    and the ring arithmetic is integer work.  `terms` gives them as
-    Fractions.
-    """
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, terms=None):
-        """From a dict {monomial: rational}; zero coefficients are dropped."""
-        self._nums, self._den = {}, 1
-        if terms:
-            ratios = {mono: _ratio(q) for mono, q in terms.items() if q}
-            den = math.lcm(1, *(d for _, d in ratios.values()))
-            self._nums = {mono: p * (den // d) for mono, (p, d) in ratios.items()}
-            self._den = den
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def rational(cls, q):
-        p, d = _ratio(q)
-        return _sym({(): p} if p else {}, d)
-
-    @classmethod
-    def symbol(cls, atom, coeff=1):
-        p, d = _ratio(coeff)
-        return _sym({(atom,): p} if p else {}, d)
-
-    @classmethod
-    def from_numerators(cls, nums, den):
-        """The sum of nums[mono] / den * mono, for integer numerators and den > 0."""
-        return _sym({mono: n for mono, n in nums.items() if n}, den)
-
-    @property
-    def numerators(self):
-        """(numerators, den): the Sym's own dict {monomial: integer numerator}, not to be
-        changed, and its positive denominator, in lowest terms."""
-        return self._nums, self._den
-
-    @property
-    def terms(self):
-        """The coefficients as a dict {monomial: Fraction}."""
-        return {mono: Fraction(n, self._den) for mono, n in self._nums.items()}
-
-    def is_zero(self):
-        return not self._nums
-
-    def __bool__(self):
-        return bool(self._nums)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sym):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Sym.rational(other)
-        return self._den == other._den and self._nums == other._nums
-
-    def __hash__(self):
-        # a symbol-free Sym equals its rational value, so it hashes as one
-        nums = self._nums
-        if not nums:
-            return 0
-        if len(nums) == 1 and () in nums:
-            return hash(Fraction(nums[()], self._den))
-        return hash((frozenset(nums.items()), self._den))
-
-    def __add__(self, other):
-        if not isinstance(other, Sym):
-            other = Sym.rational(other)
-        if not other._nums:
-            return self
-        if not self._nums:
-            return other
-        d1, d2 = self._den, other._den
-        g = math.gcd(d1, d2)
-        f1, f2 = d2 // g, d1 // g
-        t = {mono: n * f1 for mono, n in self._nums.items()} if f1 != 1 else dict(self._nums)
-        for mono, n in other._nums.items():
-            s = t.get(mono, 0) + n * f2
-            if s:
-                t[mono] = s
-            else:
-                t.pop(mono, None)
-        return _sym(t, d1 * f1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        # negating the numerators keeps the value in lowest terms
-        return _lowest({mono: -n for mono, n in self._nums.items()}, self._den)
-
-    def __sub__(self, other):
-        if not isinstance(other, Sym):
-            other = Sym.rational(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def _scaled(self, p, d):
-        """self * p / d for a nonzero integer p and d > 0.
-
-        For d = 1 one gcd does: self is in lowest terms, gcd(den, numerators)
-        = 1, so prime by prime gcd(den, p * numerators) = gcd(den, p).
-        """
-        if d != 1:
-            return _sym({mono: n * p for mono, n in self._nums.items()}, self._den * d)
-        if p == 1:
-            return self
-        den = self._den
-        g = math.gcd(den, p)
-        if g != 1:
-            p //= g
-            den //= g
-        return _lowest({mono: n * p for mono, n in self._nums.items()}, den)
-
-    def __mul__(self, other):
-        if not isinstance(other, Sym):
-            p, d = _ratio(other)
-            return self._scaled(p, d) if p else Sym()
-        if not (self._nums and other._nums):
-            return Sym()
-        # a pure rational factor {(): q} only scales the other one
-        if len(other._nums) == 1 and () in other._nums:
-            return self._scaled(other._nums[()], other._den)
-        if len(self._nums) == 1 and () in self._nums:
-            return other._scaled(self._nums[()], self._den)
-        t = {}
-        for m1, c1 in self._nums.items():
-            for m2, c2 in other._nums.items():
-                mono = _times(m1, m2)
-                s = t.get(mono, 0) + c1 * c2
-                if s:
-                    t[mono] = s
-                else:
-                    t.pop(mono, None)
-        return _sym(t, self._den * other._den)
-
-    __rmul__ = __mul__
-
-    def atoms(self):
-        out = set()
-        for mono in self._nums:
-            out.update(mono)
-        return out
-
-    def __str__(self):
-        if not self._nums:
-            return "0"
-        terms = self.terms
-        parts = []
-        for mono in sorted(terms, key=lambda m: tuple(_atom_key(a) for a in m)):
-            c = terms[mono]
-            if mono:
-                parts.append("(%s)*%s" % (c, "*".join(atom_str(a) for a in mono)))
-            else:
-                parts.append("(%s)" % c)
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def atom_str(atom):
-    kind = atom[0]
-    if kind == "kap":
-        return "kappa"
-    if kind == "M":
-        return atom[1]
-    if kind == "T":
-        return "T[%d;%d,%d]" % (atom[1] + 1, atom[2] + 1, atom[3] + 1)
-    if kind == "R":
-        return "R[%d;%d,%d,%d]" % (atom[1] + 1, atom[2] + 1, atom[3] + 1, atom[4] + 1)
-    raise ValueError(atom)
 
 
 class TensorSymbols:
@@ -313,9 +75,9 @@ class TensorSymbols:
     @staticmethod
     def _from_atom(hit):
         if hit is None:
-            return Sym()
+            return Sym.zero()
         mono, sign = hit
-        return _lowest({mono: sign}, 1)
+        return Sym._of(0, {_monomial_id(mono): sign})
 
     def T(self, c, a, b):
         """Torsion component T^c_{ab}; antisymmetric in (a, b)."""
@@ -347,7 +109,7 @@ def identity_relations(symbols):
         for a in range(m):
             for b in range(a + 1, m):
                 v = spec.J[i][a][b]
-                rel = symbols.T(m + i, a, b) + Sym.rational(2 * v)
+                rel = symbols.T(m + i, a, b) + 2 * v
                 if rel:
                     rels.append(("torsion-horizontal[i=%d,a=%d,b=%d]" % (i + 1, a + 1, b + 1), rel))
     for i in range(r):
@@ -393,10 +155,6 @@ def identity_relations(symbols):
     if rel:
         rels.append(("kappa-definition", rel))
     return rels
-
-
-class InvariantError(ValueError):
-    """A violated invariant of a derivation or of its input (the CLI's exit code 4)."""
 
 
 class ReductionError(InvariantError):

@@ -320,6 +320,23 @@ def test_popp_malformed_frame_exits_2(tmp_path, capsys, doc):
 
 
 @pytest.mark.parametrize(
+    "doc",
+    [
+        {"m": -3, "k": 0, "b": []},
+        {"m": 2, "k": 0, "b": []},  # no vertical direction: B would be 0 x 0 with density 1
+        {"m": 0, "k": 1, "b": [[]]},
+    ],
+)
+def test_popp_frame_without_directions_exits_2(tmp_path, capsys, doc):
+    # the rule GroupSpec applies: at least one horizontal and one vertical direction
+    inp = tmp_path / "frame.json"
+    inp.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["popp", "--input", str(inp)])
+    assert (code, out) == (2, "")
+    assert err == "input error: need m >= 1 horizontal and k >= 1 vertical directions\n"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"m": 2, "k": 1, "b": [[[0, 1e400], [-1e400, 0]]]}',  # 1e400 parses to inf
@@ -481,6 +498,22 @@ def test_mc_config_line_has_samples_only_with_rule(capsys):
     assert (config["rule"], config["samples"]) == (3, 7)
     assert "t" not in config and "paths" not in config
     assert checked.splitlines()[2].split(",")[3:] == ["7", "10", "3"]
+
+
+def test_mc_rule_rerun_from_config_line_reproduces_the_bytes(capsys):
+    argv = ["mc", "--n", "1", "--seed", "3", "--rule", "2", "--indices", "1,1,2,2", "--samples", "50", "--steps", "4"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    config = _config_line(out)
+    assert config["indices"] == "1,1,2,2"
+    rerun = [config.pop("subcommand")]
+    del config["version"]
+    for key, value in config.items():
+        rerun += ["--" + key, str(value)]
+    assert run_cli(capsys, rerun) == (0, out, "")
+    # the rule's default indices name another pattern, and another row
+    default = [a for a in argv if a not in ("--indices", "1,1,2,2")]
+    assert run_cli(capsys, default)[1].splitlines()[2] != out.splitlines()[2]
 
 
 def test_mc_rule_ignores_paths_budget(capsys):

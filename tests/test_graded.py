@@ -1,5 +1,6 @@
 """Exact identities of the graded polynomial vector-field calculus."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -374,3 +375,24 @@ def test_exponent_field_guard_with_monomial_ids():
     assert (p * Poly(NV, {unit: kappa})).terms == {(127,) + (0,) * (NV - 1): s * kappa}
     with pytest.raises(OverflowError):
         got * x
+
+
+def test_operands_in_different_coordinates_raise():
+    # exponent fields of 3 and of 2 coordinates do not line up: x_0 in three
+    # coordinates is not x_0 in two, so neither a sum nor a product is defined
+    a, b = Poly.variable(3, 0), Poly.variable(2, 0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
+    with pytest.raises(ValueError):
+        pair(GradedForm(2, 1, (a, a, a)), GradedVectorField(2, 1, (b, b, b)))
+    # a Sym is a Poly in no coordinates; it combines with a rational, not with a Poly in coordinates
+    kappa = Sym.symbol(("kap",))
+    assert kappa * 2 - kappa == kappa and 1 - (1 - kappa) == kappa
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(a, kappa)
+        with pytest.raises(TypeError):
+            op(kappa, a)
